@@ -130,6 +130,41 @@ void BM_BurstyWorkloadAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_BurstyWorkloadAnalysis);
 
+// Arrival-count series for the Theorem 5/6 service bounds: a two-hop SPP
+// candidate with n Eq. 27 bursty arrivals below two periodic jobs, the shape
+// of one what_if over a bursty first hop. The closed forms make one
+// analysis unit cost O(n log n + K) kernel work, so time grows about
+// linearly in n (the target is under 100 ms at n = 8000).
+void BM_BoundsByArrivals(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  System sys(2, SchedulerKind::kSpp);
+  const auto add = [&](const char* name, std::vector<Subjob> chain,
+                       ArrivalSequence arrivals) {
+    Job job;
+    job.name = name;
+    job.deadline = 1e6;
+    job.chain = std::move(chain);
+    job.arrivals = std::move(arrivals);
+    sys.add_job(job);
+  };
+  const double x = 0.5;  // asymptotic period 2
+  const Time window = 2.0 * (n - 1);
+  add("hi0", {{0, 0.3, 1}}, ArrivalSequence::periodic(3.0, window));
+  add("hi1", {{1, 0.4, 1}}, ArrivalSequence::periodic(5.0, window));
+  add("cand", {{0, 0.5, 2}, {1, 0.5, 2}},
+      ArrivalSequence::bursty_eq27(x, window));
+  const BoundsAnalyzer analyzer;
+  for (auto _ : state) benchmark::DoNotOptimize(analyzer.analyze(sys));
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_BoundsByArrivals)
+    ->Arg(250)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(8000)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
 }  // namespace
 }  // namespace rta
 

@@ -209,21 +209,28 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   // Theorems 5/6 realized per *queue-empty candidate* (see bounds.hpp): the
   // literal per-window forms re-credit the blocking b after every queue
   // drain and mix bound directions in the interference increment, both of
-  // which the simulator refutes. The sound per-candidate forms are:
+  // which the simulator refutes. With Q̲(t) = t - b - S̄hp(t),
+  // Q̄(t) = t - S̲hp(t) and base_i = (i-1) tau, the sound per-candidate
+  // forms are
   //
-  //   S̲(t) = min_i max( base_i, base_i + (t - s_i) - b
-  //                                    - (S̄hp(t) - S̲hp(s_i)) ),
-  //     s_i = latest possible i-th arrival, base_i = (i-1) tau
+  //   S̲(t) = min_i ( base_i + max(0, Q̲(t) - off_i) ),
+  //     off_i = s_i - S̲hp(s_i^-), s_i = latest possible i-th arrival
   //     (the last queue-empty instant can be pushed to just before the next
   //      arrival; blocking is incurred at most once per backlogged period);
   //
-  //   S̄(t) = min_i [ base_i + min( t - s_i,
-  //                                (t - s_i) - (S̲hp(t) - S̄hp(s_i)) ) ],
-  //     s_i = earliest possible i-th arrival -- every term is independently
-  //     a valid upper bound (service in (s_i, t] is limited by elapsed time
-  //     minus guaranteed higher-priority consumption).
-
-  // Q̲(t) = t - b - S̄hp(t); Q̄(t) = t - S̲hp(t).
+  //   S̄(t) = min( c̄(t), min_{i >= 0 : s_i <= t} base_i
+  //                        + min( t - s_i, Q̄(t) - s_i + S̄hp(s_i^-) ) ),
+  //     s_i = earliest possible i-th arrival, plus the i = 0 entry
+  //     s_0 = base_0 = 0 -- every term is independently a valid upper bound
+  //     once its candidate has arrived (service in (s_i, t] is limited by
+  //     elapsed time minus guaranteed higher-priority consumption).
+  //
+  // Neither is evaluated term by term. S̲ = g o Q̲ with g the lower envelope
+  // of the hinges q -> base_i + max(0, q - off_i), composed exactly segment
+  // by segment. S̄ = min(c̄, t + P1(t), Q̄(t) + P2(t)) with P1, P2 the
+  // prefix-minimum step curves of base_i - s_i and
+  // base_i - s_i + S̄hp(s_i^-) over the candidates with s_i <= t. Each
+  // costs a fixed number of curve kernels, whatever the arrival count.
   const PwlCurve q_lower =
       curve_add_constant(curve_sub(ident, hp_u), -b);
   const PwlCurve q_upper = curve_sub(ident, hp_l);
@@ -234,53 +241,41 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   const LevelInverses arr_upper_inv(cache, st.arr_upper, count_upper);
 
   // ---- Lower service bound.
-  PwlCurve svc_lower = PwlCurve::zero(horizon);
-  bool have_lower = false;
+  std::vector<Hinge> hinges;
+  hinges.reserve(static_cast<std::size_t>(count_lower));
   for (long long i = 1; i <= count_lower; ++i) {
     const Time s_i = arr_lower_inv.at(i);
     if (std::isinf(s_i)) break;
-    const double base = static_cast<double>(i - 1) * tau;
-    // term_i(t) = max(base, base + Q̲(t) - (s_i - S̲hp(s_i))).
-    const double offset = s_i - hp_l.eval_left(s_i);
-    PwlCurve term = curve_clamp_min(
-        curve_add_constant(q_lower, base - offset), base);
-    svc_lower = have_lower ? curve_min(svc_lower, term) : std::move(term);
-    have_lower = true;
+    hinges.push_back({static_cast<double>(i - 1) * tau,
+                      s_i - hp_l.eval_left(s_i)});
   }
-  if (!have_lower) svc_lower = PwlCurve::zero(horizon);
-  // Demand cap (service never exceeds arrived work; with lower arrival
-  // counts this only loosens, which is sound for a lower bound) and
-  // monotone tightening.
-  svc_lower = curve_clamp_min(curve_min(svc_lower, c_lower), 0.0);
+  PwlCurve svc_lower = PwlCurve::zero(horizon);
+  if (!hinges.empty()) {
+    // Demand cap (service never exceeds arrived work; with lower arrival
+    // counts this only loosens, which is sound for a lower bound). g >= 0,
+    // so no clamp at zero is needed.
+    svc_lower = curve_min(
+        curve_compose(HingeEnvelope(std::move(hinges)), q_lower), c_lower);
+  }
   svc_lower = tighten_lower_bound(svc_lower);
 
   // ---- Upper service bound.
-  const double big = horizon + c_upper.end_value() + 1.0;
-  PwlCurve svc_upper = ident;  // S(t) <= t always
-  for (long long i = 0; i <= count_upper; ++i) {
-    Time s_i = 0.0;
-    double base = 0.0;
-    if (i > 0) {
-      s_i = arr_upper_inv.at(i);
-      if (std::isinf(s_i)) break;
-      base = static_cast<double>(i - 1) * tau;
-    }
-    // term_i(t) = base + min(t - s_i, Q̄(t) - (s_i - S̄hp(s_i))),
-    // valid only for t >= s_i (forced BIG before s_i).
-    const PwlCurve elapsed = curve_add_constant(ident, -s_i);
-    const PwlCurve drained =
-        curve_add_constant(q_upper, -(s_i - hp_u.eval_left(s_i)));
-    PwlCurve term =
-        curve_add_constant(curve_min(elapsed, drained), base);
-    if (s_i > 0.0 && time_lt(s_i, horizon)) {
-      const PwlCurve gate({{0.0, big, big}, {s_i, big, 0.0},
-                           {horizon, 0.0, 0.0}});
-      term = curve_max(term, gate);
-    }
-    svc_upper = curve_min(svc_upper, term);
+  std::vector<Time> starts{0.0};
+  std::vector<double> elapsed_off{0.0};
+  std::vector<double> drained_off{hp_u.eval_left(0.0)};
+  for (long long i = 1; i <= count_upper; ++i) {
+    const Time s_i = arr_upper_inv.at(i);
+    if (std::isinf(s_i)) break;
+    const double base = static_cast<double>(i - 1) * tau;
+    starts.push_back(s_i);
+    elapsed_off.push_back(base - s_i);
+    drained_off.push_back(base - s_i + hp_u.eval_left(s_i));
   }
+  const PwlCurve p1 = curve_prefix_min_steps(horizon, starts, elapsed_off);
+  const PwlCurve p2 = curve_prefix_min_steps(horizon, starts, drained_off);
   // Demand cap: S(t) <= c(t^-) <= c̄(t).
-  svc_upper = curve_min(svc_upper, c_upper);
+  const PwlCurve svc_upper = curve_min(
+      curve_min(curve_add(ident, p1), curve_add(q_upper, p2)), c_upper);
 
   st.svc_lower = svc_lower;
   st.svc_upper = svc_upper;

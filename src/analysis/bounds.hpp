@@ -37,13 +37,17 @@
 //          higher-priority consumption over (s_i, t] is bounded by mixing
 //          the hp upper bound at t with the hp lower bound at s_i;
 //
-//        S̄(t) = min( t, c̄(t), min_i [ base_i + min( t - s_i,
+//        S̄(t) = min( t, c̄(t), min_{i : s_i <= t} [ base_i + min( t - s_i,
 //                 (t - s_i) - (S̲hp(t) - S̄hp(s_i)) ) ] ),
 //          with s_i the EARLIEST possible i-th arrival -- every term is
-//          independently a valid upper bound, so the min is sound.
+//          independently a valid upper bound once its candidate has
+//          arrived, so the min is sound.
 //
 //      This keeps the structure of Theorems 5/6 (availability differences
 //      plus demanded work) while being sound busy-period by busy-period.
+//      Both are evaluated in closed form, at a kernel-call count
+//      independent of the number of candidates (see bounds.cpp and
+//      docs/theory.md, "Evaluating them in closed form").
 //
 // Heterogeneous systems (different schedulers per processor, §6) are
 // supported directly. Requires an acyclic dependency graph; cyclic systems

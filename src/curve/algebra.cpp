@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "curve/curve_arena.hpp"
 #include "curve/kernel_hooks.hpp"
@@ -66,6 +67,33 @@ void insert_crossings(const CurveView& a, const CurveView& b,
              grid.end());
 }
 
+/// curve_first_crossing's knot scan, started at knot `from` and leaving
+/// `from` at the knot (or segment start) where level y is first reached.
+/// Every knot and segment before `from` must stay below y; that holds when
+/// `from` comes from a scan for a lower level, which is what lets
+/// curve_crossing_counts resume instead of rescanning from t = 0.
+Time first_crossing_from(const CurveView& v, double y, std::size_t& from) {
+  for (std::size_t& i = from; i < v.n; ++i) {
+    // At the knot itself (right-continuous value).
+    if (v.r[i] >= y - kValueEps) return v.t[i];
+    if (i + 1 >= v.n) break;
+    // Within the open segment towards the next knot's left limit.
+    const double v0 = v.r[i];
+    const double v1 = v.l[i + 1];
+    if (v1 >= y - kValueEps && v1 > v0 + kValueEps) {
+      const double frac = (y - v0) / (v1 - v0);
+      return v.t[i] + std::clamp(frac, 0.0, 1.0) * (v.t[i + 1] - v.t[i]);
+    }
+  }
+  return kTimeInfinity;
+}
+
+void report_pointwise(std::size_t result_knots) {
+  if (curve::KernelHooks* hooks = curve::kernel_hooks()) {
+    hooks->on_pointwise(result_knots);
+  }
+}
+
 template <typename Op>
 PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
                  bool needs_crossings) {
@@ -88,9 +116,7 @@ PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
     arena.push(t, left, right);
   }
   PwlCurve result(arena.finalize());
-  if (curve::KernelHooks* hooks = curve::kernel_hooks()) {
-    hooks->on_pointwise(result.knot_count());
-  }
+  report_pointwise(result.knot_count());
   return result;
 }
 
@@ -232,27 +258,17 @@ PwlCurve curve_sum(const std::vector<PwlCurve>& curves, Time horizon) {
 }
 
 Time curve_first_crossing(const PwlCurve& a, double y) {
-  const CurveView v = a.view();
-  for (std::size_t i = 0; i < v.n; ++i) {
-    // At the knot itself (right-continuous value).
-    if (v.r[i] >= y - kValueEps) return v.t[i];
-    if (i + 1 >= v.n) break;
-    // Within the open segment towards the next knot's left limit.
-    const double v0 = v.r[i];
-    const double v1 = v.l[i + 1];
-    if (v1 >= y - kValueEps && v1 > v0 + kValueEps) {
-      const double frac = (y - v0) / (v1 - v0);
-      return v.t[i] + std::clamp(frac, 0.0, 1.0) * (v.t[i + 1] - v.t[i]);
-    }
-  }
-  return kTimeInfinity;
+  std::size_t from = 0;
+  return first_crossing_from(a.view(), y, from);
 }
 
 PwlCurve curve_crossing_counts(const PwlCurve& a, double tau) {
   assert(tau > 0.0);
+  const CurveView v = a.view();
   std::vector<Time> jumps;
+  std::size_t from = 0;
   for (long long k = 1;; ++k) {
-    const Time t = curve_first_crossing(a, static_cast<double>(k) * tau);
+    const Time t = first_crossing_from(v, static_cast<double>(k) * tau, from);
     if (std::isinf(t)) break;
     jumps.push_back(t);
   }
@@ -274,6 +290,124 @@ PwlCurve curve_floor_div(const PwlCurve& s, double tau) {
     jumps.push_back(t);
   }
   return PwlCurve::step(s.horizon(), jumps);
+}
+
+PwlCurve curve_prefix_min_steps(Time horizon, const std::vector<Time>& times,
+                                const std::vector<double>& values) {
+  assert(!times.empty() && times.size() == values.size());
+  assert(time_eq(times.front(), 0.0));
+  assert(std::is_sorted(times.begin(), times.end()));
+  CurveArena& arena = tls_curve_arena();
+  arena.clear();
+  double level = values.front();
+  arena.push(0.0, level, level);
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    if (time_gt(times[i], horizon)) break;
+    if (!(values[i] < level)) continue;
+    if (time_eq(arena.back_t(), times[i])) {
+      arena.set_back_right(values[i]);
+    } else {
+      arena.push(times[i], level, values[i]);
+    }
+    level = values[i];
+  }
+  if (!time_eq(arena.back_t(), horizon)) arena.push(horizon, level, level);
+  PwlCurve result(arena.finalize());
+  report_pointwise(result.knot_count());
+  return result;
+}
+
+HingeEnvelope::HingeEnvelope(std::vector<Hinge> hinges) {
+  assert(!hinges.empty());
+  std::sort(hinges.begin(), hinges.end(),
+            [](const Hinge& x, const Hinge& y) { return x.knee < y.knee; });
+  const std::size_t n = hinges.size();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Left of knee j, hinges j..n-1 are still flat and hinges 0..j-1 rise
+  // with slope 1, so there g(q) = min(flat[j], q + rise) with
+  // flat[j] = min base over j..n-1 and rise = min (base - knee) over 0..j-1.
+  std::vector<double> flat(n + 1, kInf);
+  for (std::size_t j = n; j-- > 0;) {
+    flat[j] = std::min(flat[j + 1], hinges[j].base);
+  }
+  // Candidate breakpoints arrive in increasing q; g is linear with slope 0
+  // or 1 between consecutive candidates. Keep only those where the slope
+  // changes (flat before the first, slope 1 after the last).
+  const auto rising = [&](std::size_t i) {  // slope of segment i -> i + 1
+    return v_[i + 1] - v_[i] > 0.5 * (q_[i + 1] - q_[i]);
+  };
+  const auto push = [&](double q, double v) {
+    if (!q_.empty() && !(q > q_.back())) return;  // tied knees: same point
+    q_.push_back(q);
+    v_.push_back(v);
+    const std::size_t m = q_.size();
+    if (m < 2) return;
+    const bool before = m >= 3 && rising(m - 3);
+    const bool corner = rising(m - 2) ? !before : before;
+    if (!corner) {
+      q_.erase(q_.end() - 2);
+      v_.erase(v_.end() - 2);
+    }
+  };
+  double rise = kInf;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double knee = hinges[j].knee;
+    if (j > 0) {
+      // Between knees j-1 and j the rising part meets the flat part once.
+      const double meet = flat[j] - rise;
+      if (meet > hinges[j - 1].knee && meet < knee) push(meet, flat[j]);
+    }
+    push(knee, std::min(flat[j], knee + rise));
+    rise = std::min(rise, hinges[j].base - knee);
+  }
+  if (q_.size() >= 2 && rising(q_.size() - 2)) {
+    q_.pop_back();
+    v_.pop_back();
+  }
+  report_pointwise(q_.size());
+}
+
+double HingeEnvelope::operator()(double q) const {
+  if (q <= q_.front()) return v_.front();
+  if (q >= q_.back()) return v_.back() + (q - q_.back());
+  const std::size_t j = static_cast<std::size_t>(
+      std::upper_bound(q_.begin(), q_.end(), q) - q_.begin() - 1);
+  assert(j + 1 < q_.size());
+  return v_[j] + (q - q_[j]) * ((v_[j + 1] - v_[j]) / (q_[j + 1] - q_[j]));
+}
+
+PwlCurve curve_compose(const HingeEnvelope& g, const PwlCurve& a) {
+  const CurveView v = a.view();
+  const std::vector<double>& kq = g.breakpoints();
+  const std::vector<double>& kv = g.values();
+  CurveArena& arena = tls_curve_arena();
+  arena.clear();
+  arena.reserve(v.n);
+  for (std::size_t i = 0; i < v.n; ++i) {
+    arena.push(v.t[i], g(v.l[i]), g(v.r[i]));
+    if (i + 1 >= v.n) break;
+    // Segment i runs linearly from a(t_i) to a(t_{i+1}^-); g o a gains a
+    // knot wherever it passes a breakpoint of g, in the order it passes.
+    const Time ta = v.t[i];
+    const Time tb = v.t[i + 1];
+    const double qa = v.r[i];
+    const double qb = v.l[i + 1];
+    const double lo_q = std::min(qa, qb);
+    const double hi_q = std::max(qa, qb);
+    const std::size_t lo = static_cast<std::size_t>(
+        std::upper_bound(kq.begin(), kq.end(), lo_q) - kq.begin());
+    const std::size_t hi = static_cast<std::size_t>(
+        std::lower_bound(kq.begin(), kq.end(), hi_q) - kq.begin());
+    const bool up = qa < qb;
+    for (std::size_t k = 0; lo + k < hi; ++k) {
+      const std::size_t j = up ? lo + k : hi - 1 - k;
+      const Time t = ta + (tb - ta) * ((kq[j] - qa) / (qb - qa));
+      arena.push(std::clamp(t, arena.back_t(), tb), kv[j], kv[j]);
+    }
+  }
+  PwlCurve result(arena.finalize());
+  report_pointwise(result.knot_count());
+  return result;
 }
 
 }  // namespace rta

@@ -1,4 +1,6 @@
-// Pointwise algebra on piecewise-linear curves.
+// Pointwise algebra on piecewise-linear curves, plus the builders behind the
+// closed-form Theorem 5/6 bounds (prefix-minimum steps, hinge envelopes and
+// their composition with a curve).
 //
 // All binary operations require both operands to share the same horizon
 // (asserted); analyzers construct every curve of a system on one common
@@ -66,6 +68,50 @@ namespace rta {
 /// Counting curve with a unit jump at the first instant a(t) >= k*tau, for
 /// k = 1, 2, ...; the non-monotone-safe analogue of curve_floor_div, used to
 /// turn *upper* service bounds into next-hop arrival-count upper bounds.
+/// One knot scan that resumes across levels: O(knots + levels), with the
+/// same jump times as calling curve_first_crossing per level.
 [[nodiscard]] PwlCurve curve_crossing_counts(const PwlCurve& a, double tau);
+
+/// Non-increasing step curve P(t) = min{ values[i] : times[i] <= t } on
+/// [0, horizon]. `times` must be nondecreasing with times[0] = 0, so P is
+/// finite everywhere; entries past the horizon are ignored, and an entry at
+/// the horizon applies at t = horizon only.
+[[nodiscard]] PwlCurve curve_prefix_min_steps(
+    Time horizon, const std::vector<Time>& times,
+    const std::vector<double>& values);
+
+/// One hinge h(q) = base + max(0, q - knee).
+struct Hinge {
+  double base = 0.0;
+  double knee = 0.0;
+};
+
+/// Lower envelope g(q) = min_i h_i(q) of a non-empty set of hinges. g is
+/// continuous and nondecreasing with slopes 0 and 1 only; it is stored as
+/// the breakpoints where the slope changes (flat before the first, slope 1
+/// after the last, alternating in between), at most 2n + 1 of them. Built
+/// in O(n log n).
+class HingeEnvelope {
+ public:
+  explicit HingeEnvelope(std::vector<Hinge> hinges);
+
+  /// g(q).
+  [[nodiscard]] double operator()(double q) const;
+
+  /// Breakpoint abscissae (strictly increasing) and values.
+  [[nodiscard]] const std::vector<double>& breakpoints() const { return q_; }
+  [[nodiscard]] const std::vector<double>& values() const { return v_; }
+
+ private:
+  std::vector<double> q_;
+  std::vector<double> v_;
+};
+
+/// Exact composition g(a(t)). `a` may be non-monotone and may jump either
+/// way; since g is continuous, each jump of `a` maps to a jump of the result
+/// and each linear segment of `a` maps to a piecewise-linear run with a knot
+/// wherever a(t) passes a breakpoint of g.
+[[nodiscard]] PwlCurve curve_compose(const HingeEnvelope& g,
+                                     const PwlCurve& a);
 
 }  // namespace rta

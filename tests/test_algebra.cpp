@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "curve/algebra.hpp"
+#include "support/bounds_fold_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace rta {
@@ -214,6 +217,172 @@ TEST(Algebra, CrossingCountsMatchFloorDivOnMonotone) {
   const PwlCurve a = curve_crossing_counts(s, 2.0);
   const PwlCurve b = curve_floor_div(s, 2.0);
   EXPECT_TRUE(a.approx_equal(b));
+}
+
+// ---- Closed-form kernels of the Theorem 5/6 bounds.
+
+/// A curve with random knots: jumps either way, negative values, and (with
+/// `flats`) runs of equal values.
+PwlCurve random_wiggly(Rng& rng, Time horizon, int knots, bool flats) {
+  std::vector<Time> times{0.0};
+  for (int i = 0; i < knots; ++i) times.push_back(rng.uniform(0.0, horizon));
+  times.push_back(horizon);
+  std::sort(times.begin(), times.end());
+  std::vector<Knot> out;
+  double prev = rng.uniform(-5.0, 5.0);
+  for (Time t : times) {
+    if (!out.empty() && time_eq(out.back().t, t)) continue;
+    const double left =
+        flats && rng.uniform_int(0, 2) == 0 ? prev : rng.uniform(-5.0, 10.0);
+    const double right =
+        rng.uniform_int(0, 2) == 0 ? rng.uniform(-5.0, 10.0) : left;
+    out.push_back({t, left, right});
+    prev = right;
+  }
+  return PwlCurve(out);
+}
+
+double brute_hinge_min(const std::vector<Hinge>& hinges, double q) {
+  double g = std::numeric_limits<double>::infinity();
+  for (const Hinge& h : hinges) {
+    g = std::min(g, h.base + std::max(0.0, q - h.knee));
+  }
+  return g;
+}
+
+/// g o a against the brute-force hinge minimum at every knot of either
+/// curve and on a dense grid, both sides of each instant.
+void expect_composition(const std::vector<Hinge>& hinges, const PwlCurve& a) {
+  const PwlCurve c = curve_compose(HingeEnvelope(hinges), a);
+  ASSERT_TRUE(c.check_invariants());
+  std::vector<Time> probes;
+  for (const Knot& k : a.knots()) probes.push_back(k.t);
+  for (const Knot& k : c.knots()) probes.push_back(k.t);
+  for (int i = 0; i <= 400; ++i) probes.push_back(a.horizon() * i / 400.0);
+  for (Time t : probes) {
+    EXPECT_NEAR(c.eval(t), brute_hinge_min(hinges, a.eval(t)), 1e-9)
+        << "t = " << t;
+    EXPECT_NEAR(c.eval_left(t), brute_hinge_min(hinges, a.eval_left(t)), 1e-9)
+        << "t- = " << t;
+  }
+}
+
+TEST(Algebra, HingeEnvelopeSingleHinge) {
+  const HingeEnvelope g({{2.0, 5.0}});
+  ASSERT_EQ(g.breakpoints().size(), 1u);
+  EXPECT_DOUBLE_EQ(g(-3.0), 2.0);
+  EXPECT_DOUBLE_EQ(g(5.0), 2.0);
+  EXPECT_DOUBLE_EQ(g(7.5), 4.5);
+}
+
+TEST(Algebra, HingeEnvelopeTiedKnees) {
+  // Three hinges share knee 1; the lowest base wins there, and the hinge
+  // at knee 4 takes over once its flat part undercuts the rising one.
+  const std::vector<Hinge> hinges = {
+      {3.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}, {1.5, 4.0}};
+  const HingeEnvelope g(hinges);
+  for (double q = -2.0; q <= 8.0; q += 0.125) {
+    EXPECT_NEAR(g(q), brute_hinge_min(hinges, q), 1e-12) << q;
+  }
+  // Breakpoints only where the slope changes: 1 (0 -> 1), 1.5 (1 -> 0),
+  // 4 (0 -> 1).
+  EXPECT_EQ(g.breakpoints(), (std::vector<double>{1.0, 1.5, 4.0}));
+}
+
+TEST(Algebra, HingeEnvelopeMatchesBruteForce) {
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = rng.uniform_int(1, 40);
+    const double tau = rng.uniform(0.1, 2.0);
+    std::vector<Hinge> hinges;
+    for (int i = 0; i < n; ++i) {
+      // Knees on a coarse lattice now and then, so ties occur.
+      const double knee = rng.uniform_int(0, 3) == 0
+                              ? 0.5 * rng.uniform_int(-4, 20)
+                              : rng.uniform(-2.0, 10.0);
+      hinges.push_back({i * tau, knee});
+    }
+    const HingeEnvelope g(hinges);
+    const std::vector<double>& q = g.breakpoints();
+    const std::vector<double>& v = g.values();
+    ASSERT_LE(q.size(), static_cast<std::size_t>(2 * n + 1));
+    for (std::size_t j = 0; j < q.size(); ++j) {
+      EXPECT_NEAR(v[j], brute_hinge_min(hinges, q[j]), 1e-12);
+      if (j + 1 < q.size()) {
+        ASSERT_LT(q[j], q[j + 1]);
+        // Segments alternate slope 1 (even j) and slope 0 (odd j).
+        const double slope = (v[j + 1] - v[j]) / (q[j + 1] - q[j]);
+        EXPECT_NEAR(slope, j % 2 == 0 ? 1.0 : 0.0, 1e-9);
+      }
+    }
+    for (int i = 0; i <= 200; ++i) {
+      const double x = -4.0 + 16.0 * i / 200.0;
+      EXPECT_NEAR(g(x), brute_hinge_min(hinges, x), 1e-12) << x;
+    }
+  }
+}
+
+TEST(Algebra, ComposeFollowsJumpsDipsAndFlats) {
+  // Negative start, a flat run, a downward jump at 3, a rising run across
+  // several breakpoints, an upward jump at 7 and a falling run to 0.
+  const PwlCurve a({{0.0, -2.0, -2.0},
+                    {1.0, -1.0, -1.0},
+                    {2.0, -1.0, -1.0},
+                    {3.0, 4.0, 1.5},
+                    {6.0, 7.0, 7.0},
+                    {7.0, 7.0, 9.0},
+                    {10.0, 0.0, 0.0}});
+  const std::vector<Hinge> hinges = {
+      {0.0, -1.5}, {1.0, 1.0}, {2.0, 2.5}, {3.0, 6.0}};
+  expect_composition(hinges, a);
+  expect_composition({{0.0, 0.0}}, a);  // single hinge: max(0, a(t))
+}
+
+TEST(Algebra, ComposeMatchesBruteForceOnRandomCurves) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 150; ++trial) {
+    const PwlCurve a =
+        random_wiggly(rng, 20.0, rng.uniform_int(0, 30), trial % 2 == 0);
+    std::vector<Hinge> hinges;
+    const int n = rng.uniform_int(1, 25);
+    const double tau = rng.uniform(0.2, 2.0);
+    for (int i = 0; i < n; ++i) {
+      hinges.push_back({i * tau, rng.uniform(-6.0, 12.0)});
+    }
+    expect_composition(hinges, a);
+  }
+}
+
+TEST(Algebra, PrefixMinStepsAtZeroAndHorizon) {
+  // Two entries at t = 0 (the later one lower), one that never wins, one
+  // inside the horizon and one exactly at it.
+  const PwlCurve p = curve_prefix_min_steps(
+      10.0, {0.0, 0.0, 4.0, 6.0, 10.0}, {1.0, -2.0, 5.0, -3.0, -7.0});
+  EXPECT_DOUBLE_EQ(p.horizon(), 10.0);
+  EXPECT_DOUBLE_EQ(p.eval(0.0), -2.0);
+  EXPECT_DOUBLE_EQ(p.eval(5.9), -2.0);
+  EXPECT_DOUBLE_EQ(p.eval(6.0), -3.0);
+  // The entry at the horizon applies at t = H only.
+  EXPECT_DOUBLE_EQ(p.eval(9.999), -3.0);
+  EXPECT_DOUBLE_EQ(p.eval_left(10.0), -3.0);
+  EXPECT_DOUBLE_EQ(p.eval(10.0), -7.0);
+  // Entries past the horizon are ignored.
+  const PwlCurve q = curve_prefix_min_steps(10.0, {0.0, 12.0}, {0.0, -5.0});
+  EXPECT_DOUBLE_EQ(q.end_value(), 0.0);
+  EXPECT_DOUBLE_EQ(q.horizon(), 10.0);
+}
+
+TEST(Algebra, CrossingCountsResumedScanMatchesPerLevelScan) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    const PwlCurve a =
+        random_wiggly(rng, 30.0, rng.uniform_int(0, 40), trial % 3 == 0);
+    const double tau = trial % 4 == 0 ? 1.0 : rng.uniform(0.05, 3.0);
+    const PwlCurve fast = curve_crossing_counts(a, tau);
+    const PwlCurve slow = oracle::crossing_counts_per_level(a, tau);
+    EXPECT_TRUE(CurveData::identical(*fast.data(), *slow.data()))
+        << "trial " << trial << ": " << fast << " vs " << slow;
+  }
 }
 
 }  // namespace

@@ -160,5 +160,29 @@ TEST(Bounds, HorizonDoublingResolvesTightWindows) {
   EXPECT_FALSE(r.jobs[0].schedulable);
 }
 
+TEST(Bounds, UpperBoundGatesArrivalAtHorizon) {
+  // hi's second instance can arrive no earlier than t = 10 = H. Its
+  // candidate term base_2 + (t - s_2) only holds once that instance has
+  // arrived; applied on [0, H) it drove S̄_hi(1) to -8, so lo's bound
+  // ignored hi's interference and came out 0 against a simulated 2.
+  System sys(1, SchedulerKind::kSpp);
+  sys.add_job(make_job("hi", 20.0, {{0, 1.0, 1}}, {0.0, 10.0}));
+  sys.add_job(make_job("lo", 20.0, {{0, 1.0, 2}}, {0.0}));
+  AnalysisConfig cfg;
+  cfg.horizon = 10.0;
+  cfg.max_horizon_doublings = 0;
+  cfg.record_curves = true;
+  const AnalysisResult r = BoundsAnalyzer(cfg).analyze(sys);
+  ASSERT_TRUE(r.ok) << r.error;
+  const SimResult s = simulate(sys, 20.0);
+  ASSERT_TRUE(s.all_completed);
+  EXPECT_NEAR(s.worst_response[1], 2.0, 1e-9);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_GE(r.jobs[k].wcrt, s.worst_response[k] - 1e-9) << "job " << k;
+  }
+  const PwlCurve& hi_upper = r.jobs[0].hops[0].curves[0].service_upper;
+  EXPECT_GE(hi_upper.eval(1.0), 1.0 - 1e-9);  // hi has run [0, 1] by then
+}
+
 }  // namespace
 }  // namespace rta

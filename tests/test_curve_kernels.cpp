@@ -219,11 +219,6 @@ std::vector<Knot> make_raw(Rng& rng, int family, int max_interior = 10) {
   return ks;
 }
 
-bool family_monotone(int family) {
-  const int f = family % kFamilyCount;
-  return f == kSteps || f == kBurst || f == kRampJump;
-}
-
 /// Probe instants that stress every eval branch: the knots themselves,
 /// epsilon offsets inside and outside the time tolerance, segment midpoints,
 /// both sides of 0 and the horizon, and uniform draws.

@@ -84,6 +84,10 @@ struct BadCase {
   const char* expect_in_error;
 };
 
+// Without this gtest prints the param as raw bytes (string-literal
+// addresses), which ASLR changes on every test discovery.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class SystemTextErrors : public testing::TestWithParam<BadCase> {};
 
 TEST_P(SystemTextErrors, ReportsLineAndReason) {
