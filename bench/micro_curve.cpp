@@ -3,8 +3,9 @@
 //
 // Two modes:
 //   * default: the usual google-benchmark CLI, now including Legacy* twins
-//     that run the knot-walking reference kernels (curve/reference.hpp) so
-//     `--benchmark_filter=Add` prints flat-vs-legacy side by side;
+//     that run the knot-walking reference kernels
+//     (tests/support/curve_reference.hpp) so `--benchmark_filter=Add`
+//     prints flat-vs-legacy side by side;
 //   * `--out FILE`: a self-timed flat-vs-legacy comparison harness that
 //     writes FILE as JSON (BENCH_curve.json in CI) with ns/op for both
 //     implementations and the speedup per kernel.
@@ -20,8 +21,8 @@
 #include "curve/algebra.hpp"
 #include "curve/arrival.hpp"
 #include "curve/minplus.hpp"
-#include "curve/reference.hpp"
 #include "curve/transforms.hpp"
+#include "support/curve_reference.hpp"
 #include "util/rng.hpp"
 
 namespace rta {

@@ -39,7 +39,9 @@
 // Flags: --candidates N (default 40)  --repeats N (default 5)
 //        --stages N (default 4)       --procs N (default 2, per stage)
 //        --jobs N (default 8)         --util U (default 0.7)
-//        --seed S (default 42)        --threads N (default 1)
+//        --seed S (default 42)        --threads N (default 1; sizes the
+//                                     baseline analyzer's pool only -- the
+//                                     session analyzes serially)
 //        --stream-requests N (default 400)  --stream-repeats N (default 2)
 //        --out FILE (default BENCH_service.json)
 #include <algorithm>

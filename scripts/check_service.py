@@ -3,29 +3,17 @@
 
 Usage:
     check_service.py --responses out.jsonl [--requests in.jsonl]
-                     [--expect-schema {1,2}] [--multi-tenant]
-                     [--tenant NAME=REFERENCE.jsonl ...]
+                     [--multi-tenant] [--tenant NAME=REFERENCE.jsonl ...]
 
-The service speaks two envelopes (docs/api.md "Request schema v2"):
-
-  * v2 (default): every response leads with "schema_version": 2 and
-    reports failures as an 'error' OBJECT {code, message, retryable}
-    with code drawn from a closed set and retryable true only for
-    overloaded/timeout.  The legacy top-level retry/timeout markers
-    are forbidden.
-  * v1 (`rta_cli serve --compat-v1`): no schema_version, failures are
-    a non-empty error STRING, backpressure/timeout are signalled by
-    the top-level 'retry'/'timeout': true markers.
-
-Each line is classified by the presence of schema_version, so mixed
-files validate too; --expect-schema pins every line to one envelope.
-
-Envelope-independent checks, per response line:
-  * valid JSON object with request (1-based, consecutive), line, op;
+Checks, per response line (docs/api.md "Request schema v2"):
+  * valid JSON object with "schema_version": 2, request (1-based,
+    consecutive), line, op;
   * trace_id is a non-empty string on EVERY response (parse errors
     included) -- the service echoes the propagated id or mints one;
-  * ok is a bool; ok=false responses carry an error (string or object
-    per the envelope);
+  * ok is a bool; ok=false responses carry an 'error' OBJECT {code,
+    message, retryable} with code drawn from a closed set and retryable
+    true only for overloaded/timeout; ok=true responses carry none, and
+    no response carries a top-level 'retry' or 'timeout' marker;
   * admit/what_if/remove responses with ok=true carry admitted/committed/
     incremental bools, integer job_id/dirty_subjobs/total_subjobs, and
     numeric schedulable/max_wcrt/horizon fields ("inf" allowed for wcrt);
@@ -69,7 +57,7 @@ import sys
 
 KNOWN_OPS = {"admit", "what_if", "what_if_region", "remove", "query", "stats"}
 
-# Closed error-code vocabulary of the v2 envelope (docs/api.md).
+# Closed error-code vocabulary of the response schema (docs/api.md).
 ERROR_CODES = {
     "bad_request", "not_found", "conflict", "invalid_argument",
     "unavailable", "overloaded", "timeout", "internal",
@@ -94,58 +82,33 @@ def is_time(value):
     return isinstance(value, (int, float)) or value == "inf"
 
 
-def check_envelope(resp, where, expect_schema, errors):
-    """Classify the line's envelope and validate its error shape.
-
-    Returns the detected schema (1 or 2).  Error-shape problems are
-    appended to `errors`; the envelope-independent "ok=false must carry
-    an error" check lives here too since its form depends on the schema.
-    """
-    schema = 2 if "schema_version" in resp else 1
-    if schema == 2 and resp.get("schema_version") != 2:
+def check_envelope(resp, where, errors):
+    """Validate the schema stamp and the error shape of one response."""
+    if resp.get("schema_version") != 2:
         errors.append(
             f"{where}: schema_version {resp.get('schema_version')!r}, "
             f"expected 2")
-    if expect_schema is not None and schema != expect_schema:
-        errors.append(
-            f"{where}: v{schema} envelope, --expect-schema {expect_schema}")
-    ok = resp.get("ok")
-    if schema == 2:
-        for marker in ("retry", "timeout"):
-            if marker in resp:
-                errors.append(
-                    f"{where}: legacy '{marker}' marker in a v2 response")
-        err = resp.get("error")
-        if ok is False:
-            if not isinstance(err, dict):
-                errors.append(f"{where}: ok=false without an error object")
-            else:
-                code = err.get("code")
-                if code not in ERROR_CODES:
-                    errors.append(f"{where}: unknown error code {code!r}")
-                message = err.get("message")
-                if not isinstance(message, str) or not message:
-                    errors.append(
-                        f"{where}: error missing non-empty 'message'")
-                retryable = err.get("retryable")
-                if not isinstance(retryable, bool):
-                    errors.append(f"{where}: error missing bool 'retryable'")
-                elif retryable and code not in RETRYABLE_CODES:
-                    errors.append(
-                        f"{where}: retryable=true with code {code!r}")
-        elif err is not None:
-            errors.append(f"{where}: 'error' on an ok response")
-    else:
-        for marker in ("retry", "timeout"):
-            if marker in resp:
-                if resp[marker] is not True:
-                    errors.append(f"{where}: '{marker}' must be true")
-                if ok:
-                    errors.append(f"{where}: '{marker}' on an ok response")
-        if ok is False:
-            if not (isinstance(resp.get("error"), str) and resp["error"]):
-                errors.append(f"{where}: ok=false without an error string")
-    return schema
+    for marker in ("retry", "timeout"):
+        if marker in resp:
+            errors.append(f"{where}: top-level '{marker}' marker")
+    err = resp.get("error")
+    if resp.get("ok") is False:
+        if not isinstance(err, dict):
+            errors.append(f"{where}: ok=false without an error object")
+            return
+        code = err.get("code")
+        if code not in ERROR_CODES:
+            errors.append(f"{where}: unknown error code {code!r}")
+        message = err.get("message")
+        if not isinstance(message, str) or not message:
+            errors.append(f"{where}: error missing non-empty 'message'")
+        retryable = err.get("retryable")
+        if not isinstance(retryable, bool):
+            errors.append(f"{where}: error missing bool 'retryable'")
+        elif retryable and code not in RETRYABLE_CODES:
+            errors.append(f"{where}: retryable=true with code {code!r}")
+    elif err is not None:
+        errors.append(f"{where}: 'error' on an ok response")
 
 
 def check_decision_fields(resp, where, errors):
@@ -284,7 +247,7 @@ def check_stats_fields(resp, where, errors):
                     f"but p99 <= 0")
 
 
-def check_responses(path, expected_ops, expect_schema, multi_tenant=False):
+def check_responses(path, expected_ops, multi_tenant=False):
     errors = []
     seen = 0
     bucket_seen = {}  # tenant name (or "" = untenanted) -> responses so far
@@ -324,7 +287,7 @@ def check_responses(path, expected_ops, expect_schema, multi_tenant=False):
         latency = resp.get("latency_us")
         if not isinstance(latency, (int, float)) or latency < 0:
             errors.append(f"{where}: bad latency_us {latency!r}")
-        check_envelope(resp, where, expect_schema, errors)
+        check_envelope(resp, where, errors)
         if not isinstance(op, str):
             # op is omitted only for requests too malformed to echo one.
             if ok:
@@ -405,9 +368,6 @@ def main():
                         help="JSONL written by `rta_cli serve --out`")
     parser.add_argument("--requests",
                         help="the request JSONL that produced the responses")
-    parser.add_argument("--expect-schema", type=int, choices=(1, 2),
-                        help="require every response to use this envelope "
-                             "(default: classify per line)")
     parser.add_argument("--multi-tenant", action="store_true",
                         help="responses come from `serve --tenants-from`: "
                              "request/line indices count per tenant bucket")
@@ -422,7 +382,7 @@ def main():
 
     expected = request_ops(args.requests) if args.requests else None
     try:
-        errors = check_responses(args.responses, expected, args.expect_schema,
+        errors = check_responses(args.responses, expected,
                                  multi_tenant=args.multi_tenant)
         for spec in args.tenant:
             name, sep, reference = spec.partition("=")

@@ -46,8 +46,9 @@ struct AnalysisConfig {
   /// SPNP/SPP bound formulas (see BoundsVariant).
   BoundsVariant bounds_variant = BoundsVariant::kSound;
 
-  /// Worker threads for the parallel bounds engines: 1 = serial (default),
-  /// 0 = std::thread::hardware_concurrency(), N = that many workers.
+  /// Worker threads for the parallel bounds engines and region columns
+  /// (service::AdmissionSession always analyzes serially): 1 = serial
+  /// (default), 0 = std::thread::hardware_concurrency(), N = that many.
   /// Determinism contract: the computed bounds are bit-identical for every
   /// value (tests/test_differential_engine.cpp).
   int threads = 1;

@@ -24,8 +24,8 @@
 // CurveView + the flat_eval* helpers are the evaluation substrate shared by
 // PwlCurve and the kernels. They replicate the knot-based eval/eval_left
 // semantics branch for branch, so results are bit-identical to the legacy
-// implementation (proven by tests/test_curve_kernels.cpp against
-// curve/reference.hpp).
+// implementation (proven by tests/test_curve_kernels.cpp against the
+// test-only oracle tests/support/curve_reference.hpp).
 #pragma once
 
 #include <algorithm>

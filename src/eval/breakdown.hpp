@@ -5,6 +5,7 @@
 // admission is monotone and bisection applies). Higher is better; the gap
 // between methods integrates the admission-probability curves of Figures
 // 3/4 into one number per trial.
+// rta-archcheck: allow(test-only-src) evaluation API of bench/breakdown
 #pragma once
 
 #include <cstdint>

@@ -155,14 +155,12 @@ DirtySet dirty_for_removed_job(
 
 AdmissionSession::AdmissionSession(System base, SessionConfig config)
     : system_(std::move(base)), config_(config) {
-  const std::size_t workers = analysis_worker_count(config_.analysis.threads);
-  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
   if (config_.analysis.use_curve_cache) cache_ = std::make_shared<CurveCache>();
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
 
   Decision d;
   if (structural_check(d)) {
-    detail::EngineObs::AnalyzeScope scope(eobs_.get(), pool_.get(),
+    detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
                                           cache_.get());
     const Time h = default_horizon(system_, config_.analysis);
     full_pass(d, h, states_);
@@ -218,9 +216,7 @@ const AdmissionSession::ReadCache& AdmissionSession::read_cache() {
 
 AdmissionSession::AdmissionSession(const SessionConfig& config)
     : config_(config) {
-  // Worker-replica shell: clone_committed fills in the state. Replicas run
-  // serial -- a pure go-faster knob, answers identical.
-  config_.analysis.threads = 1;
+  // Worker-replica shell: clone_committed fills in the state.
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
 }
 
@@ -363,7 +359,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   std::vector<ExplainHop> explain_hops;
   explain_hops.reserve(static_cast<std::size_t>(hops));
   {
-    detail::EngineObs::AnalyzeScope scope(eobs_.get(), pool_.get(),
+    detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
                                           cache_.get());
     curve::KernelHooksScope sink_scope(
         eobs_ != nullptr ? eobs_->kernel_sink() : nullptr);
@@ -458,9 +454,9 @@ bool AdmissionSession::structural_check(Decision& d) const {
 void AdmissionSession::full_pass(Decision& d, Time base_horizon,
                                  detail::BoundStateMap& states) const {
   detail::run_bounds_wavefront(system_, base_horizon,
-                               config_.analysis.bounds_variant, pool_.get(),
-                               cache_.get(), eobs_.get(), /*dirty=*/nullptr,
-                               states);
+                               config_.analysis.bounds_variant,
+                               /*pool=*/nullptr, cache_.get(), eobs_.get(),
+                               /*dirty=*/nullptr, states);
   d.analysis = detail::bounds_result_from_states(
       system_, base_horizon, config_.analysis.record_curves, states);
   d.ok = true;
@@ -480,7 +476,7 @@ void AdmissionSession::double_horizon_if_unbounded(Decision& d,
     ++d.explain.horizon_doublings;
     detail::BoundStateMap scratch;
     detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                 pool_.get(), cache_.get(), eobs_.get(),
+                                 /*pool=*/nullptr, cache_.get(), eobs_.get(),
                                  /*dirty=*/nullptr, scratch);
     d.analysis = detail::bounds_result_from_states(
         system_, h, config_.analysis.record_curves, scratch);
@@ -510,7 +506,7 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
     d.error = "duplicate job id " + std::to_string(job.id);
     return d;
   }
-  detail::EngineObs::AnalyzeScope scope(eobs_.get(), pool_.get(),
+  detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
                                         cache_.get());
   const int k_new = system_.add_job(std::move(job));
   d.job_id = system_.job(k_new).id;
@@ -556,8 +552,8 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
       }
 
       detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                   pool_.get(), cache_.get(), eobs_.get(),
-                                   &dirty.flags, states_);
+                                   /*pool=*/nullptr, cache_.get(),
+                                   eobs_.get(), &dirty.flags, states_);
       d.analysis = detail::bounds_result_from_states(
           system_, h, config_.analysis.record_curves, states_);
       d.ok = true;
@@ -615,7 +611,7 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.remove").inc();
   }
-  detail::EngineObs::AnalyzeScope scope(eobs_.get(), pool_.get(),
+  detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
                                         cache_.get());
 
   // Capture what the dirty computation needs before indices shift.
@@ -673,8 +669,8 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
     if (dirty.count <=
         config_.full_analysis_threshold * graph.node_count()) {
       detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                   pool_.get(), cache_.get(), eobs_.get(),
-                                   &dirty.flags, states_);
+                                   /*pool=*/nullptr, cache_.get(),
+                                   eobs_.get(), &dirty.flags, states_);
       d.analysis = detail::bounds_result_from_states(
           system_, h, config_.analysis.record_curves, states_);
       d.ok = true;

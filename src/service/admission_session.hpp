@@ -15,27 +15,26 @@
 //
 // Determinism contract: every Decision::analysis is bit-identical to
 // BoundsAnalyzer(config.analysis).analyze(candidate system) -- same bounds,
-// same verdicts, at any thread count (tests/test_service.cpp drives random
-// operation sequences against fresh full analyses). The incremental path is
-// purely a latency optimization; it is taken only when the analysis horizon
-// is unchanged by the edit (pin AnalysisConfig::horizon for stable online
-// behavior) and the dirty closure is small enough
-// (SessionConfig::full_analysis_threshold), and falls back to a full
-// wavefront otherwise.
+// same verdicts (tests/test_service.cpp drives random operation sequences
+// against fresh full analyses). The incremental path is purely a latency
+// optimization; it is taken only when the analysis horizon is unchanged by
+// the edit (pin AnalysisConfig::horizon for stable online behavior) and the
+// dirty closure is small enough (SessionConfig::full_analysis_threshold),
+// and falls back to a full wavefront otherwise.
 //
 // Like BoundsAnalyzer, the session handles acyclic dependency graphs
 // (heterogeneous SPP/SPNP/FCFS mixes included); a candidate that creates a
-// cycle is rejected with the analyzer's error. The ThreadPool and CurveCache
-// are owned by the session and reused across requests.
+// cycle is rejected with the analyzer's error. The CurveCache is owned by
+// the session (shared with its clones) and reused across requests.
 //
 // Concurrency discipline (docs/static-analysis.md): a session is
-// single-owner -- one thread at a time calls its mutating entry points, and
-// concurrency comes from cloning committed snapshots (clone_committed) that
-// each hand off to exactly one worker. The session therefore holds no locks
-// of its own; the lock-bearing components it embeds (ThreadPool, CurveCache,
-// the obs registries) carry the Clang thread-safety annotations, and the
-// hand-off discipline itself is exercised under TSan and the differential
-// stream tests rather than the static analysis.
+// single-threaded -- its wavefronts run serially on the one thread that owns
+// it, and concurrency comes from cloning committed snapshots
+// (clone_committed) that each hand off to exactly one worker. The session
+// therefore holds no locks of its own; the lock-bearing components it embeds
+// (CurveCache, the obs registries) carry the Clang thread-safety
+// annotations, and the hand-off discipline itself is exercised under TSan
+// and the differential stream tests rather than the static analysis.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,6 @@
 #include "analysis/result.hpp"
 #include "curve/curve_cache.hpp"
 #include "model/system.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rta::service {
 
@@ -162,11 +160,11 @@ class AdmissionSession {
   /// Deep copy of the committed session state (retained curves included)
   /// for snapshot-isolated read execution: the replica answers what_if /
   /// query exactly like the original at its creation instant and is mutated
-  /// only by its single owning worker. Worker replicas are forced serial
-  /// (threads = 1) but SHARE the parent's CurveCache -- it is thread-safe,
-  /// and every hit is verified bitwise against the operands, so sharing is
-  /// a pure go-faster knob: answers stay bit-identical while replicas (and
-  /// region probes, service/region.hpp) reuse each other's curve work.
+  /// only by its single owning worker. Replicas SHARE the parent's
+  /// CurveCache -- it is thread-safe, and every hit is verified bitwise
+  /// against the operands, so sharing is a pure go-faster knob: answers
+  /// stay bit-identical while replicas (and region probes,
+  /// service/region.hpp) reuse each other's curve work.
   [[nodiscard]] std::unique_ptr<AdmissionSession> clone_committed() const;
 
   /// Stable-id counter passthrough, so a scheduler fanning reads over
@@ -194,7 +192,6 @@ class AdmissionSession {
 
   System system_;
   SessionConfig config_;
-  std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<CurveCache> cache_;  ///< shared with clone_committed()
   std::unique_ptr<detail::EngineObs> eobs_;
 

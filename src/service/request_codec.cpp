@@ -1,7 +1,6 @@
 #include "service/request_codec.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "io/system_json.hpp"
@@ -94,17 +93,9 @@ bool parse_region_axis(const json::Value& value, RegionAxis& axis,
 
 }  // namespace
 
-void set_error(json::Value& response, Envelope envelope, const char* code,
+void set_error(json::Value& response, const char* code,
                const std::string& message, bool retryable) {
   response.set("ok", false);
-  if (envelope == Envelope::kV1) {
-    // The legacy shapes, byte-for-byte: string error plus the ad-hoc
-    // markers the v1 clients poll for.
-    response.set("error", message);
-    if (std::strcmp(code, "overloaded") == 0) response.set("retry", true);
-    if (std::strcmp(code, "timeout") == 0) response.set("timeout", true);
-    return;
-  }
   json::Value err{json::Value::Object{}};
   err.set("code", code);
   err.set("message", message);
@@ -198,19 +189,14 @@ ParsedRequest parse_request(const std::string& line) {
                    "' (admit, what_if, what_if_region, remove, query, stats)");
 }
 
-void read_decision_into(json::Value& response, const ReadDecision& rd,
-                        Envelope envelope) {
+void read_decision_into(json::Value& response, const ReadDecision& rd) {
   response.set("ok", rd.ok);
   if (!rd.error.empty()) {
-    if (envelope == Envelope::kV1) {
-      response.set("error", rd.error);
-    } else {
-      json::Value err{json::Value::Object{}};
-      err.set("code", classify_error(rd.error));
-      err.set("message", rd.error);
-      err.set("retryable", false);
-      response.set("error", std::move(err));
-    }
+    json::Value err{json::Value::Object{}};
+    err.set("code", classify_error(rd.error));
+    err.set("message", rd.error);
+    err.set("retryable", false);
+    response.set("error", std::move(err));
   }
   response.set("admitted", rd.admitted);
   response.set("committed", rd.committed);
@@ -243,8 +229,7 @@ void read_decision_into(json::Value& response, const ReadDecision& rd,
 }
 
 bool execute_request(AdmissionSession& session, const ParsedRequest& req,
-                     json::Value& response, bool fast_reads,
-                     Envelope envelope) {
+                     json::Value& response, bool fast_reads) {
   if (req.op == "admit" || req.op == "what_if") {
     Job job = req.job;
     if (!req.saw_priority) assign_lowest_priorities(session.system(), job);
@@ -256,7 +241,7 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
     } else {
       rd = AdmissionSession::summarize(session.what_if(std::move(job)));
     }
-    read_decision_into(response, rd, envelope);
+    read_decision_into(response, rd);
     return rd.ok;
   }
   if (req.op == "remove") {
@@ -264,7 +249,7 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
     if (!req.remove_by_id) {
       const int k = session.system().job_index_by_name(req.remove_name);
       if (k < 0) {
-        set_error(response, envelope, "not_found",
+        set_error(response, "not_found",
                   "no job named '" + req.remove_name + "'",
                   /*retryable=*/false);
         return false;
@@ -272,7 +257,7 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
       job_id = session.system().job(k).id;
     }
     const ReadDecision rd = AdmissionSession::summarize(session.remove(job_id));
-    read_decision_into(response, rd, envelope);
+    read_decision_into(response, rd);
     return rd.ok;
   }
   if (req.op == "what_if_region") {
@@ -282,7 +267,7 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
     RegionAnalyzer region(session);
     const RegionResult r = region.run(req.region);
     if (!r.ok) {
-      set_error(response, envelope, classify_error(r.error), r.error,
+      set_error(response, classify_error(r.error), r.error,
                 /*retryable=*/false);
       return false;
     }
@@ -297,7 +282,7 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
     // for this deterministic error when no registry is attached.
     obs::MetricsRegistry* metrics = session.config().analysis.observer.metrics;
     if (metrics == nullptr) {
-      set_error(response, envelope, "unavailable",
+      set_error(response, "unavailable",
                 "stats: no metrics registry attached (run serve with "
                 "--stats, --metrics-json or --metrics-prom)",
                 /*retryable=*/false);
@@ -313,7 +298,7 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
   // query: committed-system summary straight off the retained analysis.
   const AnalysisResult& r = session.last();
   if (!r.ok) {
-    set_error(response, envelope, "internal",
+    set_error(response, "internal",
               r.error.empty() ? "base analysis failed" : r.error,
               /*retryable=*/false);
     return false;

@@ -14,7 +14,6 @@
 #include "service/region.hpp"
 #include "io/json.hpp"
 #include "service/admission_session.hpp"
-#include "service/request_runner.hpp"
 
 namespace rta::service::detail {
 
@@ -78,24 +77,20 @@ struct ParsedRequest {
 /// overloaded, timeout, internal. Exactly overloaded and timeout are
 /// retryable.
 ///
-/// Write `response`'s failure fields for the chosen envelope:
-///   v2: "ok": false, "error": {"code", "message", "retryable"}
-///   v1: "ok": false, "error": message, plus the legacy "retry" / "timeout"
-///       markers for the overloaded / timeout codes.
-void set_error(json::Value& response, Envelope envelope, const char* code,
+/// Write `response`'s failure fields:
+///   "ok": false, "error": {"code", "message", "retryable"}
+void set_error(json::Value& response, const char* code,
                const std::string& message, bool retryable);
 
 /// Serialize the aggregate decision fields into `response` -- the one field
 /// order every execution path shares.
-void read_decision_into(json::Value& response, const ReadDecision& rd,
-                        Envelope envelope);
+void read_decision_into(json::Value& response, const ReadDecision& rd);
 
 /// Execute one executable (non-immediate) request against `session` and
 /// fill `response`'s decision fields. `fast_reads` routes what_if through
 /// AdmissionSession::read_what_if (aggregate-only fast path; same bytes).
 /// Returns the response's ok flag. May throw -- callers isolate.
 bool execute_request(AdmissionSession& session, const ParsedRequest& req,
-                     json::Value& response, bool fast_reads,
-                     Envelope envelope);
+                     json::Value& response, bool fast_reads);
 
 }  // namespace rta::service::detail

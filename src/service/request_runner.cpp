@@ -15,11 +15,6 @@ namespace rta::service {
 
 RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
                                std::ostream& out) {
-  return run_request_stream(session, in, out, Envelope::kV2);
-}
-
-RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
-                               std::ostream& out, Envelope envelope) {
   RunnerStats stats;
   obs::Histogram latency;
   obs::MetricsRegistry* metrics = session.config().analysis.observer.metrics;
@@ -38,7 +33,7 @@ RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
     if (first == std::string::npos || line[first] == '#') continue;
 
     json::Value response;
-    if (envelope == Envelope::kV2) response.set("schema_version", 2);
+    response.set("schema_version", 2);
     response.set("request", stats.requests + 1);
     response.set("line", line_no);
 
@@ -51,7 +46,7 @@ RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
                                      : req.trace_id;
     response.set("trace_id", trace_id);
     if (req.cls == detail::RequestClass::kImmediate) {
-      detail::set_error(response, envelope, "bad_request", req.error,
+      detail::set_error(response, "bad_request", req.error,
                         /*retryable=*/false);
       ++stats.errors;
     } else {
@@ -70,14 +65,14 @@ RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
                         ? "service.mutate"
                         : "service.read");
         ok = detail::execute_request(session, req, response,
-                                     /*fast_reads=*/false, envelope);
+                                     /*fast_reads=*/false);
       } catch (const std::exception& e) {
-        detail::set_error(response, envelope, "internal",
+        detail::set_error(response, "internal",
                           std::string("request failed: ") + e.what(),
                           /*retryable=*/false);
         ++stats.failures;
       } catch (...) {
-        detail::set_error(response, envelope, "internal",
+        detail::set_error(response, "internal",
                           "request failed: unknown exception",
                           /*retryable=*/false);
         ++stats.failures;

@@ -39,14 +39,6 @@
 
 namespace rta::service {
 
-/// Response envelope version (docs/api.md "Request schema v2"). kV2 -- the
-/// default -- stamps "schema_version": 2 on every response and reports every
-/// failure as one structured {"ok":false,"error":{"code","message",
-/// "retryable"}} object. kV1 reproduces the legacy shapes (string "error"
-/// plus the ad-hoc "retry"/"timeout" markers, no schema_version) behind
-/// `rta_cli serve --compat-v1`.
-enum class Envelope { kV1 = 1, kV2 = 2 };
-
 struct RunnerStats {
   int requests = 0;   ///< responses emitted (malformed lines included)
   int errors = 0;     ///< responses with ok == false (supersets the below)
@@ -63,27 +55,22 @@ struct StreamOptions {
   /// 0 = hardware concurrency, N = that many workers.
   int parallel_reads = 1;
   /// Upper bound on requests buffered in the current batch; a request
-  /// arriving at a full batch is rejected with {"ok":false,"retry":true}.
-  /// 0 disables backpressure.
+  /// arriving at a full batch is rejected with the retryable error code
+  /// "overloaded". 0 disables backpressure.
   int max_inflight = 0;
   /// Requests older than this (arrival to execution start) are answered
-  /// {"ok":false,"timeout":true} without running. 0 disables timeouts.
-  /// Wall-clock based, so responses are not deterministic under timeouts.
+  /// with the retryable error code "timeout" without running. 0 disables
+  /// timeouts. Wall-clock based, so responses are not deterministic under
+  /// timeouts.
   double request_timeout_ms = 0.0;
-  /// Response envelope version; both drivers emit the same bytes for a
-  /// given version (the byte-identity contract is per-envelope).
-  Envelope envelope = Envelope::kV2;
 };
 
 /// Drive `session` with the JSONL stream `in`, writing responses to `out`,
 /// one request at a time. Per-request latency is recorded in the
 /// "service.request_us" histogram when the session was configured with a
-/// MetricsRegistry. The three-argument form emits the default (v2)
-/// envelope.
+/// MetricsRegistry.
 RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
                                std::ostream& out);
-RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
-                               std::ostream& out, Envelope envelope);
 
 /// Scheduler-driven variant: classifies requests read-only vs mutating,
 /// fans consecutive reads across snapshot replicas, coalesces duplicate

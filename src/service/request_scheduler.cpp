@@ -71,7 +71,7 @@ RequestScheduler::Pending RequestScheduler::make_pending(
   p.raw = line;
   p.req = std::move(req);
   ++submitted_;
-  if (options_.envelope == Envelope::kV2) p.response.set("schema_version", 2);
+  p.response.set("schema_version", 2);
   p.response.set("request", submitted_);
   p.response.set("line", line_no_);
   if (!p.req.op.empty()) p.response.set("op", p.req.op);
@@ -104,8 +104,8 @@ void RequestScheduler::submit_parsed(const std::string& line,
   if (p.req.cls == detail::RequestClass::kImmediate) {
     // Parse-time errors never touch a session: buffered in place so the
     // response order matches arrival order, outside the batch depth.
-    detail::set_error(p.response, options_.envelope, "bad_request",
-                      p.req.error, /*retryable=*/false);
+    detail::set_error(p.response, "bad_request", p.req.error,
+                      /*retryable=*/false);
     ++stats_.errors;
     complete_at_submit(p);
     return;
@@ -116,7 +116,7 @@ void RequestScheduler::submit_parsed(const std::string& line,
   if (inflight_ > 0 && p.req.cls != batch_class_) flush();
 
   if (options_.max_inflight > 0 && inflight_ >= options_.max_inflight) {
-    detail::set_error(p.response, options_.envelope, "overloaded",
+    detail::set_error(p.response, "overloaded",
                       "server busy: max_inflight exceeded",
                       /*retryable=*/true);
     ++stats_.errors;
@@ -143,10 +143,10 @@ void RequestScheduler::reject_parsed(const std::string& line,
   if (p.req.cls == detail::RequestClass::kImmediate) {
     // A line the reference run would reject at parse time answers its parse
     // error no matter what the front end's queues looked like.
-    detail::set_error(p.response, options_.envelope, "bad_request",
-                      p.req.error, /*retryable=*/false);
+    detail::set_error(p.response, "bad_request", p.req.error,
+                      /*retryable=*/false);
   } else {
-    detail::set_error(p.response, options_.envelope, "overloaded", message,
+    detail::set_error(p.response, "overloaded", message,
                       /*retryable=*/true);
     ++stats_.rejected;
     rejected_counter_.inc();
@@ -177,7 +177,7 @@ bool RequestScheduler::expire_if_stale(Pending& p) {
     return false;
   }
   obs::Tracer::Span req_span = request_span(p);
-  detail::set_error(p.response, options_.envelope, "timeout",
+  detail::set_error(p.response, "timeout",
                     "request timed out before execution",
                     /*retryable=*/true);
   p.timed_out = true;
@@ -193,14 +193,14 @@ void RequestScheduler::execute_one(AdmissionSession& session, Pending& p) {
         tracer_, p.req.cls == detail::RequestClass::kMutate ? "service.mutate"
                                                             : "service.read");
     p.ok = detail::execute_request(session, p.req, p.response,
-                                   /*fast_reads=*/true, options_.envelope);
+                                   /*fast_reads=*/true);
   } catch (const std::exception& e) {
-    detail::set_error(p.response, options_.envelope, "internal",
+    detail::set_error(p.response, "internal",
                       std::string("request failed: ") + e.what(),
                       /*retryable=*/false);
     p.failed = true;
   } catch (...) {
-    detail::set_error(p.response, options_.envelope, "internal",
+    detail::set_error(p.response, "internal",
                       "request failed: unknown exception",
                       /*retryable=*/false);
     p.failed = true;
@@ -265,8 +265,9 @@ void RequestScheduler::execute_reads() {
   }
 
   const std::size_t n = primaries.size();
-  const std::size_t chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(read_workers_), n);
+  // At least one chunk: a batch whose reads all expired has n == 0.
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min<std::size_t>(static_cast<std::size_t>(read_workers_), n));
   if (chunks > 1) {
     if (replica_epoch_ != commit_epoch_) {
       obs::Tracer::Span clone_span = obs::Tracer::span_if(
@@ -294,8 +295,8 @@ void RequestScheduler::execute_reads() {
       execute_one(session, pending_[primaries[j]]);
     }
   };
-  if (chunks <= 1) {
-    if (n > 0) run_chunk(0);
+  if (chunks == 1) {
+    run_chunk(0);
   } else {
     for_each_index(pool_.get(), chunks, run_chunk);
   }

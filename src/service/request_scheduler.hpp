@@ -53,11 +53,10 @@
 // (tests/test_request_scheduler.cpp) rather than statically.
 //
 // Failure isolation: a request whose execution throws yields an
-// {"ok":false,"error":"request failed: ..."} response for its line; the
-// stream always continues. Backpressure (max_inflight) rejects with
-// {"ok":false,...,"retry":true}; per-request timeouts
-// (request_timeout_ms) answer {"ok":false,...,"timeout":true} without
-// executing. Expiry is decided once per batch, before the job-id counter
+// "internal" error ("request failed: ...") for its line; the stream always
+// continues. Backpressure (max_inflight) rejects with the retryable code
+// "overloaded"; per-request timeouts (request_timeout_ms) answer the
+// retryable code "timeout" without executing. Expiry is decided once per batch, before the job-id counter
 // simulation, so a request that never executes (shed or timed out) never
 // consumes an id -- later job_ids match the sequential runner on the
 // surviving lines bit for bit. docs/api.md documents the full response

@@ -83,9 +83,7 @@ void ShardedScheduler::route_untenanted(const std::string& line,
   const auto arrival = std::chrono::steady_clock::now();
   ++untenanted_no_;
   json::Value response;
-  if (options_.stream.envelope == Envelope::kV2) {
-    response.set("schema_version", 2);
-  }
+  response.set("schema_version", 2);
   response.set("request", untenanted_no_);
   response.set("line", untenanted_no_);
   if (!req.op.empty()) response.set("op", req.op);
@@ -94,14 +92,14 @@ void ShardedScheduler::route_untenanted(const std::string& line,
                                ? obs::mint_trace_id(untenanted_no_, line)
                                : req.trace_id);
   if (req.cls == detail::RequestClass::kImmediate) {
-    detail::set_error(response, options_.stream.envelope, "bad_request",
-                      req.error, /*retryable=*/false);
+    detail::set_error(response, "bad_request", req.error,
+                      /*retryable=*/false);
   } else if (!req.has_tenant) {
-    detail::set_error(response, options_.stream.envelope, "bad_request",
+    detail::set_error(response, "bad_request",
                       "multi-tenant stream requires a 'tenant' field",
                       /*retryable=*/false);
   } else {
-    detail::set_error(response, options_.stream.envelope, "not_found",
+    detail::set_error(response, "not_found",
                       "no tenant named '" + req.tenant + "'",
                       /*retryable=*/false);
   }

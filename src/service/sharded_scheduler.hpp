@@ -69,7 +69,7 @@ struct ShardedOptions {
   /// sets drain concurrently.
   int shards = 1;
 
-  /// Per-tenant scheduler knobs (envelope, read fan-out, timeouts). The
+  /// Per-tenant scheduler knobs (read fan-out, timeouts). The
   /// scheduler-level max_inflight composes with the routing-level bounds
   /// below; multi-tenant callers normally leave it 0 and bound at routing
   /// time instead.

@@ -18,6 +18,7 @@
 //
 // Used by tests (randomized shops) and available to users as a debugging
 // aid for hand-built scenarios.
+// rta-archcheck: allow(test-only-src) public watchdog for user scenarios
 #pragma once
 
 #include <string>

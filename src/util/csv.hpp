@@ -1,4 +1,5 @@
 // Minimal CSV emission for experiment results.
+// rta-archcheck: allow(test-only-src) output helper of the bench/ figures
 #pragma once
 
 #include <fstream>

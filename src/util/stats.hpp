@@ -1,4 +1,5 @@
 // Streaming descriptive statistics (Welford) and simple aggregates.
+// rta-archcheck: allow(test-only-src) summary helper of the bench/ figures
 #pragma once
 
 #include <algorithm>

@@ -4,8 +4,8 @@
 // (construction/canonicalization, eval/eval_left, Def.5 pseudo-inverse,
 // pointwise combine, the Theorem-3 min-scan, min-plus (de)convolution) is
 // run side by side with the legacy knot-walking implementation transplanted
-// verbatim into curve/reference.hpp, over thousands of randomized curves
-// drawn from adversarial families: steps, bursty time_eq clusters,
+// verbatim into support/curve_reference.hpp, over thousands of randomized
+// curves drawn from adversarial families: steps, bursty time_eq clusters,
 // degenerate single-knot curves, horizon-edge knots, upward-jump-dense and
 // non-monotone curves. Agreement must be BIT-EXACT: the repo's determinism
 // story (differential engine runs, digest-checked service streams, the
@@ -29,7 +29,7 @@
 
 #include "curve/algebra.hpp"
 #include "curve/minplus.hpp"
-#include "curve/reference.hpp"
+#include "support/curve_reference.hpp"
 #include "curve/transforms.hpp"
 #include "util/rng.hpp"
 

@@ -577,70 +577,6 @@ TEST(ServiceScheduler, FinishIsIdempotentAndSubmitAfterFinishThrows) {
   EXPECT_EQ(scheduler.stats().requests, 1);
 }
 
-/// The legacy envelope behind `serve --compat-v1`: no schema_version stamp,
-/// string errors, and the ad-hoc retry/timeout markers -- and the two
-/// drivers stay byte-identical under it too.
-TEST(ServiceScheduler, CompatV1EnvelopePreservesLegacyShapes) {
-  const System base = make_base(19);
-  Rng rng(0xE5CA9E);
-  const std::string stream =
-      build_stream(rng, base, /*n=*/40, /*read_fraction=*/0.7);
-
-  std::string expected;
-  {
-    AdmissionSession session(base, make_session_config(base));
-    std::istringstream in(stream);
-    std::ostringstream out;
-    service::run_request_stream(session, in, out, service::Envelope::kV1);
-    expected = out.str();
-  }
-  StreamOptions options;
-  options.parallel_reads = 2;
-  options.envelope = service::Envelope::kV1;
-  std::string got;
-  run_scheduled(base, stream, options, got);
-  EXPECT_EQ(strip_latency(got), strip_latency(expected));
-
-  int errors = 0;
-  std::istringstream lines(expected);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const json::ParseResult doc = json::parse(line);
-    ASSERT_TRUE(doc.ok) << line;
-    EXPECT_EQ(doc.value.find("schema_version"), nullptr) << line;
-    const json::Value* ok = doc.value.find("ok");
-    ASSERT_NE(ok, nullptr) << line;
-    if (const json::Value* error = doc.value.find("error");
-        error != nullptr) {
-      EXPECT_TRUE(error->is_string()) << line;  // v1 errors are strings
-      EXPECT_FALSE(error->as_string().empty()) << line;
-      ++errors;
-    }
-  }
-  EXPECT_GT(errors, 0);  // the stream salt guarantees error lines
-
-  // The v1 backpressure marker: {"ok":false,...,"retry":true}.
-  std::ostringstream burst;
-  for (int i = 0; i < 4; ++i) {
-    burst << job_request("what_if", random_candidate(rng, base, 50 + i), false)
-          << "\n";
-  }
-  options.max_inflight = 2;
-  run_scheduled(base, burst.str(), options, got);
-  int retries = 0;
-  std::istringstream burst_lines(got);
-  while (std::getline(burst_lines, line)) {
-    const json::ParseResult doc = json::parse(line);
-    ASSERT_TRUE(doc.ok) << line;
-    if (const json::Value* retry = doc.value.find("retry"); retry != nullptr) {
-      EXPECT_TRUE(retry->as_bool());
-      EXPECT_TRUE(doc.value.find("error")->is_string()) << line;
-      ++retries;
-    }
-  }
-  EXPECT_EQ(retries, 2);
-}
-
 /// what_if_region flows through the read path of both drivers and stays
 /// inside the byte-identity contract at every fan-out width; probing never
 /// consumes job ids, so surrounding what_ifs are unaffected.

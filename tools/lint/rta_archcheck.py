@@ -31,6 +31,8 @@ Passes and rules (see docs/static-analysis.md for the catalog):
                                docs/api.md
                schema-phantom  a field documented in docs/api.md that no
                                service code emits
+  test-only    test-only-src   a src/ header that only tests and benches
+                               include (its own .cpp aside)
   (always on)  bad-suppression an `rta-archcheck: allow(...)` comment with no
                                reason text
 
@@ -77,6 +79,7 @@ RULE_DOCS = {
                    "literal",
     "schema-undocumented": "service response field missing from docs/api.md",
     "schema-phantom": "documented response field no service code emits",
+    "test-only-src": "src/ header reached only by tests and benches",
     "bad-suppression": "rta-archcheck: allow(...) comment without a reason",
 }
 
@@ -124,6 +127,13 @@ MUTATING_CALLS = {"push_back", "emplace_back", "pop_back", "clear", "erase",
 SUPPRESS_RE = re.compile(
     r"rta-archcheck:\s*allow\(([a-z*][a-z0-9_*,\s-]*)\)\s*(.*)", re.IGNORECASE
 )
+
+INCLUDE_RE = re.compile(r'\s*#\s*include\s+"([^"]+)"')
+
+# test-only-src: shipped code vs test/bench harnesses (lint fixture corpora
+# are inputs, not includers).
+SHIPPED_DIRS = ("src", "tools", "examples")
+TEST_ONLY_DIRS = ("tests", "bench", "perfbench")
 
 DOC_FIELD_RE = re.compile(r"^[-*]\s+`([A-Za-z_][A-Za-z0-9_.]*)`")
 MARK_BEGIN = "<!-- archcheck:fields:begin -->"
@@ -188,12 +198,8 @@ class SourceFile:
 
     def includes(self):
         """Quoted includes as (line, path) pairs."""
-        out = []
-        for i, line in enumerate(self.lines, start=1):
-            m = re.match(r'\s*#\s*include\s+"([^"]+)"', line)
-            if m:
-                out.append((i, m.group(1)))
-        return out
+        return [(i, m.group(1)) for i, line in enumerate(self.lines, start=1)
+                if (m := INCLUDE_RE.match(line))]
 
 
 class Analyzer:
@@ -657,6 +663,40 @@ class Analyzer:
                 snippet=f"`{key}`",
             )
 
+    # --- test-only ------------------------------------------------------
+
+    def check_test_only(self):
+        if "test-only-src" not in self.rules:
+            return
+        includers = {}  # include path -> {includer rel, ...}
+        for top in SHIPPED_DIRS + TEST_ONLY_DIRS:
+            base = os.path.join(self.root, top)
+            if not os.path.isdir(base):
+                continue
+            for path in iter_source_files([base]):
+                rel = os.path.relpath(path, self.root).replace(os.sep, "/")
+                if "/fixtures/" in rel:
+                    continue
+                with open(path, "r", encoding="utf-8", errors="replace") as f:
+                    for m in filter(None, map(INCLUDE_RE.match, f)):
+                        includers.setdefault(m.group(1), set()).add(rel)
+        for src in self.files:
+            if not (src.rel.startswith("src/")
+                    and src.rel.endswith((".hpp", ".h"))):
+                continue
+            own_cpp = os.path.splitext(src.rel)[0] + ".cpp"
+            users = includers.get(src.rel[len("src/"):], set()) - {own_cpp}
+            if users and all(u.split("/")[0] in TEST_ONLY_DIRS
+                             for u in users):
+                # At the first code line, where an allow() comment reaches.
+                self.report(
+                    src, min(src.code_lines, default=1), "test-only-src",
+                    f"'{src.rel}' is included only by tests/benches ("
+                    + ", ".join(sorted(users)) + "): move it to "
+                    "tests/support/ (rta_test_support) so the shipped "
+                    "libraries hold no test-only code",
+                )
+
     # --- suppression ----------------------------------------------------
 
     def apply_suppressions(self):
@@ -693,6 +733,7 @@ class Analyzer:
         self.check_locks()
         self.check_units()
         self.check_schema()
+        self.check_test_only()
         self.apply_suppressions()
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return self.findings

@@ -5,8 +5,8 @@ Checks, in order:
   1. The fixture corpus reproduces exactly the findings in
      fixtures/arch/expected.json (file, line, rule, suppressed) and
      exits 1.
-  2. Each of the four passes individually catches its seeded violation
-     (layering, lock-order, units, schema) under --rules subsetting.
+  2. Each of the five passes individually catches its seeded violation
+     (layering, lock-order, units, schema, test-only) via --rules.
   3. The real tree (src/ + docs/api.md) is clean: exit 0, no findings.
   4. --write-baseline followed by a baselined run exits 0 with every
      finding accounted as baselined; dropping one fingerprint from the
@@ -97,6 +97,7 @@ def main():
             ("unit-mix,unit-factor", {"unit-mix", "unit-factor"}),
             ("schema-undocumented,schema-phantom",
              {"schema-undocumented", "schema-phantom"}),
+            ("test-only-src", {"test-only-src"}),
         ]:
             proc = run_fixture("--no-baseline", "--rules", rules,
                                json_to=report_path)

@@ -172,8 +172,6 @@ const std::vector<CommandSpec>& command_table() {
            {"metrics-prom", "FILE", nullptr,
             "periodic Prometheus text-format metric snapshots"},
            {"prom-interval-ms", "MS", "1000", "snapshot period"},
-           {"compat-v1", nullptr, nullptr,
-            "emit the legacy v1 response envelope (docs/api.md)"},
            {"tenants-from", "FILE", nullptr,
             "multi-tenant mode: manifest of 'name [system-file]' lines, one "
             "tenant each (docs/api.md)"},
@@ -264,8 +262,32 @@ int usage() {
   return 2;
 }
 
-/// Reject flags the command table doesn't declare. Prints every offender
-/// and the valid set; true when all flags are known.
+/// Values of N / MS flags must parse in full as finite, non-negative numbers
+/// (integers for N). Prints every offender; true when all are well-formed.
+bool check_numeric_flags(const char* cmd, const Options& opts,
+                         const std::vector<FlagSpec>& flags) {
+  bool ok = true;
+  for (const FlagSpec& f : flags) {
+    if (f.arg == nullptr || !opts.has(f.name)) continue;
+    const bool integer = std::strcmp(f.arg, "N") == 0;
+    if (!integer && std::strcmp(f.arg, "MS") != 0) continue;
+    const std::string v = opts.get(f.name, "");
+    char* end = nullptr;
+    const double x =
+        integer ? static_cast<double>(std::strtoll(v.c_str(), &end, 10))
+                : std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < 0.0) {
+      std::fprintf(stderr, "rta_cli %s: --%s wants a non-negative %s, got "
+                   "'%s'\n", cmd, f.name, integer ? "integer" : "number",
+                   v.c_str());
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// Reject flags the command table doesn't declare (printing the valid set)
+/// and malformed numeric values; true when every flag is known and valid.
 bool check_flags(const char* cmd, const Options& opts) {
   const CommandSpec* spec = find_command(cmd);
   assert(spec != nullptr);
@@ -292,6 +314,10 @@ bool check_flags(const char* cmd, const Options& opts) {
       list += "--" + name;
     }
     std::fprintf(stderr, "valid flags for '%s': %s\n", cmd, list.c_str());
+  }
+  ok = check_numeric_flags(cmd, opts, spec->flags) && ok;
+  if (spec->with_shared) {
+    ok = check_numeric_flags(cmd, opts, shared_analysis_flags()) && ok;
   }
   return ok;
 }
@@ -970,9 +996,6 @@ int cmd_serve(const Options& opts, System system) {
         static_cast<int>(opts.get_int("max-inflight", stream.max_inflight));
     stream.request_timeout_ms =
         opts.get_double("request-timeout-ms", stream.request_timeout_ms);
-    stream.envelope = opts.get_bool("compat-v1", false)
-                          ? service::Envelope::kV1
-                          : service::Envelope::kV2;
 
     // Responses own stdout (JSONL); the human-facing summary goes to stderr.
     auto run = [&](std::ostream& os) -> int {
