@@ -1,10 +1,10 @@
-// Scaling study for the parallel, memoizing analysis engine: analyze a batch
-// of Fig. 3 (periodic) and Fig. 4 (aperiodic) job-shop systems with the
-// iterative fixed-point engine, sweeping the worker count from 1 up to the
-// hardware concurrency (and at least 8, the paper-reproduction reference
-// point), with the curve cache on. The baseline is the serial, uncached
-// engine -- exactly what `rta_cli analyze` runs by default -- so "speedup"
-// reads as end-to-end analysis-time reduction, not kernel-only time.
+// Scaling study for the parallel analysis engine: analyze a batch of Fig. 3
+// (periodic) and Fig. 4 (aperiodic) job-shop systems with the iterative
+// fixed-point engine, sweeping the worker count from 1 up to the hardware
+// concurrency (and at least 8, the paper-reproduction reference point). The
+// baseline is the serial engine -- exactly what `rta_cli analyze` runs by
+// default -- so "speedup" reads as end-to-end analysis-time reduction, not
+// kernel-only time.
 //
 // Every configuration's results are checksummed against the baseline; a
 // mismatch aborts the bench, so a reported speedup is always a speedup of
@@ -12,7 +12,7 @@
 //
 // Output: a human-readable table on stdout and BENCH_parallel.json with one
 // entry per (scenario, threads) point: wall seconds (best of --repeats),
-// speedup vs baseline, and the analyzer's cache hit/miss counters.
+// speedup vs baseline, and the engine's phase times and pass-skip counts.
 //
 // Flags: --systems N (default 24)  --repeats N (default 3)
 //        --stages N (default 4)    --procs N (default 2, per stage)
@@ -44,12 +44,8 @@ struct Scenario {
 
 struct Point {
   int threads = 1;
-  bool cache = false;
   double seconds = 0.0;
   double speedup = 1.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  double cache_hit_rate = 0.0;
   /// Per-phase engine breakdown from the metrics registry (last repeat):
   /// wall time inside processor passes vs. arrival propagation.
   std::uint64_t pass_time_us = 0;
@@ -99,14 +95,13 @@ std::uint64_t result_digest(std::uint64_t h, const AnalysisResult& r) {
   return h;
 }
 
-/// Analyze the whole batch through one analyzer (so the cache amortizes
-/// across systems, as it does in the admission experiments); returns the
-/// best-of-repeats wall time and the digest of the last repeat.
-Point run_config(const std::vector<System>& systems, int threads, bool cache,
-                 int repeats, std::uint64_t* digest_out) {
+/// Analyze the whole batch through one analyzer (so its pool amortizes
+/// across systems); returns the best-of-repeats wall time and the digest of
+/// the last repeat.
+Point run_config(const std::vector<System>& systems, int threads, int repeats,
+                 std::uint64_t* digest_out) {
   Point point;
   point.threads = threads;
-  point.cache = cache;
   point.seconds = -1.0;
   for (int rep = 0; rep < repeats; ++rep) {
     // Every repeat carries the same metrics sink, so the timing comparison
@@ -115,7 +110,6 @@ Point run_config(const std::vector<System>& systems, int threads, bool cache,
     obs::MetricsRegistry registry;
     AnalysisConfig cfg;
     cfg.threads = threads;
-    cfg.use_curve_cache = cache;
     cfg.observer.metrics = &registry;
     IterativeBoundsAnalyzer analyzer(cfg);
     std::uint64_t digest = 0xC0FFEEull;
@@ -129,11 +123,6 @@ Point run_config(const std::vector<System>& systems, int threads, bool cache,
       point.seconds = elapsed.count();
     }
     *digest_out = digest;
-    if (analyzer.curve_cache() != nullptr) {
-      const CurveCacheStats stats = analyzer.curve_cache()->stats();
-      point.cache_hits = stats.hits();
-      point.cache_misses = stats.misses();
-    }
     const obs::MetricsSnapshot snap = registry.snapshot();
     auto counter = [&](const char* name) -> std::uint64_t {
       const auto it = snap.counters.find(name);
@@ -144,11 +133,6 @@ Point run_config(const std::vector<System>& systems, int threads, bool cache,
     point.passes_run = counter("iterative.passes_run");
     point.passes_skipped = counter("iterative.passes_skipped");
   }
-  const std::uint64_t lookups = point.cache_hits + point.cache_misses;
-  point.cache_hit_rate =
-      lookups > 0 ? static_cast<double>(point.cache_hits) /
-                        static_cast<double>(lookups)
-                  : 0.0;
   return point;
 }
 
@@ -165,9 +149,8 @@ void write_json(const std::string& path, const Options& opts,
   std::fprintf(f, "  \"bench\": \"parallel_scaling\",\n");
   std::fprintf(f, "  \"engine\": \"iterative\",\n");
   std::fprintf(f,
-               "  \"baseline\": {\"threads\": 1, \"cache\": false, "
-               "\"note\": \"serial uncached engine; speedup is relative to "
-               "this\"},\n");
+               "  \"baseline\": {\"threads\": 1, \"note\": \"serial engine; "
+               "speedup is relative to this\"},\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"systems_per_scenario\": %zu,\n", system_count);
@@ -184,17 +167,12 @@ void write_json(const std::string& path, const Options& opts,
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       std::fprintf(f,
-                   "        {\"threads\": %d, \"cache\": %s, "
+                   "        {\"threads\": %d, "
                    "\"seconds\": %.6f, \"speedup\": %.3f, "
-                   "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                   "\"cache_hit_rate\": %.4f, "
                    "\"phase_us\": {\"processor_passes\": %llu, "
                    "\"propagation\": %llu}, "
                    "\"passes_run\": %llu, \"passes_skipped\": %llu}%s\n",
-                   p.threads, p.cache ? "true" : "false", p.seconds, p.speedup,
-                   static_cast<unsigned long long>(p.cache_hits),
-                   static_cast<unsigned long long>(p.cache_misses),
-                   p.cache_hit_rate,
+                   p.threads, p.seconds, p.speedup,
                    static_cast<unsigned long long>(p.pass_time_us),
                    static_cast<unsigned long long>(p.propagate_time_us),
                    static_cast<unsigned long long>(p.passes_run),
@@ -243,40 +221,33 @@ int main(int argc, char** argv) {
     const std::vector<System> systems =
         make_systems(opts, scenario.pattern, system_count, seed);
 
-    std::uint64_t baseline_digest = 0;
-    Point baseline =
-        run_config(systems, 1, false, repeats, &baseline_digest);
-    baseline.speedup = 1.0;
-
     std::printf("\n--- %s ---\n", scenario.name.c_str());
-    std::printf("%8s %6s %10s %8s %12s %12s %6s %10s %10s\n", "threads",
-                "cache", "seconds", "speedup", "cache_hits", "cache_miss",
-                "hit%", "pass_ms", "prop_ms");
-    std::printf("%8d %6s %10.4f %8.2f %12s %12s %6s %10.1f %10.1f\n", 1,
-                "off", baseline.seconds, 1.0, "-", "-", "-",
-                static_cast<double>(baseline.pass_time_us) / 1000.0,
-                static_cast<double>(baseline.propagate_time_us) / 1000.0);
+    std::printf("%8s %10s %8s %10s %10s %8s\n", "threads", "seconds",
+                "speedup", "pass_ms", "prop_ms", "skipped");
 
+    // thread_counts starts at 1: the first point is the serial baseline.
+    std::uint64_t baseline_digest = 0;
+    double baseline_seconds = 0.0;
     std::vector<Point> points;
-    points.push_back(baseline);
     for (const int threads : thread_counts) {
       std::uint64_t digest = 0;
-      Point p = run_config(systems, threads, true, repeats, &digest);
-      if (digest != baseline_digest) {
+      Point p = run_config(systems, threads, repeats, &digest);
+      if (points.empty()) {
+        baseline_digest = digest;
+        baseline_seconds = p.seconds;
+      } else if (digest != baseline_digest) {
         std::fprintf(stderr,
                      "FATAL: results at threads=%d diverge from the serial "
                      "baseline -- determinism contract violated\n",
                      threads);
         return 1;
       }
-      p.speedup = baseline.seconds / p.seconds;
-      std::printf("%8d %6s %10.4f %8.2f %12llu %12llu %5.0f%% %10.1f %10.1f\n",
-                  threads, "on", p.seconds, p.speedup,
-                  static_cast<unsigned long long>(p.cache_hits),
-                  static_cast<unsigned long long>(p.cache_misses),
-                  100.0 * p.cache_hit_rate,
+      p.speedup = baseline_seconds / p.seconds;
+      std::printf("%8d %10.4f %8.2f %10.1f %10.1f %8llu\n", threads,
+                  p.seconds, p.speedup,
                   static_cast<double>(p.pass_time_us) / 1000.0,
-                  static_cast<double>(p.propagate_time_us) / 1000.0);
+                  static_cast<double>(p.propagate_time_us) / 1000.0,
+                  static_cast<unsigned long long>(p.passes_skipped));
       points.push_back(p);
     }
     results.emplace_back(scenario, std::move(points));

@@ -19,10 +19,10 @@
 // The primary baseline is the literal fresh-per-point analysis a naive
 // capacity planner runs (`rta_cli analyze` per grid point): the *same*
 // bisection, each probe answered by RegionAnalyzer::apply_axes + a brand
-// new BoundsAnalyzer pass with nothing carried over. A second, generous
-// baseline keeps one long-lived BoundsAnalyzer across all probes so its
-// CurveCache amortizes (the service_admission.cpp convention); it is
-// reported alongside but the acceptance bar applies to fresh-per-point.
+// new BoundsAnalyzer pass with nothing carried over. A second baseline keeps
+// one long-lived BoundsAnalyzer across all probes (the service_admission.cpp
+// convention); it is reported alongside but the acceptance bar applies to
+// fresh-per-point.
 //
 // All paths probe identical parameter values in identical order, so their
 // boundaries must agree exactly: empty/open flags, feasible/infeasible
@@ -228,11 +228,10 @@ int main(int argc, char** argv) {
   // equality check) is horizon-for-horizon.
   service::SessionConfig session_cfg;
   session_cfg.analysis.threads = threads;
-  session_cfg.analysis.use_curve_cache = true;
   session_cfg.analysis.horizon = default_horizon(committed, AnalysisConfig{});
 
   RegionAnalyzer region(committed, session_cfg);  // long-lived, like service
-  BoundsAnalyzer warm(session_cfg.analysis);  // generous: cache amortizes
+  BoundsAnalyzer warm(session_cfg.analysis);  // long-lived across probes
 
   // One exec_scale and one burst query per target: the two capacity
   // questions a planner sweeps ("how much heavier can this job get", "how

@@ -5,8 +5,8 @@
 //
 // The baseline is what a naive admission controller does: rebuild the
 // candidate system and run a fresh full BoundsAnalyzer pass per request --
-// with a long-lived analyzer, so its ThreadPool and CurveCache amortize
-// (a generous baseline). The service answers the same requests through one
+// with a long-lived analyzer, so its ThreadPool amortizes (a generous
+// baseline). The service answers the same requests through one
 // AdmissionSession with a pinned horizon, recomputing only the dirty
 // closure of the candidate job.
 //
@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
   // check) is horizon-for-horizon.
   AnalysisConfig analysis;
   analysis.threads = threads;
-  analysis.use_curve_cache = true;
   analysis.horizon = default_horizon(base, AnalysisConfig{});
 
   service::SessionConfig session_cfg;
@@ -267,7 +266,7 @@ int main(int argc, char** argv) {
                  session.last().error.c_str());
     return 1;
   }
-  BoundsAnalyzer full(analysis);  // long-lived: pool and cache amortize
+  BoundsAnalyzer full(analysis);  // long-lived: the pool amortizes
 
   std::printf("Single-job admission latency on the Fig. 3 job shop "
               "(%d jobs, %d processors, util %.2f, threads %d), "

@@ -24,9 +24,9 @@
 //
 // Tenant construction cost is part of the story: all tenants clone one
 // committed prototype, so the base analysis runs ONCE no matter how many
-// tenants serve (the clone shares the prototype's curve cache). The bench
-// reports the prototype analysis time and the amortized per-tenant clone
-// time alongside the serving numbers.
+// tenants serve (each clone shares the prototype's immutable curves). The
+// bench reports the prototype analysis time and the amortized per-tenant
+// clone time alongside the serving numbers.
 //
 // Output: BENCH_multitenant.json (baseline: bench/baselines/, regenerated
 // with the CI smoke parameters --tenants 64 --requests-per-tenant 4).
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   session_cfg.analysis.horizon = default_horizon(base, AnalysisConfig{});
 
   // One prototype carries the one and only base analysis; every tenant is a
-  // committed clone sharing its curve cache.
+  // committed clone sharing its immutable curves.
   const Clock::time_point proto0 = Clock::now();
   service::AdmissionSession prototype(base, session_cfg);
   const double prototype_us = micros_since(proto0);

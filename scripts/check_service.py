@@ -25,9 +25,9 @@ Checks, per response line (docs/api.md "Request schema v2"):
     an axes list, integer probes/incremental_probes, and exactly one of
     a 'boundary' object or a 'columns' array of {value, boundary};
   * query responses carry jobs/schedulable/max_wcrt/horizon;
-  * stats responses with ok=true carry counters/gauges/histograms objects
-    plus a numeric cache_hit_rate; each histogram summary has numeric
-    count/p50/p90/p99/max with p50 <= p90 <= p99;
+  * stats responses with ok=true carry counters/gauges/histograms objects;
+    each histogram summary has numeric count/p50/p90/p99/max with
+    p50 <= p90 <= p99;
   * latency_us is a non-negative number on EVERY response (parse errors
     included).
 
@@ -224,9 +224,6 @@ def check_stats_fields(resp, where, errors):
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(resp.get(section), dict):
             errors.append(f"{where}: stats missing object '{section}'")
-    rate = resp.get("cache_hit_rate")
-    if not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
-        errors.append(f"{where}: stats cache_hit_rate not in [0,1]: {rate!r}")
     for name, h in (resp.get("histograms") or {}).items():
         if not isinstance(h, dict):
             errors.append(f"{where}: stats histogram {name!r} not an object")

@@ -16,26 +16,6 @@ namespace detail {
 
 namespace {
 
-/// Pseudo-inverses of `c` at levels 1..count, through the cache when one is
-/// available. The cached table stores exactly c.pseudo_inverse(m), so both
-/// paths are bit-identical.
-class LevelInverses {
- public:
-  LevelInverses(CurveCache* cache, const PwlCurve& c, long long count)
-      : curve_(c) {
-    if (cache != nullptr) table_ = cache->level_inverses(c, count);
-  }
-
-  [[nodiscard]] Time at(long long m) const {
-    if (table_) return (*table_)[static_cast<std::size_t>(m - 1)];
-    return curve_.pseudo_inverse(static_cast<double>(m));
-  }
-
- private:
-  const PwlCurve& curve_;
-  std::shared_ptr<const std::vector<Time>> table_;
-};
-
 /// Next-hop arrival upper bound (Lemma 2): instances arrive at hop j+1 when
 /// S̄ first crosses multiples of tau; additionally an instance cannot reach
 /// hop j+1 earlier than tau after its own earliest hop-j arrival.
@@ -48,22 +28,20 @@ PwlCurve next_arrival_upper(const PwlCurve& svc_upper,
 /// Bounds for the subjobs of a static-priority processor (SPP with b = 0,
 /// SPNP with b of Eq. 15), in descending priority order.
 void priority_processor_bounds(const System& system, int p, Time horizon,
-                               BoundStateMap& states, BoundsVariant variant,
-                               CurveCache* cache) {
+                               BoundStateMap& states, BoundsVariant variant) {
   std::vector<SubjobRef> refs = system.subjobs_on(p);
   std::sort(refs.begin(), refs.end(),
             [&](const SubjobRef& a, const SubjobRef& b) {
               return system.subjob(a).priority < system.subjob(b).priority;
             });
   for (const SubjobRef& ref : refs) {
-    compute_single_priority_subjob(system, ref, horizon, states, variant,
-                                   cache);
+    compute_single_priority_subjob(system, ref, horizon, states, variant);
   }
 }
 
 /// Bounds for the subjobs of a FCFS processor (Theorems 7-9).
 void fcfs_processor_bounds(const System& system, int p, Time horizon,
-                           BoundStateMap& states, CurveCache* cache) {
+                           BoundStateMap& states) {
   const std::vector<SubjobRef> refs = system.subjobs_on(p);
 
   // Total workload bounds G (Eq. 21) over all subjobs on the processor.
@@ -95,11 +73,10 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
     // ā_m = f̲_arr^{-1}(m) the latest possible m-th arrival.
     const long long count_lower =
         tolerant_floor(st.arr_lower.end_value() + 0.5);
-    const LevelInverses arr_lower_inv(cache, st.arr_lower, count_lower);
     std::vector<Time> dep_times;
     dep_times.reserve(count_lower);
     for (long long m = 1; m <= count_lower; ++m) {
-      const Time a_late = arr_lower_inv.at(m);
+      const Time a_late = st.arr_lower.pseudo_inverse(static_cast<double>(m));
       if (std::isinf(a_late)) break;
       const Time t = util_lower.pseudo_inverse(g_upper.eval(a_late));
       if (std::isinf(t)) break;
@@ -114,7 +91,7 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
         curve_min(curve_min(curve_add_constant(st.svc_lower, tau), c_upper),
                   PwlCurve::identity(horizon));
     st.next_arr_upper = next_arrival_upper(st.svc_upper, st.arr_upper, tau);
-    st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper, cache);
+    st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
     st.computed = true;
   }
 }
@@ -178,7 +155,7 @@ void literal_priority_subjob(const System& system, SubjobRef ref,
 
 void compute_single_priority_subjob(const System& system, SubjobRef ref,
                                     Time horizon, BoundStateMap& states,
-                                    BoundsVariant variant, CurveCache* cache) {
+                                    BoundsVariant variant) {
   if (variant == BoundsVariant::kPaperLiteral) {
     literal_priority_subjob(system, ref, horizon, states);
     return;
@@ -237,14 +214,12 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
 
   const long long count_lower = tolerant_floor(st.arr_lower.end_value() + 0.5);
   const long long count_upper = tolerant_floor(st.arr_upper.end_value() + 0.5);
-  const LevelInverses arr_lower_inv(cache, st.arr_lower, count_lower);
-  const LevelInverses arr_upper_inv(cache, st.arr_upper, count_upper);
 
   // ---- Lower service bound.
   std::vector<Hinge> hinges;
   hinges.reserve(static_cast<std::size_t>(count_lower));
   for (long long i = 1; i <= count_lower; ++i) {
-    const Time s_i = arr_lower_inv.at(i);
+    const Time s_i = st.arr_lower.pseudo_inverse(static_cast<double>(i));
     if (std::isinf(s_i)) break;
     hinges.push_back({static_cast<double>(i - 1) * tau,
                       s_i - hp_l.eval_left(s_i)});
@@ -264,7 +239,7 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   std::vector<double> elapsed_off{0.0};
   std::vector<double> drained_off{hp_u.eval_left(0.0)};
   for (long long i = 1; i <= count_upper; ++i) {
-    const Time s_i = arr_upper_inv.at(i);
+    const Time s_i = st.arr_upper.pseudo_inverse(static_cast<double>(i));
     if (std::isinf(s_i)) break;
     const double base = static_cast<double>(i - 1) * tau;
     starts.push_back(s_i);
@@ -281,19 +256,16 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   st.svc_upper = svc_upper;
   st.dep_lower = curve_floor_div(svc_lower, tau);  // Lemma 1
   st.next_arr_upper = next_arrival_upper(svc_upper, st.arr_upper, tau);
-  st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper, cache);
+  st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
   st.computed = true;
 }
 
-Time local_delay_bound(const PwlCurve& dep_lower, const PwlCurve& arr_upper,
-                       CurveCache* cache) {
+Time local_delay_bound(const PwlCurve& dep_lower, const PwlCurve& arr_upper) {
   const long long count = tolerant_floor(arr_upper.end_value() + 0.5);
-  const LevelInverses arr_inv(cache, arr_upper, count);
-  const LevelInverses dep_inv(cache, dep_lower, count);
   Time worst = 0.0;
   for (long long m = 1; m <= count; ++m) {
-    const Time arr = arr_inv.at(m);
-    const Time dep = dep_inv.at(m);
+    const Time arr = arr_upper.pseudo_inverse(static_cast<double>(m));
+    const Time dep = dep_lower.pseudo_inverse(static_cast<double>(m));
     if (std::isinf(dep)) return kTimeInfinity;
     worst = std::max(worst, dep - arr);
   }
@@ -301,18 +273,17 @@ Time local_delay_bound(const PwlCurve& dep_lower, const PwlCurve& arr_upper,
 }
 
 void compute_processor_bounds(const System& system, int p, Time horizon,
-                              BoundStateMap& states, BoundsVariant variant,
-                              CurveCache* cache) {
+                              BoundStateMap& states, BoundsVariant variant) {
   if (system.scheduler(p) == SchedulerKind::kFcfs) {
-    fcfs_processor_bounds(system, p, horizon, states, cache);
+    fcfs_processor_bounds(system, p, horizon, states);
   } else {
-    priority_processor_bounds(system, p, horizon, states, variant, cache);
+    priority_processor_bounds(system, p, horizon, states, variant);
   }
 }
 
 void run_bounds_wavefront(const System& system, Time horizon,
                           BoundsVariant variant, ThreadPool* pool,
-                          CurveCache* cache, const EngineObs* eo,
+                          const EngineObs* eo,
                           const std::vector<char>* dirty,
                           BoundStateMap& states) {
   // Ensure every subjob has a state entry; retained (clean) entries are left
@@ -418,11 +389,11 @@ void run_bounds_wavefront(const System& system, Time horizon,
         fill_arrivals(r);
       }
       compute_processor_bounds(system, unit.processor, horizon, states,
-                               variant, cache);
+                               variant);
     } else {
       fill_arrivals(unit.ref);
       compute_single_priority_subjob(system, unit.ref, horizon, states,
-                                     variant, cache);
+                                     variant);
     }
   };
   auto unit_label = [&](const Unit& unit) {
@@ -512,13 +483,12 @@ std::size_t analysis_worker_count(int threads) {
 BoundsAnalyzer::BoundsAnalyzer(AnalysisConfig config) : config_(config) {
   const std::size_t workers = analysis_worker_count(config.threads);
   if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
-  if (config.use_curve_cache) cache_ = std::make_unique<CurveCache>();
   eobs_ = detail::EngineObs::make_if(config.observer, "bounds");
 }
 
 AnalysisResult BoundsAnalyzer::analyze(const System& system) const {
   const detail::EngineObs* eo = eobs_.get();
-  detail::EngineObs::AnalyzeScope obs_scope(eo, pool_.get(), cache_.get());
+  detail::EngineObs::AnalyzeScope obs_scope(eo, pool_.get());
   obs::Tracer::Span span = obs::Tracer::span_if(
       eo != nullptr ? eo->tracer() : nullptr, "bounds.analyze");
   const auto problems = system.validate();
@@ -553,7 +523,7 @@ AnalysisResult BoundsAnalyzer::analyze_at(const System& system,
                                           Time horizon) const {
   detail::BoundStateMap states;
   detail::run_bounds_wavefront(system, horizon, config_.bounds_variant,
-                               pool_.get(), cache_.get(), eobs_.get(),
+                               pool_.get(), eobs_.get(),
                                /*dirty=*/nullptr, states);
   return detail::bounds_result_from_states(system, horizon,
                                            config_.record_curves, states);

@@ -60,7 +60,6 @@
 
 #include "analysis/instrument.hpp"
 #include "analysis/result.hpp"
-#include "curve/curve_cache.hpp"
 #include "model/system.hpp"
 #include "util/thread_pool.hpp"
 
@@ -83,28 +82,23 @@ struct BoundState {
 using BoundStateMap = std::map<std::pair<int, int>, BoundState>;
 
 /// Compute bounds for every subjob on processor `p`. The arr_upper/arr_lower
-/// members of each subjob on `p` must already be set in `states`. An
-/// optional CurveCache memoizes the pseudo-inverse tables; cached and
-/// uncached runs produce bit-identical bounds.
+/// members of each subjob on `p` must already be set in `states`.
 void compute_processor_bounds(const System& system, int p, Time horizon,
                               BoundStateMap& states,
-                              BoundsVariant variant = BoundsVariant::kSound,
-                              CurveCache* cache = nullptr);
+                              BoundsVariant variant = BoundsVariant::kSound);
 
 /// Compute bounds for one subjob on a static-priority processor. Its
 /// arrival bounds and the service bounds of all higher-priority subjobs on
 /// the processor must already be present in `states`.
 void compute_single_priority_subjob(const System& system, SubjobRef ref,
                                     Time horizon, BoundStateMap& states,
-                                    BoundsVariant variant = BoundsVariant::kSound,
-                                    CurveCache* cache = nullptr);
+                                    BoundsVariant variant = BoundsVariant::kSound);
 
 /// d_{k,j} = max_m ( f̲_dep^{-1}(m) - f̄_arr^{-1}(m) ) over the released
 /// instances (Eq. 12); kTimeInfinity if some instance's departure cannot be
 /// bounded within the horizon.
 [[nodiscard]] Time local_delay_bound(const PwlCurve& dep_lower,
-                                     const PwlCurve& arr_upper,
-                                     CurveCache* cache = nullptr);
+                                     const PwlCurve& arr_upper);
 
 /// The resumable core of BoundsAnalyzer: one wavefront over `system`'s
 /// dependency graph at `horizon`, (re)computing exactly the subjobs whose
@@ -124,7 +118,7 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
 /// clean entries are left untouched.
 void run_bounds_wavefront(const System& system, Time horizon,
                           BoundsVariant variant, ThreadPool* pool,
-                          CurveCache* cache, const EngineObs* eobs,
+                          const EngineObs* eobs,
                           const std::vector<char>* dirty,
                           BoundStateMap& states);
 
@@ -140,10 +134,9 @@ void run_bounds_wavefront(const System& system, Time horizon,
 ///
 /// With AnalysisConfig::threads != 1 the subjob computations are scheduled as
 /// a wavefront over the dependency graph and independent units of each wave
-/// run concurrently on an internal ThreadPool; with use_curve_cache the
-/// pseudo-inverse tables are memoized. Both are bit-identical to the serial,
-/// uncached engine. analyze() is safe to call concurrently from several
-/// threads on one instance (pool and cache are shared).
+/// run concurrently on an internal ThreadPool, bit-identical to the serial
+/// engine. analyze() is safe to call concurrently from several threads on
+/// one instance (the pool is shared).
 class BoundsAnalyzer {
  public:
   explicit BoundsAnalyzer(AnalysisConfig config = {});
@@ -152,16 +145,12 @@ class BoundsAnalyzer {
 
   [[nodiscard]] static const char* name() { return "Bounds/App"; }
 
-  /// The memoization layer, for stats inspection (null when disabled).
-  [[nodiscard]] const CurveCache* curve_cache() const { return cache_.get(); }
-
  private:
   [[nodiscard]] AnalysisResult analyze_at(const System& system,
                                           Time horizon) const;
 
   AnalysisConfig config_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<CurveCache> cache_;
   std::unique_ptr<detail::EngineObs> eobs_;  ///< null without an observer
 };
 

@@ -14,12 +14,6 @@ EngineObs::EngineObs(const obs::Observer& observer, std::string engine)
   unit_time_spp_us_ = reg.counter("analysis.unit_time_spp_us");
   unit_time_spnp_us_ = reg.counter("analysis.unit_time_spnp_us");
   unit_time_fcfs_us_ = reg.counter("analysis.unit_time_fcfs_us");
-  cache_conv_hits_ = reg.counter("curve_cache.conv_hits");
-  cache_conv_misses_ = reg.counter("curve_cache.conv_misses");
-  cache_pinv_hits_ = reg.counter("curve_cache.pinv_hits");
-  cache_pinv_misses_ = reg.counter("curve_cache.pinv_misses");
-  cache_collisions_ = reg.counter("curve_cache.collisions");
-  cache_verifies_ = reg.counter("curve_cache.verifies");
   pool_tasks_ = reg.counter("pool.tasks_executed");
   pool_loops_ = reg.counter("pool.loops");
   pool_indices_ = reg.counter("pool.indices_executed");
@@ -45,25 +39,14 @@ void EngineObs::add_unit_time(SchedulerKind kind, double micros) const {
 }
 
 EngineObs::AnalyzeScope::AnalyzeScope(const EngineObs* eobs,
-                                      const ThreadPool* pool,
-                                      const CurveCache* cache)
-    : eobs_(eobs), pool_(pool), cache_(cache) {
+                                      const ThreadPool* pool)
+    : eobs_(eobs), pool_(pool) {
   if (eobs_ == nullptr || eobs_->metrics() == nullptr) return;
   if (pool_ != nullptr) pool_start_ = pool_->stats();
-  if (cache_ != nullptr) cache_start_ = cache_->stats();
 }
 
 EngineObs::AnalyzeScope::~AnalyzeScope() {
   if (eobs_ == nullptr || eobs_->metrics() == nullptr) return;
-  if (cache_ != nullptr) {
-    const CurveCacheStats now = cache_->stats();
-    eobs_->cache_conv_hits_.add(now.conv_hits - cache_start_.conv_hits);
-    eobs_->cache_conv_misses_.add(now.conv_misses - cache_start_.conv_misses);
-    eobs_->cache_pinv_hits_.add(now.pinv_hits - cache_start_.pinv_hits);
-    eobs_->cache_pinv_misses_.add(now.pinv_misses - cache_start_.pinv_misses);
-    eobs_->cache_collisions_.add(now.collisions - cache_start_.collisions);
-    eobs_->cache_verifies_.add(now.verifies - cache_start_.verifies);
-  }
   if (pool_ != nullptr) {
     const ThreadPool::Stats now = pool_->stats();
     eobs_->pool_tasks_.add(now.tasks_executed - pool_start_.tasks_executed);

@@ -3,8 +3,8 @@
 // EngineObs bundles everything one analyzer instance needs to report into a
 // configured obs::Observer: the pre-resolved metric handles, the kernel sink
 // installed around each unit of work, and the per-analyze() flush of
-// CurveCache and ThreadPool counters (recorded as deltas, so repeated
-// analyze() calls on one instance report per-call numbers).
+// ThreadPool counters (recorded as deltas, so repeated analyze() calls on
+// one instance report per-call numbers).
 //
 // Everything here is inert when the config carries no observer: the
 // analyzers hold a null EngineObs pointer and skip every call site with one
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "analysis/result.hpp"
-#include "curve/curve_cache.hpp"
 #include "obs/kernel_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -46,12 +45,11 @@ class EngineObs {
   /// (the per-scheduler breakdown surfaced by `rta_cli validate --stats`).
   void add_unit_time(SchedulerKind kind, double micros) const;
 
-  /// Flushes cache and pool counter deltas on destruction, bracketing one
-  /// analyze() call.
+  /// Flushes pool counter deltas on destruction, bracketing one analyze()
+  /// call.
   class AnalyzeScope {
    public:
-    AnalyzeScope(const EngineObs* eobs, const ThreadPool* pool,
-                 const CurveCache* cache);
+    AnalyzeScope(const EngineObs* eobs, const ThreadPool* pool);
     ~AnalyzeScope();
 
     AnalyzeScope(const AnalyzeScope&) = delete;
@@ -60,9 +58,7 @@ class EngineObs {
    private:
     const EngineObs* eobs_;
     const ThreadPool* pool_;
-    const CurveCache* cache_;
     ThreadPool::Stats pool_start_;
-    CurveCacheStats cache_start_;
   };
 
  private:
@@ -71,9 +67,6 @@ class EngineObs {
   std::unique_ptr<obs::KernelSink> ksink_;
 
   obs::Counter unit_time_spp_us_, unit_time_spnp_us_, unit_time_fcfs_us_;
-  obs::Counter cache_conv_hits_, cache_conv_misses_;
-  obs::Counter cache_pinv_hits_, cache_pinv_misses_;
-  obs::Counter cache_collisions_, cache_verifies_;
   obs::Counter pool_tasks_, pool_loops_;
   obs::Counter pool_indices_, pool_indices_abandoned_;
   obs::Counter pool_busy_us_;

@@ -16,13 +16,12 @@ IterativeBoundsAnalyzer::IterativeBoundsAnalyzer(AnalysisConfig config)
     : config_(config) {
   const std::size_t workers = analysis_worker_count(config.threads);
   if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
-  if (config.use_curve_cache) cache_ = std::make_unique<CurveCache>();
   eobs_ = detail::EngineObs::make_if(config.observer, "iterative");
 }
 
 AnalysisResult IterativeBoundsAnalyzer::analyze(const System& system) const {
   const detail::EngineObs* eo = eobs_.get();
-  detail::EngineObs::AnalyzeScope obs_scope(eo, pool_.get(), cache_.get());
+  detail::EngineObs::AnalyzeScope obs_scope(eo, pool_.get());
   obs::Tracer::Span span = obs::Tracer::span_if(
       eo != nullptr ? eo->tracer() : nullptr, "iterative.analyze");
   const auto problems = system.validate();
@@ -96,29 +95,26 @@ AnalysisResult IterativeBoundsAnalyzer::analyze_at(const System& system,
   // Returns false when the pass-skip memo proved the pass redundant.
   auto run_processor_pass = [&](std::size_t p) {
     PassMemo& m = memo[p];
-    if (cache_ != nullptr) {
-      if (m.valid) {
-        bool unchanged = true;
-        for (std::size_t i = 0; i < on_proc[p].size() && unchanged; ++i) {
-          const detail::BoundState& st =
-              states.at({on_proc[p][i].job, on_proc[p][i].hop});
-          unchanged = curves_identical(m.inputs[2 * i], st.arr_upper) &&
-                      curves_identical(m.inputs[2 * i + 1], st.arr_lower);
-        }
-        if (unchanged) return false;
+    if (m.valid) {
+      bool unchanged = true;
+      for (std::size_t i = 0; i < on_proc[p].size() && unchanged; ++i) {
+        const detail::BoundState& st =
+            states.at({on_proc[p][i].job, on_proc[p][i].hop});
+        unchanged = curves_identical(m.inputs[2 * i], st.arr_upper) &&
+                    curves_identical(m.inputs[2 * i + 1], st.arr_lower);
       }
-      m.inputs.clear();
-      m.inputs.reserve(2 * on_proc[p].size());
-      for (const SubjobRef& r : on_proc[p]) {
-        const detail::BoundState& st = states.at({r.job, r.hop});
-        m.inputs.push_back(st.arr_upper);
-        m.inputs.push_back(st.arr_lower);
-      }
-      m.valid = true;
+      if (unchanged) return false;
     }
+    m.inputs.clear();
+    m.inputs.reserve(2 * on_proc[p].size());
+    for (const SubjobRef& r : on_proc[p]) {
+      const detail::BoundState& st = states.at({r.job, r.hop});
+      m.inputs.push_back(st.arr_upper);
+      m.inputs.push_back(st.arr_lower);
+    }
+    m.valid = true;
     detail::compute_processor_bounds(system, static_cast<int>(p), horizon,
-                                     states, config_.bounds_variant,
-                                     cache_.get());
+                                     states, config_.bounds_variant);
     return true;
   };
 

@@ -22,12 +22,12 @@
 // Parallel engine: within one refinement round the per-processor passes are
 // independent (each reads and writes only its own subjobs' states), as are
 // the per-job arrival propagations, so with AnalysisConfig::threads != 1
-// both run concurrently on an internal ThreadPool. With use_curve_cache a
-// processor pass whose arrival inputs are knot-for-knot unchanged since its
-// last execution is skipped outright (its outputs are already in place), and
-// pseudo-inverse tables are memoized via CurveCache. All of it preserves the
-// determinism contract: bounds are bit-identical to the serial, uncached
-// engine for every thread count (tests/test_differential_engine.cpp).
+// both run concurrently on an internal ThreadPool. A processor pass whose
+// arrival inputs are knot-for-knot unchanged since its last execution is
+// skipped outright (its outputs are already in place). Both preserve the
+// determinism contract: bounds are bit-identical to the serial engine for
+// every thread count, and a skipped pass equals a recomputed one
+// (tests/test_differential_engine.cpp).
 #pragma once
 
 #include <atomic>
@@ -35,7 +35,6 @@
 
 #include "analysis/instrument.hpp"
 #include "analysis/result.hpp"
-#include "curve/curve_cache.hpp"
 #include "model/system.hpp"
 #include "util/thread_pool.hpp"
 
@@ -55,16 +54,12 @@ class IterativeBoundsAnalyzer {
     return last_iterations_.load(std::memory_order_relaxed);
   }
 
-  /// The memoization layer, for stats inspection (null when disabled).
-  [[nodiscard]] const CurveCache* curve_cache() const { return cache_.get(); }
-
  private:
   [[nodiscard]] AnalysisResult analyze_at(const System& system,
                                           Time horizon) const;
 
   AnalysisConfig config_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<CurveCache> cache_;
   std::unique_ptr<detail::EngineObs> eobs_;  ///< null without an observer
   mutable std::atomic<int> last_iterations_{0};
 };

@@ -53,9 +53,9 @@ struct AnalysisConfig {
   /// value (tests/test_differential_engine.cpp).
   int threads = 1;
 
-  /// Memoize curve operations and unchanged per-processor passes (see
-  /// curve/curve_cache.hpp). Purely an optimization: cache hits are verified
-  /// knot-for-knot, so the results are bit-identical with the cache off.
+  /// No effect: curve results are no longer memoized. Kept only so that
+  /// perfbench/workloads.cpp, which sets it, still compiles; remove both
+  /// together in the next change to perfbench.
   bool use_curve_cache = true;
 
   /// Instrumentation sinks (see obs/observer.hpp and docs/observability.md).

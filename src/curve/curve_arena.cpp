@@ -1,45 +1,19 @@
 #include "curve/curve_arena.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 
-#include "util/rng.hpp"
-
 namespace rta {
 
-namespace {
-
-std::uint64_t mix(std::uint64_t h, double v) {
-  return splitmix64(h ^ std::bit_cast<std::uint64_t>(v));
-}
-
-/// Same formula (seed, knot order, per-field mix) the CurveCache historically
-/// used, so cache keys are unchanged by the SoA rewrite.
-std::uint64_t hash_knots(const double* t, const double* l, const double* r,
-                         std::size_t n) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ n;
-  for (std::size_t i = 0; i < n; ++i) {
-    h = mix(h, t[i]);
-    h = mix(h, l[i]);
-    h = mix(h, r[i]);
-  }
-  return h;
-}
-
-}  // namespace
-
 CurveData::CurveData(std::vector<double> buf, std::size_t n)
-    : buf_(std::move(buf)),
-      n_(n),
-      hash_(hash_knots(times(), lefts(), rights(), n)) {
+    : buf_(std::move(buf)), n_(n) {
   assert(n_ >= 1);
   assert(buf_.size() == 3 * n_);
 }
 
 bool CurveData::identical(const CurveData& a, const CurveData& b) {
   if (&a == &b) return true;
-  if (a.n_ != b.n_ || a.hash_ != b.hash_) return false;
+  if (a.n_ != b.n_) return false;
   return std::memcmp(a.buf_.data(), b.buf_.data(),
                      3 * a.n_ * sizeof(double)) == 0;
 }

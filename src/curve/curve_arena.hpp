@@ -5,10 +5,9 @@
 //
 //   t[0..n) | left[0..n) | right[0..n),
 //
-// with the structural hash of the exact knot bits computed once at
-// construction. PwlCurve holds a shared_ptr<const CurveData>, so curve
-// copies are O(1) handle copies and the CurveCache hashes and compares
-// curves in O(1) (cached hash, pointer fast path, memcmp fallback).
+// PwlCurve holds a shared_ptr<const CurveData>, so curve copies are O(1)
+// handle copies, and exact identity is a pointer check, then a size check,
+// then one memcmp of the buffer.
 //
 // CurveArena is the reusable scratch builder the curve kernels assemble
 // results in: push (t, left, right) triples, then finalize() -- which runs
@@ -31,7 +30,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -46,8 +44,7 @@ inline constexpr double kValueEps = 1e-7;
 /// with strictly increasing times starting at 0.
 class CurveData {
  public:
-  /// Takes a buffer of exactly 3 * n doubles (t | left | right) and caches
-  /// the structural hash.
+  /// Takes a buffer of exactly 3 * n doubles (t | left | right).
   CurveData(std::vector<double> buf, std::size_t n);
 
   [[nodiscard]] std::size_t size() const { return n_; }
@@ -57,11 +54,7 @@ class CurveData {
     return buf_.data() + 2 * n_;
   }
 
-  /// Order-sensitive hash of the exact knot bits, computed once. Equal
-  /// storage implies equal hash; unequal hash implies unequal storage.
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
-  /// Exact (bitwise) storage equality, with hash/size early-outs.
+  /// Exact (bitwise) storage equality: pointer, then size, then memcmp.
   [[nodiscard]] static bool identical(const CurveData& a, const CurveData& b);
 
   /// Shared storage of the default {(0, 0, 0)} curve.
@@ -70,7 +63,6 @@ class CurveData {
  private:
   std::vector<double> buf_;
   std::size_t n_;
-  std::uint64_t hash_;
 };
 
 /// Non-owning flat view of a curve's arrays; valid while the backing

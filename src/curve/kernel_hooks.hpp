@@ -40,7 +40,10 @@ class KernelHooks {
 };
 
 namespace detail {
-extern thread_local KernelHooks* tl_kernel_hooks;
+// Defined inline and constinit so every translation unit sees a constant
+// initializer: accesses compile to a plain TLS load, with no call through a
+// (possibly null) dynamic-initialization wrapper.
+inline constinit thread_local KernelHooks* tl_kernel_hooks = nullptr;
 }  // namespace detail
 
 /// The calling thread's hooks, or null when kernel instrumentation is off.

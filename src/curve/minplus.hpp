@@ -12,6 +12,7 @@
 // enumerated. Complexity is O(n * m * (n + m)) in the operand knot counts --
 // fine for envelope-sized curves (tens of knots), not meant for the
 // trace-sized curves of the exact analyzers.
+// rta-archcheck: allow(test-only-src) public min-plus operator API
 #pragma once
 
 #include "curve/pwl_curve.hpp"

@@ -76,22 +76,6 @@ PwlCurve PwlCurve::step(Time horizon, const std::vector<Time>& jump_times,
   return PwlCurve(arena.finalize());
 }
 
-PwlCurve PwlCurve::truncate(Time h) const {
-  assert(h > 0.0);
-  if (time_ge(h, horizon())) return *this;  // shares storage, O(1)
-  const CurveView v = view();
-  const double le = eval_left(h);
-  const double re = eval(h);
-  CurveArena& arena = tls_curve_arena();
-  arena.clear();
-  arena.reserve(v.n);
-  for (std::size_t i = 0; i < v.n && time_lt(v.t[i], h); ++i) {
-    arena.push(v.t[i], v.l[i], v.r[i]);
-  }
-  arena.push(h, le, re);
-  return PwlCurve(arena.finalize());
-}
-
 Time PwlCurve::pseudo_inverse(double y) const {
   assert(is_nondecreasing());
   if (curve::KernelHooks* hooks = curve::kernel_hooks()) hooks->on_pinv();

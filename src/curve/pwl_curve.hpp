@@ -25,7 +25,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -112,23 +111,10 @@ class PwlCurve {
     return data_->rights()[i];
   }
 
-  /// Shared immutable storage (identity comparisons, cache entries).
+  /// Shared immutable storage (identity comparisons).
   [[nodiscard]] const std::shared_ptr<const CurveData>& data() const {
     return data_;
   }
-
-  /// Order-sensitive hash of the exact knot bits, cached at construction --
-  /// O(1), and equal to the historical CurveCache::structural_hash value.
-  [[nodiscard]] std::uint64_t structural_hash() const {
-    return data_->hash();
-  }
-
-  /// Canonical horizon-truncated prefix: the curve restricted to [0, h]
-  /// (h <= horizon; for h >= horizon returns *this sharing storage). Two
-  /// curves that agree on [0, h] truncate to identical storage, so their
-  /// hashes and bitwise comparisons agree in O(1) -- the CurveCache key path
-  /// for prefix-equal curves.
-  [[nodiscard]] PwlCurve truncate(Time h) const;
 
   /// f(t), right-continuous. t is clamped to [0, horizon]; instants within
   /// time tolerance of a knot snap to the knot.
@@ -174,5 +160,14 @@ class PwlCurve {
 };
 
 std::ostream& operator<<(std::ostream& os, const PwlCurve& c);
+
+/// Exact (bitwise) knot-storage equality. Stricter than
+/// PwlCurve::approx_equal: two curves are identical exactly when recomputing
+/// any operation on them yields bit-identical results. O(1) for curves that
+/// share storage or differ in knot count.
+[[nodiscard]] inline bool curves_identical(const PwlCurve& a,
+                                           const PwlCurve& b) {
+  return CurveData::identical(*a.data(), *b.data());
+}
 
 }  // namespace rta

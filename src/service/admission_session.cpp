@@ -155,13 +155,11 @@ DirtySet dirty_for_removed_job(
 
 AdmissionSession::AdmissionSession(System base, SessionConfig config)
     : system_(std::move(base)), config_(config) {
-  if (config_.analysis.use_curve_cache) cache_ = std::make_shared<CurveCache>();
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
 
   Decision d;
   if (structural_check(d)) {
-    detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
-                                          cache_.get());
+    detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
     const Time h = default_horizon(system_, config_.analysis);
     full_pass(d, h, states_);
     horizon_ = h;
@@ -223,10 +221,6 @@ AdmissionSession::AdmissionSession(const SessionConfig& config)
 std::unique_ptr<AdmissionSession> AdmissionSession::clone_committed() const {
   auto clone = std::unique_ptr<AdmissionSession>(new AdmissionSession(config_));
   clone->system_ = system_;
-  // Share the cache: it is thread-safe and verifies hits bitwise, so
-  // replicas reuse the parent's (and each other's) curve work while every
-  // answer stays bit-identical to a private-cache run.
-  clone->cache_ = cache_;
   clone->states_ = states_;
   clone->horizon_ = horizon_;
   clone->have_states_ = have_states_;
@@ -359,8 +353,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   std::vector<ExplainHop> explain_hops;
   explain_hops.reserve(static_cast<std::size_t>(hops));
   {
-    detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
-                                          cache_.get());
+    detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
     curve::KernelHooksScope sink_scope(
         eobs_ != nullptr ? eobs_->kernel_sink() : nullptr);
     obs::Tracer::Span fast_span = obs::Tracer::span_if(
@@ -379,8 +372,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
       }
       detail::compute_single_priority_subjob(system_, {k_new, hh}, horizon_,
                                              states_,
-                                             config_.analysis.bounds_variant,
-                                             cache_.get());
+                                             config_.analysis.bounds_variant);
       const Time hop_bound = states_.at({k_new, hh}).local_bound;
       candidate_wcrt += hop_bound;  // Eq. 11
       explain_hops.push_back(
@@ -455,7 +447,7 @@ void AdmissionSession::full_pass(Decision& d, Time base_horizon,
                                  detail::BoundStateMap& states) const {
   detail::run_bounds_wavefront(system_, base_horizon,
                                config_.analysis.bounds_variant,
-                               /*pool=*/nullptr, cache_.get(), eobs_.get(),
+                               /*pool=*/nullptr, eobs_.get(),
                                /*dirty=*/nullptr, states);
   d.analysis = detail::bounds_result_from_states(
       system_, base_horizon, config_.analysis.record_curves, states);
@@ -476,7 +468,7 @@ void AdmissionSession::double_horizon_if_unbounded(Decision& d,
     ++d.explain.horizon_doublings;
     detail::BoundStateMap scratch;
     detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                 /*pool=*/nullptr, cache_.get(), eobs_.get(),
+                                 /*pool=*/nullptr, eobs_.get(),
                                  /*dirty=*/nullptr, scratch);
     d.analysis = detail::bounds_result_from_states(
         system_, h, config_.analysis.record_curves, scratch);
@@ -506,8 +498,7 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
     d.error = "duplicate job id " + std::to_string(job.id);
     return d;
   }
-  detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
-                                        cache_.get());
+  detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
   const int k_new = system_.add_job(std::move(job));
   d.job_id = system_.job(k_new).id;
   d.total_subjobs = total_subjobs(system_);
@@ -552,8 +543,8 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
       }
 
       detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                   /*pool=*/nullptr, cache_.get(),
-                                   eobs_.get(), &dirty.flags, states_);
+                                   /*pool=*/nullptr, eobs_.get(),
+                                   &dirty.flags, states_);
       d.analysis = detail::bounds_result_from_states(
           system_, h, config_.analysis.record_curves, states_);
       d.ok = true;
@@ -611,8 +602,7 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.remove").inc();
   }
-  detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr,
-                                        cache_.get());
+  detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
 
   // Capture what the dirty computation needs before indices shift.
   const std::vector<Subjob> removed_chain = system_.job(k).chain;
@@ -669,8 +659,8 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
     if (dirty.count <=
         config_.full_analysis_threshold * graph.node_count()) {
       detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                   /*pool=*/nullptr, cache_.get(),
-                                   eobs_.get(), &dirty.flags, states_);
+                                   /*pool=*/nullptr, eobs_.get(),
+                                   &dirty.flags, states_);
       d.analysis = detail::bounds_result_from_states(
           system_, h, config_.analysis.record_curves, states_);
       d.ok = true;

@@ -24,17 +24,16 @@
 //
 // Like BoundsAnalyzer, the session handles acyclic dependency graphs
 // (heterogeneous SPP/SPNP/FCFS mixes included); a candidate that creates a
-// cycle is rejected with the analyzer's error. The CurveCache is owned by
-// the session (shared with its clones) and reused across requests.
+// cycle is rejected with the analyzer's error.
 //
 // Concurrency discipline (docs/static-analysis.md): a session is
 // single-threaded -- its wavefronts run serially on the one thread that owns
 // it, and concurrency comes from cloning committed snapshots
 // (clone_committed) that each hand off to exactly one worker. The session
 // therefore holds no locks of its own; the lock-bearing components it embeds
-// (CurveCache, the obs registries) carry the Clang thread-safety
-// annotations, and the hand-off discipline itself is exercised under TSan
-// and the differential stream tests rather than the static analysis.
+// (the obs registries) carry the Clang thread-safety annotations, and the
+// hand-off discipline itself is exercised under TSan and the differential
+// stream tests rather than the static analysis.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,6 @@
 #include "analysis/bounds.hpp"
 #include "analysis/instrument.hpp"
 #include "analysis/result.hpp"
-#include "curve/curve_cache.hpp"
 #include "model/system.hpp"
 
 namespace rta::service {
@@ -160,11 +158,8 @@ class AdmissionSession {
   /// Deep copy of the committed session state (retained curves included)
   /// for snapshot-isolated read execution: the replica answers what_if /
   /// query exactly like the original at its creation instant and is mutated
-  /// only by its single owning worker. Replicas SHARE the parent's
-  /// CurveCache -- it is thread-safe, and every hit is verified bitwise
-  /// against the operands, so sharing is a pure go-faster knob: answers
-  /// stay bit-identical while replicas (and region probes,
-  /// service/region.hpp) reuse each other's curve work.
+  /// only by its single owning worker. Replicas share no mutable state
+  /// with the parent: curves are immutable and shared by handle.
   [[nodiscard]] std::unique_ptr<AdmissionSession> clone_committed() const;
 
   /// Stable-id counter passthrough, so a scheduler fanning reads over
@@ -192,7 +187,6 @@ class AdmissionSession {
 
   System system_;
   SessionConfig config_;
-  std::shared_ptr<CurveCache> cache_;  ///< shared with clone_committed()
   std::unique_ptr<detail::EngineObs> eobs_;
 
   detail::BoundStateMap states_;  ///< committed system's curves at horizon_

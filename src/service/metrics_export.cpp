@@ -47,20 +47,10 @@ json::Value stats_payload(const obs::MetricsSnapshot& snap) {
     histograms.set(name, std::move(entry));
   }
 
-  auto counter_or_zero = [&](const char* name) -> double {
-    const auto it = snap.counters.find(name);
-    return it != snap.counters.end() ? static_cast<double>(it->second) : 0.0;
-  };
-  const double hits = counter_or_zero("curve_cache.conv_hits") +
-                      counter_or_zero("curve_cache.pinv_hits");
-  const double lookups = hits + counter_or_zero("curve_cache.conv_misses") +
-                         counter_or_zero("curve_cache.pinv_misses");
-
   json::Value payload{json::Value::Object{}};
   payload.set("counters", std::move(counters));
   payload.set("gauges", std::move(gauges));
   payload.set("histograms", std::move(histograms));
-  payload.set("cache_hit_rate", lookups > 0.0 ? hits / lookups : 0.0);
   return payload;
 }
 

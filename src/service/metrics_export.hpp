@@ -22,9 +22,7 @@ namespace rta::service {
 
 /// The `stats` verb payload: counters and gauges verbatim, every histogram
 /// reduced to {count, p50, p90, p99, max} (quantiles via
-/// HistogramSnapshot::quantile), and the curve-cache hit rate over both
-/// kernel caches (0 when no lookups happened). Schema documented in
-/// docs/observability.md.
+/// HistogramSnapshot::quantile). Schema documented in docs/observability.md.
 [[nodiscard]] json::Value stats_payload(const obs::MetricsSnapshot& snap);
 
 /// Prometheus text exposition (text/plain version 0.0.4) of a snapshot.

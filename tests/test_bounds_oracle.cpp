@@ -90,7 +90,7 @@ void expect_units_match_oracle(const System& sys, int seed, Coverage& cov) {
   const Time horizon = default_horizon(sys, AnalysisConfig{});
   detail::BoundStateMap states;
   detail::run_bounds_wavefront(sys, horizon, BoundsVariant::kSound, nullptr,
-                               nullptr, nullptr, nullptr, states);
+                               nullptr, nullptr, states);
   for (int k = 0; k < sys.job_count(); ++k) {
     for (int h = 0; h < static_cast<int>(sys.job(k).chain.size()); ++h) {
       const SubjobRef ref{k, h};
@@ -179,7 +179,7 @@ int lo_unit_pointwise_calls(int n) {
   const Time horizon = default_horizon(sys, AnalysisConfig{});
   detail::BoundStateMap states;
   detail::run_bounds_wavefront(sys, horizon, BoundsVariant::kSound, nullptr,
-                               nullptr, nullptr, nullptr, states);
+                               nullptr, nullptr, states);
   EXPECT_GE(states.at({1, 0}).arr_upper.end_value(), n - 1.0);
   PointwiseCounter counter;
   curve::KernelHooksScope scope(&counter);

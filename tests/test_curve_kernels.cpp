@@ -9,8 +9,8 @@
 // degenerate single-knot curves, horizon-edge knots, upward-jump-dense and
 // non-monotone curves. Agreement must be BIT-EXACT: the repo's determinism
 // story (differential engine runs, digest-checked service streams, the
-// CurveCache's bitwise hit verification) sits on top of these kernels, so
-// "close enough" is a regression.
+// iterative engine's bitwise pass-skip memo) sits on top of these kernels,
+// so "close enough" is a regression.
 //
 // All comparisons go through std::bit_cast<uint64_t> rather than operator==
 // on double. If this lived under src/, each comparison would carry an

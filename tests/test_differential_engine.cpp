@@ -1,10 +1,12 @@
-// Randomized differential harness for the parallel, memoizing analysis
-// engine (Choi/Oh/Ha's cross-validation idea turned into a test): on a few
-// hundred random job-shop systems the parallel + cached engines must return
-// BIT-IDENTICAL end-to-end bounds d_k and per-hop bounds d_{k,j} to the
-// serial, uncached engine, for every thread count. Exact double equality --
-// not approximate -- because the engine's determinism contract promises the
+// Randomized differential harness for the parallel analysis engine and the
+// iterative engine's pass-skip memo (Choi/Oh/Ha's cross-validation idea
+// turned into a test): on a few hundred random job-shop systems the parallel
+// engines must return BIT-IDENTICAL end-to-end bounds d_k and per-hop bounds
+// d_{k,j} to the serial engine, for every thread count, and every pass the
+// memo skipped must equal the pass recomputed. Exact double equality -- not
+// approximate -- because the engine's determinism contract promises the
 // same arithmetic, not merely close results.
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/iterative.hpp"
 #include "model/priority.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
 
@@ -69,10 +72,9 @@ void expect_bit_identical(const AnalysisResult& serial,
   }
 }
 
-AnalysisConfig engine_config(int threads, bool cache) {
+AnalysisConfig engine_config(int threads) {
   AnalysisConfig cfg;
   cfg.threads = threads;
-  cfg.use_curve_cache = cache;
   return cfg;
 }
 
@@ -83,14 +85,14 @@ void run_differential(SchedulerKind scheduler, std::uint64_t base_seed) {
     Rng rng = factory.stream(static_cast<std::uint64_t>(trial));
     const System system = random_system(rng, scheduler);
 
-    const AnalysisConfig serial_cfg = engine_config(1, false);
+    const AnalysisConfig serial_cfg = engine_config(1);
     const AnalysisResult serial_direct =
         BoundsAnalyzer(serial_cfg).analyze(system);
     const AnalysisResult serial_iterative =
         IterativeBoundsAnalyzer(serial_cfg).analyze(system);
 
     for (const int threads : counts) {
-      const AnalysisConfig cfg = engine_config(threads, true);
+      const AnalysisConfig cfg = engine_config(threads);
       const std::string label = std::string(to_string(scheduler)) + " trial " +
                                 std::to_string(trial) + " threads " +
                                 std::to_string(threads);
@@ -115,39 +117,94 @@ TEST(DifferentialEngine, FcfsParallelCachedMatchesSerial) {
   run_differential(SchedulerKind::kFcfs, 0xD1FF5EED ^ 0xF0F0);
 }
 
-// The cache alone (serial engine) must also be invisible, including for the
-// paper-literal bound variant used by the soundness ablation.
+// The paper-literal bound variant used by the soundness ablation must be
+// thread-count invariant too.
 TEST(DifferentialEngine, CacheIsInvisibleForLiteralVariant) {
   const RngFactory factory(77);
   for (int trial = 0; trial < 20; ++trial) {
     Rng rng = factory.stream(static_cast<std::uint64_t>(trial));
     const System system = random_system(rng, SchedulerKind::kSpnp);
-    AnalysisConfig plain = engine_config(1, false);
-    plain.bounds_variant = BoundsVariant::kPaperLiteral;
-    AnalysisConfig cached = engine_config(2, true);
-    cached.bounds_variant = BoundsVariant::kPaperLiteral;
-    expect_bit_identical(BoundsAnalyzer(plain).analyze(system),
-                         BoundsAnalyzer(cached).analyze(system),
+    AnalysisConfig serial = engine_config(1);
+    serial.bounds_variant = BoundsVariant::kPaperLiteral;
+    AnalysisConfig parallel = engine_config(2);
+    parallel.bounds_variant = BoundsVariant::kPaperLiteral;
+    expect_bit_identical(BoundsAnalyzer(serial).analyze(system),
+                         BoundsAnalyzer(parallel).analyze(system),
                          "literal trial " + std::to_string(trial));
   }
 }
 
-// Re-analyzing different systems through ONE analyzer instance reuses its
-// cache across systems; stale entries must never leak into the results.
-TEST(DifferentialEngine, CacheReuseAcrossSystemsIsInvisible) {
-  const RngFactory factory(1234);
-  const AnalysisConfig cfg = engine_config(2, true);
-  IterativeBoundsAnalyzer reused(cfg);
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng rng = factory.stream(static_cast<std::uint64_t>(trial));
-    const System system = random_system(rng, SchedulerKind::kSpp);
-    const AnalysisResult fresh =
-        IterativeBoundsAnalyzer(engine_config(1, false)).analyze(system);
-    expect_bit_identical(fresh, reused.analyze(system),
-                         "reuse trial " + std::to_string(trial));
+/// random_system plus a copy of job 0 that runs its stages in reverse: with
+/// two or more stages the copy and job 0 disturb each other in both
+/// directions (a logical loop, paper §6), so the fixed point takes rounds.
+System random_cyclic_system(Rng& rng, SchedulerKind scheduler) {
+  System system = random_system(rng, scheduler);
+  Job reversed = system.job(0);
+  reversed.name += "_rev";
+  reversed.id = 0;
+  std::reverse(reversed.chain.begin(), reversed.chain.end());
+  system.add_job(std::move(reversed));
+  assign_proportional_deadline_monotonic(system);
+  return system;
+}
+
+// The iterative engine skips a processor pass whose arrival inputs are
+// bitwise unchanged since it last ran. Skipping is exact only if the
+// retained outputs are what a fresh pass would compute: re-running every
+// processor pass from the fixed point's final arrival bounds must reproduce
+// the service, departure and delay bounds the engine reports, bit for bit.
+TEST(DifferentialEngine, SkippedPassesEqualRecomputedPasses) {
+  obs::MetricsRegistry registry;
+  AnalysisConfig cfg;
+  cfg.record_curves = true;
+  cfg.observer.metrics = &registry;
+  const IterativeBoundsAnalyzer engine(cfg);
+  const RngFactory factory(0x5C1F);
+  int checked = 0;
+  for (const SchedulerKind scheduler :
+       {SchedulerKind::kSpp, SchedulerKind::kSpnp, SchedulerKind::kFcfs}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Rng rng = factory.stream(static_cast<std::uint64_t>(trial));
+      const System system = trial % 2 == 0
+                                ? random_system(rng, scheduler)
+                                : random_cyclic_system(rng, scheduler);
+      const AnalysisResult result = engine.analyze(system);
+      ASSERT_TRUE(result.ok) << result.error;
+      const std::string label = std::string(to_string(scheduler)) +
+                                " trial " + std::to_string(trial);
+
+      detail::BoundStateMap states;
+      for (int k = 0; k < system.job_count(); ++k) {
+        for (const SubjobReport& hop : result.jobs[k].hops) {
+          detail::BoundState& st = states[{hop.ref.job, hop.ref.hop}];
+          st.arr_upper = hop.curves.at(0).arrival_upper;
+          st.arr_lower = hop.curves.at(0).arrival_lower;
+        }
+      }
+      for (int p = 0; p < system.processor_count(); ++p) {
+        detail::compute_processor_bounds(system, p, result.horizon, states,
+                                         cfg.bounds_variant);
+      }
+      for (int k = 0; k < system.job_count(); ++k) {
+        for (const SubjobReport& hop : result.jobs[k].hops) {
+          const detail::BoundState& st = states.at({hop.ref.job, hop.ref.hop});
+          const SubjobCurves& kept = hop.curves.at(0);
+          const std::string where = label + " job " + std::to_string(k) +
+                                    " hop " + std::to_string(hop.ref.hop);
+          EXPECT_TRUE(curves_identical(st.svc_upper, kept.service_upper))
+              << where;
+          EXPECT_TRUE(curves_identical(st.svc_lower, kept.service_lower))
+              << where;
+          EXPECT_TRUE(curves_identical(st.dep_lower, kept.departure_lower))
+              << where;
+          EXPECT_EQ(st.local_bound, hop.local_bound) << where;
+          ++checked;
+        }
+      }
+    }
   }
-  ASSERT_NE(reused.curve_cache(), nullptr);
-  EXPECT_GT(reused.curve_cache()->stats().hits(), 0u);
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(registry.snapshot().counters.at("iterative.passes_skipped"), 0u);
 }
 
 }  // namespace

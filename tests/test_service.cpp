@@ -1,6 +1,6 @@
 // Differential harness for the incremental admission service: long random
 // admit / remove / what-if sequences through one AdmissionSession must
-// produce decisions BIT-IDENTICAL to a fresh, serial, uncached full analysis
+// produce decisions BIT-IDENTICAL to a fresh, serial full analysis
 // of the candidate system at every step -- the session's retained curves and
 // dirty-set propagation are a latency optimization, never a result change
 // (admission_session.hpp states the contract). Exact double equality, as in
@@ -107,14 +107,11 @@ void run_sequence(Rng& rng, SchedulerKind scheduler, bool mixed,
   const System base = random_base(rng, scheduler, mixed);
 
   SessionConfig cfg;
-  cfg.analysis.use_curve_cache = true;
   if (pin_horizon) {
     cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
   }
 
-  // The reference config: serial, uncached, same horizon policy. The engine
-  // differential tests prove the cache is invisible, so this checks the
-  // session against the strictest baseline in one comparison.
+  // The reference config: serial, same horizon policy.
   AnalysisConfig ref_cfg;
   ref_cfg.horizon = cfg.analysis.horizon;
 

@@ -2,9 +2,8 @@
 // meaningful under ThreadSanitizer (configure with -DRTA_SANITIZE=thread):
 // several client threads drive analyses concurrently -- each through its own
 // analyzer and, in the second test, all through ONE shared analyzer whose
-// internal ThreadPool and CurveCache are then exercised from every client at
-// once. Any data race in the wavefront scheduler, the cache shards, or the
-// pass-skip memo shows up here.
+// internal ThreadPool is then exercised from every client at once. Any data
+// race in the wavefront scheduler or the pass-skip memo shows up here.
 #include <thread>
 #include <vector>
 
@@ -50,7 +49,6 @@ TEST(ThreadSafety, ConcurrentAnalyzersOnSharedSystem) {
   const System system = make_system(42);
   AnalysisConfig cfg;
   cfg.threads = 4;
-  cfg.use_curve_cache = true;
 
   const AnalysisResult reference = IterativeBoundsAnalyzer(cfg).analyze(system);
   ASSERT_TRUE(reference.ok);
@@ -68,15 +66,14 @@ TEST(ThreadSafety, ConcurrentAnalyzersOnSharedSystem) {
 }
 
 // All clients hammer ONE analyzer concurrently. analyze() is const and the
-// engine keeps per-call state on the stack; the shared pieces (ThreadPool,
-// CurveCache) are the synchronized ones. Clients use distinct systems so a
+// engine keeps per-call state on the stack; the shared piece (ThreadPool)
+// is the synchronized one. Clients use distinct systems so a
 // cross-talk bug would corrupt results, not just race silently.
 TEST(ThreadSafety, SharedAnalyzerServesConcurrentClients) {
   std::vector<System> systems;
   std::vector<AnalysisResult> references;
   AnalysisConfig serial;
   serial.threads = 1;
-  serial.use_curve_cache = false;
   for (int t = 0; t < kClientThreads; ++t) {
     systems.push_back(make_system(1000 + static_cast<std::uint64_t>(t)));
     references.push_back(BoundsAnalyzer(serial).analyze(systems.back()));
@@ -85,7 +82,6 @@ TEST(ThreadSafety, SharedAnalyzerServesConcurrentClients) {
 
   AnalysisConfig cfg;
   cfg.threads = 4;
-  cfg.use_curve_cache = true;
   const BoundsAnalyzer shared(cfg);
 
   std::vector<AnalysisResult> results(kClientThreads);
@@ -112,7 +108,6 @@ TEST(ThreadSafety, SharedIterativeAnalyzerServesConcurrentClients) {
   std::vector<AnalysisResult> references;
   AnalysisConfig serial;
   serial.threads = 1;
-  serial.use_curve_cache = false;
   for (int t = 0; t < kClientThreads; ++t) {
     systems.push_back(make_system(2000 + static_cast<std::uint64_t>(t)));
     references.push_back(IterativeBoundsAnalyzer(serial).analyze(systems.back()));
@@ -121,7 +116,6 @@ TEST(ThreadSafety, SharedIterativeAnalyzerServesConcurrentClients) {
 
   AnalysisConfig cfg;
   cfg.threads = 4;
-  cfg.use_curve_cache = true;
   const IterativeBoundsAnalyzer shared(cfg);
 
   std::vector<AnalysisResult> results(kClientThreads);

@@ -75,10 +75,8 @@ const std::vector<FlagSpec>& shared_analysis_flags() {
       {"threads", "N", "1",
        "bounds-engine worker threads (0 = all hardware threads); results "
        "are identical for every N"},
-      {"no-cache", nullptr, nullptr,
-       "disable curve-operation memoization (same results, slower)"},
       {"stats", nullptr, nullptr,
-       "print cache/kernel/pool statistics; never changes computed bounds"},
+       "print kernel/pool statistics; never changes computed bounds"},
       {"metrics-json", "FILE", nullptr,
        "write aggregated engine metrics as JSON"},
       {"trace-json", "FILE", nullptr,
@@ -334,8 +332,8 @@ bool write_text_file(const std::string& path, const std::string& content) {
 
 /// Sinks and export paths behind --metrics-json / --trace-json /
 /// --trace-jsonl / --stats. The registry also backs --stats on its own (no
-/// file needed): the analyzers flush their cache/pool/kernel counters into
-/// it per analyze().
+/// file needed): the analyzers flush their pool/kernel counters into it
+/// per analyze().
 struct ObsSession {
   std::string metrics_path;
   std::string trace_path;
@@ -376,13 +374,6 @@ struct ObsSession {
       return it == snap.gauges.end() ? 0.0 : it->second;
     };
     std::fprintf(f, "-- stats --\n");
-    std::fprintf(
-        f,
-        "curve cache: conv %llu hits / %llu misses, pinv %llu hits / %llu "
-        "misses, collisions %llu, verifies %llu\n",
-        c("curve_cache.conv_hits"), c("curve_cache.conv_misses"),
-        c("curve_cache.pinv_hits"), c("curve_cache.pinv_misses"),
-        c("curve_cache.collisions"), c("curve_cache.verifies"));
     std::fprintf(
         f, "kernel ops: conv %llu, deconv %llu, pointwise %llu, pinv %llu\n",
         c("kernel.conv_ops"), c("kernel.deconv_ops"), c("kernel.pointwise_ops"),
@@ -453,7 +444,6 @@ struct ObsSession {
 AnalysisConfig analysis_config(const Options& opts) {
   AnalysisConfig cfg;
   cfg.threads = static_cast<int>(opts.get_int("threads", 1));
-  cfg.use_curve_cache = !opts.get_bool("no-cache", false);
   return cfg;
 }
 
@@ -853,9 +843,8 @@ bool json_path(const std::string& path);  // defined with the loaders below
 /// Parse a tenant manifest ("name [system-file]" per line; '#' comments) and
 /// fill `registry`. The base analysis runs once per distinct system source
 /// (the positional FILE when the path column is omitted); tenants receive
-/// clone_committed() copies, which share the prototype's CurveCache --
-/// thread-safe and bit-identical, so 1000 tenants cost one analysis, not
-/// 1000. Reports and returns false on any error.
+/// clone_committed() copies, so 1000 tenants cost one analysis, not 1000.
+/// Reports and returns false on any error.
 bool build_tenant_registry(const std::string& manifest_path,
                            const Options& opts, const System& base,
                            const service::SessionConfig& base_cfg,
