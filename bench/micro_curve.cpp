@@ -1,5 +1,7 @@
 // Microbenchmarks of the curve-algebra substrate (google-benchmark):
-// the operators that dominate analysis cost.
+// the operators that dominate analysis cost. BM_CurveSum and
+// BM_CurveSumLeftFold race the one-pass n-ary sum against the binary fold it
+// replaced.
 //
 // Two modes:
 //   * default: the usual google-benchmark CLI, now including Legacy* twins
@@ -67,6 +69,34 @@ void BM_LegacyCurveAdd(benchmark::State& state) {
   state.SetComplexityN(jumps);
 }
 BENCHMARK(BM_LegacyCurveAdd)->Range(16, 1024)->Complexity();
+
+/// K step curves of `jumps` jumps each on a shared horizon.
+std::vector<PwlCurve> make_steps(int k, int jumps) {
+  std::vector<PwlCurve> out;
+  for (int i = 0; i < k; ++i) {
+    out.push_back(make_step(jumps, 100.0, 100 + static_cast<std::uint64_t>(i)));
+  }
+  return out;
+}
+
+void BM_CurveSum(benchmark::State& state) {
+  const std::vector<PwlCurve> curves =
+      make_steps(static_cast<int>(state.range(0)), 256);
+  for (auto _ : state) benchmark::DoNotOptimize(curve_sum(curves, 100.0));
+}
+BENCHMARK(BM_CurveSum)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/// The left fold of binary curve_add that the one-pass curve_sum replaced.
+void BM_CurveSumLeftFold(benchmark::State& state) {
+  const std::vector<PwlCurve> curves =
+      make_steps(static_cast<int>(state.range(0)), 256);
+  for (auto _ : state) {
+    PwlCurve acc = PwlCurve::zero(100.0);
+    for (const PwlCurve& c : curves) acc = curve_add(acc, c);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_CurveSumLeftFold)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_CurveMinWithCrossings(benchmark::State& state) {
   const int jumps = static_cast<int>(state.range(0));
@@ -304,6 +334,27 @@ std::vector<KernelResult> run_comparison() {
           20, kRepeats);
       out.push_back(k);
     }
+  }
+
+  {
+    // Eight 256-jump operands: one n-ary pass vs a left fold of the legacy
+    // binary add.
+    KernelResult k{"sum_k8", 256, 0.0, 0.0};
+    const std::vector<PwlCurve> curves = make_steps(8, 256);
+    std::vector<legacyref::Curve> rcurves;
+    for (const PwlCurve& c : curves) rcurves.push_back(c.knots());
+    const legacyref::Curve rzero = PwlCurve::zero(100.0).knots();
+    k.flat_ns = ns_per_op(
+        [&] { benchmark::DoNotOptimize(curve_sum(curves, 100.0)); }, 50,
+        kRepeats);
+    k.legacy_ns = ns_per_op(
+        [&] {
+          legacyref::Curve acc = rzero;
+          for (const legacyref::Curve& c : rcurves) acc = legacyref::add(acc, c);
+          benchmark::DoNotOptimize(acc);
+        },
+        50, kRepeats);
+    out.push_back(k);
   }
 
   // Min-plus kernels scale superlinearly; keep operand sizes envelope-like.

@@ -121,7 +121,8 @@ void literal_priority_subjob(const System& system, SubjobRef ref,
     assert(hp_state.computed);
     hp_lower.push_back(hp_state.svc_lower);
   }
-  const PwlCurve hp_l = curve_sum(hp_lower, horizon);
+  // t - sum S̲_hp(t), in one kernel pass.
+  const PwlCurve hp_free = curve_available(ident, hp_lower);
 
   const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
   const PwlCurve c_lower = curve_scale(st.arr_lower, tau);
@@ -130,7 +131,7 @@ void literal_priority_subjob(const System& system, SubjobRef ref,
   // lower-bound curves can make this non-monotone; our transform needs a
   // nondecreasing availability, so monotonize from below (this only
   // *increases* the literal bound, i.e. never hides its optimism).
-  PwlCurve avail_lower = curve_sub(ident, hp_l);
+  PwlCurve avail_lower = hp_free;
   if (b > 0.0) avail_lower = curve_add_constant(avail_lower, -b);
   avail_lower =
       curve_running_max(curve_clamp_min(avail_lower, 0.0));
@@ -139,7 +140,7 @@ void literal_priority_subjob(const System& system, SubjobRef ref,
 
   // Eq. 19: B̄(t) = t - sum S̲_hp(t); Eq. 18 with the same min form.
   PwlCurve avail_upper =
-      curve_clamp_min(curve_right_running_min(curve_sub(ident, hp_l)), 0.0);
+      curve_clamp_min(curve_right_running_min(hp_free), 0.0);
   PwlCurve svc_upper = service_transform(avail_upper, c_upper);
 
   st.svc_lower = tighten_lower_bound(svc_lower);
@@ -177,8 +178,12 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
     hp_upper.push_back(hp_state.svc_upper);
     hp_lower.push_back(hp_state.svc_lower);
   }
-  const PwlCurve hp_u = curve_sum(hp_upper, horizon);  // upper on hp service
-  const PwlCurve hp_l = curve_sum(hp_lower, horizon);  // lower on hp service
+  // Σ_hp S_hp(t^-), summed operand by operand in input order.
+  const auto hp_sum_left = [](const std::vector<PwlCurve>& hp, Time t) {
+    double sum = 0.0;
+    for (const PwlCurve& c : hp) sum += c.eval_left(t);
+    return sum;
+  };
 
   const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
   const PwlCurve c_lower = curve_scale(st.arr_lower, tau);
@@ -208,9 +213,13 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   // prefix-minimum step curves of base_i - s_i and
   // base_i - s_i + S̄hp(s_i^-) over the candidates with s_i <= t. Each
   // costs a fixed number of curve kernels, whatever the arrival count.
-  const PwlCurve q_lower =
-      curve_add_constant(curve_sub(ident, hp_u), -b);
-  const PwlCurve q_upper = curve_sub(ident, hp_l);
+  //
+  // Q̲ and Q̄ are one curve_available pass each over the higher-priority
+  // curves; no S̄hp or S̲hp curve is built, so the unit's kernel calls are
+  // also independent of how many subjobs outrank it. The offsets read the
+  // hp sums only at the candidates s_i, evaluated operand by operand.
+  const PwlCurve q_lower = curve_available(ident, hp_upper, -b);
+  const PwlCurve q_upper = curve_available(ident, hp_lower);
 
   const long long count_lower = tolerant_floor(st.arr_lower.end_value() + 0.5);
   const long long count_upper = tolerant_floor(st.arr_upper.end_value() + 0.5);
@@ -222,7 +231,7 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
     const Time s_i = st.arr_lower.pseudo_inverse(static_cast<double>(i));
     if (std::isinf(s_i)) break;
     hinges.push_back({static_cast<double>(i - 1) * tau,
-                      s_i - hp_l.eval_left(s_i)});
+                      s_i - hp_sum_left(hp_lower, s_i)});
   }
   PwlCurve svc_lower = PwlCurve::zero(horizon);
   if (!hinges.empty()) {
@@ -237,14 +246,14 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   // ---- Upper service bound.
   std::vector<Time> starts{0.0};
   std::vector<double> elapsed_off{0.0};
-  std::vector<double> drained_off{hp_u.eval_left(0.0)};
+  std::vector<double> drained_off{hp_sum_left(hp_upper, 0.0)};
   for (long long i = 1; i <= count_upper; ++i) {
     const Time s_i = st.arr_upper.pseudo_inverse(static_cast<double>(i));
     if (std::isinf(s_i)) break;
     const double base = static_cast<double>(i - 1) * tau;
     starts.push_back(s_i);
     elapsed_off.push_back(base - s_i);
-    drained_off.push_back(base - s_i + hp_u.eval_left(s_i));
+    drained_off.push_back(base - s_i + hp_sum_left(hp_upper, s_i));
   }
   const PwlCurve p1 = curve_prefix_min_steps(horizon, starts, elapsed_off);
   const PwlCurve p2 = curve_prefix_min_steps(horizon, starts, drained_off);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "curve/curve_arena.hpp"
 #include "curve/kernel_hooks.hpp"
@@ -35,6 +37,51 @@ void merged_grid(const CurveView& a, const CurveView& b,
       t = b.t[j++];
     }
     if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+  }
+}
+
+/// Per-thread scratch of the n-ary sum kernel: operand views, the running
+/// left-limit and right-value sums per grid point, and the K-way merge heap.
+struct SumScratch {
+  std::vector<CurveView> views;
+  std::vector<double> left;
+  std::vector<double> right;
+  std::vector<std::pair<Time, std::size_t>> heap;  // (next abscissa, operand)
+  std::vector<std::size_t> next;
+};
+
+SumScratch& tls_sum_scratch() {
+  thread_local SumScratch scratch;
+  return scratch;
+}
+
+/// Sorted union of the knot abscissae of any number of curves, deduplicated
+/// with time_eq exactly as the two-operand merged_grid, by a K-way heap
+/// merge of the already-sorted time arrays.
+void merged_grid(const std::vector<CurveView>& views, SumScratch& scratch,
+                 std::vector<Time>& out) {
+  auto& heap = scratch.heap;
+  auto& next = scratch.next;
+  const auto later = std::greater<std::pair<Time, std::size_t>>();
+  out.clear();
+  heap.clear();
+  next.assign(views.size(), 0);
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < views.size(); ++k) {
+    total += views[k].n;
+    heap.emplace_back(views[k].t[0], k);
+  }
+  out.reserve(total);
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [t, k] = heap.back();
+    heap.pop_back();
+    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+    if (++next[k] < views[k].n) {
+      heap.emplace_back(views[k].t[next[k]], k);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
   }
 }
 
@@ -114,6 +161,61 @@ PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
     const double left = op(flat_eval_left(av, t, al), flat_eval_left(bv, t, bl));
     const double right = op(flat_eval(av, t, ar), flat_eval(bv, t, br));
     arena.push(t, left, right);
+  }
+  PwlCurve result(arena.finalize());
+  report_pointwise(result.knot_count());
+  return result;
+}
+
+/// The one n-ary pointwise pass behind curve_sum and curve_available:
+/// finish(base(t), sum_k terms[k](t)) on the merged grid of base (if any)
+/// and the terms, for left limits and right values alike. The terms are
+/// accumulated operand by operand over the whole grid, so each grid point
+/// sums them in input order: the arithmetic of a left fold of curve_add,
+/// without the fold's canonicalized intermediates (and their interpolation
+/// rounding). One finalize, one report.
+template <typename Finish>
+PwlCurve sum_pass(const PwlCurve* base, const std::vector<PwlCurve>& terms,
+                  Finish finish) {
+  SumScratch& scratch = tls_sum_scratch();
+  std::vector<CurveView>& views = scratch.views;
+  views.clear();
+  if (base != nullptr) views.push_back(base->view());
+  for (const PwlCurve& c : terms) {
+    assert(views.empty() || time_eq(c.horizon(), views[0].t[views[0].n - 1]));
+    views.push_back(c.view());
+  }
+  assert(!views.empty());
+  std::vector<Time>& grid = tls_grid_scratch();
+  merged_grid(views, scratch, grid);
+  std::vector<double>& left = scratch.left;
+  std::vector<double>& right = scratch.right;
+  left.assign(grid.size(), 0.0);
+  right.assign(grid.size(), 0.0);
+  for (const PwlCurve& c : terms) {
+    const CurveView v = c.view();
+    SegmentCursor cur(v);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      double l = 0.0;
+      double r = 0.0;
+      flat_eval_both(v, grid[i], cur, l, r);
+      left[i] += l;
+      right[i] += r;
+    }
+  }
+  CurveArena& arena = tls_curve_arena();
+  arena.clear();
+  arena.reserve(grid.size());
+  SegmentCursor base_cur(views[0]);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (base != nullptr) {
+      double l = 0.0;
+      double r = 0.0;
+      flat_eval_both(views[0], grid[i], base_cur, l, r);
+      left[i] = finish(l, left[i]);
+      right[i] = finish(r, right[i]);
+    }
+    arena.push(grid[i], left[i], right[i]);
   }
   PwlCurve result(arena.finalize());
   report_pointwise(result.knot_count());
@@ -252,9 +354,20 @@ PwlCurve curve_right_running_min(const PwlCurve& a) {
 }
 
 PwlCurve curve_sum(const std::vector<PwlCurve>& curves, Time horizon) {
-  PwlCurve acc = PwlCurve::zero(horizon);
-  for (const PwlCurve& c : curves) acc = curve_add(acc, c);
-  return acc;
+  if (curves.size() > 1) {
+    return sum_pass(nullptr, curves, [](double, double sum) { return sum; });
+  }
+  PwlCurve result = curves.empty() ? PwlCurve::zero(horizon) : curves[0];
+  report_pointwise(result.knot_count());
+  return result;
+}
+
+PwlCurve curve_available(const PwlCurve& base,
+                         const std::vector<PwlCurve>& consumed,
+                         double offset) {
+  return sum_pass(&base, consumed, [offset](double b, double sum) {
+    return b - sum + offset;
+  });
 }
 
 Time curve_first_crossing(const PwlCurve& a, double y) {

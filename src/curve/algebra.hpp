@@ -50,9 +50,18 @@ namespace rta {
 /// admits the left limit, so restrict use to continuous curves (asserted).
 [[nodiscard]] PwlCurve curve_right_running_min(const PwlCurve& a);
 
-/// Sum of a set of curves (zero curve of `horizon` if the set is empty).
+/// Sum of a set of curves in one pass over the merged knot grid, summed in
+/// input order at each grid point. The empty set gives the zero curve of
+/// `horizon`; a single curve is returned as is (shared storage).
 [[nodiscard]] PwlCurve curve_sum(const std::vector<PwlCurve>& curves,
                                  Time horizon);
+
+/// base - sum of `consumed` + offset, on the same one-pass kernel as
+/// curve_sum: the availability left over once the consumed curves are
+/// served (e.g. t - b - S̄hp). No intermediate sum curve is built.
+[[nodiscard]] PwlCurve curve_available(const PwlCurve& base,
+                                       const std::vector<PwlCurve>& consumed,
+                                       double offset = 0.0);
 
 /// Theorem 2 / Lemmas 1-2: counting curve f(t) = floor(S(t) / tau) as a unit
 /// step curve. S must be nondecreasing; tau > 0. Uses a tolerant floor so a

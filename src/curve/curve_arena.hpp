@@ -153,6 +153,23 @@ template <typename Seg>
   return flat_eval_left_with(v, q, [&](Time x) { return cur.index(x); });
 }
 
+/// flat_eval_left and flat_eval at the same q, sharing one cursor lookup;
+/// the results are those of the two separate calls.
+inline void flat_eval_both(const CurveView& v, Time q, SegmentCursor& cur,
+                           double& left, double& right) {
+  std::size_t i = 0;
+  bool looked_up = false;  // the index is looked up on first use only
+  const auto seg = [&](Time x) {
+    if (!looked_up) {
+      i = cur.index(x);
+      looked_up = true;
+    }
+    return i;
+  };
+  left = flat_eval_left_with(v, q, seg);
+  right = flat_eval_with(v, q, seg);
+}
+
 /// Reusable SoA builder for curve results. See the file comment for the
 /// leaf-only usage discipline.
 class CurveArena {

@@ -43,8 +43,7 @@ PwlCurve availability_minus(Time horizon,
                             const std::vector<PwlCurve>& consumed) {
   const PwlCurve ident = PwlCurve::identity(horizon);
   if (consumed.empty()) return ident;
-  PwlCurve a = curve_sub(ident, curve_sum(consumed, horizon));
-  a = curve_clamp_min(a, 0.0);
+  const PwlCurve a = curve_clamp_min(curve_available(ident, consumed), 0.0);
   assert(a.is_nondecreasing());
   return a;
 }

@@ -1,5 +1,6 @@
 #include "io/system_text.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -41,6 +42,8 @@ struct Parser {
   }
 };
 
+/// A finite number spanning the whole token: std::stod alone also accepts
+/// "nan" and "inf", which no field of the format may hold.
 bool parse_double(const std::string& tok, double& out) {
   std::size_t pos = 0;
   try {
@@ -48,7 +51,7 @@ bool parse_double(const std::string& tok, double& out) {
   } catch (...) {
     return false;
   }
-  return pos == tok.size();
+  return pos == tok.size() && std::isfinite(out);
 }
 
 bool parse_int(const std::string& tok, int& out) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -110,8 +111,9 @@ std::vector<std::string> System::validate() const {
     if (j.chain.empty()) {
       complain("job " + std::to_string(k) + " has an empty chain");
     }
-    if (j.deadline <= 0.0) {
-      complain("job " + std::to_string(k) + " has non-positive deadline");
+    if (!(j.deadline > 0.0) || !std::isfinite(j.deadline)) {
+      complain("job " + std::to_string(k) +
+               " has a non-positive or non-finite deadline");
     }
     if (j.arrivals.empty()) {
       complain("job " + std::to_string(k) + " has no release times");
@@ -122,9 +124,9 @@ std::vector<std::string> System::validate() const {
         complain("job " + std::to_string(k) + " hop " + std::to_string(h) +
                  " references invalid processor " + std::to_string(s.processor));
       }
-      if (s.exec_time <= 0.0) {
+      if (!(s.exec_time > 0.0) || !std::isfinite(s.exec_time)) {
         complain("job " + std::to_string(k) + " hop " + std::to_string(h) +
-                 " has non-positive execution time");
+                 " has a non-positive or non-finite execution time");
       }
     }
   }

@@ -28,8 +28,16 @@ void fold_priority_subjob(const System& system, SubjobRef ref, Time horizon,
     hp_upper.push_back(hp_state.svc_upper);
     hp_lower.push_back(hp_state.svc_lower);
   }
-  const PwlCurve hp_u = curve_sum(hp_upper, horizon);
-  const PwlCurve hp_l = curve_sum(hp_lower, horizon);
+  // The higher-priority sums as an explicit left fold of binary curve_add,
+  // kept apart from the n-ary curve_sum/curve_available kernel the
+  // production path uses, so the oracle checks that kernel too.
+  const auto fold_sum = [horizon](const std::vector<PwlCurve>& curves) {
+    PwlCurve acc = PwlCurve::zero(horizon);
+    for (const PwlCurve& c : curves) acc = curve_add(acc, c);
+    return acc;
+  };
+  const PwlCurve hp_u = fold_sum(hp_upper);
+  const PwlCurve hp_l = fold_sum(hp_lower);
   const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
   const PwlCurve c_lower = curve_scale(st.arr_lower, tau);
   const PwlCurve q_lower = curve_add_constant(curve_sub(ident, hp_u), -b);

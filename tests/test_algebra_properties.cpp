@@ -1,12 +1,15 @@
 // Randomized algebraic identities over the curve substrate: the operators
 // must satisfy the (pointwise) semiring/lattice laws the analyzers silently
 // rely on when composing them.
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "curve/algebra.hpp"
+#include "curve/kernel_hooks.hpp"
 #include "curve/transforms.hpp"
 #include "util/rng.hpp"
 
@@ -209,6 +212,111 @@ TEST_P(AlgebraProperties, IdentityIsPointerThenSizeThenBits) {
   const PwlCurve nudged{k3};
   ASSERT_EQ(nudged.knot_count(), a.knot_count());
   EXPECT_FALSE(curves_identical(nudged, a));
+}
+
+// --- The n-ary sum kernel (curve_sum / curve_available) --------------------
+//
+// One merged-grid pass must agree with the left fold of binary kernels it
+// replaces, up to the rounding of the fold's canonicalized intermediates.
+
+/// K curves whose jumps sit on a shared set of instants, each operand's copy
+/// nudged by up to 1e-10: abscissae that are tolerance-equal across operands
+/// but not bitwise equal. The fold's intermediates place such a cluster at
+/// one representative and interpolate from there, which is off by up to the
+/// cluster's spread times the summed slope (here 2e-10 x 4); the kernel
+/// evaluates every operand directly, so the two agree to that bound.
+std::vector<PwlCurve> near_coincident_curves(Rng& rng, int k) {
+  std::vector<Time> shared;
+  const int n = rng.uniform_int(1, 6);
+  for (int i = 0; i < n; ++i) shared.push_back(rng.uniform(0.5, kHorizon - 0.5));
+  std::sort(shared.begin(), shared.end());
+  std::vector<PwlCurve> out;
+  for (int c = 0; c < k; ++c) {
+    std::vector<Time> jumps = shared;
+    for (Time& t : jumps) t += rng.uniform(-1e-10, 1e-10);
+    std::sort(jumps.begin(), jumps.end());
+    out.push_back(curve_add(PwlCurve::step(kHorizon, jumps,
+                                           rng.uniform(0.25, 2.0)),
+                            PwlCurve::line(kHorizon, rng.uniform(0.0, 0.5))));
+  }
+  return out;
+}
+
+PwlCurve fold_sum(const std::vector<PwlCurve>& curves) {
+  PwlCurve acc = PwlCurve::zero(kHorizon);
+  for (const PwlCurve& c : curves) acc = curve_add(acc, c);
+  return acc;
+}
+
+class PointwiseCalls : public curve::KernelHooks {
+ public:
+  void on_conv(std::size_t) override {}
+  void on_deconv(std::size_t) override {}
+  void on_conv_result(std::size_t) override {}
+  void on_pointwise(std::size_t knots) override {
+    ++calls;
+    last_knots = knots;
+  }
+  void on_pinv() override {}
+  int calls = 0;
+  std::size_t last_knots = 0;
+};
+
+TEST_P(AlgebraProperties, NarySumMatchesLeftFold) {
+  Rng rng(GetParam() + 13000);
+  for (const int k : {0, 1, 2, 8}) {
+    for (const bool near : {false, true}) {
+      std::vector<PwlCurve> curves;
+      if (near) {
+        curves = near_coincident_curves(rng, k);
+      } else {
+        for (int i = 0; i < k; ++i) curves.push_back(random_curve(rng));
+      }
+      const PwlCurve base = random_curve(rng);
+      const double offset = rng.uniform(-2.0, 2.0);
+      const PwlCurve fold = fold_sum(curves);
+      EXPECT_LE(curve_sum(curves, kHorizon).max_abs_difference(fold), 1e-9)
+          << "K = " << k << " near = " << near;
+      const PwlCurve avail_fold =
+          curve_add_constant(curve_sub(base, fold), offset);
+      EXPECT_LE(curve_available(base, curves, offset)
+                    .max_abs_difference(avail_fold),
+                1e-9)
+          << "K = " << k << " near = " << near;
+    }
+  }
+}
+
+TEST_P(AlgebraProperties, NarySumOfOneSharesItsStorage) {
+  Rng rng(GetParam() + 14000);
+  const PwlCurve c = random_curve(rng);
+  const PwlCurve s = curve_sum({c}, kHorizon);
+  EXPECT_EQ(s.data(), c.data());
+  EXPECT_TRUE(CurveData::identical(*s.data(), *c.data()));
+}
+
+TEST_P(AlgebraProperties, NarySumReportsOnePointwiseOp) {
+  Rng rng(GetParam() + 15000);
+  for (const int k : {0, 1, 2, 8}) {
+    std::vector<PwlCurve> curves;
+    for (int i = 0; i < k; ++i) curves.push_back(random_curve(rng));
+    const PwlCurve base = random_curve(rng);
+    PointwiseCalls sum_calls;
+    PointwiseCalls avail_calls;
+    PwlCurve sum, avail;
+    {
+      curve::KernelHooksScope scope(&sum_calls);
+      sum = curve_sum(curves, kHorizon);
+    }
+    {
+      curve::KernelHooksScope scope(&avail_calls);
+      avail = curve_available(base, curves, -0.5);
+    }
+    EXPECT_EQ(sum_calls.calls, 1) << "K = " << k;
+    EXPECT_EQ(sum_calls.last_knots, sum.knot_count()) << "K = " << k;
+    EXPECT_EQ(avail_calls.calls, 1) << "K = " << k;
+    EXPECT_EQ(avail_calls.last_knots, avail.knot_count()) << "K = " << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlgebraProperties, testing::Range(1, 13));

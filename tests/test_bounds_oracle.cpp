@@ -161,29 +161,31 @@ class PointwiseCounter : public curve::KernelHooks {
   int calls = 0;
 };
 
-/// Pointwise kernel calls of the low-priority SPP unit when both jobs have
-/// n bursty arrivals.
-int lo_unit_pointwise_calls(int n) {
+/// Pointwise kernel calls of the lowest-priority SPP unit below `hp_count`
+/// higher-priority jobs, when every job has n bursty arrivals.
+int lo_unit_pointwise_calls(int n, int hp_count = 1) {
   System sys(1, SchedulerKind::kSpp);
   Job hi;
-  hi.name = "hi";
   hi.deadline = 1e6;
-  hi.chain = {{0, 0.4, 1}};
   hi.arrivals = ArrivalSequence::bursty_eq27(0.5, 2.0 * (n - 1));
+  for (int k = 0; k < hp_count; ++k) {
+    hi.name = "hi" + std::to_string(k);
+    hi.chain = {{0, 0.4 / hp_count, k + 1}};
+    sys.add_job(hi);
+  }
   Job lo = hi;
   lo.name = "lo";
-  lo.chain = {{0, 0.3, 2}};
+  lo.chain = {{0, 0.3, hp_count + 1}};
   lo.arrivals = ArrivalSequence::burst_then_periodic(8, 0.1, 2.0, 2.0 * n);
-  sys.add_job(hi);
-  sys.add_job(lo);
+  const int lo_job = sys.add_job(lo);
   const Time horizon = default_horizon(sys, AnalysisConfig{});
   detail::BoundStateMap states;
   detail::run_bounds_wavefront(sys, horizon, BoundsVariant::kSound, nullptr,
                                nullptr, nullptr, states);
-  EXPECT_GE(states.at({1, 0}).arr_upper.end_value(), n - 1.0);
+  EXPECT_GE(states.at({lo_job, 0}).arr_upper.end_value(), n - 1.0);
   PointwiseCounter counter;
   curve::KernelHooksScope scope(&counter);
-  detail::compute_single_priority_subjob(sys, {1, 0}, horizon, states);
+  detail::compute_single_priority_subjob(sys, {lo_job, 0}, horizon, states);
   return counter.calls;
 }
 
@@ -191,6 +193,14 @@ TEST(BoundsOracle, UnitKernelCallsIndependentOfArrivalCount) {
   const int small = lo_unit_pointwise_calls(50);
   EXPECT_GT(small, 0);
   EXPECT_EQ(small, lo_unit_pointwise_calls(800));
+}
+
+TEST(BoundsOracle, UnitKernelCallsIndependentOfHigherPriorityCount) {
+  // Q̲ and Q̄ are one fused pass each over the higher-priority curves, so
+  // outranking subjobs add knots to those passes but no kernel calls.
+  const int few = lo_unit_pointwise_calls(50, 2);
+  EXPECT_GT(few, 0);
+  EXPECT_EQ(few, lo_unit_pointwise_calls(50, 12));
 }
 
 }  // namespace

@@ -109,7 +109,19 @@ INSTANTIATE_TEST_SUITE_P(
                 "out of range"},
         BadCase{"BadDeadline", "processors 1\njob a deadline -2\n",
                 "bad deadline"},
+        BadCase{"DeadlineInf", "processors 1\njob a deadline inf\n",
+                "bad deadline"},
         BadCase{"HopOutsideJob", "processors 1\nhop 0 exec 1\n", "outside"},
+        BadCase{"ExecNan",
+                "processors 1\njob a deadline 1\n hop 0 exec nan prio 1\n",
+                "expected 'hop"},
+        BadCase{"ExecInf",
+                "processors 1\njob a deadline 1\n hop 0 exec inf prio 1\n",
+                "expected 'hop"},
+        BadCase{"ExplicitNan",
+                "processors 1\njob a deadline 1\n hop 0 exec 1 prio 1\n "
+                "arrivals explicit 0 nan\nend\n",
+                "bad instant"},
         BadCase{"NegativeExec",
                 "processors 1\njob a deadline 1\n hop 0 exec -1\n", "> 0"},
         BadCase{"MissingArrivals",

@@ -1,5 +1,10 @@
 // Unit tests for the system model: topology queries, blocking times (Eq. 15),
 // validation, and dependency-cycle detection (§6 loops).
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/system.hpp"
@@ -95,6 +100,24 @@ TEST(System, ValidationCatchesNoArrivalsAndNonPositiveDeadline) {
   j.chain = {{0, 1.0, 1}};
   sys.add_job(std::move(j));
   EXPECT_GE(sys.validate().size(), 2u);
+}
+
+TEST(System, ValidationCatchesNonFiniteExecAndDeadline) {
+  // NaN slips past a plain `<= 0` check; infinities are positive. Both must
+  // be rejected wherever the values come from, not only by the parsers.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [exec, deadline] :
+       {std::pair{nan, 10.0}, std::pair{inf, 10.0}, std::pair{1.0, nan},
+        std::pair{1.0, inf}}) {
+    System sys = two_proc_two_job_system();
+    sys.subjob({0, 1}).exec_time = exec;
+    sys.job(0).deadline = deadline;
+    const std::vector<std::string> problems = sys.validate();
+    ASSERT_EQ(problems.size(), 1u) << exec << " " << deadline;
+    EXPECT_NE(problems[0].find("non-finite"), std::string::npos)
+        << problems[0];
+  }
 }
 
 TEST(System, UtilizationEstimate) {
