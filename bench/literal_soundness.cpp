@@ -3,19 +3,26 @@
 // DESIGN.md documents three defects in the literal Eqs. 16-19 (interference
 // direction, once-global blocking, increment mixing). This bench quantifies
 // them: on random SPNP and SPP job shops it runs BOTH the literal
-// transcription and the sound per-candidate variant against the
-// discrete-event simulator and reports
-//   * the fraction of jobs whose literal bound falls BELOW the simulated
-//     worst response (an unsound, too-optimistic bound), and
-//   * the admission decisions each variant makes.
+// transcription (the test-only driver in tests/support/literal_bounds.hpp)
+// and the shipped sound BoundsAnalyzer against the discrete-event simulator
+// and reports
+//   * the fraction of jobs whose bound falls BELOW the simulated worst
+//     response (an unsound, too-optimistic bound), and
+//   * the mean ratio of bound to observed response where it holds.
+//
+// Exits 1 when a sound row shows a violation, or when the SPNP literal row
+// shows none (the control that proves the printed forms unsound stopped
+// firing); ctest runs it as bench_literal_soundness.
 //
 // Flags: --systems N (default 60)  --util U (default 0.6)  --seed S
 //        --stages N (default 3)    --jobs N (default 6)    --out FILE.csv
 #include <cmath>
 #include <cstdio>
 
-#include "eval/validation.hpp"
+#include "analysis/bounds.hpp"
 #include "model/priority.hpp"
+#include "sim/simulator.hpp"
+#include "support/literal_bounds.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"
 #include "workload/jobshop.hpp"
@@ -40,9 +47,9 @@ int main(int argc, char** argv) {
 
   std::printf("%-6s %-9s %8s %11s %10s %10s\n", "sched", "variant", "jobs",
               "violations", "viol.frac", "mean b/o");
+  bool failed = false;
   for (SchedulerKind kind : {SchedulerKind::kSpnp, SchedulerKind::kSpp}) {
-    for (BoundsVariant variant :
-         {BoundsVariant::kPaperLiteral, BoundsVariant::kSound}) {
+    for (const bool literal : {true, false}) {
       std::size_t checked = 0, violations = 0;
       double ratio_sum = 0.0;
       std::size_t ratio_n = 0;
@@ -61,27 +68,27 @@ int main(int argc, char** argv) {
         System sys = generate_jobshop(cfg, rng);
         assign_proportional_deadline_monotonic(sys);
 
-        AnalysisConfig ac;
-        ac.bounds_variant = variant;
-        const Method method = kind == SchedulerKind::kSpnp
-                                  ? Method::kSpnpApp
-                                  : Method::kSppApp;
-        const ValidationReport rep = validate_method(method, sys, ac);
-        if (!rep.analysis_ok) continue;
-        for (const JobValidation& jv : rep.jobs) {
+        const AnalysisResult analysis = literal
+                                            ? literal::analyze(sys)
+                                            : BoundsAnalyzer().analyze(sys);
+        if (!analysis.ok) continue;
+        // Simulate over the horizon the analysis used, so both see the same
+        // instances.
+        const SimResult sim = simulate(sys, analysis.horizon);
+        for (int k = 0; k < sys.job_count(); ++k) {
+          const Time bound = analysis.jobs[k].wcrt;
+          const Time observed = sim.worst_response[k];
           ++checked;
-          if (std::isinf(jv.analyzed_bound)) continue;
-          if (std::isinf(jv.simulated_worst) ||
-              jv.analyzed_bound < jv.simulated_worst - 1e-6) {
+          if (std::isinf(bound)) continue;
+          if (std::isinf(observed) || bound < observed - 1e-6) {
             ++violations;
-          } else if (jv.simulated_worst > 1e-9) {
-            ratio_sum += jv.analyzed_bound / jv.simulated_worst;
+          } else if (observed > 1e-9) {
+            ratio_sum += bound / observed;
             ++ratio_n;
           }
         }
       }
-      const char* vname =
-          variant == BoundsVariant::kPaperLiteral ? "literal" : "sound";
+      const char* vname = literal ? "literal" : "sound";
       const double frac = checked ? static_cast<double>(violations) /
                                         static_cast<double>(checked)
                                   : 0.0;
@@ -91,11 +98,22 @@ int main(int argc, char** argv) {
                   vname, checked, violations, frac, mean_ratio);
       csv.add(std::string(to_string(kind)), std::string(vname), checked,
               violations, frac, mean_ratio);
+      if (!literal && violations > 0) {
+        std::fprintf(stderr, "FAIL: the sound %s bounds were violated\n",
+                     to_string(kind));
+        failed = true;
+      }
+      if (literal && kind == SchedulerKind::kSpnp && violations == 0) {
+        std::fprintf(stderr,
+                     "FAIL: the printed SPNP bounds showed no violation; "
+                     "the unsoundness control no longer fires\n");
+        failed = true;
+      }
     }
   }
 
   std::printf("\n(violations = jobs whose bound fell below the simulated "
               "worst response; the sound variant must show 0)\n");
   if (csv.write_file(out)) std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -28,14 +28,14 @@ PwlCurve next_arrival_upper(const PwlCurve& svc_upper,
 /// Bounds for the subjobs of a static-priority processor (SPP with b = 0,
 /// SPNP with b of Eq. 15), in descending priority order.
 void priority_processor_bounds(const System& system, int p, Time horizon,
-                               BoundStateMap& states, BoundsVariant variant) {
+                               BoundStateMap& states) {
   std::vector<SubjobRef> refs = system.subjobs_on(p);
   std::sort(refs.begin(), refs.end(),
             [&](const SubjobRef& a, const SubjobRef& b) {
               return system.subjob(a).priority < system.subjob(b).priority;
             });
   for (const SubjobRef& ref : refs) {
-    compute_single_priority_subjob(system, ref, horizon, states, variant);
+    compute_single_priority_subjob(system, ref, horizon, states);
   }
 }
 
@@ -98,69 +98,8 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
 
 }  // namespace
 
-namespace {
-
-/// Theorems 5/6 EXACTLY as printed (Eqs. 16-19), for measuring the
-/// unsoundness documented in DESIGN.md. Interference terms use the
-/// higher-priority service LOWER bounds in both availabilities; the lower
-/// bound lags its min-window by the blocking b; no demand caps.
-void literal_priority_subjob(const System& system, SubjobRef ref,
-                             Time horizon, BoundStateMap& states) {
-  const Subjob& sj = system.subjob(ref);
-  const bool preemptive =
-      system.scheduler(sj.processor) == SchedulerKind::kSpp;
-  BoundState& st = states.at({ref.job, ref.hop});
-  const double tau = sj.exec_time;
-  const double b = preemptive ? 0.0 : system.blocking_time(ref);
-  const PwlCurve ident = PwlCurve::identity(horizon);
-
-  std::vector<PwlCurve> hp_lower;
-  for (const SubjobRef& hp :
-       system.higher_priority_on(sj.processor, sj.priority)) {
-    const BoundState& hp_state = states.at({hp.job, hp.hop});
-    assert(hp_state.computed);
-    hp_lower.push_back(hp_state.svc_lower);
-  }
-  // t - sum S̲_hp(t), in one kernel pass.
-  const PwlCurve hp_free = curve_available(ident, hp_lower);
-
-  const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
-  const PwlCurve c_lower = curve_scale(st.arr_lower, tau);
-
-  // Eq. 17: B(t) = t - b - sum S̲_hp(t) for t > b, else 0. The sum of
-  // lower-bound curves can make this non-monotone; our transform needs a
-  // nondecreasing availability, so monotonize from below (this only
-  // *increases* the literal bound, i.e. never hides its optimism).
-  PwlCurve avail_lower = hp_free;
-  if (b > 0.0) avail_lower = curve_add_constant(avail_lower, -b);
-  avail_lower =
-      curve_running_max(curve_clamp_min(avail_lower, 0.0));
-  // Eq. 16: S̲(t) = min_{0<=s<=t-b}{ B(t) - B(s) + c(s) }.
-  PwlCurve svc_lower = service_transform(avail_lower, c_lower, b);
-
-  // Eq. 19: B̄(t) = t - sum S̲_hp(t); Eq. 18 with the same min form.
-  PwlCurve avail_upper =
-      curve_clamp_min(curve_right_running_min(hp_free), 0.0);
-  PwlCurve svc_upper = service_transform(avail_upper, c_upper);
-
-  st.svc_lower = tighten_lower_bound(svc_lower);
-  st.svc_upper = svc_upper;
-  // Lemma 1 / Lemma 2 as printed: counting curves straight from the bounds.
-  st.dep_lower = curve_crossing_counts(st.svc_lower, tau);
-  st.next_arr_upper = curve_crossing_counts(svc_upper, tau);
-  st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
-  st.computed = true;
-}
-
-}  // namespace
-
 void compute_single_priority_subjob(const System& system, SubjobRef ref,
-                                    Time horizon, BoundStateMap& states,
-                                    BoundsVariant variant) {
-  if (variant == BoundsVariant::kPaperLiteral) {
-    literal_priority_subjob(system, ref, horizon, states);
-    return;
-  }
+                                    Time horizon, BoundStateMap& states) {
   const Subjob& sj = system.subjob(ref);
   const bool preemptive =
       system.scheduler(sj.processor) == SchedulerKind::kSpp;
@@ -282,16 +221,15 @@ Time local_delay_bound(const PwlCurve& dep_lower, const PwlCurve& arr_upper) {
 }
 
 void compute_processor_bounds(const System& system, int p, Time horizon,
-                              BoundStateMap& states, BoundsVariant variant) {
+                              BoundStateMap& states) {
   if (system.scheduler(p) == SchedulerKind::kFcfs) {
     fcfs_processor_bounds(system, p, horizon, states);
   } else {
-    priority_processor_bounds(system, p, horizon, states, variant);
+    priority_processor_bounds(system, p, horizon, states);
   }
 }
 
-void run_bounds_wavefront(const System& system, Time horizon,
-                          BoundsVariant variant, ThreadPool* pool,
+void run_bounds_wavefront(const System& system, Time horizon, ThreadPool* pool,
                           const EngineObs* eo,
                           const std::vector<char>* dirty,
                           BoundStateMap& states) {
@@ -397,12 +335,10 @@ void run_bounds_wavefront(const System& system, Time horizon,
       for (const SubjobRef& r : system.subjobs_on(unit.processor)) {
         fill_arrivals(r);
       }
-      compute_processor_bounds(system, unit.processor, horizon, states,
-                               variant);
+      compute_processor_bounds(system, unit.processor, horizon, states);
     } else {
       fill_arrivals(unit.ref);
-      compute_single_priority_subjob(system, unit.ref, horizon, states,
-                                     variant);
+      compute_single_priority_subjob(system, unit.ref, horizon, states);
     }
   };
   auto unit_label = [&](const Unit& unit) {
@@ -513,26 +449,15 @@ AnalysisResult BoundsAnalyzer::analyze(const System& system) const {
     return r;
   }
 
-  Time horizon = default_horizon(system, config_);
-  AnalysisResult result = analyze_at(system, horizon);
-  for (int round = 0; round < config_.max_horizon_doublings; ++round) {
-    if (!result.ok) break;
-    bool any_unbounded = false;
-    for (const JobReport& j : result.jobs) {
-      if (std::isinf(j.wcrt)) any_unbounded = true;
-    }
-    if (!any_unbounded) break;
-    horizon *= 2.0;
-    result = analyze_at(system, horizon);
-  }
-  return result;
+  return analyze_doubling_horizon(
+      default_horizon(system, config_), config_.max_horizon_doublings,
+      [&](Time horizon) { return analyze_at(system, horizon); });
 }
 
 AnalysisResult BoundsAnalyzer::analyze_at(const System& system,
                                           Time horizon) const {
   detail::BoundStateMap states;
-  detail::run_bounds_wavefront(system, horizon, config_.bounds_variant,
-                               pool_.get(), eobs_.get(),
+  detail::run_bounds_wavefront(system, horizon, pool_.get(), eobs_.get(),
                                /*dirty=*/nullptr, states);
   return detail::bounds_result_from_states(system, horizon,
                                            config_.record_curves, states);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -31,19 +30,9 @@ AnalysisResult IterativeBoundsAnalyzer::analyze(const System& system) const {
     return r;
   }
 
-  Time horizon = default_horizon(system, config_);
-  AnalysisResult result = analyze_at(system, horizon);
-  for (int round = 0; round < config_.max_horizon_doublings; ++round) {
-    if (!result.ok) break;
-    bool any_unbounded = false;
-    for (const JobReport& j : result.jobs) {
-      if (std::isinf(j.wcrt)) any_unbounded = true;
-    }
-    if (!any_unbounded) break;
-    horizon *= 2.0;
-    result = analyze_at(system, horizon);
-  }
-  return result;
+  return analyze_doubling_horizon(
+      default_horizon(system, config_), config_.max_horizon_doublings,
+      [&](Time horizon) { return analyze_at(system, horizon); });
 }
 
 AnalysisResult IterativeBoundsAnalyzer::analyze_at(const System& system,
@@ -114,7 +103,7 @@ AnalysisResult IterativeBoundsAnalyzer::analyze_at(const System& system,
     }
     m.valid = true;
     detail::compute_processor_bounds(system, static_cast<int>(p), horizon,
-                                     states, config_.bounds_variant);
+                                     states);
     return true;
   };
 

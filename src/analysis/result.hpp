@@ -1,6 +1,7 @@
 // Shared result/configuration types for all analyzers.
 #pragma once
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -10,16 +11,6 @@
 #include "util/time.hpp"
 
 namespace rta {
-
-/// Which SPNP/SPP service-bound formulas the bounds analyzers use.
-enum class BoundsVariant {
-  /// The sound per-candidate forms (default; see analysis/bounds.hpp).
-  kSound,
-  /// Theorems 5/6 exactly as printed in the paper (Eqs. 16-19). UNSOUND in
-  /// three documented ways (DESIGN.md); provided so the violation rate can
-  /// be measured (bench/literal_soundness).
-  kPaperLiteral,
-};
 
 /// Analysis tuning knobs. The defaults suit the paper's workloads.
 struct AnalysisConfig {
@@ -42,9 +33,6 @@ struct AnalysisConfig {
   /// Iteration cap for the fixed-point analyzers (iterative topology loop
   /// and the holistic baseline's outer jitter loop).
   int max_iterations = 64;
-
-  /// SPNP/SPP bound formulas (see BoundsVariant).
-  BoundsVariant bounds_variant = BoundsVariant::kSound;
 
   /// Worker threads for the parallel bounds engines and region columns
   /// (service::AdmissionSession always analyzes serially): 1 = serial
@@ -112,7 +100,8 @@ struct AnalysisResult {
     return true;
   }
 
-  /// Largest finite WCRT bound across jobs (0 if none).
+  /// Largest WCRT bound across jobs: kTimeInfinity when any job is
+  /// unbounded, 0 when there are no jobs.
   [[nodiscard]] Time max_wcrt() const {
     Time worst = 0.0;
     for (const JobReport& j : jobs) {
@@ -120,10 +109,35 @@ struct AnalysisResult {
     }
     return worst;
   }
+
+  /// True when some job's WCRT could not be bounded within the horizon.
+  [[nodiscard]] bool any_unbounded() const {
+    for (const JobReport& j : jobs) {
+      if (std::isinf(j.wcrt)) return true;
+    }
+    return false;
+  }
 };
 
 /// Default automatic horizon for a system under a config.
 [[nodiscard]] Time default_horizon(const System& system,
                                    const AnalysisConfig& config);
+
+/// The horizon-doubling policy every analyzer shares: returns
+/// `analyze_at(horizon)`, except that while that result is ok but some job
+/// is unbounded, the horizon is doubled and `analyze_at` run again, at most
+/// `max_doublings` times. The last result is returned either way.
+template <typename AnalyzeAt>
+[[nodiscard]] AnalysisResult analyze_doubling_horizon(Time horizon,
+                                                      int max_doublings,
+                                                      AnalyzeAt&& analyze_at) {
+  AnalysisResult result = analyze_at(horizon);
+  for (int round = 0; round < max_doublings; ++round) {
+    if (!result.ok || !result.any_unbounded()) break;
+    horizon *= 2.0;
+    result = analyze_at(horizon);
+  }
+  return result;
+}
 
 }  // namespace rta

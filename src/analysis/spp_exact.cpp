@@ -43,14 +43,9 @@ AnalysisResult ExactSppAnalyzer::analyze(const System& system) const {
     return r;
   }
 
-  Time horizon = default_horizon(system, config_);
-  AnalysisResult result = analyze_at(system, horizon);
-  for (int round = 0; round < config_.max_horizon_doublings; ++round) {
-    if (!result.ok || std::isfinite(result.max_wcrt())) break;
-    horizon *= 2.0;
-    result = analyze_at(system, horizon);
-  }
-  return result;
+  return analyze_doubling_horizon(
+      default_horizon(system, config_), config_.max_horizon_doublings,
+      [&](Time horizon) { return analyze_at(system, horizon); });
 }
 
 AnalysisResult ExactSppAnalyzer::analyze_at(const System& system,

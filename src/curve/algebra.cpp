@@ -327,32 +327,6 @@ PwlCurve curve_running_max(const PwlCurve& a) {
   return PwlCurve(arena.finalize());
 }
 
-PwlCurve curve_right_running_min(const PwlCurve& a) {
-  assert(a.is_continuous());
-  const Time h = a.horizon();
-  // Reflect: g(u) = -a(h - u). A knot (t, l, r) of `a` becomes a knot
-  // (h - t, -r, -l) of g (the approach direction flips, so left and right
-  // swap and negate). Segments map onto segments.
-  const CurveView v = a.view();
-  CurveArena& arena = tls_curve_arena();
-  arena.clear();
-  arena.reserve(v.n);
-  for (std::size_t i = v.n; i-- > 0;) {
-    arena.push(h - v.t[i], -v.r[i], -v.l[i]);
-  }
-  // The reflected first knot sits at u = 0; its left limit is pinned to its
-  // right value by finalize().
-  const PwlCurve m = curve_running_max(PwlCurve(arena.finalize()));
-  // Reflect back: R(t) = -M(h - t).
-  const CurveView mv = m.view();
-  arena.clear();
-  arena.reserve(mv.n);
-  for (std::size_t i = mv.n; i-- > 0;) {
-    arena.push(h - mv.t[i], -mv.r[i], -mv.l[i]);
-  }
-  return PwlCurve(arena.finalize());
-}
-
 PwlCurve curve_sum(const std::vector<PwlCurve>& curves, Time horizon) {
   if (curves.size() > 1) {
     return sum_pass(nullptr, curves, [](double, double sum) { return sum; });

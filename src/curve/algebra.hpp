@@ -43,13 +43,6 @@ namespace rta {
 /// downward jump does not lower M).
 [[nodiscard]] PwlCurve curve_running_max(const PwlCurve& a);
 
-/// Right running minimum R(t) = inf_{t <= s <= horizon} a(s): the sound
-/// monotone tightening of an *upper* bound on a nondecreasing function.
-/// Implemented by reflecting the curve and reusing curve_running_max.
-/// Exact for continuous curves; at a jump of `a` the reflection additionally
-/// admits the left limit, so restrict use to continuous curves (asserted).
-[[nodiscard]] PwlCurve curve_right_running_min(const PwlCurve& a);
-
 /// Sum of a set of curves in one pass over the merged knot grid, summed in
 /// input order at each grid point. The empty set gives the zero curve of
 /// `horizon`; a single curve is returned as is (shared storage).

@@ -18,13 +18,6 @@ namespace {
 
 using detail::BoundStateMap;
 
-bool any_unbounded(const AnalysisResult& r) {
-  for (const JobReport& j : r.jobs) {
-    if (std::isinf(j.wcrt)) return true;
-  }
-  return false;
-}
-
 int total_subjobs(const System& system) {
   int n = 0;
   for (int k = 0; k < system.job_count(); ++k) {
@@ -161,7 +154,7 @@ AdmissionSession::AdmissionSession(System base, SessionConfig config)
   if (structural_check(d)) {
     detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
     const Time h = default_horizon(system_, config_.analysis);
-    full_pass(d, h, states_);
+    analyze_pass(d, h, /*dirty=*/nullptr, states_);
     horizon_ = h;
     have_states_ = true;
   }
@@ -207,7 +200,7 @@ const AdmissionSession::ReadCache& AdmissionSession::read_cache() {
   rc->last_release = system_.last_release();
   rc->committed_max_wcrt = last_.max_wcrt();
   rc->committed_all_schedulable = last_.all_schedulable();
-  rc->committed_any_unbounded = any_unbounded(last_);
+  rc->committed_any_unbounded = last_.any_unbounded();
   read_cache_ = std::move(rc);
   return *read_cache_;
 }
@@ -371,8 +364,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
         st.arr_lower = pred.dep_lower;
       }
       detail::compute_single_priority_subjob(system_, {k_new, hh}, horizon_,
-                                             states_,
-                                             config_.analysis.bounds_variant);
+                                             states_);
       const Time hop_bound = states_.at({k_new, hh}).local_bound;
       candidate_wcrt += hop_bound;  // Eq. 11
       explain_hops.push_back(
@@ -443,36 +435,27 @@ bool AdmissionSession::structural_check(Decision& d) const {
   return true;
 }
 
-void AdmissionSession::full_pass(Decision& d, Time base_horizon,
-                                 detail::BoundStateMap& states) const {
-  detail::run_bounds_wavefront(system_, base_horizon,
-                               config_.analysis.bounds_variant,
-                               /*pool=*/nullptr, eobs_.get(),
-                               /*dirty=*/nullptr, states);
-  d.analysis = detail::bounds_result_from_states(
-      system_, base_horizon, config_.analysis.record_curves, states);
+void AdmissionSession::analyze_pass(Decision& d, Time base_horizon,
+                                    const std::vector<char>* dirty,
+                                    detail::BoundStateMap& states) const {
+  // The first pass runs the `dirty` subjobs (nullptr: all) over `states` at
+  // the base horizon. Doubled passes analyze everything on throwaway state
+  // maps: the retained curves stay at the base horizon, where the committed
+  // (schedulable, hence bounded) system keeps them reusable.
+  bool first = true;
+  d.analysis = analyze_doubling_horizon(
+      base_horizon, config_.analysis.max_horizon_doublings, [&](Time h) {
+        detail::BoundStateMap scratch;
+        detail::BoundStateMap& target = first ? states : scratch;
+        if (!first) ++d.explain.horizon_doublings;
+        detail::run_bounds_wavefront(system_, h, /*pool=*/nullptr,
+                                     eobs_.get(), first ? dirty : nullptr,
+                                     target);
+        first = false;
+        return detail::bounds_result_from_states(
+            system_, h, config_.analysis.record_curves, target);
+      });
   d.ok = true;
-  double_horizon_if_unbounded(d, base_horizon);
-}
-
-void AdmissionSession::double_horizon_if_unbounded(Decision& d,
-                                                   Time base_horizon) const {
-  // Same loop as BoundsAnalyzer::analyze. The doubled passes use throwaway
-  // state maps: the retained curves stay at the base horizon, where the
-  // committed (schedulable, hence bounded) system keeps them reusable.
-  Time h = base_horizon;
-  for (int round = 0; round < config_.analysis.max_horizon_doublings;
-       ++round) {
-    if (!d.analysis.ok || !any_unbounded(d.analysis)) break;
-    h *= 2.0;
-    ++d.explain.horizon_doublings;
-    detail::BoundStateMap scratch;
-    detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                 /*pool=*/nullptr, eobs_.get(),
-                                 /*dirty=*/nullptr, scratch);
-    d.analysis = detail::bounds_result_from_states(
-        system_, h, config_.analysis.record_curves, scratch);
-  }
 }
 
 Decision AdmissionSession::admit(Job job) {
@@ -542,17 +525,11 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
         }
       }
 
-      detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                   /*pool=*/nullptr, eobs_.get(),
-                                   &dirty.flags, states_);
-      d.analysis = detail::bounds_result_from_states(
-          system_, h, config_.analysis.record_curves, states_);
-      d.ok = true;
+      analyze_pass(d, h, &dirty.flags, states_);
       d.incremental = true;
       d.dirty_subjobs = dirty.count;
       incremental_counter.inc();
       dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
-      double_horizon_if_unbounded(d, h);
       fill_explain(d, static_cast<std::size_t>(k_new));
 
       d.admitted = d.analysis.all_schedulable();
@@ -575,7 +552,7 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
   // state yet.
   full_counter.inc();
   detail::BoundStateMap fresh;
-  full_pass(d, h, fresh);
+  analyze_pass(d, h, /*dirty=*/nullptr, fresh);
   fill_explain(d, static_cast<std::size_t>(k_new));
   d.admitted = d.analysis.all_schedulable();
   if (commit_on_admit && d.admitted) {
@@ -658,17 +635,11 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
     closure_span.finish();
     if (dirty.count <=
         config_.full_analysis_threshold * graph.node_count()) {
-      detail::run_bounds_wavefront(system_, h, config_.analysis.bounds_variant,
-                                   /*pool=*/nullptr, eobs_.get(),
-                                   &dirty.flags, states_);
-      d.analysis = detail::bounds_result_from_states(
-          system_, h, config_.analysis.record_curves, states_);
-      d.ok = true;
+      analyze_pass(d, h, &dirty.flags, states_);
       d.incremental = true;
       d.dirty_subjobs = dirty.count;
       incremental_counter.inc();
       dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
-      double_horizon_if_unbounded(d, h);
       d.admitted = d.analysis.all_schedulable();
       last_ = d.analysis;
       return d;
@@ -677,7 +648,7 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
 
   full_counter.inc();
   states_.clear();
-  full_pass(d, h, states_);
+  analyze_pass(d, h, /*dirty=*/nullptr, states_);
   horizon_ = h;
   have_states_ = true;
   d.admitted = d.analysis.all_schedulable();

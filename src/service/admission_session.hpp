@@ -180,9 +180,9 @@ class AdmissionSession {
   bool try_fast_what_if(const Job& job, ReadDecision& rd);
   void fill_explain(Decision& d, std::size_t k_new) const;
   const ReadCache& read_cache();
-  void full_pass(Decision& d, Time base_horizon,
-                 detail::BoundStateMap& states) const;
-  void double_horizon_if_unbounded(Decision& d, Time base_horizon) const;
+  void analyze_pass(Decision& d, Time base_horizon,
+                    const std::vector<char>* dirty,
+                    detail::BoundStateMap& states) const;
   [[nodiscard]] bool structural_check(Decision& d) const;
 
   System system_;

@@ -16,7 +16,7 @@ namespace rta::oracle {
 
 /// The per-arrival fold of the sound Theorem 5/6 bounds for one subjob on a
 /// static-priority processor, with the same inputs and outputs as
-/// detail::compute_single_priority_subjob(kSound). Upper-bound
+/// detail::compute_single_priority_subjob. Upper-bound
 /// terms for i >= 1 apply only once their candidate has arrived (t >= s_i),
 /// including a candidate at the horizon.
 void fold_priority_subjob(const System& system, SubjobRef ref, Time horizon,

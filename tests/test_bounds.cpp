@@ -9,6 +9,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/spp_exact.hpp"
 #include "sim/simulator.hpp"
+#include "support/literal_bounds.hpp"
 
 namespace rta {
 namespace {
@@ -66,19 +67,30 @@ TEST(Bounds, Eq17PrintedFormIsUnsound) {
   // S̲_H(t) = max(0, min(t - 1, 1)) (H can be blocked by L for 1 unit), so
   // B_L(1) = 1 - 0 = 1 and the printed S̲_L(1) = 1: it claims L received a
   // full unit of service by t = 1, but the scheduler runs H first, so L has
-  // received nothing. Our implementation must stay at/below the simulation.
+  // received nothing and responds at 2.
   System sys(1, SchedulerKind::kSpnp);
   sys.add_job(make_job("H", 10.0, {{0, 1.0, 1}}, {0.0}));
   sys.add_job(make_job("L", 10.0, {{0, 1.0, 2}}, {0.0}));
   AnalysisConfig cfg;
   cfg.record_curves = true;
+  const SimResult s = simulate(sys, 20.0);
+  EXPECT_NEAR(s.worst_response[1], 2.0, 1e-9);
+
+  // The printed form, through the test-only literal driver: S̲_L(1) = 1 and
+  // a WCRT bound of 1, below the simulated response.
+  const AnalysisResult lit = literal::analyze(sys, cfg);
+  ASSERT_TRUE(lit.ok) << lit.error;
+  EXPECT_NEAR(lit.jobs[1].hops[0].curves[0].service_lower.eval(1.0), 1.0,
+              1e-9);
+  EXPECT_NEAR(lit.jobs[1].wcrt, 1.0, 1e-9);
+  EXPECT_LT(lit.jobs[1].wcrt, s.worst_response[1] - 1e-9);
+
+  // The shipped bound: S̲_L(1) = 0, and L's response bound covers the worst
+  // case (runs after H).
   const AnalysisResult r = BoundsAnalyzer(cfg).analyze(sys);
   ASSERT_TRUE(r.ok) << r.error;
-  const PwlCurve& low_svc_lower = r.jobs[1].hops[0].curves[0].service_lower;
-  // The printed form would give 1.0 here; the sound bound must be 0.
-  EXPECT_LE(low_svc_lower.eval(1.0), 0.0 + 1e-9);
-  // And L's response bound covers the worst case (runs after H): 2.
-  EXPECT_GE(r.jobs[1].wcrt, 2.0 - 1e-9);
+  EXPECT_LE(r.jobs[1].hops[0].curves[0].service_lower.eval(1.0), 0.0 + 1e-9);
+  EXPECT_GE(r.jobs[1].wcrt, s.worst_response[1] - 1e-9);
 }
 
 TEST(Bounds, BlockingChargedPerBusyPeriod) {

@@ -105,33 +105,16 @@ void run_differential(SchedulerKind scheduler, std::uint64_t base_seed) {
   }
 }
 
-TEST(DifferentialEngine, SppParallelCachedMatchesSerial) {
+TEST(DifferentialEngine, SppParallelMatchesSerial) {
   run_differential(SchedulerKind::kSpp, 0xD1FF5EED);
 }
 
-TEST(DifferentialEngine, SpnpParallelCachedMatchesSerial) {
+TEST(DifferentialEngine, SpnpParallelMatchesSerial) {
   run_differential(SchedulerKind::kSpnp, 0xD1FF5EED ^ 0xBEEF);
 }
 
-TEST(DifferentialEngine, FcfsParallelCachedMatchesSerial) {
+TEST(DifferentialEngine, FcfsParallelMatchesSerial) {
   run_differential(SchedulerKind::kFcfs, 0xD1FF5EED ^ 0xF0F0);
-}
-
-// The paper-literal bound variant used by the soundness ablation must be
-// thread-count invariant too.
-TEST(DifferentialEngine, CacheIsInvisibleForLiteralVariant) {
-  const RngFactory factory(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng rng = factory.stream(static_cast<std::uint64_t>(trial));
-    const System system = random_system(rng, SchedulerKind::kSpnp);
-    AnalysisConfig serial = engine_config(1);
-    serial.bounds_variant = BoundsVariant::kPaperLiteral;
-    AnalysisConfig parallel = engine_config(2);
-    parallel.bounds_variant = BoundsVariant::kPaperLiteral;
-    expect_bit_identical(BoundsAnalyzer(serial).analyze(system),
-                         BoundsAnalyzer(parallel).analyze(system),
-                         "literal trial " + std::to_string(trial));
-  }
 }
 
 /// random_system plus a copy of job 0 that runs its stages in reverse: with
@@ -182,8 +165,7 @@ TEST(DifferentialEngine, SkippedPassesEqualRecomputedPasses) {
         }
       }
       for (int p = 0; p < system.processor_count(); ++p) {
-        detail::compute_processor_bounds(system, p, result.horizon, states,
-                                         cfg.bounds_variant);
+        detail::compute_processor_bounds(system, p, result.horizon, states);
       }
       for (int k = 0; k < system.job_count(); ++k) {
         for (const SubjobReport& hop : result.jobs[k].hops) {

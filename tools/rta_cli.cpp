@@ -260,23 +260,29 @@ int usage() {
   return 2;
 }
 
-/// Values of N / MS flags must parse in full as finite, non-negative numbers
-/// (integers for N). Prints every offender; true when all are well-formed.
+/// Values of N / MS / H flags must parse in full as finite numbers: N and MS
+/// non-negative (integers for N), H (a horizon) positive. Prints every
+/// offender; true when all are well-formed.
 bool check_numeric_flags(const char* cmd, const Options& opts,
                          const std::vector<FlagSpec>& flags) {
   bool ok = true;
   for (const FlagSpec& f : flags) {
     if (f.arg == nullptr || !opts.has(f.name)) continue;
     const bool integer = std::strcmp(f.arg, "N") == 0;
-    if (!integer && std::strcmp(f.arg, "MS") != 0) continue;
+    const bool positive = std::strcmp(f.arg, "H") == 0;
+    if (!integer && !positive && std::strcmp(f.arg, "MS") != 0) continue;
     const std::string v = opts.get(f.name, "");
     char* end = nullptr;
     const double x =
         integer ? static_cast<double>(std::strtoll(v.c_str(), &end, 10))
                 : std::strtod(v.c_str(), &end);
-    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < 0.0) {
-      std::fprintf(stderr, "rta_cli %s: --%s wants a non-negative %s, got "
-                   "'%s'\n", cmd, f.name, integer ? "integer" : "number",
+    if (v.empty() || *end != '\0' || !std::isfinite(x) ||
+        (positive ? x <= 0.0 : x < 0.0)) {
+      std::fprintf(stderr, "rta_cli %s: --%s wants a %s, got '%s'\n", cmd,
+                   f.name,
+                   integer    ? "non-negative integer"
+                   : positive ? "positive number"
+                              : "non-negative number",
                    v.c_str());
       ok = false;
     }
