@@ -45,7 +45,7 @@ int main() {
   system.subjob({1, 0}).priority = 2;  // telemetry on P1
 
   std::printf("dependency graph acyclic? %s\n",
-              system.dependency_graph_is_acyclic() ? "yes" : "no");
+              dependency_order(system) ? "yes" : "no");
 
   const AnalysisResult direct = BoundsAnalyzer().analyze(system);
   std::printf("BoundsAnalyzer: %s\n",

@@ -3,6 +3,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/holistic.hpp"
 #include "analysis/iterative.hpp"
+#include "analysis/order.hpp"
 #include "analysis/spp_exact.hpp"
 
 namespace rta {
@@ -85,8 +86,7 @@ const HolisticAnalyzer& Analyzer::holistic() const {
 }
 
 EngineKind Analyzer::select_engine(const System& system) const {
-  const bool acyclic = system.dependency_graph_is_acyclic();
-  if (acyclic) {
+  if (dependency_order(system)) {
     bool all_spp = true;
     for (int p = 0; p < system.processor_count(); ++p) {
       if (system.scheduler(p) != SchedulerKind::kSpp) all_spp = false;

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <thread>
 
-#include "analysis/order.hpp"
 #include "curve/algebra.hpp"
 #include "curve/kernel_hooks.hpp"
 #include "curve/transforms.hpp"
@@ -229,7 +228,23 @@ void compute_processor_bounds(const System& system, int p, Time horizon,
   }
 }
 
-void run_bounds_wavefront(const System& system, Time horizon, ThreadPool* pool,
+void fill_hop_arrivals(const System& system, SubjobRef ref, Time horizon,
+                       BoundStateMap& states) {
+  BoundState& s = states.at({ref.job, ref.hop});
+  if (ref.hop == 0) {
+    const PwlCurve exact = system.job(ref.job).arrivals.to_curve(horizon);
+    s.arr_upper = exact;
+    s.arr_lower = exact;
+  } else {
+    const BoundState& pred = states.at({ref.job, ref.hop - 1});
+    assert(pred.computed);
+    s.arr_upper = pred.next_arr_upper;
+    s.arr_lower = pred.dep_lower;  // Lemma 1 feeding the DS identity
+  }
+}
+
+void run_bounds_wavefront(const System& system, const DependencyOrder& order,
+                          Time horizon, ThreadPool* pool,
                           const EngineObs* eo,
                           const std::vector<char>* dirty,
                           BoundStateMap& states) {
@@ -241,22 +256,6 @@ void run_bounds_wavefront(const System& system, Time horizon, ThreadPool* pool,
     }
   }
 
-  // Resolve one subjob's arrival bounds from its (already computed)
-  // predecessor hop.
-  auto fill_arrivals = [&](SubjobRef r) {
-    BoundState& s = states.at({r.job, r.hop});
-    if (r.hop == 0) {
-      const PwlCurve exact = system.job(r.job).arrivals.to_curve(horizon);
-      s.arr_upper = exact;
-      s.arr_lower = exact;
-    } else {
-      const BoundState& pred = states.at({r.job, r.hop - 1});
-      assert(pred.computed);
-      s.arr_upper = pred.next_arr_upper;
-      s.arr_lower = pred.dep_lower;  // Lemma 1 feeding the DS identity
-    }
-  };
-
   // Wavefront schedule over the computation-dependency graph. A unit is one
   // subjob on a priority processor, or a whole FCFS processor (Theorem 7
   // couples its subjobs through the shared utilization function). Unit depth
@@ -265,31 +264,9 @@ void run_bounds_wavefront(const System& system, Time horizon, ThreadPool* pool,
   // run concurrently, each writing only its own subjobs' states. With a
   // dirty filter, clean units are simply absent from the waves (their
   // retained states already equal what the unit would recompute).
-  const DependencyGraph graph = build_dependency_graph(system);
+  const DependencyGraph& graph = order.graph;
+  const std::vector<int>& depth = order.depth;
   const int n = graph.node_count();
-  std::vector<int> depth(n, 0);
-  {
-    std::vector<int> indeg(n, 0);
-    for (const auto& edges : graph.succ) {
-      for (int v : edges) ++indeg[v];
-    }
-    std::vector<int> ready;
-    for (int v = 0; v < n; ++v) {
-      if (indeg[v] == 0) ready.push_back(v);
-    }
-    int processed = 0;
-    while (!ready.empty()) {
-      const int v = ready.back();
-      ready.pop_back();
-      ++processed;
-      for (int w : graph.succ[v]) {
-        depth[w] = std::max(depth[w], depth[v] + 1);
-        if (--indeg[w] == 0) ready.push_back(w);
-      }
-    }
-    assert(processed == n);  // acyclic: checked by analyze()
-    (void)processed;
-  }
 
   auto is_dirty = [&](SubjobRef r) {
     return dirty == nullptr || (*dirty)[graph.node(r)] != 0;
@@ -333,11 +310,11 @@ void run_bounds_wavefront(const System& system, Time horizon, ThreadPool* pool,
   auto run_unit = [&](const Unit& unit) {
     if (unit.whole_fcfs) {
       for (const SubjobRef& r : system.subjobs_on(unit.processor)) {
-        fill_arrivals(r);
+        fill_hop_arrivals(system, r, horizon, states);
       }
       compute_processor_bounds(system, unit.processor, horizon, states);
     } else {
-      fill_arrivals(unit.ref);
+      fill_hop_arrivals(system, unit.ref, horizon, states);
       compute_single_priority_subjob(system, unit.ref, horizon, states);
     }
   };
@@ -436,29 +413,21 @@ AnalysisResult BoundsAnalyzer::analyze(const System& system) const {
   detail::EngineObs::AnalyzeScope obs_scope(eo, pool_.get());
   obs::Tracer::Span span = obs::Tracer::span_if(
       eo != nullptr ? eo->tracer() : nullptr, "bounds.analyze");
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    AnalysisResult r;
-    r.error = "invalid system: " + problems.front();
-    return r;
-  }
-  if (!topological_order(system)) {
-    AnalysisResult r;
-    r.error =
-        "subjob dependency graph has a cycle; use IterativeBoundsAnalyzer";
-    return r;
-  }
+  AnalysisResult rejected;
+  const auto order = checked_dependency_order(system, rejected.error);
+  if (!order) return rejected;
 
   return analyze_doubling_horizon(
       default_horizon(system, config_), config_.max_horizon_doublings,
-      [&](Time horizon) { return analyze_at(system, horizon); });
+      [&](Time horizon) { return analyze_at(system, *order, horizon); });
 }
 
 AnalysisResult BoundsAnalyzer::analyze_at(const System& system,
+                                          const DependencyOrder& order,
                                           Time horizon) const {
   detail::BoundStateMap states;
-  detail::run_bounds_wavefront(system, horizon, pool_.get(), eobs_.get(),
-                               /*dirty=*/nullptr, states);
+  detail::run_bounds_wavefront(system, order, horizon, pool_.get(),
+                               eobs_.get(), /*dirty=*/nullptr, states);
   return detail::bounds_result_from_states(system, horizon,
                                            config_.record_curves, states);
 }

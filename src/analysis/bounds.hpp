@@ -62,6 +62,7 @@
 #include <utility>
 
 #include "analysis/instrument.hpp"
+#include "analysis/order.hpp"
 #include "analysis/result.hpp"
 #include "model/system.hpp"
 #include "util/thread_pool.hpp"
@@ -101,10 +102,17 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
 [[nodiscard]] Time local_delay_bound(const PwlCurve& dep_lower,
                                      const PwlCurve& arr_upper);
 
+/// Set `ref`'s arrival bounds in `states` (its entry must exist): the exact
+/// release curve at hop 0, else the computed predecessor's next-hop upper
+/// bound (Lemma 2) and departure lower bound (Lemma 1) -- the DS identity.
+void fill_hop_arrivals(const System& system, SubjobRef ref, Time horizon,
+                       BoundStateMap& states);
+
 /// The resumable core of BoundsAnalyzer: one wavefront over `system`'s
-/// dependency graph at `horizon`, (re)computing exactly the subjobs whose
-/// flag in `dirty` is nonzero (indexed by job-major DependencyGraph node id;
-/// nullptr recomputes everything). Requirements for a partial run:
+/// dependency graph at `horizon`, scheduled by the caller's `order` (its
+/// depths are the waves), (re)computing exactly the subjobs whose flag in
+/// `dirty` is nonzero (indexed by job-major DependencyGraph node id; nullptr
+/// recomputes everything). Requirements for a partial run:
 ///
 ///   * `states` holds a computed BoundState for every non-dirty subjob,
 ///     produced by a previous wavefront at the SAME horizon;
@@ -117,7 +125,8 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
 /// from-scratch wavefront on `system` (the incremental-analysis contract,
 /// tests/test_service.cpp). Missing state entries are created; retained
 /// clean entries are left untouched.
-void run_bounds_wavefront(const System& system, Time horizon, ThreadPool* pool,
+void run_bounds_wavefront(const System& system, const DependencyOrder& order,
+                          Time horizon, ThreadPool* pool,
                           const EngineObs* eobs,
                           const std::vector<char>* dirty,
                           BoundStateMap& states);
@@ -147,6 +156,7 @@ class BoundsAnalyzer {
 
  private:
   [[nodiscard]] AnalysisResult analyze_at(const System& system,
+                                          const DependencyOrder& order,
                                           Time horizon) const;
 
   AnalysisConfig config_;

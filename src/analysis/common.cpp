@@ -5,16 +5,21 @@
 namespace rta {
 
 Time default_horizon(const System& system, const AnalysisConfig& config) {
-  if (config.horizon > 0.0) return config.horizon;
+  if (config.horizon > 0.0) return config.horizon;  // skip the O(jobs) scan
   Time max_deadline = 0.0;
   for (const Job& j : system.jobs()) {
     max_deadline = std::max(max_deadline, j.deadline);
   }
-  const Time window = system.last_release();
+  return default_horizon(system.last_release(), max_deadline, config);
+}
+
+Time default_horizon(Time last_release, Time max_deadline,
+                     const AnalysisConfig& config) {
+  if (config.horizon > 0.0) return config.horizon;
   const Time padding =
       std::max(config.horizon_padding_deadlines * max_deadline,
-               config.horizon_padding_fraction * window);
-  return std::max<Time>(window + padding, 1.0);
+               config.horizon_padding_fraction * last_release);
+  return std::max<Time>(last_release + padding, 1.0);
 }
 
 }  // namespace rta

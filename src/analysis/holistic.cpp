@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace rta {
@@ -71,10 +72,9 @@ AnalysisResult HolisticAnalyzer::analyze(const System& system) const {
       return r;
     }
   }
-  const auto problems = system.validate();
-  if (!problems.empty()) {
+  if (auto invalid = system.validation_error()) {
     AnalysisResult r;
-    r.error = "invalid system: " + problems.front();
+    r.error = std::move(*invalid);
     return r;
   }
 

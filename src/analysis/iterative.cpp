@@ -23,10 +23,9 @@ AnalysisResult IterativeBoundsAnalyzer::analyze(const System& system) const {
   detail::EngineObs::AnalyzeScope obs_scope(eo, pool_.get());
   obs::Tracer::Span span = obs::Tracer::span_if(
       eo != nullptr ? eo->tracer() : nullptr, "iterative.analyze");
-  const auto problems = system.validate();
-  if (!problems.empty()) {
+  if (auto invalid = system.validation_error()) {
     AnalysisResult r;
-    r.error = "invalid system: " + problems.front();
+    r.error = std::move(*invalid);
     return r;
   }
 
@@ -238,34 +237,8 @@ AnalysisResult IterativeBoundsAnalyzer::analyze_at(const System& system,
   last_iterations_.store(iterations, std::memory_order_relaxed);
   iterations_g.set(static_cast<double>(iterations));
 
-  AnalysisResult result;
-  result.ok = true;
-  result.horizon = horizon;
-  result.jobs.resize(system.job_count());
-  for (int k = 0; k < system.job_count(); ++k) {
-    const Job& job = system.job(k);
-    JobReport& report = result.jobs[k];
-    report.hops.resize(job.chain.size());
-    Time total = 0.0;
-    for (int h = 0; h < static_cast<int>(job.chain.size()); ++h) {
-      const detail::BoundState& st = states.at({k, h});
-      report.hops[h].ref = {k, h};
-      report.hops[h].local_bound = st.local_bound;
-      total += st.local_bound;
-      if (config_.record_curves) {
-        SubjobCurves curves;
-        curves.arrival_upper = st.arr_upper;
-        curves.arrival_lower = st.arr_lower;
-        curves.service_upper = st.svc_upper;
-        curves.service_lower = st.svc_lower;
-        curves.departure_lower = st.dep_lower;
-        report.hops[h].curves.push_back(std::move(curves));
-      }
-    }
-    report.wcrt = total;
-    report.schedulable = time_le(total, job.deadline);
-  }
-  return result;
+  return detail::bounds_result_from_states(system, horizon,
+                                           config_.record_curves, states);
 }
 
 }  // namespace rta

@@ -1,8 +1,11 @@
 #include "analysis/order.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace rta {
+
+namespace {
 
 DependencyGraph build_dependency_graph(const System& system) {
   DependencyGraph g;
@@ -42,8 +45,12 @@ DependencyGraph build_dependency_graph(const System& system) {
   return g;
 }
 
-std::optional<std::vector<SubjobRef>> topological_order(const System& system) {
-  const DependencyGraph g = build_dependency_graph(system);
+}  // namespace
+
+std::optional<DependencyOrder> dependency_order(const System& system) {
+  DependencyOrder out;
+  out.graph = build_dependency_graph(system);
+  const DependencyGraph& g = out.graph;
   const int n = g.node_count();
 
   std::vector<int> indeg(n, 0);
@@ -63,17 +70,31 @@ std::optional<std::vector<SubjobRef>> topological_order(const System& system) {
   for (int v = 0; v < n; ++v) {
     if (indeg[v] == 0) ready.push_back(v);
   }
-  std::vector<SubjobRef> order;
-  order.reserve(n);
+  out.order.reserve(n);
+  out.depth.assign(n, 0);
   while (!ready.empty()) {
     const int v = ready.back();
     ready.pop_back();
-    order.push_back(ref_of[v]);
+    out.order.push_back(ref_of[v]);
     for (int w : g.succ[v]) {
+      out.depth[w] = std::max(out.depth[w], out.depth[v] + 1);
       if (--indeg[w] == 0) ready.push_back(w);
     }
   }
-  if (static_cast<int>(order.size()) != n) return std::nullopt;
+  if (static_cast<int>(out.order.size()) != n) return std::nullopt;
+  return out;
+}
+
+std::optional<DependencyOrder> checked_dependency_order(const System& system,
+                                                        std::string& error) {
+  if (auto invalid = system.validation_error()) {
+    error = std::move(*invalid);
+    return std::nullopt;
+  }
+  auto order = dependency_order(system);
+  if (!order) {
+    error = "subjob dependency graph has a cycle; use IterativeBoundsAnalyzer";
+  }
   return order;
 }
 

@@ -5,9 +5,15 @@
 // curves it is coupled to on its processor are done: higher-priority subjobs
 // under SPP/SPNP, or the predecessors of *all* co-located subjobs under FCFS
 // (they feed the shared utilization function of Theorem 7).
+//
+// This module is the one place that knows that edge rule and the one place
+// that runs Kahn's algorithm over it. The acyclic engines build the order
+// once per analysis and reuse it for the cycle check, the session's dirty
+// closure and every horizon-doubled pass.
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "model/system.hpp"
@@ -25,13 +31,26 @@ struct DependencyGraph {
   }
 };
 
-/// Build the dependency graph described above for `system`.
-[[nodiscard]] DependencyGraph build_dependency_graph(const System& system);
+/// The dependency graph of an acyclic system and one Kahn pass over it.
+struct DependencyOrder {
+  DependencyGraph graph;
+  std::vector<SubjobRef> order;  ///< every subjob, dependencies first
+  /// Per node: length of the longest dependency chain ending at it, so all
+  /// inputs of a depth-d subjob sit at depths < d (the wavefront's waves).
+  std::vector<int> depth;
+};
 
-/// Topological order of all subjobs, or nullopt if the graph has a cycle
-/// (physical or logical loop, paper §6); cyclic systems are handled by
-/// IterativeBoundsAnalyzer.
-[[nodiscard]] std::optional<std::vector<SubjobRef>> topological_order(
+/// Build `system`'s dependency graph and order it, or nullopt if the graph
+/// has a cycle (physical or logical loop, paper §6); cyclic systems are
+/// handled by IterativeBoundsAnalyzer.
+[[nodiscard]] std::optional<DependencyOrder> dependency_order(
     const System& system);
+
+/// The structural gate of the acyclic engines (BoundsAnalyzer,
+/// ExactSppAnalyzer, service::AdmissionSession): the dependency order of a
+/// valid acyclic `system`, or nullopt with `error` set to the message those
+/// engines report -- the first validation problem, else the cycle.
+[[nodiscard]] std::optional<DependencyOrder> checked_dependency_order(
+    const System& system, std::string& error);
 
 }  // namespace rta

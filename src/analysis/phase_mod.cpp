@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "analysis/holistic.hpp"
 
@@ -16,10 +17,9 @@ AnalysisResult PhaseModAnalyzer::analyze(const System& system,
       return r;
     }
   }
-  const auto problems = system.validate();
-  if (!problems.empty()) {
+  if (auto invalid = system.validation_error()) {
     AnalysisResult r;
-    r.error = "invalid system: " + problems.front();
+    r.error = std::move(*invalid);
     return r;
   }
 

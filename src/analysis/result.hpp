@@ -123,6 +123,11 @@ struct AnalysisResult {
 [[nodiscard]] Time default_horizon(const System& system,
                                    const AnalysisConfig& config);
 
+/// The same horizon from its ingredients: the system's last release and its
+/// largest deadline (0 for a system without jobs).
+[[nodiscard]] Time default_horizon(Time last_release, Time max_deadline,
+                                   const AnalysisConfig& config);
+
 /// The horizon-doubling policy every analyzer shares: returns
 /// `analyze_at(horizon)`, except that while that result is ok but some job
 /// is unbounded, the horizon is doubled and `analyze_at` run again, at most

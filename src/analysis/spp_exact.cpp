@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "analysis/order.hpp"
 #include "curve/algebra.hpp"
 #include "curve/transforms.hpp"
 
@@ -30,32 +29,21 @@ AnalysisResult ExactSppAnalyzer::analyze(const System& system) const {
       return r;
     }
   }
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    AnalysisResult r;
-    r.error = "invalid system: " + problems.front();
-    return r;
-  }
-  if (!topological_order(system)) {
-    AnalysisResult r;
-    r.error =
-        "subjob dependency graph has a cycle; use IterativeBoundsAnalyzer";
-    return r;
-  }
+  AnalysisResult rejected;
+  const auto order = checked_dependency_order(system, rejected.error);
+  if (!order) return rejected;
 
   return analyze_doubling_horizon(
       default_horizon(system, config_), config_.max_horizon_doublings,
-      [&](Time horizon) { return analyze_at(system, horizon); });
+      [&](Time horizon) { return analyze_at(system, *order, horizon); });
 }
 
 AnalysisResult ExactSppAnalyzer::analyze_at(const System& system,
+                                            const DependencyOrder& order,
                                             Time horizon) const {
-  const auto order_opt = topological_order(system);
-  const auto order = *order_opt;  // checked by analyze()
-
   std::map<std::pair<int, int>, NodeState> state;
 
-  for (const SubjobRef& ref : order) {
+  for (const SubjobRef& ref : order.order) {
     const Subjob& sj = system.subjob(ref);
     NodeState node;
 

@@ -16,6 +16,7 @@
 // handled by IterativeBoundsAnalyzer.
 #pragma once
 
+#include "analysis/order.hpp"
 #include "analysis/result.hpp"
 #include "model/system.hpp"
 
@@ -32,6 +33,7 @@ class ExactSppAnalyzer {
 
  private:
   [[nodiscard]] AnalysisResult analyze_at(const System& system,
+                                          const DependencyOrder& order,
                                           Time horizon) const;
 
   AnalysisConfig config_;

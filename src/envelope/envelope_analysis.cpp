@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "analysis/order.hpp"
 #include "curve/algebra.hpp"
@@ -81,13 +82,12 @@ EnvelopeResult EnvelopeAnalyzer::analyze(
     result.error = "need exactly one envelope per job";
     return result;
   }
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    result.error = "invalid system: " + problems.front();
+  if (auto invalid = system.validation_error()) {
+    result.error = std::move(*invalid);
     return result;
   }
-  const auto order_opt = topological_order(system);
-  if (!order_opt) {
+  const auto order = dependency_order(system);
+  if (!order) {
     result.error = "cyclic dependency graph; envelope analysis requires an "
                    "acyclic system";
     return result;
@@ -115,7 +115,7 @@ EnvelopeResult EnvelopeAnalyzer::analyze(
     return hop_env.at({r.job, r.hop});
   };
 
-  for (const SubjobRef& ref : *order_opt) {
+  for (const SubjobRef& ref : order->order) {
     if (local_bound.count({ref.job, ref.hop})) continue;
     const Subjob& sj = system.subjob(ref);
     const int p = sj.processor;

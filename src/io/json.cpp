@@ -1,5 +1,6 @@
 #include "io/json.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cctype>
 #include <cerrno>
@@ -391,6 +392,22 @@ ParseResult parse(const std::string& text) {
   result.ok = true;
   result.value = std::move(v);
   return result;
+}
+
+std::optional<std::int64_t> checked_integer(const Value& v, std::int64_t lo,
+                                            std::int64_t hi) {
+  if (!v.is_number()) return std::nullopt;
+  const double x = v.as_number();
+  // Range first (NaN fails it too): only then is the cast below defined.
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi))) {
+    return std::nullopt;
+  }
+  // Integral exactly when truncation leaves the bit pattern unchanged.
+  if (std::bit_cast<std::uint64_t>(std::trunc(x)) !=
+      std::bit_cast<std::uint64_t>(x)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(x);
 }
 
 }  // namespace rta::json

@@ -13,6 +13,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,5 +90,18 @@ struct ParseResult {
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 [[nodiscard]] ParseResult parse(const std::string& text);
+
+/// Largest id a JSON number carries exactly (2^53).
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+inline constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+inline constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// `v` as an integer in [lo, hi]; nullopt when it is not a number, has a
+/// fractional part, or lies outside the range. The one checked path from a
+/// JSON number to an integer field: a bare cast would truncate fractions
+/// and is undefined out of range.
+[[nodiscard]] std::optional<std::int64_t> checked_integer(const Value& v,
+                                                          std::int64_t lo,
+                                                          std::int64_t hi);
 
 }  // namespace rta::json

@@ -40,9 +40,14 @@ bool check_schema(const json::Value& root, std::string& error) {
     error = "missing numeric 'schema_version'";
     return false;
   }
-  if (static_cast<int>(ver->as_number()) != kSystemJsonSchemaVersion) {
-    error = "unsupported schema_version " +
-            std::to_string(static_cast<int>(ver->as_number())) +
+  const auto version =
+      json::checked_integer(*ver, json::kIntMin, json::kIntMax);
+  if (!version) {
+    error = "'schema_version' must be an integer in the int range";
+    return false;
+  }
+  if (*version != kSystemJsonSchemaVersion) {
+    error = "unsupported schema_version " + std::to_string(*version) +
             " (supported: " + std::to_string(kSystemJsonSchemaVersion) + ")";
     return false;
   }
@@ -98,7 +103,12 @@ bool parse_job_json(const json::Value& value, Job& out, std::string& error,
       error = "'id' must be a nonnegative number";
       return false;
     }
-    job.id = static_cast<std::uint64_t>(id->as_number());
+    const auto checked = json::checked_integer(*id, 0, json::kMaxExactInteger);
+    if (!checked) {
+      error = "'id' must be an integer in [0, 2^53]";
+      return false;
+    }
+    job.id = static_cast<std::uint64_t>(*checked);
   }
   for (std::size_t h = 0; h < chain->as_array().size(); ++h) {
     const Value& hv = chain->as_array()[h];
@@ -114,7 +124,13 @@ bool parse_job_json(const json::Value& value, Job& out, std::string& error,
       error = where + ": " + error;
       return false;
     }
-    sub.processor = static_cast<int>(proc->as_number());
+    const auto processor =
+        json::checked_integer(*proc, json::kIntMin, json::kIntMax);
+    if (!processor) {
+      error = where + ": 'processor' must be an integer in the int range";
+      return false;
+    }
+    sub.processor = static_cast<int>(*processor);
     sub.exec_time = exec->as_number();
     if (sub.exec_time <= 0.0) {
       error = where + ": exec must be > 0";
@@ -125,7 +141,13 @@ bool parse_job_json(const json::Value& value, Job& out, std::string& error,
         error = where + ": 'priority' must be a number";
         return false;
       }
-      sub.priority = static_cast<int>(prio->as_number());
+      const auto priority =
+          json::checked_integer(*prio, json::kIntMin, json::kIntMax);
+      if (!priority) {
+        error = where + ": 'priority' must be an integer in the int range";
+        return false;
+      }
+      sub.priority = static_cast<int>(*priority);
       if (saw_priority != nullptr) *saw_priority = true;
     }
     job.chain.push_back(sub);
@@ -253,9 +275,8 @@ ParsedSystem parse_system_json(const std::string& text) {
     system.add_job(std::move(job));
   }
 
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    result.error = "invalid system: " + problems.front();
+  if (auto invalid = system.validation_error()) {
+    result.error = std::move(*invalid);
     return result;
   }
   result.ok = true;
@@ -389,14 +410,21 @@ ParsedResult parse_result_json(const std::string& text) {
         const Value* hjob = hv.find("job");
         const Value* hhop = hv.find("hop");
         const Value* bound = hv.find("local_bound");
-        if (!hv.is_object() || hjob == nullptr || !hjob->is_number() ||
-            hhop == nullptr || !hhop->is_number() || bound == nullptr ||
+        const auto job_index =
+            hjob == nullptr
+                ? std::nullopt
+                : json::checked_integer(*hjob, json::kIntMin, json::kIntMax);
+        const auto hop_index =
+            hhop == nullptr
+                ? std::nullopt
+                : json::checked_integer(*hhop, json::kIntMin, json::kIntMax);
+        if (!hv.is_object() || !job_index || !hop_index || bound == nullptr ||
             !read_time(*bound, hop.local_bound)) {
           out.error = where + ": malformed hop entry";
           return out;
         }
-        hop.ref.job = static_cast<int>(hjob->as_number());
-        hop.ref.hop = static_cast<int>(hhop->as_number());
+        hop.ref.job = static_cast<int>(*job_index);
+        hop.ref.hop = static_cast<int>(*hop_index);
         report.hops.push_back(std::move(hop));
       }
     }

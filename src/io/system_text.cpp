@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace rta {
@@ -298,9 +299,8 @@ ParsedSystem parse_system_text(std::istream& in) {
   }
   for (Job& j : jobs) system.add_job(std::move(j));
 
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    result.error = "invalid system: " + problems.front();
+  if (auto invalid = system.validation_error()) {
+    result.error = std::move(*invalid);
     return result;
   }
   result.ok = true;

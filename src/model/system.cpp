@@ -149,62 +149,10 @@ std::vector<std::string> System::validate() const {
   return problems;
 }
 
-bool System::dependency_graph_is_acyclic() const {
-  // Nodes: subjobs, numbered job-major.
-  std::vector<int> base(jobs_.size() + 1, 0);
-  for (std::size_t k = 0; k < jobs_.size(); ++k) {
-    base[k + 1] = base[k] + static_cast<int>(jobs_[k].chain.size());
-  }
-  const int n = base.back();
-  auto node = [&](SubjobRef r) { return base[r.job] + r.hop; };
-
-  std::vector<std::vector<int>> succ(n);
-  auto add_edge = [&](SubjobRef from, SubjobRef to) {
-    succ[node(from)].push_back(node(to));
-  };
-
-  for (int k = 0; k < job_count(); ++k) {
-    for (int h = 1; h < static_cast<int>(jobs_[k].chain.size()); ++h) {
-      add_edge({k, h - 1}, {k, h});
-    }
-  }
-  for (int p = 0; p < processor_count(); ++p) {
-    const auto on_p = subjobs_on(p);
-    if (schedulers_[p] == SchedulerKind::kFcfs) {
-      // The shared utilization function couples all subjobs on p: each needs
-      // every co-located subjob's *arrival* (i.e. its predecessor hop).
-      for (const SubjobRef& u : on_p) {
-        if (u.hop == 0) continue;
-        for (const SubjobRef& s : on_p) add_edge({u.job, u.hop - 1}, s);
-      }
-    } else {
-      for (const SubjobRef& hi : on_p) {
-        for (const SubjobRef& lo : on_p) {
-          if (subjob(hi).priority < subjob(lo).priority) add_edge(hi, lo);
-        }
-      }
-    }
-  }
-
-  // Kahn's algorithm.
-  std::vector<int> indeg(n, 0);
-  for (const auto& edges : succ) {
-    for (int v : edges) ++indeg[v];
-  }
-  std::vector<int> queue;
-  for (int v = 0; v < n; ++v) {
-    if (indeg[v] == 0) queue.push_back(v);
-  }
-  int visited = 0;
-  while (!queue.empty()) {
-    const int v = queue.back();
-    queue.pop_back();
-    ++visited;
-    for (int w : succ[v]) {
-      if (--indeg[w] == 0) queue.push_back(w);
-    }
-  }
-  return visited == n;
+std::optional<std::string> System::validation_error() const {
+  const std::vector<std::string> problems = validate();
+  if (problems.empty()) return std::nullopt;
+  return "invalid system: " + problems.front();
 }
 
 }  // namespace rta

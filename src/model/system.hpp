@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,12 +134,9 @@ class System {
   /// unique per-processor priorities where a priority scheduler is in use.
   [[nodiscard]] std::vector<std::string> validate() const;
 
-  /// True if the subjob-level dependency graph used by the analyzers is
-  /// acyclic. Edges: predecessor hop -> hop; and on priority-scheduled
-  /// processors, higher-priority subjob -> lower-priority subjob; on FCFS
-  /// processors, every subjob couples with every other subjob on the
-  /// processor (their arrival bounds feed the shared utilization function).
-  [[nodiscard]] bool dependency_graph_is_acyclic() const;
+  /// The error every analyzer and loader reports for an invalid system --
+  /// its first validate() problem, prefixed -- or nullopt when valid.
+  [[nodiscard]] std::optional<std::string> validation_error() const;
 
  private:
   std::vector<Job> jobs_;

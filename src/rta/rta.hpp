@@ -22,6 +22,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/holistic.hpp"
 #include "analysis/iterative.hpp"
+#include "analysis/order.hpp"
 #include "analysis/phase_mod.hpp"
 #include "analysis/result.hpp"
 #include "analysis/spp_exact.hpp"

@@ -73,13 +73,13 @@ std::vector<int> touched_processors(const std::vector<Subjob>& chain) {
   return procs;
 }
 
-/// Dirty closure for "job `k_new` was appended". The graph's interference
+/// Dirty seeds for "job `k_new` was appended". The graph's interference
 /// edges (higher-priority -> lower-priority) propagate the new subjobs'
 /// effect on SPP/SPNP processors; what they cannot express is seeded
 /// explicitly: whole FCFS processors (the new arrivals enter Theorem 7's
 /// shared utilization function) and SPNP subjobs whose blocking term grew.
-DirtySet dirty_for_added_job(const System& system,
-                             const DependencyGraph& graph, int k_new) {
+std::vector<int> seeds_for_added_job(const System& system,
+                                     const DependencyGraph& graph, int k_new) {
   std::vector<int> seeds;
   const Job& added = system.job(k_new);
   for (int h = 0; h < static_cast<int>(added.chain.size()); ++h) {
@@ -102,16 +102,16 @@ DirtySet dirty_for_added_job(const System& system,
       }
     }
   }
-  return close_over_successors(graph, std::move(seeds));
+  return seeds;
 }
 
-/// Dirty closure for "a job whose hops were `removed_chain` is gone".
+/// Dirty seeds for "a job whose hops were `removed_chain` is gone".
 /// `system` is the post-removal candidate. `old_blocking` carries each
 /// surviving SPNP subjob's pre-removal Eq. 15 blocking, keyed by stable job
 /// id (indices shifted). The removed subjobs' interference victims --
 /// strictly lower-priority subjobs, whole FCFS processors -- are seeded
 /// directly since the removed graph nodes no longer exist to propagate it.
-DirtySet dirty_for_removed_job(
+std::vector<int> seeds_for_removed_job(
     const System& system, const DependencyGraph& graph,
     const std::vector<Subjob>& removed_chain,
     const std::map<std::pair<std::uint64_t, int>, double>& old_blocking) {
@@ -141,7 +141,21 @@ DirtySet dirty_for_removed_job(
       if (affected) seeds.push_back(graph.node(r));
     }
   }
-  return close_over_successors(graph, std::move(seeds));
+  return seeds;
+}
+
+/// First argmax of the hop bounds, -1 without hops; any local bound (finite
+/// or +inf) beats the -1 sentinel.
+int dominant_hop(const std::vector<ExplainHop>& hops) {
+  int dominant = -1;
+  Time best = -1.0;
+  for (const ExplainHop& eh : hops) {
+    if (eh.bound > best) {
+      best = eh.bound;
+      dominant = eh.hop;
+    }
+  }
+  return dominant;
 }
 
 }  // namespace
@@ -151,10 +165,10 @@ AdmissionSession::AdmissionSession(System base, SessionConfig config)
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
 
   Decision d;
-  if (structural_check(d)) {
+  if (const auto order = structural_check(d)) {
     detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
     const Time h = default_horizon(system_, config_.analysis);
-    analyze_pass(d, h, /*dirty=*/nullptr, states_);
+    analyze_pass(d, *order, h, /*dirty=*/nullptr, states_);
     horizon_ = h;
     have_states_ = true;
   }
@@ -246,19 +260,14 @@ void AdmissionSession::fill_explain(Decision& d, std::size_t k_new) const {
   d.explain.wcrt = report.wcrt;
   d.explain.deadline = job.deadline;
   d.explain.hops.clear();
-  d.explain.dominant_hop = -1;
-  Time best = -1.0;  // any local bound (finite or +inf) beats this
   for (std::size_t h = 0; h < report.hops.size(); ++h) {
     ExplainHop eh;
     eh.hop = static_cast<int>(h);
     eh.processor = h < job.chain.size() ? job.chain[h].processor : 0;
     eh.bound = report.hops[h].local_bound;
-    if (eh.bound > best) {
-      best = eh.bound;
-      d.explain.dominant_hop = eh.hop;
-    }
     d.explain.hops.push_back(eh);
   }
+  d.explain.dominant_hop = dominant_hop(d.explain.hops);
 }
 
 ReadDecision AdmissionSession::read_what_if(Job job) {
@@ -316,17 +325,11 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   }
 
   // The incremental path requires the candidate to leave the analysis
-  // horizon unchanged; compute it from the cached ingredients (identical
-  // arithmetic to default_horizon over the candidate system).
-  Time h = config_.analysis.horizon;
-  if (h <= 0.0) {
-    const Time window = std::max(rc.last_release, job.arrivals.last_release());
-    const Time max_deadline = std::max(rc.max_deadline, job.deadline);
-    const Time padding =
-        std::max(config_.analysis.horizon_padding_deadlines * max_deadline,
-                 config_.analysis.horizon_padding_fraction * window);
-    h = std::max<Time>(window + padding, 1.0);
-  }
+  // horizon unchanged; compute it from the cached ingredients of the
+  // candidate system.
+  const Time h = default_horizon(
+      std::max(rc.last_release, job.arrivals.last_release()),
+      std::max(rc.max_deadline, job.deadline), config_.analysis);
   // rta-lint: allow(float-eq) cache identity: reuse is sound only for a
   // bit-identical horizon, an epsilon match would resume from wrong states
   if (h != horizon_) return false;
@@ -353,16 +356,8 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
         eobs_ != nullptr ? eobs_->tracer() : nullptr, "service.fast_what_if",
         "{\"hops\": " + std::to_string(hops) + "}");
     for (int hh = 0; hh < hops; ++hh) {
-      detail::BoundState& st = states_[{k_new, hh}];
-      if (hh == 0) {
-        const PwlCurve exact = system_.job(k_new).arrivals.to_curve(horizon_);
-        st.arr_upper = exact;
-        st.arr_lower = exact;
-      } else {
-        const detail::BoundState& pred = states_.at({k_new, hh - 1});
-        st.arr_upper = pred.next_arr_upper;
-        st.arr_lower = pred.dep_lower;
-      }
+      states_.try_emplace({k_new, hh});
+      detail::fill_hop_arrivals(system_, {k_new, hh}, horizon_, states_);
       detail::compute_single_priority_subjob(system_, {k_new, hh}, horizon_,
                                              states_);
       const Time hop_bound = states_.at({k_new, hh}).local_bound;
@@ -399,14 +394,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   rd.explain.wcrt = candidate_wcrt;
   rd.explain.deadline = job.deadline;
   rd.explain.horizon_doublings = 0;
-  rd.explain.dominant_hop = -1;
-  Time best = -1.0;
-  for (const ExplainHop& eh : rd.explain.hops) {
-    if (eh.bound > best) {
-      best = eh.bound;
-      rd.explain.dominant_hop = eh.hop;
-    }
-  }
+  rd.explain.dominant_hop = dominant_hop(rd.explain.hops);
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.incremental").inc();
     eobs_->metrics()
@@ -416,26 +404,19 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   return true;
 }
 
-bool AdmissionSession::structural_check(Decision& d) const {
+std::optional<DependencyOrder> AdmissionSession::structural_check(
+    Decision& d) const {
   // Mirrors BoundsAnalyzer::analyze so error Decisions match it verbatim.
-  const auto problems = system_.validate();
-  if (!problems.empty()) {
+  auto order = checked_dependency_order(system_, d.error);
+  if (!order) {
     d.analysis = AnalysisResult{};
-    d.analysis.error = "invalid system: " + problems.front();
-    d.error = d.analysis.error;
-    return false;
+    d.analysis.error = d.error;
   }
-  if (!topological_order(system_)) {
-    d.analysis = AnalysisResult{};
-    d.analysis.error =
-        "subjob dependency graph has a cycle; use IterativeBoundsAnalyzer";
-    d.error = d.analysis.error;
-    return false;
-  }
-  return true;
+  return order;
 }
 
-void AdmissionSession::analyze_pass(Decision& d, Time base_horizon,
+void AdmissionSession::analyze_pass(Decision& d, const DependencyOrder& order,
+                                    Time base_horizon,
                                     const std::vector<char>* dirty,
                                     detail::BoundStateMap& states) const {
   // The first pass runs the `dirty` subjobs (nullptr: all) over `states` at
@@ -448,7 +429,7 @@ void AdmissionSession::analyze_pass(Decision& d, Time base_horizon,
         detail::BoundStateMap scratch;
         detail::BoundStateMap& target = first ? states : scratch;
         if (!first) ++d.explain.horizon_doublings;
-        detail::run_bounds_wavefront(system_, h, /*pool=*/nullptr,
+        detail::run_bounds_wavefront(system_, order, h, /*pool=*/nullptr,
                                      eobs_.get(), first ? dirty : nullptr,
                                      target);
         first = false;
@@ -456,6 +437,85 @@ void AdmissionSession::analyze_pass(Decision& d, Time base_horizon,
             system_, h, config_.analysis.record_curves, target);
       });
   d.ok = true;
+}
+
+/// What roll_back needs to restore the committed curves after
+/// analyze_change replaced some (or all) of them with a candidate's.
+struct AdmissionSession::Undo {
+  bool whole = false;  ///< full pass: `saved` is the entire previous map
+  detail::BoundStateMap saved;             ///< pre-images of overwritten states
+  std::vector<std::pair<int, int>> added;  ///< states an incremental pass made
+  Time horizon = 0.0;        ///< full pass: the previous horizon_
+  bool have_states = false;  ///< full pass: the previous have_states_
+};
+
+void AdmissionSession::analyze_change(Decision& d, const DependencyOrder& order,
+                                      const SeedFn& seeds, Undo* undo) {
+  const Time h = default_horizon(system_, config_.analysis);
+  obs::Counter incremental_counter, full_counter, dirty_counter;
+  if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
+    incremental_counter = eobs_->metrics()->counter("service.incremental");
+    full_counter = eobs_->metrics()->counter("service.full");
+    dirty_counter = eobs_->metrics()->counter("service.dirty_subjobs");
+  }
+
+  // rta-lint: allow(float-eq) cache identity: incremental reuse requires a
+  // bit-identical horizon
+  if (have_states_ && h == horizon_) {
+    const DependencyGraph& graph = order.graph;
+    obs::Tracer::Span closure_span = obs::Tracer::span_if(
+        eobs_ != nullptr ? eobs_->tracer() : nullptr, "service.dirty_closure");
+    const DirtySet dirty = close_over_successors(graph, seeds(graph));
+    closure_span.annotate("{\"dirty\": " + std::to_string(dirty.count) +
+                          ", \"nodes\": " + std::to_string(graph.node_count()) +
+                          "}");
+    closure_span.finish();
+    if (dirty.count <=
+        config_.full_analysis_threshold * graph.node_count()) {
+      if (undo != nullptr) {
+        for (const SubjobRef& r : order.order) {
+          if (dirty.flags[graph.node(r)] == 0) continue;
+          const auto it = states_.find({r.job, r.hop});
+          if (it == states_.end()) {
+            undo->added.emplace_back(r.job, r.hop);
+          } else {
+            undo->saved.insert(*it);
+          }
+        }
+      }
+      analyze_pass(d, order, h, &dirty.flags, states_);
+      d.incremental = true;
+      d.dirty_subjobs = dirty.count;
+      incremental_counter.inc();
+      dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
+      return;
+    }
+  }
+
+  // Full fallback: fresh horizon, oversized dirty closure, or no retained
+  // state yet.
+  full_counter.inc();
+  if (undo != nullptr) {
+    undo->whole = true;
+    undo->saved = std::move(states_);
+    undo->horizon = horizon_;
+    undo->have_states = have_states_;
+  }
+  states_.clear();
+  analyze_pass(d, order, h, /*dirty=*/nullptr, states_);
+  horizon_ = h;
+  have_states_ = true;
+}
+
+void AdmissionSession::roll_back(Undo& undo) {
+  if (!undo.whole) {
+    for (const auto& key : undo.added) states_.erase(key);
+    for (auto& [key, state] : undo.saved) states_[key] = std::move(state);
+    return;
+  }
+  states_ = std::move(undo.saved);
+  horizon_ = undo.horizon;
+  have_states_ = undo.have_states;
 }
 
 Decision AdmissionSession::admit(Job job) {
@@ -486,82 +546,26 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
   d.job_id = system_.job(k_new).id;
   d.total_subjobs = total_subjobs(system_);
 
-  if (!structural_check(d)) {
+  const auto order = structural_check(d);
+  if (!order) {
     system_.remove_job(k_new);
     return d;
   }
 
-  const Time h = default_horizon(system_, config_.analysis);
-  obs::Counter incremental_counter, full_counter, dirty_counter;
-  if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
-    incremental_counter = eobs_->metrics()->counter("service.incremental");
-    full_counter = eobs_->metrics()->counter("service.full");
-    dirty_counter = eobs_->metrics()->counter("service.dirty_subjobs");
-  }
-
-  // rta-lint: allow(float-eq) cache identity: incremental reuse requires a
-  // bit-identical horizon (see can_incremental)
-  if (have_states_ && h == horizon_) {
-    obs::Tracer::Span closure_span = obs::Tracer::span_if(
-        eobs_ != nullptr ? eobs_->tracer() : nullptr, "service.dirty_closure");
-    const DependencyGraph graph = build_dependency_graph(system_);
-    const DirtySet dirty = dirty_for_added_job(system_, graph, k_new);
-    closure_span.annotate("{\"dirty\": " + std::to_string(dirty.count) +
-                          ", \"nodes\": " + std::to_string(graph.node_count()) +
-                          "}");
-    closure_span.finish();
-    if (dirty.count <=
-        config_.full_analysis_threshold * graph.node_count()) {
-      // Save the dirty existing states so a rejected candidate (or a
-      // what-if) can be rolled back without recomputation.
-      std::map<std::pair<int, int>, detail::BoundState> saved;
-      for (int k = 0; k < system_.job_count(); ++k) {
-        if (k == k_new) continue;
-        for (int hop = 0;
-             hop < static_cast<int>(system_.job(k).chain.size()); ++hop) {
-          if (dirty.flags[graph.node({k, hop})] != 0) {
-            saved[{k, hop}] = states_.at({k, hop});
-          }
-        }
-      }
-
-      analyze_pass(d, h, &dirty.flags, states_);
-      d.incremental = true;
-      d.dirty_subjobs = dirty.count;
-      incremental_counter.inc();
-      dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
-      fill_explain(d, static_cast<std::size_t>(k_new));
-
-      d.admitted = d.analysis.all_schedulable();
-      if (commit_on_admit && d.admitted) {
-        d.committed = true;
-        last_ = d.analysis;
-      } else {
-        for (auto& [key, state] : saved) states_[key] = std::move(state);
-        for (int hop = 0;
-             hop < static_cast<int>(system_.job(k_new).chain.size()); ++hop) {
-          states_.erase({k_new, hop});
-        }
-        system_.remove_job(k_new);
-      }
-      return d;
-    }
-  }
-
-  // Full fallback: fresh horizon, oversized dirty closure, or no retained
-  // state yet.
-  full_counter.inc();
-  detail::BoundStateMap fresh;
-  analyze_pass(d, h, /*dirty=*/nullptr, fresh);
+  Undo undo;
+  analyze_change(
+      d, *order,
+      [&](const DependencyGraph& graph) {
+        return seeds_for_added_job(system_, graph, k_new);
+      },
+      &undo);
   fill_explain(d, static_cast<std::size_t>(k_new));
   d.admitted = d.analysis.all_schedulable();
   if (commit_on_admit && d.admitted) {
     d.committed = true;
-    states_ = std::move(fresh);
-    horizon_ = h;
-    have_states_ = true;
     last_ = d.analysis;
   } else {
+    roll_back(undo);
     system_.remove_job(k_new);
   }
   return d;
@@ -607,50 +611,20 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
     states_ = std::move(remapped);
   }
 
-  if (!structural_check(d)) {
+  const auto order = structural_check(d);
+  if (!order) {
     have_states_ = false;
     last_ = d.analysis;
     return d;
   }
 
-  const Time h = default_horizon(system_, config_.analysis);
-  obs::Counter incremental_counter, full_counter, dirty_counter;
-  if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
-    incremental_counter = eobs_->metrics()->counter("service.incremental");
-    full_counter = eobs_->metrics()->counter("service.full");
-    dirty_counter = eobs_->metrics()->counter("service.dirty_subjobs");
-  }
-
-  // rta-lint: allow(float-eq) cache identity: incremental reuse requires a
-  // bit-identical horizon (see can_incremental)
-  if (have_states_ && h == horizon_) {
-    obs::Tracer::Span closure_span = obs::Tracer::span_if(
-        eobs_ != nullptr ? eobs_->tracer() : nullptr, "service.dirty_closure");
-    const DependencyGraph graph = build_dependency_graph(system_);
-    const DirtySet dirty =
-        dirty_for_removed_job(system_, graph, removed_chain, old_blocking);
-    closure_span.annotate("{\"dirty\": " + std::to_string(dirty.count) +
-                          ", \"nodes\": " + std::to_string(graph.node_count()) +
-                          "}");
-    closure_span.finish();
-    if (dirty.count <=
-        config_.full_analysis_threshold * graph.node_count()) {
-      analyze_pass(d, h, &dirty.flags, states_);
-      d.incremental = true;
-      d.dirty_subjobs = dirty.count;
-      incremental_counter.inc();
-      dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
-      d.admitted = d.analysis.all_schedulable();
-      last_ = d.analysis;
-      return d;
-    }
-  }
-
-  full_counter.inc();
-  states_.clear();
-  analyze_pass(d, h, /*dirty=*/nullptr, states_);
-  horizon_ = h;
-  have_states_ = true;
+  analyze_change(
+      d, *order,
+      [&](const DependencyGraph& graph) {
+        return seeds_for_removed_job(system_, graph, removed_chain,
+                                     old_blocking);
+      },
+      /*undo=*/nullptr);
   d.admitted = d.analysis.all_schedulable();
   last_ = d.analysis;
   return d;

@@ -37,12 +37,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/bounds.hpp"
 #include "analysis/instrument.hpp"
+#include "analysis/order.hpp"
 #include "analysis/result.hpp"
 #include "model/system.hpp"
 
@@ -171,8 +174,10 @@ class AdmissionSession {
   void set_next_job_id(std::uint64_t next) { system_.set_next_job_id(next); }
 
  private:
-  struct DirtyPlan;
   struct ReadCache;
+  struct Undo;
+  /// Dirty seed nodes of a change, over the candidate's dependency graph.
+  using SeedFn = std::function<std::vector<int>(const DependencyGraph&)>;
 
   explicit AdmissionSession(const SessionConfig& config);  ///< clone shell
 
@@ -180,10 +185,21 @@ class AdmissionSession {
   bool try_fast_what_if(const Job& job, ReadDecision& rd);
   void fill_explain(Decision& d, std::size_t k_new) const;
   const ReadCache& read_cache();
-  void analyze_pass(Decision& d, Time base_horizon,
-                    const std::vector<char>* dirty,
+  void analyze_pass(Decision& d, const DependencyOrder& order,
+                    Time base_horizon, const std::vector<char>* dirty,
                     detail::BoundStateMap& states) const;
-  [[nodiscard]] bool structural_check(Decision& d) const;
+  /// The candidate system_'s dependency order, or nullopt with d's error
+  /// set exactly as BoundsAnalyzer::analyze would report it.
+  [[nodiscard]] std::optional<DependencyOrder> structural_check(
+      Decision& d) const;
+  /// Analyze the candidate system_ into `d`, shared by admit/what_if and
+  /// remove: over the retained curves when the horizon is unchanged and
+  /// the closure of `seeds` stays under the threshold, else in full. Either
+  /// way states_ / horizon_ then describe the candidate; with a non-null
+  /// `undo`, roll_back(*undo) restores the committed ones.
+  void analyze_change(Decision& d, const DependencyOrder& order,
+                      const SeedFn& seeds, Undo* undo);
+  void roll_back(Undo& undo);
 
   System system_;
   SessionConfig config_;

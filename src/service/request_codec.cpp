@@ -71,7 +71,13 @@ bool parse_region_axis(const json::Value& value, RegionAxis& axis,
       error = "axis 'processor' must be a number";
       return false;
     }
-    axis.processor = static_cast<int>(proc->as_number());
+    const auto processor =
+        json::checked_integer(*proc, json::kIntMin, json::kIntMax);
+    if (!processor) {
+      error = "axis 'processor' must be an integer in the int range";
+      return false;
+    }
+    axis.processor = static_cast<int>(*processor);
   }
   region_default_bracket(axis.param, axis.lo, axis.hi);
   if (const json::Value* lo = value.find("lo"); lo != nullptr) {
@@ -143,8 +149,13 @@ ParsedRequest parse_request(const std::string& line) {
     const json::Value* id = doc.value.find("job_id");
     const json::Value* name = doc.value.find("name");
     if (id != nullptr && id->is_number() && id->as_number() >= 0.0) {
+      const auto checked =
+          json::checked_integer(*id, 0, json::kMaxExactInteger);
+      if (!checked) {
+        return immediate("field 'job_id' must be an integer in [0, 2^53]");
+      }
       req.remove_by_id = true;
-      req.remove_id = static_cast<std::uint64_t>(id->as_number());
+      req.remove_id = static_cast<std::uint64_t>(*checked);
     } else if (name != nullptr && name->is_string()) {
       req.remove_name = name->as_string();
     } else {
@@ -176,7 +187,12 @@ ParsedRequest parse_request(const std::string& line) {
     }
     if (const json::Value* cols = doc.value.find("columns");
         cols != nullptr && cols->is_number()) {
-      req.region.columns = static_cast<int>(cols->as_number());
+      const auto columns =
+          json::checked_integer(*cols, json::kIntMin, json::kIntMax);
+      if (!columns) {
+        return immediate("field 'columns' must be an integer in the int range");
+      }
+      req.region.columns = static_cast<int>(*columns);
     }
     req.cls = RequestClass::kRead;
     return req;

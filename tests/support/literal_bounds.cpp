@@ -1,6 +1,7 @@
 #include "support/literal_bounds.hpp"
 
 #include <cassert>
+#include <utility>
 #include <vector>
 
 #include "analysis/order.hpp"
@@ -94,12 +95,11 @@ void literal_priority_subjob(const System& system, SubjobRef ref,
 
 AnalysisResult analyze(const System& system, const AnalysisConfig& config) {
   AnalysisResult rejected;
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    rejected.error = "invalid system: " + problems.front();
+  if (auto invalid = system.validation_error()) {
+    rejected.error = std::move(*invalid);
     return rejected;
   }
-  const auto order = topological_order(system);
+  const auto order = dependency_order(system);
   if (!order) {
     rejected.error = "subjob dependency graph has a cycle";
     return rejected;
@@ -115,21 +115,10 @@ AnalysisResult analyze(const System& system, const AnalysisConfig& config) {
       default_horizon(system, config), config.max_horizon_doublings,
       [&](Time horizon) {
         detail::BoundStateMap states;
-        for (const SubjobRef& ref : *order) {
-          // Arrival bounds as run_bounds_wavefront fills them: the exact
-          // first-hop arrivals, then Lemma 1/2 from the predecessor hop.
-          detail::BoundState& st = states[{ref.job, ref.hop}];
-          if (ref.hop == 0) {
-            const PwlCurve exact =
-                system.job(ref.job).arrivals.to_curve(horizon);
-            st.arr_upper = exact;
-            st.arr_lower = exact;
-          } else {
-            const detail::BoundState& pred =
-                states.at({ref.job, ref.hop - 1});
-            st.arr_upper = pred.next_arr_upper;
-            st.arr_lower = pred.dep_lower;
-          }
+        for (const SubjobRef& ref : order->order) {
+          // Arrival bounds exactly as the sound wavefront fills them.
+          states.try_emplace({ref.job, ref.hop});
+          detail::fill_hop_arrivals(system, ref, horizon, states);
           literal_priority_subjob(system, ref, horizon, states);
         }
         return detail::bounds_result_from_states(

@@ -7,6 +7,7 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/bounds.hpp"
 #include "analysis/iterative.hpp"
+#include "analysis/order.hpp"
 #include "analysis/spp_exact.hpp"
 #include "model/priority.hpp"
 #include "util/rng.hpp"
@@ -61,7 +62,7 @@ TEST(Analyzer, AutoPicksStrongestApplicableEngine) {
   back.chain.push_back(Subjob{0, 0.05, -1});
   back.arrivals = ArrivalSequence::periodic(10.0, 40.0);
   cyclic.add_job(back);
-  ASSERT_FALSE(cyclic.dependency_graph_is_acyclic());
+  ASSERT_FALSE(dependency_order(cyclic).has_value());
   EXPECT_EQ(analyzer.select_engine(cyclic), EngineKind::kIterative);
 }
 

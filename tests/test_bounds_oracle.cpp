@@ -89,8 +89,8 @@ struct Coverage {
 void expect_units_match_oracle(const System& sys, int seed, Coverage& cov) {
   const Time horizon = default_horizon(sys, AnalysisConfig{});
   detail::BoundStateMap states;
-  detail::run_bounds_wavefront(sys, horizon, nullptr, nullptr, nullptr,
-                               states);
+  detail::run_bounds_wavefront(sys, *dependency_order(sys), horizon, nullptr,
+                               nullptr, nullptr, states);
   for (int k = 0; k < sys.job_count(); ++k) {
     for (int h = 0; h < static_cast<int>(sys.job(k).chain.size()); ++h) {
       const SubjobRef ref{k, h};
@@ -180,8 +180,8 @@ int lo_unit_pointwise_calls(int n, int hp_count = 1) {
   const int lo_job = sys.add_job(lo);
   const Time horizon = default_horizon(sys, AnalysisConfig{});
   detail::BoundStateMap states;
-  detail::run_bounds_wavefront(sys, horizon, nullptr, nullptr, nullptr,
-                               states);
+  detail::run_bounds_wavefront(sys, *dependency_order(sys), horizon, nullptr,
+                               nullptr, nullptr, states);
   EXPECT_GE(states.at({lo_job, 0}).arr_upper.end_value(), n - 1.0);
   PointwiseCounter counter;
   curve::KernelHooksScope scope(&counter);

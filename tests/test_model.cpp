@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/order.hpp"
 #include "model/system.hpp"
 
 namespace rta {
@@ -129,7 +130,7 @@ TEST(System, UtilizationEstimate) {
 }
 
 TEST(System, FeedForwardShopIsAcyclic) {
-  EXPECT_TRUE(two_proc_two_job_system().dependency_graph_is_acyclic());
+  EXPECT_TRUE(dependency_order(two_proc_two_job_system()).has_value());
 }
 
 TEST(System, LogicalLoopIsDetected) {
@@ -149,7 +150,7 @@ TEST(System, LogicalLoopIsDetected) {
   n.chain = {{1, 1.0, 2}, {0, 1.0, 1}};  // hop i-1 on P1 (lo), hop i on P0 (hi)
   n.arrivals = ArrivalSequence(std::vector<Time>{0.0});
   sys.add_job(std::move(n));
-  EXPECT_FALSE(sys.dependency_graph_is_acyclic());
+  EXPECT_FALSE(dependency_order(sys).has_value());
 }
 
 TEST(System, PhysicalLoopIsDetectedUnderFcfs) {
@@ -161,7 +162,7 @@ TEST(System, PhysicalLoopIsDetectedUnderFcfs) {
   j.chain = {{0, 1.0, 0}, {1, 1.0, 0}, {0, 1.0, 0}};
   j.arrivals = ArrivalSequence(std::vector<Time>{0.0});
   sys.add_job(std::move(j));
-  EXPECT_FALSE(sys.dependency_graph_is_acyclic());
+  EXPECT_FALSE(dependency_order(sys).has_value());
 }
 
 TEST(System, SchedulerKindNames) {

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "io/json.hpp"
 #include "model/priority.hpp"
 #include "service/admission_session.hpp"
+#include "service/request_codec.hpp"
 #include "service/request_runner.hpp"
 #include "service/request_scheduler.hpp"
 #include "util/rng.hpp"
@@ -315,6 +317,77 @@ TEST(ServiceScheduler, ErrorStreamCompletesWithPerLineResponses) {
   }
   EXPECT_EQ(parsed, 9);
   EXPECT_TRUE(saw_ok);  // the trailing query succeeded
+}
+
+/// Integer request fields: a fraction is never truncated and an
+/// out-of-range value never cast. Each such line is a parse-time
+/// bad_request naming the field; integral values parse as integers.
+TEST(ServiceCodec, IntegerFieldsMustBeIntegersInRange) {
+  using service::detail::parse_request;
+  using service::detail::RequestClass;
+  const std::string job_tail =
+      R"(, "deadline": 5.0, "arrivals": [0.0]}})";
+  const std::pair<std::string, std::string> bad[] = {
+      {R"({"op": "remove", "job_id": 2.9})",
+       "field 'job_id' must be an integer in [0, 2^53]"},
+      {R"({"op": "remove", "job_id": 1e300})",
+       "field 'job_id' must be an integer in [0, 2^53]"},
+      {R"({"op": "admit", "job": {"name": "p", "chain": [{"processor": 0, )"
+       R"("exec": 0.1, "priority": 5e9}])" + job_tail,
+       "bad job: chain[0]: 'priority' must be an integer in the int range"},
+      {R"({"op": "what_if", "job": {"name": "i", "id": 1e300, "chain": )"
+       R"([{"processor": 0, "exec": 0.1}])" + job_tail,
+       "bad job: 'id' must be an integer in [0, 2^53]"},
+      {R"({"op": "admit", "job": {"name": "c", "chain": [{"processor": 1e10, )"
+       R"("exec": 0.1}])" + job_tail,
+       "bad job: chain[0]: 'processor' must be an integer in the int range"},
+      {R"({"op": "what_if_region", "axes": [{"param": "exec_scale"}], )"
+       R"("columns": 2.5})",
+       "field 'columns' must be an integer in the int range"},
+      {R"({"op": "what_if_region", "axes": [{"param": "exec_scale", )"
+       R"("scope": "processor", "processor": 1e10}]})",
+       "bad axis: axis 'processor' must be an integer in the int range"},
+  };
+  for (const auto& [line, error] : bad) {
+    const service::detail::ParsedRequest req = parse_request(line);
+    EXPECT_EQ(req.cls, RequestClass::kImmediate) << line;
+    EXPECT_EQ(req.error, error) << line;
+  }
+
+  // Integral values parse; range checks against the model come later.
+  const auto by_id = parse_request(R"({"op": "remove", "job_id": 2})");
+  EXPECT_EQ(by_id.cls, RequestClass::kMutate);
+  EXPECT_TRUE(by_id.remove_by_id);
+  EXPECT_EQ(by_id.remove_id, 2u);
+  const auto max_id =
+      parse_request(R"({"op": "remove", "job_id": 9007199254740992})");
+  EXPECT_EQ(max_id.remove_id, std::uint64_t{1} << 53);
+  const auto negative =
+      parse_request(R"({"op": "remove", "job_id": -1, "name": "x"})");
+  EXPECT_FALSE(negative.remove_by_id);  // not an id: the name decides
+  EXPECT_EQ(negative.remove_name, "x");
+  const auto region = parse_request(
+      R"({"op": "what_if_region", "axes": [{"param": "exec_scale"}], )"
+      R"("columns": 3})");
+  EXPECT_EQ(region.cls, RequestClass::kRead);
+  EXPECT_EQ(region.region.columns, 3);
+  const auto out_of_model = parse_request(
+      R"({"op": "admit", "job": {"name": "c", "chain": [{"processor": 99, )"
+      R"("exec": 0.1}])" + job_tail);
+  EXPECT_EQ(out_of_model.cls, RequestClass::kMutate);  // validate rejects it
+  EXPECT_EQ(out_of_model.job.chain.at(0).processor, 99);
+
+  // End to end: a fractional remove leaves every job in place.
+  const System base = make_base(7);
+  std::string responses;
+  const RunnerStats stats = run_sequential(
+      base, "{\"op\": \"remove\", \"job_id\": 2.9}\n{\"op\": \"query\"}\n",
+      responses);
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_NE(responses.find("\"code\":\"bad_request\""), std::string::npos);
+  EXPECT_NE(responses.find("\"jobs\":" + std::to_string(base.job_count())),
+            std::string::npos)
+      << responses;
 }
 
 /// Trace context: a client-supplied trace_id is echoed verbatim; absent

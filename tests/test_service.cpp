@@ -7,6 +7,7 @@
 // test_differential_engine.cpp.
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -334,6 +335,61 @@ TEST(Service, StructurallyInvalidJobIsRejectedWithAnalyzerError) {
   EXPECT_FALSE(d.ok);
   EXPECT_NE(d.error.find("invalid system"), std::string::npos) << d.error;
   EXPECT_EQ(session.system().job_count(), base.job_count());
+}
+
+TEST(Service, CycleClosingCandidateIsRejectedWithAnalyzerError) {
+  // The Order.CycleReturnsNullopt loop (paper §6): Tk is committed, and a
+  // candidate Tn with explicit priorities outranks Tk on P0 while Tk
+  // outranks it on P1, closing the cycle.
+  const auto make = [](const std::string& name, std::vector<Subjob> chain) {
+    Job j;
+    j.name = name;
+    j.deadline = 10.0;
+    j.chain = std::move(chain);
+    j.arrivals = ArrivalSequence::periodic(5.0, 20.0);
+    return j;
+  };
+  System base(2, SchedulerKind::kSpp);
+  base.add_job(make("Tk", {{0, 1.0, 2}, {1, 1.0, 1}}));
+  const Job tn = make("Tn", {{1, 1.0, 2}, {0, 1.0, 1}});
+  System cyclic = base;
+  cyclic.add_job(tn);
+  const AnalysisResult fresh = BoundsAnalyzer().analyze(cyclic);
+  ASSERT_FALSE(fresh.ok);
+
+  SessionConfig cfg;
+  cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
+  AdmissionSession session(base, cfg);
+  const AnalysisResult before = session.last();
+  ASSERT_TRUE(before.ok) << before.error;
+  for (const bool commit : {true, false}) {
+    const std::string label = commit ? "admit" : "what_if";
+    const Decision d = commit ? session.admit(tn) : session.what_if(tn);
+    EXPECT_FALSE(d.ok) << label;
+    EXPECT_FALSE(d.committed) << label;
+    EXPECT_EQ(d.error, fresh.error) << label;
+    EXPECT_EQ(d.analysis.error, fresh.error) << label;
+    ASSERT_EQ(session.system().job_count(), 1) << label;
+    EXPECT_EQ(session.system().job(0).name, "Tk") << label;
+    EXPECT_EQ(session.system().job(0).id, base.job(0).id) << label;
+    expect_bit_identical(before, session.last(), label + " last()");
+  }
+  EXPECT_EQ(service::AdmissionSession::summarize(session.what_if(tn)).error,
+            fresh.error);
+  EXPECT_EQ(session.read_what_if(tn).error, fresh.error);
+
+  // The retained curves are intact: an acyclic admit still matches a fresh
+  // analysis bit for bit.
+  Job low = make("low", {{0, 0.5, 3}, {1, 0.5, 3}});
+  System grown = base;
+  grown.add_job(low);
+  AnalysisConfig ref;
+  ref.horizon = cfg.analysis.horizon;
+  const Decision ok = session.admit(low);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_TRUE(ok.incremental);
+  expect_bit_identical(BoundsAnalyzer(ref).analyze(grown), ok.analysis,
+                       "admit after rejected cycle");
 }
 
 TEST(Service, RemoveUnknownIdFails) {

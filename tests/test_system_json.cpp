@@ -2,7 +2,11 @@
 // analysis results must survive save -> load bit-identically, and the JSON
 // and text formats must agree on the systems they describe.
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +120,107 @@ TEST(SystemJson, RejectsMalformedInput) {
   })";
   const ParsedSystem parsed = parse_system_json(bad_proc);
   EXPECT_FALSE(parsed.ok);
+}
+
+/// A one-job system document with the integer fields spliced in verbatim.
+std::string int_fields_doc(const std::string& schema_version,
+                           const std::string& id, const std::string& processor,
+                           const std::string& priority) {
+  return R"({"schema_version": )" + schema_version +
+         R"(, "processors": [{"scheduler": "SPP"}], "jobs": [{"name": "t", )"
+         R"("id": )" + id + R"(, "deadline": 1, "chain": [{"processor": )" +
+         processor + R"(, "exec": 0.1, "priority": )" + priority +
+         R"(}], "arrivals": [0]}]})";
+}
+
+struct BadCase {
+  const char* label;
+  std::string doc;
+  const char* error;  ///< the exact load error
+};
+
+TEST(SystemJson, IntegerFieldsMustBeIntegersInRange) {
+  // A fraction is never truncated and an out-of-range value never cast:
+  // every such value is a load error naming the field.
+  const char* const kProc = "jobs[0]: chain[0]: 'processor' must be an "
+                            "integer in the int range";
+  const char* const kPrio = "jobs[0]: chain[0]: 'priority' must be an "
+                            "integer in the int range";
+  const char* const kId = "jobs[0]: 'id' must be an integer in [0, 2^53]";
+  const char* const kVersion =
+      "'schema_version' must be an integer in the int range";
+  const BadCase cases[] = {
+      {"fractional processor", int_fields_doc("1", "7", "0.5", "1"), kProc},
+      {"huge processor", int_fields_doc("1", "7", "1e10", "1"), kProc},
+      {"processor below int", int_fields_doc("1", "7", "-3e9", "1"), kProc},
+      {"fractional priority", int_fields_doc("1", "7", "0", "1.5"), kPrio},
+      {"huge priority", int_fields_doc("1", "7", "0", "5e9"), kPrio},
+      {"fractional id", int_fields_doc("1", "2.9", "0", "1"), kId},
+      {"huge id", int_fields_doc("1", "1e300", "0", "1"), kId},
+      {"id past 2^53", int_fields_doc("1", "9007199254740994", "0", "1"), kId},
+      {"fractional schema_version", int_fields_doc("1.5", "7", "0", "1"),
+       kVersion},
+      {"huge schema_version", int_fields_doc("1e300", "7", "0", "1"),
+       kVersion},
+      // Integral values load; the model's own checks still apply.
+      {"processor out of model range", int_fields_doc("1", "7", "99", "1"),
+       "invalid system: job 0 hop 0 references invalid processor 99"},
+      {"negative processor", int_fields_doc("1", "7", "-1", "1"),
+       "invalid system: job 0 hop 0 references invalid processor -1"},
+      {"negative id", int_fields_doc("1", "-1", "0", "1"),
+       "jobs[0]: 'id' must be a nonnegative number"},
+      {"unsupported schema_version", int_fields_doc("99", "7", "0", "1"),
+       "unsupported schema_version 99 (supported: 1)"},
+  };
+  for (const BadCase& c : cases) {
+    const ParsedSystem parsed = parse_system_json(c.doc);
+    EXPECT_FALSE(parsed.ok) << c.label;
+    EXPECT_EQ(parsed.error, c.error) << c.label;
+  }
+
+  // The range ends themselves load.
+  const ParsedSystem edge = parse_system_json(
+      int_fields_doc("1", "9007199254740992", "0", "-2147483648"));
+  ASSERT_TRUE(edge.ok) << edge.error;
+  EXPECT_EQ(edge.system.job(0).id, std::uint64_t{1} << 53);
+  EXPECT_EQ(edge.system.job(0).chain[0].priority,
+            std::numeric_limits<int>::min());
+}
+
+TEST(Json, CheckedIntegerRejectsFractionsRangeAndKinds) {
+  const json::ParseResult doc =
+      json::parse("[3, -0.0, 2.5, 1e300, -1e300, \"7\", 9007199254740992]");
+  ASSERT_TRUE(doc.ok) << doc.error;
+  const json::Value::Array& v = doc.value.as_array();
+  EXPECT_EQ(json::checked_integer(v[0], 0, 10), 3);
+  EXPECT_EQ(json::checked_integer(v[1], 0, 10), 0);
+  EXPECT_EQ(json::checked_integer(v[0], 4, 10), std::nullopt);
+  EXPECT_EQ(json::checked_integer(v[2], 0, 10), std::nullopt);
+  EXPECT_EQ(json::checked_integer(v[3], json::kIntMin, json::kIntMax),
+            std::nullopt);
+  EXPECT_EQ(json::checked_integer(v[4], json::kIntMin, json::kIntMax),
+            std::nullopt);
+  EXPECT_EQ(json::checked_integer(v[5], 0, 10), std::nullopt);
+  EXPECT_EQ(json::checked_integer(v[6], 0, json::kMaxExactInteger),
+            json::kMaxExactInteger);
+}
+
+TEST(ResultJson, HopIndicesMustBeIntegers) {
+  const auto doc = [](const std::string& job, const std::string& hop) {
+    return R"({"schema_version": 1, "ok": true, "horizon": 10, "jobs": [)"
+           R"({"wcrt": 1, "schedulable": true, "hops": [{"job": )" +
+           job + R"(, "hop": )" + hop + R"(, "local_bound": 1}]}]})";
+  };
+  const ParsedResult good = parse_result_json(doc("0", "0"));
+  ASSERT_TRUE(good.ok) << good.error;
+  for (const auto& [job, hop] :
+       {std::pair<std::string, std::string>{"0.5", "0"}, {"0", "1.5"},
+        {"1e10", "0"}, {"0", "-1e300"}}) {
+    const ParsedResult bad = parse_result_json(doc(job, hop));
+    EXPECT_FALSE(bad.ok) << job << " " << hop;
+    EXPECT_NE(bad.error.find("malformed hop entry"), std::string::npos)
+        << bad.error;
+  }
 }
 
 TEST(SystemJson, JobParserReportsMissingPriorities) {

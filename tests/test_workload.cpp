@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "analysis/order.hpp"
 #include "model/priority.hpp"
 #include "workload/jobshop.hpp"
 
@@ -44,7 +45,7 @@ TEST(JobShop, ValidAfterPriorityAssignment) {
     System sys = generate_jobshop(base_config(), rng);
     assign_proportional_deadline_monotonic(sys);
     EXPECT_TRUE(sys.validate().empty()) << "seed " << seed;
-    EXPECT_TRUE(sys.dependency_graph_is_acyclic()) << "seed " << seed;
+    EXPECT_TRUE(dependency_order(sys).has_value()) << "seed " << seed;
   }
 }
 
