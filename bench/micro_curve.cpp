@@ -22,7 +22,6 @@
 
 #include "curve/algebra.hpp"
 #include "curve/arrival.hpp"
-#include "curve/minplus.hpp"
 #include "curve/transforms.hpp"
 #include "support/curve_reference.hpp"
 #include "util/rng.hpp"
@@ -147,28 +146,6 @@ void BM_LegacyServiceTransform(benchmark::State& state) {
   state.SetComplexityN(jumps);
 }
 BENCHMARK(BM_LegacyServiceTransform)->Range(16, 1024)->Complexity();
-
-void BM_Convolution(benchmark::State& state) {
-  const int jumps = static_cast<int>(state.range(0));
-  const PwlCurve f = curve_scale(make_step(jumps, 100.0, 8), 0.4);
-  const PwlCurve g = curve_scale(make_step(jumps, 100.0, 9), 0.6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(min_plus_convolution(f, g));
-  }
-  state.SetComplexityN(jumps);
-}
-BENCHMARK(BM_Convolution)->Range(16, 128)->Complexity();
-
-void BM_LegacyConvolution(benchmark::State& state) {
-  const int jumps = static_cast<int>(state.range(0));
-  const legacyref::Curve f = curve_scale(make_step(jumps, 100.0, 8), 0.4).knots();
-  const legacyref::Curve g = curve_scale(make_step(jumps, 100.0, 9), 0.6).knots();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacyref::convolution(f, g));
-  }
-  state.SetComplexityN(jumps);
-}
-BENCHMARK(BM_LegacyConvolution)->Range(16, 128)->Complexity();
 
 void BM_FloorDiv(benchmark::State& state) {
   const int jumps = static_cast<int>(state.range(0));
@@ -357,33 +334,6 @@ std::vector<KernelResult> run_comparison() {
     out.push_back(k);
   }
 
-  // Min-plus kernels scale superlinearly; keep operand sizes envelope-like.
-  for (const int n : {32, 96}) {
-    const PwlCurve f = curve_scale(make_step(n, 100.0, 8), 0.4);
-    const PwlCurve g = curve_scale(make_step(n, 100.0, 9), 0.6);
-    const legacyref::Curve rf = f.knots();
-    const legacyref::Curve rg = g.knots();
-    {
-      KernelResult k{"minplus_convolution", n, 0.0, 0.0};
-      k.flat_ns = ns_per_op(
-          [&] { benchmark::DoNotOptimize(min_plus_convolution(f, g)); }, 10,
-          kRepeats);
-      k.legacy_ns = ns_per_op(
-          [&] { benchmark::DoNotOptimize(legacyref::convolution(rf, rg)); },
-          10, kRepeats);
-      out.push_back(k);
-    }
-    {
-      KernelResult k{"minplus_deconvolution", n, 0.0, 0.0};
-      k.flat_ns = ns_per_op(
-          [&] { benchmark::DoNotOptimize(min_plus_deconvolution(f, g)); }, 10,
-          kRepeats);
-      k.legacy_ns = ns_per_op(
-          [&] { benchmark::DoNotOptimize(legacyref::deconvolution(rf, rg)); },
-          10, kRepeats);
-      out.push_back(k);
-    }
-  }
   return out;
 }
 

@@ -4,6 +4,15 @@
 
 namespace rta {
 
+namespace {
+
+/// The automatic horizon pads the last release by the larger of these
+/// multiples of the largest deadline and of the last release itself.
+constexpr double kPaddingDeadlines = 2.0;
+constexpr double kPaddingFraction = 0.5;
+
+}  // namespace
+
 Time default_horizon(const System& system, const AnalysisConfig& config) {
   if (config.horizon > 0.0) return config.horizon;  // skip the O(jobs) scan
   Time max_deadline = 0.0;
@@ -17,8 +26,8 @@ Time default_horizon(Time last_release, Time max_deadline,
                      const AnalysisConfig& config) {
   if (config.horizon > 0.0) return config.horizon;
   const Time padding =
-      std::max(config.horizon_padding_deadlines * max_deadline,
-               config.horizon_padding_fraction * last_release);
+      std::max(kPaddingDeadlines * max_deadline,
+               kPaddingFraction * last_release);
   return std::max<Time>(last_release + padding, 1.0);
 }
 

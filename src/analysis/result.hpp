@@ -15,12 +15,9 @@ namespace rta {
 /// Analysis tuning knobs. The defaults suit the paper's workloads.
 struct AnalysisConfig {
   /// Analysis horizon; 0 selects automatically: last release + padding,
-  /// where padding = max(horizon_padding_deadlines * max deadline,
-  /// horizon_padding_fraction * last release).
+  /// where padding = max(2 * max deadline, last release / 2)
+  /// (default_horizon).
   Time horizon = 0.0;
-
-  double horizon_padding_deadlines = 2.0;
-  double horizon_padding_fraction = 0.5;
 
   /// If a response time cannot be bounded within the horizon, the horizon is
   /// doubled and the analysis re-run, up to this many times, before the

@@ -1,9 +1,9 @@
 // Thread-local instrumentation hook interface for the curve kernels.
 //
-// The min-plus and pointwise-algebra kernels are the innermost hot paths of
-// the analysis; threading an observer through their free-function signatures
-// would be invasive, and unconditional counters would tax the (default)
-// unobserved runs. Instead the kernels consult one thread-local pointer:
+// The pointwise-algebra kernels are the innermost hot paths of the analysis;
+// threading an observer through their free-function signatures would be
+// invasive, and unconditional counters would tax the (default) unobserved
+// runs. Instead the kernels consult one thread-local pointer:
 //
 //   if (curve::KernelHooks* h = curve::kernel_hooks()) h->on_pinv();
 //
@@ -27,12 +27,6 @@ class KernelHooks {
  public:
   virtual ~KernelHooks() = default;
 
-  /// A min-plus convolution started; `operand_knots` is |f| + |g|.
-  virtual void on_conv(std::size_t operand_knots) = 0;
-  /// A min-plus deconvolution started; `operand_knots` is |f| + |g|.
-  virtual void on_deconv(std::size_t operand_knots) = 0;
-  /// A (de)convolution finished with `result_knots` knots.
-  virtual void on_conv_result(std::size_t result_knots) = 0;
   /// A pointwise merge (curve_min/max/add/sub) produced `result_knots` knots.
   virtual void on_pointwise(std::size_t result_knots) = 0;
   /// A PwlCurve::pseudo_inverse evaluation ran.

@@ -15,7 +15,7 @@
 //
 // Storage is a flat structure-of-arrays CurveData (curve/curve_arena.hpp)
 // shared by handle: PwlCurve is a thin view, copies are O(1), and the knot
-// arrays are contiguous for the flat kernels in algebra.cpp / minplus.cpp.
+// arrays are contiguous for the flat kernels in algebra.cpp / transforms.cpp.
 // The knot-vector API (constructor, knots()) is preserved for construction,
 // io and tests; knots() now materializes a vector on demand.
 //

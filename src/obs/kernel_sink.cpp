@@ -3,14 +3,8 @@
 namespace rta::obs {
 
 KernelSink::KernelSink(MetricsRegistry& registry)
-    : conv_ops(registry.counter("kernel.conv_ops")),
-      deconv_ops(registry.counter("kernel.deconv_ops")),
-      pointwise_ops(registry.counter("kernel.pointwise_ops")),
+    : pointwise_ops(registry.counter("kernel.pointwise_ops")),
       pinv_ops(registry.counter("kernel.pinv_ops")),
-      conv_operand_knots(registry.histogram("kernel.conv_operand_knots",
-                                            MetricsRegistry::knot_buckets())),
-      conv_result_knots(registry.histogram("kernel.conv_result_knots",
-                                           MetricsRegistry::knot_buckets())),
       pointwise_result_knots(
           registry.histogram("kernel.pointwise_result_knots",
                              MetricsRegistry::knot_buckets())) {}

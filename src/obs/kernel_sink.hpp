@@ -19,29 +19,14 @@ namespace rta::obs {
 struct KernelSink : curve::KernelHooks {
   explicit KernelSink(MetricsRegistry& registry);
 
-  void on_conv(std::size_t operand_knots) override {
-    conv_ops.inc();
-    conv_operand_knots.observe(static_cast<double>(operand_knots));
-  }
-  void on_deconv(std::size_t operand_knots) override {
-    deconv_ops.inc();
-    conv_operand_knots.observe(static_cast<double>(operand_knots));
-  }
-  void on_conv_result(std::size_t result_knots) override {
-    conv_result_knots.observe(static_cast<double>(result_knots));
-  }
   void on_pointwise(std::size_t result_knots) override {
     pointwise_ops.inc();
     pointwise_result_knots.observe(static_cast<double>(result_knots));
   }
   void on_pinv() override { pinv_ops.inc(); }
 
-  Counter conv_ops;        ///< min-plus convolutions computed
-  Counter deconv_ops;      ///< min-plus deconvolutions computed
   Counter pointwise_ops;   ///< curve_min/max/add/sub evaluations
   Counter pinv_ops;        ///< PwlCurve::pseudo_inverse evaluations
-  Histogram conv_operand_knots;   ///< |f| + |g| entering a (de)convolution
-  Histogram conv_result_knots;    ///< knots of a (de)convolution result
   Histogram pointwise_result_knots;  ///< knots of a pointwise-merge result
 };
 

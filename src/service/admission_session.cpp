@@ -333,12 +333,6 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   // rta-lint: allow(float-eq) cache identity: reuse is sound only for a
   // bit-identical horizon, an epsilon match would resume from wrong states
   if (h != horizon_) return false;
-  // Mirror the dirty-closure threshold: past it the sequential path runs a
-  // full wavefront (and reports incremental = false).
-  const int nodes = rc.committed_subjobs + hops;
-  if (static_cast<double>(hops) > config_.full_analysis_threshold * nodes) {
-    return false;
-  }
 
   // Speculative add + per-hop compute + rollback, exactly the units the
   // sequential wavefront would run for this dirty set (each hop is its own
@@ -383,7 +377,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   rd.committed = false;
   rd.job_id = assigned_id;
   rd.dirty_subjobs = hops;
-  rd.total_subjobs = nodes;
+  rd.total_subjobs = rc.committed_subjobs + hops;
   rd.schedulable =
       rc.committed_all_schedulable && time_le(candidate_wcrt, job.deadline);
   rd.admitted = rd.schedulable;
@@ -470,30 +464,26 @@ void AdmissionSession::analyze_change(Decision& d, const DependencyOrder& order,
                           ", \"nodes\": " + std::to_string(graph.node_count()) +
                           "}");
     closure_span.finish();
-    if (dirty.count <=
-        config_.full_analysis_threshold * graph.node_count()) {
-      if (undo != nullptr) {
-        for (const SubjobRef& r : order.order) {
-          if (dirty.flags[graph.node(r)] == 0) continue;
-          const auto it = states_.find({r.job, r.hop});
-          if (it == states_.end()) {
-            undo->added.emplace_back(r.job, r.hop);
-          } else {
-            undo->saved.insert(*it);
-          }
+    if (undo != nullptr) {
+      for (const SubjobRef& r : order.order) {
+        if (dirty.flags[graph.node(r)] == 0) continue;
+        const auto it = states_.find({r.job, r.hop});
+        if (it == states_.end()) {
+          undo->added.emplace_back(r.job, r.hop);
+        } else {
+          undo->saved.insert(*it);
         }
       }
-      analyze_pass(d, order, h, &dirty.flags, states_);
-      d.incremental = true;
-      d.dirty_subjobs = dirty.count;
-      incremental_counter.inc();
-      dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
-      return;
     }
+    analyze_pass(d, order, h, &dirty.flags, states_);
+    d.incremental = true;
+    d.dirty_subjobs = dirty.count;
+    incremental_counter.inc();
+    dirty_counter.add(static_cast<std::uint64_t>(dirty.count));
+    return;
   }
 
-  // Full fallback: fresh horizon, oversized dirty closure, or no retained
-  // state yet.
+  // Full pass: nothing to reuse (no retained state yet, or a new horizon).
   full_counter.inc();
   if (undo != nullptr) {
     undo->whole = true;

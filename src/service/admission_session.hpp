@@ -17,10 +17,13 @@
 // BoundsAnalyzer(config.analysis).analyze(candidate system) -- same bounds,
 // same verdicts (tests/test_service.cpp drives random operation sequences
 // against fresh full analyses). The incremental path is purely a latency
-// optimization; it is taken only when the analysis horizon is unchanged by
-// the edit (pin AnalysisConfig::horizon for stable online behavior) and the
-// dirty closure is small enough (SessionConfig::full_analysis_threshold),
-// and falls back to a full wavefront otherwise.
+// optimization. Each subjob's curves depend only on its own arrival bounds
+// and on its co-located subjobs, so re-running the dirty closure over the
+// retained curves gives a full pass's answer whatever the closure's size.
+// The session therefore takes it whenever it holds retained curves at an
+// unchanged analysis horizon (pin AnalysisConfig::horizon for stable online
+// behavior), and runs a full wavefront only when nothing can be reused: no
+// retained curves yet, or the edit moved the horizon.
 //
 // Like BoundsAnalyzer, the session handles acyclic dependency graphs
 // (heterogeneous SPP/SPNP/FCFS mixes included); a candidate that creates a
@@ -51,12 +54,9 @@
 
 namespace rta::service {
 
-/// Tuning knobs for an AdmissionSession.
+/// Configuration of an AdmissionSession.
 struct SessionConfig {
   AnalysisConfig analysis;
-  /// When the dirty closure exceeds this fraction of all subjobs, run a full
-  /// wavefront instead (recomputing everything outruns the bookkeeping).
-  double full_analysis_threshold = 0.75;
 };
 
 /// Per-hop bound provenance for the candidate job of an admit / what_if
@@ -88,7 +88,7 @@ struct Decision {
   bool committed = false;    ///< the session state now includes the change
   bool incremental = false;  ///< answered from retained curves
   std::uint64_t job_id = 0;  ///< stable id of the affected job
-  int dirty_subjobs = 0;     ///< recomputed closure size (0 on full runs)
+  int dirty_subjobs = 0;     ///< recomputed closure size (0 when !incremental)
   int total_subjobs = 0;     ///< subjobs in the candidate system
   AnalysisResult analysis;   ///< bit-identical to a fresh full analysis
   Explain explain;           ///< candidate bound provenance (admit/what_if)
@@ -193,10 +193,10 @@ class AdmissionSession {
   [[nodiscard]] std::optional<DependencyOrder> structural_check(
       Decision& d) const;
   /// Analyze the candidate system_ into `d`, shared by admit/what_if and
-  /// remove: over the retained curves when the horizon is unchanged and
-  /// the closure of `seeds` stays under the threshold, else in full. Either
-  /// way states_ / horizon_ then describe the candidate; with a non-null
-  /// `undo`, roll_back(*undo) restores the committed ones.
+  /// remove: the closure of `seeds` over the retained curves when there are
+  /// any at an unchanged horizon, else in full. Either way states_ /
+  /// horizon_ then describe the candidate; with a non-null `undo`,
+  /// roll_back(*undo) restores the committed ones.
   void analyze_change(Decision& d, const DependencyOrder& order,
                       const SeedFn& seeds, Undo* undo);
   void roll_back(Undo& undo);

@@ -119,60 +119,6 @@ Curve combine(const Curve& a, const Curve& b, Op op, bool needs_crossings) {
   return make_curve(std::move(knots));
 }
 
-/// Legacy convolve_at (minplus.cpp).
-double convolve_at(const Curve& f, const Curve& g, Time t) {
-  double best = eval(f, 0.0) + eval(g, t);  // s = 0
-  auto probe = [&](Time s) {
-    if (s < 0.0 || time_gt(s, t)) return;
-    const Time r = t - s;
-    // Both one-sided limits at the candidate (jumps on either side).
-    best = std::min(best, eval(f, s) + eval(g, r));
-    best = std::min(best, eval_left(f, s) + eval(g, r));
-    best = std::min(best, eval(f, s) + eval_left(g, r));
-  };
-  for (const Knot& k : f) probe(k.t);
-  for (const Knot& k : g) probe(t - k.t);
-  probe(t);
-  return best;
-}
-
-/// Legacy deconvolve_at (minplus.cpp).
-double deconvolve_at(const Curve& f, const Curve& g, Time t) {
-  const Time h = horizon(f);
-  double best = eval(f, t) - eval(g, 0.0);  // u = 0
-  auto probe = [&](Time u) {
-    if (u < 0.0 || time_gt(t + u, h)) return;
-    best = std::max(best, eval(f, t + u) - eval(g, u));
-    best = std::max(best, eval_left(f, t + u) - eval_left(g, u));
-  };
-  for (const Knot& k : g) probe(k.t);
-  for (const Knot& k : f) probe(k.t - t);
-  probe(h - t);
-  return best;
-}
-
-/// Legacy result_grid (minplus.cpp).
-std::vector<Time> result_grid(const Curve& f, const Curve& g, bool sums) {
-  std::vector<Time> grid;
-  const Time h = horizon(f);
-  grid.push_back(0.0);
-  grid.push_back(h);
-  for (const Knot& kf : f) {
-    grid.push_back(kf.t);
-    for (const Knot& kg : g) {
-      const Time t = sums ? kf.t + kg.t : kf.t - kg.t;
-      if (t > 0.0 && time_lt(t, h)) grid.push_back(t);
-    }
-  }
-  for (const Knot& kg : g) grid.push_back(kg.t);
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end(),
-                         [](Time a, Time b) { return time_eq(a, b); }),
-             grid.end());
-  while (!grid.empty() && grid.front() < 0.0) grid.erase(grid.begin());
-  return grid;
-}
-
 }  // namespace
 
 Curve make_curve(std::vector<Knot> knots) {
@@ -332,26 +278,6 @@ Curve running_max(const Curve& a) {
     out.push_back({t1, before, cur});
   }
   return make_curve(std::move(out));
-}
-
-Curve convolution(const Curve& f, const Curve& g) {
-  assert(time_eq(horizon(f), horizon(g)));
-  std::vector<Knot> knots;
-  for (Time t : result_grid(f, g, /*sums=*/true)) {
-    const double v = convolve_at(f, g, t);
-    knots.push_back({t, v, v});
-  }
-  return make_curve(std::move(knots));
-}
-
-Curve deconvolution(const Curve& f, const Curve& g) {
-  assert(time_eq(horizon(f), horizon(g)));
-  std::vector<Knot> knots;
-  for (Time t : result_grid(f, g, /*sums=*/false)) {
-    const double v = deconvolve_at(f, g, t);
-    knots.push_back({t, v, v});
-  }
-  return make_curve(std::move(knots));
 }
 
 Curve service_transform(const Curve& availability, const Curve& workload,

@@ -48,10 +48,6 @@ using Curve = std::vector<Knot>;
 /// Legacy curve_running_max: the Theorem-3 min-scan's core loop.
 [[nodiscard]] Curve running_max(const Curve& a);
 
-/// Legacy min-plus kernels (minplus.cpp): pairwise result grid + probe scan.
-[[nodiscard]] Curve convolution(const Curve& f, const Curve& g);
-[[nodiscard]] Curve deconvolution(const Curve& f, const Curve& g);
-
 /// Legacy service_transform (transforms.cpp): the full Theorem-3 min-scan
 /// composed from the legacy pieces above.
 [[nodiscard]] Curve service_transform(const Curve& availability,

@@ -250,9 +250,6 @@ PwlCurve fold_sum(const std::vector<PwlCurve>& curves) {
 
 class PointwiseCalls : public curve::KernelHooks {
  public:
-  void on_conv(std::size_t) override {}
-  void on_deconv(std::size_t) override {}
-  void on_conv_result(std::size_t) override {}
   void on_pointwise(std::size_t knots) override {
     ++calls;
     last_knots = knots;

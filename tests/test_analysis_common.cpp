@@ -30,8 +30,6 @@ TEST(DefaultHorizon, ExplicitHorizonWins) {
 
 TEST(DefaultHorizon, PadsByDeadlinesAndWindowFraction) {
   AnalysisConfig cfg;
-  cfg.horizon_padding_deadlines = 2.0;
-  cfg.horizon_padding_fraction = 0.5;
   // window 40, deadline 5: padding = max(10, 20) = 20 -> 60.
   EXPECT_DOUBLE_EQ(default_horizon(one_job_system(5.0, 40.0, 4.0), cfg),
                    60.0);

@@ -153,9 +153,6 @@ TEST(BoundsOracle, SpnpClosedFormMatchesFold) {
 
 class PointwiseCounter : public curve::KernelHooks {
  public:
-  void on_conv(std::size_t) override {}
-  void on_deconv(std::size_t) override {}
-  void on_conv_result(std::size_t) override {}
   void on_pointwise(std::size_t) override { ++calls; }
   void on_pinv() override {}
   int calls = 0;

@@ -2,9 +2,9 @@
 //
 // Every kernel that was rewritten onto the flat CurveArena storage
 // (construction/canonicalization, eval/eval_left, Def.5 pseudo-inverse,
-// pointwise combine, the Theorem-3 min-scan, min-plus (de)convolution) is
-// run side by side with the legacy knot-walking implementation transplanted
-// verbatim into support/curve_reference.hpp, over thousands of randomized
+// pointwise combine, the Theorem-3 min-scan) is run side by side with the
+// legacy knot-walking implementation transplanted verbatim into
+// support/curve_reference.hpp, over thousands of randomized
 // curves drawn from adversarial families: steps, bursty time_eq clusters,
 // degenerate single-knot curves, horizon-edge knots, upward-jump-dense and
 // non-monotone curves. Agreement must be BIT-EXACT: the repo's determinism
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "curve/algebra.hpp"
-#include "curve/minplus.hpp"
 #include "support/curve_reference.hpp"
 #include "curve/transforms.hpp"
 #include "util/rng.hpp"
@@ -86,7 +85,8 @@ const char* family_name(int f) {
   return kNames[f % kFamilyCount];
 }
 
-std::vector<Knot> make_raw(Rng& rng, int family, int max_interior = 10) {
+std::vector<Knot> make_raw(Rng& rng, int family) {
+  constexpr int max_interior = 10;
   std::vector<Knot> ks;
   switch (family % kFamilyCount) {
     case kSteps: {
@@ -382,34 +382,6 @@ TEST(CurveKernelDifferential, MinScanServiceTransform) {
     const legacyref::Curve rw = legacyref::make_curve(work);
     expect_identical(service_transform(a, w, lag),
                      legacyref::service_transform(ra, rw, lag));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Min-plus convolution / deconvolution: 2600 pairs = 5200 operand curves per
-// kernel. Operand sizes are kept moderate (the reference kernel is the
-// quadratic-grid legacy implementation).
-
-TEST(CurveKernelDifferential, MinPlusConvolution) {
-  constexpr int kPairs = 2600;
-  for (int seed = 0; seed < kPairs; ++seed) {
-    Rng rng(0xF00Du + static_cast<std::uint64_t>(seed));
-    const int fa = seed % kFamilyCount;
-    const int fb = (seed + 3) % kFamilyCount;
-    SCOPED_TRACE(std::string("seed=") + std::to_string(seed) + " f=" +
-                 family_name(fa) + " g=" + family_name(fb));
-    std::vector<Knot> raw_f = make_raw(rng, fa, /*max_interior=*/6);
-    std::vector<Knot> raw_g = make_raw(rng, fb, /*max_interior=*/6);
-    if (raw_f.back().t < kH) raw_f.push_back({kH, 0.0, 0.0});
-    if (raw_g.back().t < kH) raw_g.push_back({kH, 0.0, 0.0});
-    const PwlCurve f{std::vector<Knot>(raw_f)};
-    const PwlCurve g{std::vector<Knot>(raw_g)};
-    const legacyref::Curve rf = legacyref::make_curve(raw_f);
-    const legacyref::Curve rg = legacyref::make_curve(raw_g);
-    expect_identical(min_plus_convolution(f, g),
-                     legacyref::convolution(rf, rg));
-    expect_identical(min_plus_deconvolution(f, g),
-                     legacyref::deconvolution(rf, rg));
   }
 }
 

@@ -100,7 +100,9 @@ void expect_bit_identical(const AnalysisResult& fresh,
 }
 
 /// One random operation sequence against one session; every step is checked
-/// against BoundsAnalyzer on the candidate system built independently.
+/// against BoundsAnalyzer on the candidate system built independently. With
+/// a pinned horizon, every ok call made while the session holds retained
+/// curves must also be answered incrementally, whatever its closure's size.
 /// `performed` counts the operations run (ASSERT macros force void return).
 void run_sequence(Rng& rng, SchedulerKind scheduler, bool mixed,
                   bool pin_horizon, int ops, const std::string& label,
@@ -119,6 +121,15 @@ void run_sequence(Rng& rng, SchedulerKind scheduler, bool mixed,
   AdmissionSession session(base, cfg);
   expect_bit_identical(BoundsAnalyzer(ref_cfg).analyze(base), session.last(),
                        label + " base");
+  // The constructor's full pass retains curves when the base is valid, and
+  // no later call drops them. (A cyclic base stays cyclic under added jobs,
+  // so no call on it is ok.)
+  const bool reusable = pin_horizon && session.last().ok;
+  const auto expect_reuse = [&](const Decision& d, const std::string& what) {
+    if (!reusable || !d.ok) return;
+    EXPECT_TRUE(d.incremental) << what;
+    EXPECT_LE(d.dirty_subjobs, d.total_subjobs) << what;
+  };
 
   System shadow = base;  // independently maintained committed system
   std::vector<std::uint64_t> admitted_ids;
@@ -136,6 +147,7 @@ void run_sequence(Rng& rng, SchedulerKind scheduler, bool mixed,
       EXPECT_TRUE(d.committed) << op_label;
       expect_bit_identical(BoundsAnalyzer(ref_cfg).analyze(candidate),
                            d.analysis, op_label + " remove");
+      expect_reuse(d, op_label + " remove");
       shadow = candidate;
       admitted_ids.erase(admitted_ids.begin() +
                          static_cast<std::ptrdiff_t>(pick));
@@ -154,6 +166,7 @@ void run_sequence(Rng& rng, SchedulerKind scheduler, bool mixed,
       EXPECT_EQ(d.ok, fresh.ok) << op_label << ": " << d.error;
       EXPECT_EQ(d.admitted, d.ok && fresh.all_schedulable()) << op_label;
       EXPECT_EQ(d.committed, !query_only && d.admitted) << op_label;
+      expect_reuse(d, op_label + (query_only ? " what_if" : " admit"));
       if (d.committed) {
         // The session assigns ids even for rolled-back candidates, so the
         // shadow must adopt the session's id rather than auto-assign one.
@@ -207,7 +220,7 @@ TEST(ServiceDifferential, RandomSequencesMatchFreshAnalysis) {
 }
 
 // A session with a pinned horizon must actually exercise the incremental
-// path (otherwise the differential test above only covers the fallback).
+// path (otherwise the differential test above only covers full passes).
 TEST(ServiceDifferential, PinnedHorizonTakesIncrementalPath) {
   Rng rng(42);
   const System base = random_base(rng, SchedulerKind::kSpp, false);
@@ -221,6 +234,39 @@ TEST(ServiceDifferential, PinnedHorizonTakesIncrementalPath) {
     if (d.incremental) ++incremental;
   }
   EXPECT_GT(incremental, 0);
+}
+
+// A closure can be the whole system: on an all-FCFS shop, a top-priority
+// candidate that visits every processor dirties every subjob, since Theorem
+// 7's utilization function sums the whole processor. The session still
+// answers from its retained curves, and the answer equals a fresh analysis.
+TEST(ServiceDifferential, WholeSystemClosureStaysIncremental) {
+  Rng rng(23);
+  const System base = random_base(rng, SchedulerKind::kFcfs, false);
+  SessionConfig cfg;
+  cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
+  AdmissionSession session(base, cfg);
+  ASSERT_TRUE(session.last().ok) << session.last().error;
+
+  Job job;
+  job.name = "everywhere";
+  for (int p = 0; p < base.processor_count(); ++p) {
+    job.chain.push_back(Subjob{p, 0.05, 0});
+  }
+  job.arrivals =
+      ArrivalSequence::periodic(4.0, std::max<Time>(base.last_release(), 16.0));
+  job.deadline = 1e3;
+  System candidate = base;
+  candidate.add_job(job);
+  AnalysisConfig ref_cfg;
+  ref_cfg.horizon = cfg.analysis.horizon;
+  const AnalysisResult fresh = BoundsAnalyzer(ref_cfg).analyze(candidate);
+
+  const Decision d = session.admit(job);
+  ASSERT_TRUE(d.ok) << d.error;
+  EXPECT_TRUE(d.incremental);
+  EXPECT_EQ(d.dirty_subjobs, d.total_subjobs);
+  expect_bit_identical(fresh, d.analysis, "whole-system admit");
 }
 
 // The explain payload (per-hop bound provenance, docs/observability.md) is

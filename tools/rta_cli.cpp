@@ -149,8 +149,6 @@ const std::vector<CommandSpec>& command_table() {
            {"format", "F", "table", "table|csv|json"},
            {"out", "FILE", nullptr, "write the report here instead of stdout"},
            {"horizon", "H", "auto", "pinned analysis horizon"},
-           {"threshold", "F", "auto",
-            "full-analysis fallback threshold (admission_session.hpp)"},
            {"priorities", "P", "keep", "keep|pdm|dm|rm"},
        }},
       {"serve", "FILE", "incremental admission service (JSONL)", true,
@@ -158,8 +156,6 @@ const std::vector<CommandSpec>& command_table() {
            {"requests", "FILE", nullptr, "JSONL request stream (required)"},
            {"out", "FILE", nullptr, "responses here instead of stdout"},
            {"horizon", "H", "auto", "pinned analysis horizon"},
-           {"threshold", "F", "auto",
-            "full-analysis fallback threshold (admission_session.hpp)"},
            {"priorities", "P", "keep", "keep|pdm|dm|rm"},
            {"parallel-reads", "N", "1",
             "read-batch workers (0 = all hardware threads)"},
@@ -380,10 +376,8 @@ struct ObsSession {
       return it == snap.gauges.end() ? 0.0 : it->second;
     };
     std::fprintf(f, "-- stats --\n");
-    std::fprintf(
-        f, "kernel ops: conv %llu, deconv %llu, pointwise %llu, pinv %llu\n",
-        c("kernel.conv_ops"), c("kernel.deconv_ops"), c("kernel.pointwise_ops"),
-        c("kernel.pinv_ops"));
+    std::fprintf(f, "kernel ops: pointwise %llu, pinv %llu\n",
+                 c("kernel.pointwise_ops"), c("kernel.pinv_ops"));
     if (c("bounds.units") > 0) {
       std::fprintf(f, "wavefront: %llu waves, %llu units\n", c("bounds.waves"),
                    c("bounds.units"));
@@ -771,8 +765,6 @@ int cmd_region(const Options& opts, System system) {
   // incremental path is always eligible.
   cfg.analysis.horizon =
       opts.get_double("horizon", default_horizon(system, cfg.analysis));
-  cfg.full_analysis_threshold =
-      opts.get_double("threshold", cfg.full_analysis_threshold);
 
   RegionAnalyzer analyzer(std::move(system), cfg);
   const RegionResult r = analyzer.run(query);
@@ -946,8 +938,6 @@ int cmd_serve(const Options& opts, System system) {
   // incremental path (see admission_session.hpp).
   cfg.analysis.horizon =
       opts.get_double("horizon", default_horizon(system, cfg.analysis));
-  cfg.full_analysis_threshold =
-      opts.get_double("threshold", cfg.full_analysis_threshold);
 
   const std::string tenants_path = opts.get("tenants-from", "");
   if (tenants_path.empty() && !opts.get("shards", "").empty()) {
