@@ -1,7 +1,10 @@
 // Microbenchmarks of the curve-algebra substrate (google-benchmark):
 // the operators that dominate analysis cost. BM_CurveSum and
 // BM_CurveSumLeftFold race the one-pass n-ary sum against the binary fold it
-// replaced.
+// replaced, BM_CurveMinOfSums and BM_CurveMinOfSumsBinaryChain the fused S̄
+// pass against its chain of adds and mins, and BM_PinvSweep and
+// BM_PinvPerLevel a pseudo-inverse sweep against one binary search per
+// level.
 //
 // Two modes:
 //   * default: the usual google-benchmark CLI, now including Legacy* twins
@@ -97,6 +100,44 @@ void BM_CurveSumLeftFold(benchmark::State& state) {
 }
 BENCHMARK(BM_CurveSumLeftFold)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
+/// Operands shaped like Theorem 5/6's S̄ = min(t + P1, Q̄ + P2, c̄): two
+/// rising lines plus falling staircases, and a rising staircase.
+struct MinOfSumsOperands {
+  explicit MinOfSumsOperands(int jumps)
+      : ident(PwlCurve::identity(100.0)),
+        q(curve_sub(ident,
+                    curve_scale(make_step(jumps, 100.0, 8), 20.0 / jumps))),
+        p1(curve_scale(make_step(jumps, 100.0, 9), -100.0 / jumps)),
+        p2(curve_scale(make_step(jumps, 100.0, 10), -50.0 / jumps)),
+        c(curve_scale(make_step(jumps, 100.0, 11), 100.0 / jumps)) {}
+
+  [[nodiscard]] std::vector<SumTerm> terms() const {
+    return {{&ident, &p1}, {&q, &p2}, {&c}};
+  }
+
+  PwlCurve ident, q, p1, p2, c;
+};
+
+void BM_CurveMinOfSums(benchmark::State& state) {
+  const MinOfSumsOperands ops(static_cast<int>(state.range(0)));
+  const std::vector<SumTerm> terms = ops.terms();
+  for (auto _ : state) benchmark::DoNotOptimize(curve_min_of_sums(terms));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CurveMinOfSums)->Range(16, 4096)->Complexity();
+
+/// The binary chain curve_min_of_sums replaced: 2 adds and 2 mins.
+void BM_CurveMinOfSumsBinaryChain(benchmark::State& state) {
+  const MinOfSumsOperands ops(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve_min(
+        curve_min(curve_add(ops.ident, ops.p1), curve_add(ops.q, ops.p2)),
+        ops.c));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_CurveMinOfSumsBinaryChain)->Range(16, 4096)->Complexity();
+
 void BM_CurveMinWithCrossings(benchmark::State& state) {
   const int jumps = static_cast<int>(state.range(0));
   const PwlCurve a = make_step(jumps, 100.0, 3);
@@ -166,6 +207,33 @@ void BM_PseudoInverse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PseudoInverse)->Range(16, 1024);
+
+/// Every integer level of a staircase, as local_delay_bound asks for them.
+void BM_PinvSweep(benchmark::State& state) {
+  const PwlCurve a = make_step(static_cast<int>(state.range(0)), 100.0, 7);
+  const int levels = static_cast<int>(a.end_value());
+  for (auto _ : state) {
+    PinvSweep sweep(a);
+    for (int m = 1; m <= levels; ++m) {
+      benchmark::DoNotOptimize(sweep.next(static_cast<double>(m)));
+    }
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_PinvSweep)->Range(16, 4096)->Complexity();
+
+/// The same levels, one binary-searching pseudo_inverse each.
+void BM_PinvPerLevel(benchmark::State& state) {
+  const PwlCurve a = make_step(static_cast<int>(state.range(0)), 100.0, 7);
+  const int levels = static_cast<int>(a.end_value());
+  for (auto _ : state) {
+    for (int m = 1; m <= levels; ++m) {
+      benchmark::DoNotOptimize(a.pseudo_inverse(static_cast<double>(m)));
+    }
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_PinvPerLevel)->Range(16, 4096)->Complexity();
 
 void BM_ArrivalGeneration(benchmark::State& state) {
   for (auto _ : state) {
@@ -313,6 +381,54 @@ std::vector<KernelResult> run_comparison() {
     }
   }
 
+  {
+    // S̄-shaped operands: one fused min-of-sums pass vs the legacy chain of
+    // 2 adds and 2 mins.
+    KernelResult k{"min_of_sums_k3", 256, 0.0, 0.0};
+    const MinOfSumsOperands ops(256);
+    const std::vector<SumTerm> terms = ops.terms();
+    const legacyref::Curve ri = ops.ident.knots();
+    const legacyref::Curve rq = ops.q.knots();
+    const legacyref::Curve rp1 = ops.p1.knots();
+    const legacyref::Curve rp2 = ops.p2.knots();
+    const legacyref::Curve rc = ops.c.knots();
+    k.flat_ns = ns_per_op(
+        [&] { benchmark::DoNotOptimize(curve_min_of_sums(terms)); }, 100,
+        kRepeats);
+    k.legacy_ns = ns_per_op(
+        [&] {
+          benchmark::DoNotOptimize(legacyref::min(
+              legacyref::min(legacyref::add(ri, rp1), legacyref::add(rq, rp2)),
+              rc));
+        },
+        100, kRepeats);
+    out.push_back(k);
+  }
+  {
+    // Every integer level of a 1024-jump staircase: one PinvSweep vs the
+    // legacy per-level pseudo-inverse.
+    KernelResult k{"pinv_level_sweep", 1024, 0.0, 0.0};
+    const PwlCurve a = make_step(1024, 100.0, 7);
+    const legacyref::Curve ra = a.knots();
+    const int levels = static_cast<int>(a.end_value());
+    k.flat_ns = ns_per_op(
+        [&] {
+          PinvSweep sweep(a);
+          for (int m = 1; m <= levels; ++m) {
+            benchmark::DoNotOptimize(sweep.next(static_cast<double>(m)));
+          }
+        },
+        200, kRepeats);
+    k.legacy_ns = ns_per_op(
+        [&] {
+          for (int m = 1; m <= levels; ++m) {
+            benchmark::DoNotOptimize(
+                legacyref::pseudo_inverse(ra, static_cast<double>(m)));
+          }
+        },
+        200, kRepeats);
+    out.push_back(k);
+  }
   {
     // Eight 256-jump operands: one n-ary pass vs a left fold of the legacy
     // binary add.

@@ -21,7 +21,8 @@ rta::Job make_candidate(int index, std::size_t stages, rta::Rng& rng,
                         rta::Time window) {
   using namespace rta;
   Job job;
-  job.name = "J" + std::to_string(index);
+  job.name = "J";
+  job.name += std::to_string(index);
   const double period = rng.uniform(4.0, 20.0);
   job.deadline = period * rng.uniform(1.5, 3.0);
   for (std::size_t s = 0; s < stages; ++s) {

@@ -15,14 +15,30 @@ namespace detail {
 
 namespace {
 
-/// Next-hop arrival upper bound (Lemma 2): instances arrive at hop j+1 when
-/// S̄ first crosses multiples of tau; additionally an instance cannot reach
-/// hop j+1 earlier than tau after its own earliest hop-j arrival.
-PwlCurve next_arrival_upper(const PwlCurve& svc_upper,
-                            const PwlCurve& arr_upper, double tau) {
-  return curve_min(curve_crossing_counts(svc_upper, tau),
-                   curve_shift_right(arr_upper, tau));
-}
+/// Σ_hp S_hp(t^-) at nondecreasing instants t, summed operand by operand in
+/// input order; one SegmentCursor per operand stands in for eval_left's
+/// binary search, with the same result.
+class LeftSum {
+ public:
+  explicit LeftSum(const std::vector<PwlCurve>& curves) {
+    for (const PwlCurve& c : curves) {
+      views_.push_back(c.view());
+      cursors_.emplace_back(c.view());
+    }
+  }
+
+  double operator()(Time t) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < views_.size(); ++k) {
+      sum += flat_eval_left(views_[k], t, cursors_[k]);
+    }
+    return sum;
+  }
+
+ private:
+  std::vector<CurveView> views_;
+  std::vector<SegmentCursor> cursors_;
+};
 
 /// Bounds for the subjobs of a static-priority processor (SPP with b = 0,
 /// SPNP with b of Eq. 15), in descending priority order.
@@ -56,8 +72,8 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
 
   // Utilization lower bound (Theorem 7 applied to the workload lower bound;
   // U is monotone in G, so this lower-bounds the true busy time).
-  const PwlCurve util_lower =
-      service_transform(PwlCurve::identity(horizon), g_lower);
+  const PwlCurve ident = PwlCurve::identity(horizon);
+  const PwlCurve util_lower = service_transform(ident, g_lower);
 
   for (std::size_t i = 0; i < refs.size(); ++i) {
     const SubjobRef& ref = refs[i];
@@ -70,14 +86,19 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
     // instance's latest possible arrival (FCFS serves in arrival order, any
     // tie-break): departure m at min{ t : U̲(t) >= Ḡ(ā_m) } with
     // ā_m = f̲_arr^{-1}(m) the latest possible m-th arrival.
+    // ā_m and Ḡ(ā_m) are nondecreasing in m, so both inverses are sweeps.
     const long long count_lower =
         tolerant_floor(st.arr_lower.end_value() + 0.5);
     std::vector<Time> dep_times;
     dep_times.reserve(count_lower);
+    PinvSweep latest_arrival(st.arr_lower);
+    PinvSweep busy_until(util_lower);
+    const CurveView g_view = g_upper.view();
+    SegmentCursor g_cursor(g_view);
     for (long long m = 1; m <= count_lower; ++m) {
-      const Time a_late = st.arr_lower.pseudo_inverse(static_cast<double>(m));
+      const Time a_late = latest_arrival.next(static_cast<double>(m));
       if (std::isinf(a_late)) break;
-      const Time t = util_lower.pseudo_inverse(g_upper.eval(a_late));
+      const Time t = busy_until.next(flat_eval(g_view, a_late, g_cursor));
       if (std::isinf(t)) break;
       dep_times.push_back(t);
     }
@@ -85,11 +106,10 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
     st.svc_lower = curve_scale(st.dep_lower, tau);
 
     // Theorem 9: S̄ = S̲ + tau, capped by arrived work and elapsed time.
-    const PwlCurve c_upper = c_uppers[i];
-    st.svc_upper =
-        curve_min(curve_min(curve_add_constant(st.svc_lower, tau), c_upper),
-                  PwlCurve::identity(horizon));
-    st.next_arr_upper = next_arrival_upper(st.svc_upper, st.arr_upper, tau);
+    st.svc_upper = curve_min_of_sums(
+        {{&st.svc_lower, nullptr, tau}, {&c_uppers[i]}, {&ident}});
+    st.next_arr_upper =
+        curve_crossing_counts_min_shift(st.svc_upper, st.arr_upper, tau);
     st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
     st.computed = true;
   }
@@ -116,13 +136,6 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
     hp_upper.push_back(hp_state.svc_upper);
     hp_lower.push_back(hp_state.svc_lower);
   }
-  // Σ_hp S_hp(t^-), summed operand by operand in input order.
-  const auto hp_sum_left = [](const std::vector<PwlCurve>& hp, Time t) {
-    double sum = 0.0;
-    for (const PwlCurve& c : hp) sum += c.eval_left(t);
-    return sum;
-  };
-
   const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
   const PwlCurve c_lower = curve_scale(st.arr_lower, tau);
 
@@ -150,12 +163,21 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   // by segment. S̄ = min(c̄, t + P1(t), Q̄(t) + P2(t)) with P1, P2 the
   // prefix-minimum step curves of base_i - s_i and
   // base_i - s_i + S̄hp(s_i^-) over the candidates with s_i <= t. Each
-  // costs a fixed number of curve kernels, whatever the arrival count.
+  // bound is a fixed set of kernels, whatever the arrival count:
   //
-  // Q̲ and Q̄ are one curve_available pass each over the higher-priority
-  // curves; no S̄hp or S̲hp curve is built, so the unit's kernel calls are
-  // also independent of how many subjobs outrank it. The offsets read the
-  // hp sums only at the candidates s_i, evaluated operand by operand.
+  //   Q̲, Q̄: one curve_available pass each over the higher-priority curves;
+  //   S̲:    one curve_compose_capped_max pass (g o Q̲, capped by c̲, with
+  //          tighten_lower_bound's running max);
+  //   S̄:    two curve_prefix_min_steps builds and one curve_min_of_sums
+  //          pass over its three terms;
+  //   f̲_dep: curve_floor_div, one pseudo-inverse sweep (Lemma 1);
+  //   f̄_arr of the next hop: curve_crossing_counts_min_shift, one step
+  //          curve from two jump lists (Lemma 2).
+  //
+  // No S̄hp or S̲hp curve is built, so the unit's kernel calls are also
+  // independent of how many subjobs outrank it. The offsets read the hp
+  // sums only at the candidates s_i, evaluated operand by operand, and the
+  // candidates themselves come from pseudo-inverse sweeps.
   const PwlCurve q_lower = curve_available(ident, hp_upper, -b);
   const PwlCurve q_upper = curve_available(ident, hp_lower);
 
@@ -165,44 +187,48 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   // ---- Lower service bound.
   std::vector<Hinge> hinges;
   hinges.reserve(static_cast<std::size_t>(count_lower));
+  PinvSweep latest_arrival(st.arr_lower);
+  LeftSum hp_lower_left(hp_lower);
   for (long long i = 1; i <= count_lower; ++i) {
-    const Time s_i = st.arr_lower.pseudo_inverse(static_cast<double>(i));
+    const Time s_i = latest_arrival.next(static_cast<double>(i));
     if (std::isinf(s_i)) break;
     hinges.push_back({static_cast<double>(i - 1) * tau,
-                      s_i - hp_sum_left(hp_lower, s_i)});
+                      s_i - hp_lower_left(s_i)});
   }
-  PwlCurve svc_lower = PwlCurve::zero(horizon);
-  if (!hinges.empty()) {
-    // Demand cap (service never exceeds arrived work; with lower arrival
-    // counts this only loosens, which is sound for a lower bound). g >= 0,
-    // so no clamp at zero is needed.
-    svc_lower = curve_min(
-        curve_compose(HingeEnvelope(std::move(hinges)), q_lower), c_lower);
-  }
-  svc_lower = tighten_lower_bound(svc_lower);
+  // Demand cap (service never exceeds arrived work; with lower arrival
+  // counts this only loosens, which is sound for a lower bound). g >= 0,
+  // so no clamp at zero is needed.
+  st.svc_lower =
+      hinges.empty()
+          ? PwlCurve::zero(horizon)
+          : curve_compose_capped_max(HingeEnvelope(std::move(hinges)),
+                                     q_lower, c_lower);
 
   // ---- Upper service bound.
   std::vector<Time> starts{0.0};
   std::vector<double> elapsed_off{0.0};
-  std::vector<double> drained_off{hp_sum_left(hp_upper, 0.0)};
+  LeftSum hp_upper_left(hp_upper);
+  std::vector<double> drained_off{hp_upper_left(0.0)};
+  PinvSweep earliest_arrival(st.arr_upper);
   for (long long i = 1; i <= count_upper; ++i) {
-    const Time s_i = st.arr_upper.pseudo_inverse(static_cast<double>(i));
+    const Time s_i = earliest_arrival.next(static_cast<double>(i));
     if (std::isinf(s_i)) break;
     const double base = static_cast<double>(i - 1) * tau;
     starts.push_back(s_i);
     elapsed_off.push_back(base - s_i);
-    drained_off.push_back(base - s_i + hp_sum_left(hp_upper, s_i));
+    drained_off.push_back(base - s_i + hp_upper_left(s_i));
   }
   const PwlCurve p1 = curve_prefix_min_steps(horizon, starts, elapsed_off);
   const PwlCurve p2 = curve_prefix_min_steps(horizon, starts, drained_off);
   // Demand cap: S(t) <= c(t^-) <= c̄(t).
-  const PwlCurve svc_upper = curve_min(
-      curve_min(curve_add(ident, p1), curve_add(q_upper, p2)), c_upper);
+  st.svc_upper =
+      curve_min_of_sums({{&ident, &p1}, {&q_upper, &p2}, {&c_upper}});
 
-  st.svc_lower = svc_lower;
-  st.svc_upper = svc_upper;
-  st.dep_lower = curve_floor_div(svc_lower, tau);  // Lemma 1
-  st.next_arr_upper = next_arrival_upper(svc_upper, st.arr_upper, tau);
+  st.dep_lower = curve_floor_div(st.svc_lower, tau);  // Lemma 1
+  // Lemma 2: instances arrive at hop j+1 when S̄ first crosses multiples of
+  // tau, and none earlier than tau after its own earliest hop-j arrival.
+  st.next_arr_upper =
+      curve_crossing_counts_min_shift(st.svc_upper, st.arr_upper, tau);
   st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
   st.computed = true;
 }
@@ -210,9 +236,11 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
 Time local_delay_bound(const PwlCurve& dep_lower, const PwlCurve& arr_upper) {
   const long long count = tolerant_floor(arr_upper.end_value() + 0.5);
   Time worst = 0.0;
+  PinvSweep arrival(arr_upper);
+  PinvSweep departure(dep_lower);
   for (long long m = 1; m <= count; ++m) {
-    const Time arr = arr_upper.pseudo_inverse(static_cast<double>(m));
-    const Time dep = dep_lower.pseudo_inverse(static_cast<double>(m));
+    const Time arr = arrival.next(static_cast<double>(m));
+    const Time dep = departure.next(static_cast<double>(m));
     if (std::isinf(dep)) return kTimeInfinity;
     worst = std::max(worst, dep - arr);
   }

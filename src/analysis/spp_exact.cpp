@@ -89,8 +89,9 @@ AnalysisResult ExactSppAnalyzer::analyze_at(const System& system,
     report.per_instance.reserve(job.arrivals.count());
     Time worst = 0.0;
     // Theorem 1: d_k = max_m ( f^{-1}_dep(m) - f^{-1}_arr(m) ).
+    PinvSweep completion_of(last_dep);
     for (std::size_t m = 1; m <= job.arrivals.count(); ++m) {
-      const Time completion = last_dep.pseudo_inverse(static_cast<double>(m));
+      const Time completion = completion_of.next(static_cast<double>(m));
       const Time response = std::isinf(completion)
                                 ? kTimeInfinity
                                 : completion - job.arrivals.release(m);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -40,14 +39,17 @@ void merged_grid(const CurveView& a, const CurveView& b,
   }
 }
 
-/// Per-thread scratch of the n-ary sum kernel: operand views, the running
-/// left-limit and right-value sums per grid point, and the K-way merge heap.
+/// Per-thread scratch of the n-ary kernels: operand views, the left-limit
+/// and right-value sums per grid point, and the merge buffers.
 struct SumScratch {
   std::vector<CurveView> views;
   std::vector<double> left;
   std::vector<double> right;
-  std::vector<std::pair<Time, std::size_t>> heap;  // (next abscissa, operand)
-  std::vector<std::size_t> next;
+  std::vector<Time> merged;      // sorted abscissae, before deduplication
+  std::vector<Time> merging;     // the other half of each merge round
+  std::vector<std::size_t> runs;  // start of each sorted run, then the end
+  std::vector<std::size_t> next_runs;
+  std::vector<Time> crossings;  // curve_min_of_sums, one grid interval
 };
 
 SumScratch& tls_sum_scratch() {
@@ -56,33 +58,56 @@ SumScratch& tls_sum_scratch() {
 }
 
 /// Sorted union of the knot abscissae of any number of curves, deduplicated
-/// with time_eq exactly as the two-operand merged_grid, by a K-way heap
-/// merge of the already-sorted time arrays.
+/// with time_eq exactly as the two-operand merged_grid: the sorted time
+/// arrays are merged pairwise, round by round, and the one sorted sequence
+/// is then deduplicated in a single pass.
 void merged_grid(const std::vector<CurveView>& views, SumScratch& scratch,
                  std::vector<Time>& out) {
-  auto& heap = scratch.heap;
-  auto& next = scratch.next;
-  const auto later = std::greater<std::pair<Time, std::size_t>>();
-  out.clear();
-  heap.clear();
-  next.assign(views.size(), 0);
-  std::size_t total = 0;
-  for (std::size_t k = 0; k < views.size(); ++k) {
-    total += views[k].n;
-    heap.emplace_back(views[k].t[0], k);
+  std::vector<Time>& merged = scratch.merged;
+  std::vector<Time>& merging = scratch.merging;
+  std::vector<std::size_t>& runs = scratch.runs;
+  std::vector<std::size_t>& next_runs = scratch.next_runs;
+  merged.clear();
+  runs.clear();
+  for (const CurveView& v : views) {
+    runs.push_back(merged.size());
+    merged.insert(merged.end(), v.t, v.t + v.n);
   }
-  out.reserve(total);
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const auto [t, k] = heap.back();
-    heap.pop_back();
-    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
-    if (++next[k] < views[k].n) {
-      heap.emplace_back(views[k].t[next[k]], k);
-      std::push_heap(heap.begin(), heap.end(), later);
+  runs.push_back(merged.size());
+  while (runs.size() > 2) {
+    merging.resize(merged.size());
+    next_runs.clear();
+    std::size_t r = 0;
+    for (; r + 2 < runs.size(); r += 2) {
+      next_runs.push_back(runs[r]);
+      std::merge(merged.begin() + static_cast<std::ptrdiff_t>(runs[r]),
+                 merged.begin() + static_cast<std::ptrdiff_t>(runs[r + 1]),
+                 merged.begin() + static_cast<std::ptrdiff_t>(runs[r + 1]),
+                 merged.begin() + static_cast<std::ptrdiff_t>(runs[r + 2]),
+                 merging.begin() + static_cast<std::ptrdiff_t>(runs[r]));
     }
+    if (r + 1 < runs.size()) {  // an odd run out: carried over as is
+      next_runs.push_back(runs[r]);
+      std::copy(merged.begin() + static_cast<std::ptrdiff_t>(runs[r]),
+                merged.end(),
+                merging.begin() + static_cast<std::ptrdiff_t>(runs[r]));
+    }
+    next_runs.push_back(merged.size());
+    merged.swap(merging);
+    runs.swap(next_runs);
   }
+  out.clear();
+  out.reserve(merged.size());
+  for (const Time t : merged) {
+    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+  }
+}
+
+/// The difference of two linear pieces, du at an interval's start and dv at
+/// its end, changes sign beyond the value tolerance.
+bool changes_sign(double du, double dv) {
+  return (du > kValueEps && dv < -kValueEps) ||
+         (du < -kValueEps && dv > kValueEps);
 }
 
 /// Insert the crossing instants of (a - b) into the grid so that pointwise
@@ -100,8 +125,7 @@ void insert_crossings(const CurveView& a, const CurveView& b,
     const double du = flat_eval(a, u, ar) - flat_eval(b, u, br);  // right
     const double dv =
         flat_eval_left(a, v, al) - flat_eval_left(b, v, bl);  // left
-    if ((du > kValueEps && dv < -kValueEps) ||
-        (du < -kValueEps && dv > kValueEps)) {
+    if (changes_sign(du, dv)) {
       const Time tc = u + (v - u) * (du / (du - dv));
       if (time_lt(u, tc) && time_lt(tc, v)) crossings.push_back(tc);
     }
@@ -167,6 +191,20 @@ PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
   return result;
 }
 
+/// Adds the left limits and right values of `v` at each grid point to
+/// left[i] and right[i].
+void accumulate(const CurveView& v, const std::vector<Time>& grid,
+                double* left, double* right) {
+  SegmentCursor cur(v);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    double l = 0.0;
+    double r = 0.0;
+    flat_eval_both(v, grid[i], cur, l, r);
+    left[i] += l;
+    right[i] += r;
+  }
+}
+
 /// The one n-ary pointwise pass behind curve_sum and curve_available:
 /// finish(base(t), sum_k terms[k](t)) on the merged grid of base (if any)
 /// and the terms, for left limits and right values alike. The terms are
@@ -193,15 +231,7 @@ PwlCurve sum_pass(const PwlCurve* base, const std::vector<PwlCurve>& terms,
   left.assign(grid.size(), 0.0);
   right.assign(grid.size(), 0.0);
   for (const PwlCurve& c : terms) {
-    const CurveView v = c.view();
-    SegmentCursor cur(v);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      double l = 0.0;
-      double r = 0.0;
-      flat_eval_both(v, grid[i], cur, l, r);
-      left[i] += l;
-      right[i] += r;
-    }
+    accumulate(c.view(), grid, left.data(), right.data());
   }
   CurveArena& arena = tls_curve_arena();
   arena.clear();
@@ -220,6 +250,111 @@ PwlCurve sum_pass(const PwlCurve* base, const std::vector<PwlCurve>& terms,
   PwlCurve result(arena.finalize());
   report_pointwise(result.knot_count());
   return result;
+}
+
+/// std::upper_bound / std::lower_bound over one sorted array, for queries
+/// that mostly move a little: each search gallops out from the previous
+/// answer, so a query near it costs O(1) and any query O(log n), with the
+/// results of the std searches.
+class SortedCursor {
+ public:
+  explicit SortedCursor(const std::vector<double>& a) : a_(a) {}
+
+  std::size_t upper(double q) {
+    return seek([q](double x) { return x <= q; });
+  }
+  std::size_t lower(double q) {
+    return seek([q](double x) { return x < q; });
+  }
+
+ private:
+  /// The first index whose element is not `before` the query.
+  template <typename Before>
+  std::size_t seek(Before before) {
+    const std::size_t n = a_.size();
+    const double* a = a_.data();
+    std::size_t lo = i_;
+    std::size_t hi = i_;
+    std::size_t step = 1;
+    if (i_ < n && before(a[i_])) {
+      // The answer lies right of i_: double the stride until past it.
+      lo = i_ + 1;
+      hi = lo;
+      while (hi < n && before(a[hi])) {
+        lo = hi + 1;
+        hi = std::min(n, lo + step);
+        step *= 2;
+      }
+    } else {
+      // The answer is i_ or left of it.
+      while (lo > 0 && !before(a[lo - 1])) {
+        hi = lo - 1;
+        lo = hi > step ? hi - step : 0;
+        step *= 2;
+      }
+    }
+    i_ = static_cast<std::size_t>(std::partition_point(a + lo, a + hi, before) -
+                                  a);
+    return i_;
+  }
+
+  const std::vector<double>& a_;
+  std::size_t i_ = 0;
+};
+
+/// Walks g(a(t)) over `grid`, which holds every knot time of `a` and
+/// possibly more: calls emit(t, left, right) at each grid point and, between
+/// grid points, at every instant where `a` passes a breakpoint of g, in time
+/// order. Since g is continuous, each jump of `a` maps to a jump of g o a
+/// and each linear piece of `a` to a piecewise-linear run.
+template <typename Emit>
+void compose_walk(const HingeEnvelope& g, const CurveView& a,
+                  const std::vector<Time>& grid, Emit&& emit) {
+  const std::vector<double>& kq = g.breakpoints();
+  const std::vector<double>& kv = g.values();
+  SortedCursor knee(kq);
+  SegmentCursor cur(a);
+  double qa = 0.0;  // a at the previous grid point
+  Time last = 0.0;  // the last emitted instant
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    double ql = 0.0;
+    double qr = 0.0;
+    flat_eval_both(a, grid[i], cur, ql, qr);
+    if (i > 0) {
+      // `a` runs linearly from qa at grid[i-1] to ql at grid[i]^-; g o a
+      // gains a knot wherever it passes a breakpoint of g, in the order it
+      // passes them.
+      const Time ta = grid[i - 1];
+      const Time tb = grid[i];
+      const double qb = ql;
+      const double lo_q = std::min(qa, qb);
+      const double hi_q = std::max(qa, qb);
+      const std::size_t lo = knee.upper(lo_q);
+      const std::size_t hi = knee.lower(hi_q);
+      const bool up = qa < qb;
+      for (std::size_t k = 0; lo + k < hi; ++k) {
+        const std::size_t j = up ? lo + k : hi - 1 - k;
+        const Time t = ta + (tb - ta) * ((kq[j] - qa) / (qb - qa));
+        last = std::clamp(t, last, tb);
+        emit(last, kv[j], kv[j]);
+      }
+    }
+    const double gl = g.at(ql, knee.upper(ql));
+    emit(grid[i], gl, g.at(qr, knee.upper(qr)));
+    last = grid[i];
+    qa = qr;
+  }
+}
+
+/// The jump instants of curve_crossing_counts(a, tau), in order.
+void crossing_jumps(const CurveView& v, double tau, std::vector<Time>& out) {
+  out.clear();
+  std::size_t from = 0;
+  for (long long k = 1;; ++k) {
+    const Time t = first_crossing_from(v, static_cast<double>(k) * tau, from);
+    if (std::isinf(t)) break;
+    out.push_back(t);
+  }
 }
 
 }  // namespace
@@ -351,32 +486,151 @@ Time curve_first_crossing(const PwlCurve& a, double y) {
 
 PwlCurve curve_crossing_counts(const PwlCurve& a, double tau) {
   assert(tau > 0.0);
-  const CurveView v = a.view();
   std::vector<Time> jumps;
-  std::size_t from = 0;
-  for (long long k = 1;; ++k) {
-    const Time t = first_crossing_from(v, static_cast<double>(k) * tau, from);
-    if (std::isinf(t)) break;
-    jumps.push_back(t);
-  }
+  crossing_jumps(a.view(), tau, jumps);
   // First crossings of increasing levels are nondecreasing in time for any
   // curve, so `jumps` is sorted as PwlCurve::step requires.
   return PwlCurve::step(a.horizon(), jumps);
 }
 
+PwlCurve curve_crossing_counts_min_shift(const PwlCurve& s, const PwlCurve& a,
+                                         double tau) {
+  assert(tau > 0.0);
+  assert(time_eq(s.horizon(), a.horizon()));
+  const Time horizon = a.horizon();
+  std::vector<Time> jumps;
+  crossing_jumps(s.view(), tau, jumps);
+  // Overwrite the k-th crossing with the k-th jump of the min, for k up to
+  // the shorter list; `meet` takes the shifted curve's k-th jump. The
+  // running max keeps the list sorted where a time_eq pair took the earlier
+  // instant.
+  std::size_t k = 0;
+  const auto meet = [&](Time shifted, double units) {
+    for (long long u = std::llround(units); u > 0 && k < jumps.size(); --u) {
+      Time& t = jumps[k];
+      t = time_eq(t, shifted) ? std::min(t, shifted) : std::max(t, shifted);
+      if (k > 0) t = std::max(t, jumps[k - 1]);
+      ++k;
+    }
+  };
+  // The jumps of curve_shift_right(a, tau): a(0) stays at 0; a later jump
+  // of `a` moves tau later, and those that land at or past the horizon
+  // fold onto it, as many as a(horizon - tau) still counts.
+  const CurveView v = a.view();
+  const Time dt = time_eq(tau, 0.0) ? 0.0 : tau;
+  meet(0.0, v.r[0]);
+  if (time_lt(dt, horizon)) {
+    double counted = v.r[0];
+    for (std::size_t i = 1; i < v.n && time_lt(v.t[i] + dt, horizon); ++i) {
+      meet(v.t[i] + dt, v.r[i] - v.l[i]);
+      counted = v.r[i];
+    }
+    meet(horizon, a.eval(horizon - dt) - counted);
+  }
+  jumps.resize(k);
+  return PwlCurve::step(horizon, jumps);
+}
+
 PwlCurve curve_floor_div(const PwlCurve& s, double tau) {
   assert(tau > 0.0);
-  assert(s.is_nondecreasing());
   const long long total = std::max<long long>(
       0, tolerant_floor(s.end_value() / tau));
   std::vector<Time> jumps;
   jumps.reserve(static_cast<std::size_t>(total));
+  PinvSweep level_time(s);
   for (long long k = 1; k <= total; ++k) {
-    const Time t = s.pseudo_inverse(static_cast<double>(k) * tau);
+    const Time t = level_time.next(static_cast<double>(k) * tau);
     assert(!std::isinf(t));
     jumps.push_back(t);
   }
   return PwlCurve::step(s.horizon(), jumps);
+}
+
+PwlCurve curve_min_of_sums(const std::vector<SumTerm>& terms) {
+  assert(!terms.empty());
+  SumScratch& scratch = tls_sum_scratch();
+  std::vector<CurveView>& views = scratch.views;
+  views.clear();
+  for (const SumTerm& term : terms) {
+    views.push_back(term.a->view());
+    if (term.b != nullptr) views.push_back(term.b->view());
+    assert(time_eq(views.back().t[views.back().n - 1],
+                   views[0].t[views[0].n - 1]));
+  }
+  std::vector<Time>& grid = tls_grid_scratch();
+  merged_grid(views, scratch, grid);
+  // Term k's left limits and right values at grid point i sit at k * n + i,
+  // each summed as (a + b) + offset.
+  const std::size_t n = grid.size();
+  const std::size_t count = terms.size();
+  std::vector<double>& left = scratch.left;
+  std::vector<double>& right = scratch.right;
+  left.assign(count * n, 0.0);
+  right.assign(count * n, 0.0);
+  for (std::size_t k = 0; k < count; ++k) {
+    double* lk = left.data() + k * n;
+    double* rk = right.data() + k * n;
+    accumulate(terms[k].a->view(), grid, lk, rk);
+    if (terms[k].b != nullptr) accumulate(terms[k].b->view(), grid, lk, rk);
+    for (std::size_t i = 0; i < n; ++i) {
+      lk[i] += terms[k].offset;
+      rk[i] += terms[k].offset;
+    }
+  }
+  const auto min_at = [&](const std::vector<double>& values, std::size_t i) {
+    double m = values[i];
+    for (std::size_t k = 1; k < count; ++k) m = std::min(m, values[k * n + i]);
+    return m;
+  };
+  // Crossing values are read off the operands themselves, as the chain's
+  // curve_min reads its operands: an operand knot the grid merged into a
+  // time_eq neighbour still bends the operand where it lies.
+  std::vector<SegmentCursor> cursors(views.begin(), views.end());
+  const auto min_between = [&](Time t) {
+    double m = std::numeric_limits<double>::infinity();
+    std::size_t j = 0;
+    for (const SumTerm& term : terms) {
+      double sum = flat_eval(views[j], t, cursors[j]);
+      ++j;
+      if (term.b != nullptr) {
+        sum += flat_eval(views[j], t, cursors[j]);
+        ++j;
+      }
+      m = std::min(m, sum + term.offset);
+    }
+    return m;
+  };
+  CurveArena& arena = tls_curve_arena();
+  arena.clear();
+  arena.reserve(n);
+  std::vector<Time>& crossings = scratch.crossings;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) {
+      // Every term is linear on (u, v): the min can only turn where two of
+      // them cross.
+      const Time u = grid[i - 1];
+      const Time v = grid[i];
+      crossings.clear();
+      for (std::size_t p = 0; p < count; ++p) {
+        for (std::size_t q = p + 1; q < count; ++q) {
+          const double du = right[p * n + i - 1] - right[q * n + i - 1];
+          const double dv = left[p * n + i] - left[q * n + i];
+          if (!changes_sign(du, dv)) continue;
+          const Time tc = u + (v - u) * (du / (du - dv));
+          if (time_lt(u, tc) && time_lt(tc, v)) crossings.push_back(tc);
+        }
+      }
+      std::sort(crossings.begin(), crossings.end());
+      for (const Time tc : crossings) {
+        const double m = min_between(tc);
+        arena.push(tc, m, m);
+      }
+    }
+    arena.push(grid[i], min_at(left, i), min_at(right, i));
+  }
+  PwlCurve result(arena.finalize());
+  report_pointwise(result.knot_count());
+  return result;
 }
 
 PwlCurve curve_prefix_min_steps(Time horizon, const std::vector<Time>& times,
@@ -455,43 +709,99 @@ HingeEnvelope::HingeEnvelope(std::vector<Hinge> hinges) {
 }
 
 double HingeEnvelope::operator()(double q) const {
+  return at(q, static_cast<std::size_t>(
+                   std::upper_bound(q_.begin(), q_.end(), q) - q_.begin()));
+}
+
+double HingeEnvelope::at(double q, std::size_t above) const {
   if (q <= q_.front()) return v_.front();
   if (q >= q_.back()) return v_.back() + (q - q_.back());
-  const std::size_t j = static_cast<std::size_t>(
-      std::upper_bound(q_.begin(), q_.end(), q) - q_.begin() - 1);
+  const std::size_t j = above - 1;
   assert(j + 1 < q_.size());
   return v_[j] + (q - q_[j]) * ((v_[j + 1] - v_[j]) / (q_[j + 1] - q_[j]));
 }
 
 PwlCurve curve_compose(const HingeEnvelope& g, const PwlCurve& a) {
   const CurveView v = a.view();
-  const std::vector<double>& kq = g.breakpoints();
-  const std::vector<double>& kv = g.values();
+  std::vector<Time>& grid = tls_grid_scratch();
+  grid.assign(v.t, v.t + v.n);
   CurveArena& arena = tls_curve_arena();
   arena.clear();
   arena.reserve(v.n);
-  for (std::size_t i = 0; i < v.n; ++i) {
-    arena.push(v.t[i], g(v.l[i]), g(v.r[i]));
-    if (i + 1 >= v.n) break;
-    // Segment i runs linearly from a(t_i) to a(t_{i+1}^-); g o a gains a
-    // knot wherever it passes a breakpoint of g, in the order it passes.
-    const Time ta = v.t[i];
-    const Time tb = v.t[i + 1];
-    const double qa = v.r[i];
-    const double qb = v.l[i + 1];
-    const double lo_q = std::min(qa, qb);
-    const double hi_q = std::max(qa, qb);
-    const std::size_t lo = static_cast<std::size_t>(
-        std::upper_bound(kq.begin(), kq.end(), lo_q) - kq.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(kq.begin(), kq.end(), hi_q) - kq.begin());
-    const bool up = qa < qb;
-    for (std::size_t k = 0; lo + k < hi; ++k) {
-      const std::size_t j = up ? lo + k : hi - 1 - k;
-      const Time t = ta + (tb - ta) * ((kq[j] - qa) / (qb - qa));
-      arena.push(std::clamp(t, arena.back_t(), tb), kv[j], kv[j]);
+  compose_walk(g, v, grid, [&](Time t, double left, double right) {
+    arena.push(t, left, right);
+  });
+  PwlCurve result(arena.finalize());
+  report_pointwise(result.knot_count());
+  return result;
+}
+
+PwlCurve curve_compose_capped_max(const HingeEnvelope& g, const PwlCurve& a,
+                                  const PwlCurve& cap) {
+  assert(time_eq(a.horizon(), cap.horizon()));
+  const CurveView av = a.view();
+  const CurveView cv = cap.view();
+  std::vector<Time>& grid = tls_grid_scratch();
+  merged_grid(av, cv, grid);
+  CurveArena& arena = tls_curve_arena();
+  arena.clear();
+  arena.reserve(grid.size());
+
+  // Last stage: curve_running_max's scan over the capped knots as they
+  // come, from the segment ending at each knot's left limit.
+  bool started = false;
+  double top = 0.0;      // running max so far
+  Time prev_t = 0.0;     // previous capped knot
+  double prev_r = 0.0;
+  const auto raise = [&](Time t, double left, double right) {
+    if (!started) {
+      started = true;
+      top = right;
+      arena.push(t, top, top);
+    } else {
+      if (left > top + kValueEps) {
+        if (prev_r < top - kValueEps) {
+          // Flat until the segment rises through the current max.
+          arena.push(prev_t + (t - prev_t) * ((top - prev_r) / (left - prev_r)),
+                     top, top);
+        }
+        top = left;
+      }
+      const double before = top;
+      top = std::max(top, right);
+      arena.push(t, before, top);
     }
-  }
+    prev_t = t;
+    prev_r = right;
+  };
+
+  // Middle stage: min with the cap. Between consecutive knots of g o a both
+  // it and the cap are linear (the grid holds every cap knot), so they
+  // cross at most once there.
+  SegmentCursor cap_cur(cv);
+  Time last_t = 0.0;
+  double last_g = 0.0;     // g o a at last_t
+  double last_gap = 0.0;   // g o a - cap at last_t
+  bool have_last = false;
+  compose_walk(g, av, grid, [&](Time t, double left, double right) {
+    double cap_l = 0.0;
+    double cap_r = 0.0;
+    flat_eval_both(cv, t, cap_cur, cap_l, cap_r);
+    if (have_last && changes_sign(last_gap, left - cap_l)) {
+      const double dv = left - cap_l;
+      const Time tc = last_t + (t - last_t) * (last_gap / (last_gap - dv));
+      if (time_lt(last_t, tc) && time_lt(tc, t)) {
+        const double m =
+            last_g + (left - last_g) * ((tc - last_t) / (t - last_t));
+        raise(tc, m, m);
+      }
+    }
+    raise(t, std::min(left, cap_l), std::min(right, cap_r));
+    last_t = t;
+    last_g = right;
+    last_gap = right - cap_r;
+    have_last = true;
+  });
   PwlCurve result(arena.finalize());
   report_pointwise(result.knot_count());
   return result;

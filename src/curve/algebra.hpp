@@ -1,6 +1,7 @@
 // Pointwise algebra on piecewise-linear curves, plus the builders behind the
 // closed-form Theorem 5/6 bounds (prefix-minimum steps, hinge envelopes and
-// their composition with a curve).
+// their composition with a curve, the n-ary min of sums, and Lemma 2's
+// next-hop arrival bound from jump lists).
 //
 // All binary operations require both operands to share the same horizon
 // (asserted); analyzers construct every curve of a system on one common
@@ -56,9 +57,24 @@ namespace rta {
                                        const std::vector<PwlCurve>& consumed,
                                        double offset = 0.0);
 
+/// One term a + b + offset of curve_min_of_sums; b is optional.
+struct SumTerm {
+  const PwlCurve* a = nullptr;
+  const PwlCurve* b = nullptr;
+  double offset = 0.0;
+};
+
+/// Pointwise min over the terms a_k + b_k + offset_k in one pass over the
+/// merged knot grid of every operand: each term is linear between grid
+/// points, so the crossings of every pair of terms, found from the values
+/// at each interval's ends, are all the knots the min needs. One finalize,
+/// one report, no intermediate sum or min curve.
+[[nodiscard]] PwlCurve curve_min_of_sums(const std::vector<SumTerm>& terms);
+
 /// Theorem 2 / Lemmas 1-2: counting curve f(t) = floor(S(t) / tau) as a unit
 /// step curve. S must be nondecreasing; tau > 0. Uses a tolerant floor so a
-/// service level epsilon below k*tau still counts k completions.
+/// service level epsilon below k*tau still counts k completions. The levels
+/// k * tau are one PinvSweep over S.
 [[nodiscard]] PwlCurve curve_floor_div(const PwlCurve& s, double tau);
 
 /// First instant t with a(t) >= y (value tolerance applied), or kTimeInfinity
@@ -73,6 +89,16 @@ namespace rta {
 /// One knot scan that resumes across levels: O(knots + levels), with the
 /// same jump times as calling curve_first_crossing per level.
 [[nodiscard]] PwlCurve curve_crossing_counts(const PwlCurve& a, double tau);
+
+/// min(curve_crossing_counts(s, tau), curve_shift_right(a, tau)) for a
+/// counting step curve `a` (integer jumps), built from the two jump lists
+/// with one PwlCurve::step and no pointwise pass: the min of two unit-step
+/// counting curves takes its k-th jump at the later of their k-th jumps (at
+/// the earlier one when the two are time_eq, where the merged grid of the
+/// pointwise min would place it).
+[[nodiscard]] PwlCurve curve_crossing_counts_min_shift(const PwlCurve& s,
+                                                       const PwlCurve& a,
+                                                       double tau);
 
 /// Non-increasing step curve P(t) = min{ values[i] : times[i] <= t } on
 /// [0, horizon]. `times` must be nondecreasing with times[0] = 0, so P is
@@ -100,6 +126,10 @@ class HingeEnvelope {
   /// g(q).
   [[nodiscard]] double operator()(double q) const;
 
+  /// g(q), given `above` = the index of the first breakpoint greater than q
+  /// (std::upper_bound over breakpoints()), for callers that track it.
+  [[nodiscard]] double at(double q, std::size_t above) const;
+
   /// Breakpoint abscissae (strictly increasing) and values.
   [[nodiscard]] const std::vector<double>& breakpoints() const { return q_; }
   [[nodiscard]] const std::vector<double>& values() const { return v_; }
@@ -115,5 +145,14 @@ class HingeEnvelope {
 /// wherever a(t) passes a breakpoint of g.
 [[nodiscard]] PwlCurve curve_compose(const HingeEnvelope& g,
                                      const PwlCurve& a);
+
+/// Running maximum of min(g(a(t)), cap(t)) (curve_running_max of the capped
+/// composition, as tighten_lower_bound takes it) in one pass over the merged
+/// knot grid of `a` and `cap`: the composition's knots, its crossings with
+/// the cap and the running maximum are produced as the grid is walked, and
+/// only the result is finalized.
+[[nodiscard]] PwlCurve curve_compose_capped_max(const HingeEnvelope& g,
+                                                const PwlCurve& a,
+                                                const PwlCurve& cap);
 
 }  // namespace rta

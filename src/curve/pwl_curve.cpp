@@ -76,25 +76,17 @@ PwlCurve PwlCurve::step(Time horizon, const std::vector<Time>& jump_times,
   return PwlCurve(arena.finalize());
 }
 
-Time PwlCurve::pseudo_inverse(double y) const {
-  assert(is_nondecreasing());
-  if (curve::KernelHooks* hooks = curve::kernel_hooks()) hooks->on_pinv();
-  const CurveView v = view();
-  if (y <= v.r[0] + kValueEps) return 0.0;
-  if (y > v.r[v.n - 1] + kValueEps) return kTimeInfinity;
-  // Find the first knot whose right value reaches y, then decide whether the
-  // crossing happened on the preceding segment or at the knot itself. The
-  // right values of a nondecreasing curve are sorted, so this is a plain
-  // lower_bound over the contiguous rights array.
-  const std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(v.r, v.r + v.n, y,
-                       [](double right, double value) {
-                         return right < value - kValueEps;
-                       }) -
-      v.r);
+namespace {
+
+/// Def. 5 at level y, given i = the first knot whose right value reaches y
+/// (within kValueEps), for a y strictly between the first and the end
+/// value's tolerance bands: the crossing is on the segment into knot i or in
+/// the jump at knot i. Shared by pseudo_inverse and PinvSweep, so both
+/// answer bit for bit alike.
+Time crossing_on_segment(const CurveView& v, double y, std::size_t i) {
   if (i >= v.n) {
     // Only reachable for y inside the epsilon band just above the final
-    // value (the y > back + eps case returned above): per Def. 5 no time
+    // value (the y > back + eps case returned earlier): per Def. 5 no time
     // within the horizon reaches y, so min{s : f(s) >= y} is unbounded.
     return kTimeInfinity;
   }
@@ -112,6 +104,40 @@ Time PwlCurve::pseudo_inverse(double y) const {
   }
   // y lies inside the jump at b: the first instant with f >= y is b_t.
   return b_t;
+}
+
+/// The right value at a knot has not reached level y yet.
+bool below_level(double right, double y) { return right < y - kValueEps; }
+
+}  // namespace
+
+Time PwlCurve::pseudo_inverse(double y) const {
+  assert(is_nondecreasing());
+  if (curve::KernelHooks* hooks = curve::kernel_hooks()) hooks->on_pinv();
+  const CurveView v = view();
+  if (y <= v.r[0] + kValueEps) return 0.0;
+  if (y > v.r[v.n - 1] + kValueEps) return kTimeInfinity;
+  // The right values of a nondecreasing curve are sorted, so the first knot
+  // whose right value reaches y is a plain lower_bound over the contiguous
+  // rights array.
+  const std::size_t i = static_cast<std::size_t>(
+      std::lower_bound(v.r, v.r + v.n, y, below_level) - v.r);
+  return crossing_on_segment(v, y, i);
+}
+
+PinvSweep::PinvSweep(const PwlCurve& curve) : v_(curve.view()) {
+  assert(curve.is_nondecreasing());
+}
+
+Time PinvSweep::next(double y) {
+  if (curve::KernelHooks* hooks = curve::kernel_hooks()) hooks->on_pinv();
+  if (y <= v_.r[0] + kValueEps) return 0.0;
+  if (y > v_.r[v_.n - 1] + kValueEps) return kTimeInfinity;
+  // The lower_bound of pseudo_inverse, found by local steps: every knot
+  // before i_ is below y, and i_ is not (or is the end).
+  while (i_ < v_.n && below_level(v_.r[i_], y)) ++i_;
+  while (i_ > 0 && !below_level(v_.r[i_ - 1], y)) --i_;
+  return crossing_on_segment(v_, y, i_);
 }
 
 bool PwlCurve::is_nondecreasing() const {

@@ -161,6 +161,24 @@ class PwlCurve {
 
 std::ostream& operator<<(std::ostream& os, const PwlCurve& c);
 
+/// Pseudo-inverse sweep over one nondecreasing curve: next(y) returns
+/// curve.pseudo_inverse(y), bit for bit, finding the crossing knot by
+/// stepping from the previous query's knot instead of a binary search. For
+/// nondecreasing levels a whole sweep costs O(levels + knots); other query
+/// orders stay correct (the knot index walks either way). Each next() counts
+/// as one pseudo-inverse evaluation for the kernel hooks. Holds a view of
+/// the curve's storage: the curve must outlive the sweep.
+class PinvSweep {
+ public:
+  explicit PinvSweep(const PwlCurve& curve);
+
+  [[nodiscard]] Time next(double y);
+
+ private:
+  CurveView v_;
+  std::size_t i_ = 0;  ///< first knot whose right value reaches the last y
+};
+
 /// Exact (bitwise) knot-storage equality. Stricter than
 /// PwlCurve::approx_equal: two curves are identical exactly when recomputing
 /// any operation on them yields bit-identical results. O(1) for curves that

@@ -33,7 +33,7 @@ class Options {
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         opts.values_[arg] = argv[++i];
       } else {
-        opts.values_[arg] = "1";
+        opts.values_[arg] = std::string("1");
       }
     }
     return opts;

@@ -54,7 +54,8 @@ System generate_jobshop(const JobShopConfig& config, Rng& rng) {
 
   for (std::size_t k = 0; k < config.jobs; ++k) {
     Job job;
-    job.name = "T" + std::to_string(k + 1);
+    job.name = "T";
+    job.name += std::to_string(k + 1);
     const double period = 1.0 / rate[k];
 
     double total_exec = 0.0;

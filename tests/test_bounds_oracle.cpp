@@ -56,7 +56,8 @@ System random_system(Rng& rng, SchedulerKind kind, int big_n) {
   int priority = 1;
   for (int k = 0; k < jobs; ++k) {
     Job job;
-    job.name = "j" + std::to_string(k);
+    job.name = "j";
+    job.name += std::to_string(k);
     const int n = k == 0 ? big_n : rng.uniform_int(1, 30);
     double period = 1.0;
     job.arrivals = random_arrivals(rng, n, period);

@@ -25,6 +25,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "curve/algebra.hpp"
@@ -521,6 +522,313 @@ TEST(CurveKernelDifferential, StepFactory) {
     const double h = rng.uniform(0.1, 2.0);
     expect_identical(PwlCurve::step(kH, jumps, h),
                      legacyref::step(kH, jumps, h));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused one-pass kernels of the Theorem 5/6 bounds against the binary chains
+// they replace. The fused kernels skip the chains' canonicalized
+// intermediates (and their interpolation rounding), so agreement is within
+// 1e-9 at every knot of either result, left limits and values, rather than
+// bit for bit.
+
+constexpr double kFusedTol = 1e-9;
+
+/// A raw curve of the given family on exactly [0, kH].
+PwlCurve full_horizon_curve(Rng& rng, int family) {
+  std::vector<Knot> raw = make_raw(rng, family);
+  if (raw.back().t < kH) raw.push_back({kH, 0.0, 0.0});
+  return PwlCurve(std::move(raw));
+}
+
+/// Knots on integer times with small integer values: equal values at shared
+/// grid points and crossings exactly on a knot are common.
+PwlCurve lattice_curve(Rng& rng) {
+  std::vector<Knot> ks;
+  double v = rng.uniform_int(0, 4);
+  ks.push_back({0.0, v, v});
+  for (int t = 1; t <= static_cast<int>(kH); ++t) {
+    if (rng.uniform_int(0, 2) == 0) continue;
+    const double left = rng.uniform_int(0, 6);
+    const double right = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(0, 6)
+                                                    : left;
+    ks.push_back({static_cast<Time>(t), left, right});
+  }
+  if (ks.back().t < kH) ks.push_back({kH, v, v});
+  return PwlCurve(std::move(ks));
+}
+
+/// The binary chain curve_min_of_sums replaces: a curve_add (and
+/// curve_add_constant) per term, then a left fold of curve_min.
+PwlCurve min_of_sums_chain(const std::vector<SumTerm>& terms) {
+  std::optional<PwlCurve> acc;
+  for (const SumTerm& term : terms) {
+    PwlCurve sum = term.b != nullptr ? curve_add(*term.a, *term.b) : *term.a;
+    sum = curve_add_constant(sum, term.offset);
+    acc = acc ? curve_min(*acc, sum) : sum;
+  }
+  return *acc;
+}
+
+TEST(CurveKernelDifferential, MinOfSumsMatchesBinaryChain) {
+  constexpr int kCases = 3000;
+  for (int seed = 0; seed < kCases; ++seed) {
+    Rng rng(0x53A5u + static_cast<std::uint64_t>(seed));
+    const bool lattice = seed % 4 == 0;
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed) +
+                 (lattice ? " lattice" : " families"));
+    // Every family but kHorizonEdge, whose horizon ends 4e-10 short of kH:
+    // merging that end into kH moves a crossing by as much, which on the
+    // steep families is more than 1e-9 in value though within the time
+    // tolerance.
+    const int families[] = {kSteps, kBurst,     kRampJump,
+                            kDegenerate, kJumpDense, kWiggle};
+    const int count = rng.uniform_int(1, 4);
+    std::vector<PwlCurve> curves;  // two operands per term, b maybe unused
+    for (int i = 0; i < 2 * count; ++i) {
+      curves.push_back(lattice ? lattice_curve(rng)
+                               : full_horizon_curve(
+                                     rng, families[rng.uniform_int(0, 5)]));
+    }
+    std::vector<SumTerm> terms;
+    for (int k = 0; k < count; ++k) {
+      SumTerm term{&curves[2 * k]};
+      if (rng.uniform_int(0, 2) != 0) term.b = &curves[2 * k + 1];
+      if (rng.uniform_int(0, 2) == 0) {
+        term.offset = lattice ? rng.uniform_int(-2, 2) : rng.uniform(-1.0, 1.0);
+      }
+      terms.push_back(term);
+    }
+    const PwlCurve fused = curve_min_of_sums(terms);
+    const PwlCurve chain = min_of_sums_chain(terms);
+    ASSERT_TRUE(fused.check_invariants());
+    EXPECT_LE(fused.max_abs_difference(chain), kFusedTol)
+        << "fused " << fused << "\nchain " << chain;
+  }
+}
+
+TEST(CurveKernelDifferential, MinOfSumsTwoCrossingsInOneInterval) {
+  // t, 3 and 8 - t share one grid interval [0, 10]: the min turns at t = 3
+  // and t = 5 (t and 8 - t cross at 4, above the min, which adds no knot).
+  const PwlCurve ident = PwlCurve::identity(kH);
+  const PwlCurve three = PwlCurve::constant(kH, 3.0);
+  const PwlCurve falling({{0.0, 8.0, 8.0}, {kH, -2.0, -2.0}});
+  const std::vector<SumTerm> terms = {{&ident}, {&three}, {&falling}};
+  const PwlCurve fused = curve_min_of_sums(terms);
+  EXPECT_LE(fused.max_abs_difference(min_of_sums_chain(terms)), kFusedTol);
+  ASSERT_EQ(fused.knot_count(), 4u) << fused;
+  EXPECT_NEAR(fused.knot_time(1), 3.0, 1e-12);
+  EXPECT_NEAR(fused.knot_time(2), 5.0, 1e-12);
+  EXPECT_NEAR(fused.eval(4.0), 3.0, 1e-12);
+  EXPECT_NEAR(fused.end_value(), -2.0, 1e-12);
+}
+
+TEST(CurveKernelDifferential, MinOfSumsTieAtGridPointAndJump) {
+  // t + 1 meets a curve exactly at its knot t = 4 and then inside its jump
+  // at t = 7: no crossing is needed at the tie, the jump carries the other.
+  const PwlCurve ident = PwlCurve::identity(kH);
+  const PwlCurve other(
+      {{0.0, 3.0, 3.0}, {4.0, 5.0, 5.0}, {7.0, 6.0, 9.0}, {kH, 9.0, 9.0}});
+  const std::vector<SumTerm> terms = {{&ident, nullptr, 1.0}, {&other}};
+  const PwlCurve fused = curve_min_of_sums(terms);
+  EXPECT_LE(fused.max_abs_difference(min_of_sums_chain(terms)), kFusedTol);
+  EXPECT_NEAR(fused.eval(4.0), 5.0, 1e-12);
+  EXPECT_NEAR(fused.eval_left(7.0), 6.0, 1e-12);
+  EXPECT_NEAR(fused.eval(7.0), 8.0, 1e-12);
+}
+
+/// The chain curve_compose_capped_max replaces.
+PwlCurve compose_capped_max_chain(const HingeEnvelope& g, const PwlCurve& a,
+                                  const PwlCurve& cap) {
+  return tighten_lower_bound(curve_min(curve_compose(g, a), cap));
+}
+
+TEST(CurveKernelDifferential, ComposeCappedMaxMatchesChain) {
+  constexpr int kCases = 3000;
+  for (int seed = 0; seed < kCases; ++seed) {
+    Rng rng(0xC0A9u + static_cast<std::uint64_t>(seed));
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
+    std::vector<Hinge> hinges;
+    const int n = rng.uniform_int(1, 6);
+    for (int i = 0; i < n; ++i) {
+      hinges.push_back({rng.uniform(0.0, 3.0), rng.uniform(-2.0, 4.0)});
+    }
+    const HingeEnvelope g(hinges);
+    const int a_families[] = {kWiggle, kJumpDense, kRampJump};
+    const int cap_families[] = {kSteps, kRampJump, kBurst};
+    const PwlCurve a = seed % 4 == 0
+                           ? lattice_curve(rng)
+                           : full_horizon_curve(rng, a_families[seed % 3]);
+    const PwlCurve cap = full_horizon_curve(rng, cap_families[(seed / 3) % 3]);
+    const PwlCurve fused = curve_compose_capped_max(g, a, cap);
+    const PwlCurve chain = compose_capped_max_chain(g, a, cap);
+    ASSERT_TRUE(fused.check_invariants());
+    EXPECT_LE(fused.max_abs_difference(chain), kFusedTol)
+        << "fused " << fused << "\nchain " << chain;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// PinvSweep: bit for bit the per-level pseudo_inverse, on nondecreasing
+// curves with flat runs and jumps, at levels that include 0, every knot's
+// value and its tolerance band, jump interiors and the epsilon band above
+// the end value.
+
+/// A nondecreasing curve mixing flat runs, ramps and jumps.
+PwlCurve flat_run_curve(Rng& rng) {
+  std::vector<Knot> ks;
+  double v = rng.uniform_int(0, 2) == 0 ? 0.0 : rng.uniform(0.0, 1.0);
+  ks.push_back({0.0, v, v});
+  Time t = 0.0;
+  while (true) {
+    t += rng.uniform(0.3, 2.0);
+    if (t >= kH) break;
+    const int kind = rng.uniform_int(0, 2);
+    const double left = kind == 0 ? v : v + rng.uniform(0.0, 1.5);  // flat
+    const double right = kind == 2 ? left + rng.uniform(0.1, 1.0) : left;
+    ks.push_back({t, left, right});
+    v = right;
+  }
+  ks.push_back({kH, v, v});
+  return PwlCurve(std::move(ks));
+}
+
+std::vector<double> sweep_levels(const PwlCurve& c, Rng& rng) {
+  const double end = c.end_value();
+  std::vector<double> levels = {0.0,         -1.0,        end,
+                                end + 5e-8,  end + 1e-7,  end + 1.5e-7,
+                                end + 0.5};
+  const CurveView v = c.view();
+  for (std::size_t i = 0; i < v.n; ++i) {
+    levels.push_back(v.r[i]);
+    levels.push_back(v.r[i] - 5e-8);
+    levels.push_back(v.r[i] + 5e-8);
+    levels.push_back(0.5 * (v.l[i] + v.r[i]));
+    if (i + 1 < v.n) levels.push_back(0.5 * (v.r[i] + v.l[i + 1]));
+  }
+  for (int i = 0; i < 8; ++i) levels.push_back(rng.uniform(-0.5, end + 0.5));
+  for (int k = 1; k <= static_cast<int>(end) + 1; ++k) levels.push_back(k);
+  return levels;
+}
+
+TEST(CurveKernelDifferential, PinvSweepMatchesPerLevelPseudoInverse) {
+  constexpr int kCases = 4000;
+  for (int seed = 0; seed < kCases; ++seed) {
+    Rng rng(0x5EE9u + static_cast<std::uint64_t>(seed));
+    const int family = seed % 4;  // kSteps, kBurst, kRampJump, flat runs
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed) + " family=" +
+                 (family == 3 ? "flat_runs" : family_name(family)));
+    const PwlCurve c = family == 3 ? flat_run_curve(rng)
+                                   : PwlCurve(make_raw(rng, family));
+    ASSERT_TRUE(c.is_nondecreasing());
+    std::vector<double> levels = sweep_levels(c, rng);
+    std::sort(levels.begin(), levels.end());
+    PinvSweep sweep(c);
+    for (double y : levels) {
+      EXPECT_BITEQ(sweep.next(y), c.pseudo_inverse(y)) << "y=" << y;
+    }
+    // Out-of-order queries walk back and stay exact.
+    std::reverse(levels.begin(), levels.end());
+    std::swap(levels.front(), levels[levels.size() / 2]);
+    PinvSweep unordered(c);
+    for (double y : levels) {
+      EXPECT_BITEQ(unordered.next(y), c.pseudo_inverse(y)) << "y=" << y;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lemma 2 in closed form: the jump-list construction is exactly the
+// pointwise min of the crossing counts and the shifted arrival curve.
+
+/// Counting curve with unit arrivals on a 0.25 grid (exact sums with the
+/// dyadic taus below, so ties with shifted arrivals are exact), plus
+/// arrivals at 0, on the horizon and at or just inside horizon - tau.
+PwlCurve arrival_counts(Rng& rng, Time tau) {
+  std::vector<Time> times;
+  const int n = rng.uniform_int(0, 14);
+  for (int i = 0; i < n; ++i) {
+    times.push_back(0.25 * rng.uniform_int(0, static_cast<int>(4 * kH)));
+  }
+  const int extra = rng.uniform_int(0, 5);
+  if (extra == 1) times.push_back(0.0);
+  if (extra == 2) times.push_back(kH - tau);
+  if (extra == 3) times.push_back(kH - tau - 5e-10);
+  if (extra == 4) times.push_back(kH - tau - 1e-6);
+  if (extra == 5) times.push_back(kH - tau + 1e-6);
+  std::erase_if(times, [](Time t) { return t < 0.0; });
+  std::sort(times.begin(), times.end());
+  return PwlCurve::step(kH, times);
+}
+
+/// A service-like curve for the crossing counts: steps of height tau on
+/// the same grid (crossings tie with the shifted arrivals), a monotone ramp
+/// with jumps, or a non-monotone wiggle.
+PwlCurve crossing_source(Rng& rng, Time tau, int kind) {
+  if (kind == 0) {
+    std::vector<Time> times;
+    const int n = rng.uniform_int(0, 14);
+    for (int i = 0; i < n; ++i) {
+      times.push_back(0.25 * rng.uniform_int(0, static_cast<int>(4 * kH)));
+    }
+    std::sort(times.begin(), times.end());
+    return PwlCurve::step(kH, times, tau);
+  }
+  const PwlCurve c = full_horizon_curve(rng, kind == 1 ? kRampJump : kWiggle);
+  return curve_scale(c, tau);
+}
+
+TEST(CurveKernelDifferential, CrossingCountsMinShiftMatchesPointwiseMin) {
+  constexpr int kCases = 4000;
+  const Time taus[] = {0.25, 0.5, 1.0, 2.5, kH, kH + 1.0};
+  for (int seed = 0; seed < kCases; ++seed) {
+    Rng rng(0x1E2Au + static_cast<std::uint64_t>(seed));
+    const Time tau = taus[seed % 6];
+    const int kind = (seed / 6) % 3;
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed) +
+                 " tau=" + std::to_string(tau) + " kind=" +
+                 std::to_string(kind));
+    const PwlCurve a = arrival_counts(rng, tau);
+    const PwlCurve s = crossing_source(rng, tau, kind);
+    const PwlCurve closed = curve_crossing_counts_min_shift(s, a, tau);
+    const PwlCurve chain =
+        curve_min(curve_crossing_counts(s, tau), curve_shift_right(a, tau));
+    EXPECT_TRUE(curves_identical(closed, chain))
+        << "a " << a << "\ns " << s << "\nclosed " << closed << "\nchain "
+        << chain;
+  }
+}
+
+TEST(CurveKernelDifferential, CrossingCountsMinShiftHoldsArrivalsAtZero) {
+  // Two arrivals at t = 0 stay at 0 in the shifted curve (it holds a(0) on
+  // [0, tau)); the crossings then bind the first two jumps.
+  const PwlCurve a = PwlCurve::step(kH, {0.0, 0.0, 3.0});
+  const PwlCurve s = PwlCurve::identity(kH);
+  const PwlCurve closed = curve_crossing_counts_min_shift(s, a, 2.0);
+  EXPECT_TRUE(curves_identical(
+      closed, curve_min(curve_crossing_counts(s, 2.0),
+                        curve_shift_right(a, 2.0))));
+  EXPECT_DOUBLE_EQ(closed.pseudo_inverse(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(closed.pseudo_inverse(2.0), 4.0);
+  EXPECT_DOUBLE_EQ(closed.pseudo_inverse(3.0), 6.0);
+  EXPECT_DOUBLE_EQ(closed.end_value(), 3.0);
+}
+
+TEST(CurveKernelDifferential, CrossingCountsMinShiftTakesEarlierOfTimeEqJumps) {
+  // The k-th crossing and the k-th shifted arrival lie 5e-10 apart, inside
+  // the time tolerance, in either order: the merged grid keeps the earlier
+  // instant, and so must the closed form.
+  for (const double skew : {5e-10, -5e-10}) {
+    SCOPED_TRACE("skew=" + std::to_string(skew));
+    const PwlCurve s = PwlCurve::step(kH, {4.0, 7.0 + skew}, 1.0);
+    const PwlCurve a = PwlCurve::step(kH, {3.0 - skew, 6.0});
+    const PwlCurve closed = curve_crossing_counts_min_shift(s, a, 1.0);
+    EXPECT_TRUE(curves_identical(
+        closed, curve_min(curve_crossing_counts(s, 1.0),
+                          curve_shift_right(a, 1.0))))
+        << closed;
+    EXPECT_BITEQ(closed.knot_time(1), std::min(4.0, 4.0 - skew));
+    EXPECT_BITEQ(closed.knot_time(2), std::min(7.0, 7.0 + skew));
   }
 }
 

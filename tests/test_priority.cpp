@@ -74,7 +74,8 @@ TEST(Priority, TiesBreakDeterministically) {
   System sys(1, SchedulerKind::kSpp);
   for (int i = 0; i < 3; ++i) {
     Job j;
-    j.name = "J" + std::to_string(i);
+    j.name = "J";
+    j.name += std::to_string(i);
     j.deadline = 5.0;
     j.chain = {{0, 1.0, 0}};
     j.arrivals = ArrivalSequence::periodic(5.0, 20.0);

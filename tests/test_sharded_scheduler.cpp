@@ -547,7 +547,10 @@ TEST(ServiceSharded, ShardPlacementStableAcrossRegistryRebuilds) {
   const System base = make_base(7);
   const SessionConfig cfg = make_session_config(base);
   std::vector<std::string> names;
-  for (int i = 0; i < 12; ++i) names.push_back("t" + std::to_string(i));
+  for (int i = 0; i < 12; ++i) {
+    names.emplace_back("t");
+    names.back() += std::to_string(i);
+  }
 
   constexpr int kShards = 3;
   std::map<std::string, int> shard_by_name;

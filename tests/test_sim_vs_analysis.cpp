@@ -31,10 +31,16 @@ struct ShopCase {
 
 std::string case_name(const testing::TestParamInfo<ShopCase>& info) {
   const ShopCase& c = info.param;
-  return "s" + std::to_string(c.stages) + "p" + std::to_string(c.procs) +
-         "j" + std::to_string(c.jobs) +
-         (c.pattern == ArrivalPattern::kPeriodic ? "per" : "aper") + "u" +
-         std::to_string(static_cast<int>(c.utilization * 100));
+  std::string name = "s";
+  name += std::to_string(c.stages);
+  name += "p";
+  name += std::to_string(c.procs);
+  name += "j";
+  name += std::to_string(c.jobs);
+  name += c.pattern == ArrivalPattern::kPeriodic ? "per" : "aper";
+  name += "u";
+  name += std::to_string(static_cast<int>(c.utilization * 100));
+  return name;
 }
 
 System make_shop(const ShopCase& c, std::uint64_t seed,

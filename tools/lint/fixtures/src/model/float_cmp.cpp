@@ -25,4 +25,8 @@ bool sloppy(double v) {
   return v == 1.0;  // still a finding: the reason-less allow is ignored
 }
 
+const double* first_term(const double* b, const double* fallback) {
+  return b != nullptr ? b : fallback;  // pointer test: no finding
+}
+
 }  // namespace rta

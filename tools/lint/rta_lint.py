@@ -511,6 +511,10 @@ class FileLint:
             # Skip a unary minus/plus in front of a literal operand.
             if nxt is not None and nxt.value in ("-", "+") and i + 2 < len(toks):
                 nxt = toks[i + 2]
+            # A comparison against nullptr is a pointer test, even when the
+            # pointer's name is declared double elsewhere in the file.
+            if any(t is not None and t.value == "nullptr" for t in (prv, nxt)):
+                continue
             operand_hits = []
             for t in (prv, nxt):
                 if t is None:

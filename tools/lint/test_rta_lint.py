@@ -3,7 +3,9 @@
 
 Checks, in order:
   1. The fixture corpus reproduces exactly the findings in
-     fixtures/expected.json (file, line, rule, suppressed) and exits 1.
+     fixtures/expected.json (file, line, rule, suppressed) and exits 1;
+     a pointer compared with nullptr is no float-eq finding, even when
+     its name is declared double.
   2. A file with no findings exits 0.
   3. --write-baseline followed by a baselined run exits 0 with every
      finding accounted as baselined.
@@ -75,6 +77,9 @@ def main():
               f"\n  expected: {exp_keys}\n  got:      {got_keys}")
         check("counts match", rep["counts"] == expected["counts"],
               f"expected {expected['counts']}, got {rep['counts']}")
+        check("no float-eq on a nullptr comparison", not any(
+            f["file"] == "src/model/float_cmp.cpp" and "nullptr" in f["snippet"]
+            for f in rep["findings"]))
         check("report names the tool", rep.get("tool") == "rta-lint")
         check("every rule documented", all(
             r.get("name") and r.get("description") for r in rep["rules"]))
