@@ -1,10 +1,11 @@
 // Microbenchmarks of the curve-algebra substrate (google-benchmark):
 // the operators that dominate analysis cost. BM_CurveSum and
 // BM_CurveSumLeftFold race the one-pass n-ary sum against the binary fold it
-// replaced, BM_CurveMinOfSums and BM_CurveMinOfSumsBinaryChain the fused S̄
-// pass against its chain of adds and mins, and BM_PinvSweep and
-// BM_PinvPerLevel a pseudo-inverse sweep against one binary search per
-// level.
+// replaced, BM_CurveAvailable times the same pass shaped like
+// Q̄ = t - Σ S̲hp (the identity minus K staircases), BM_CurveMinOfSums and
+// BM_CurveMinOfSumsBinaryChain the fused S̄ pass against its chain of adds
+// and mins, and BM_PinvSweep and BM_PinvPerLevel a pseudo-inverse sweep
+// against one binary search per level.
 //
 // Two modes:
 //   * default: the usual google-benchmark CLI, now including Legacy* twins
@@ -87,6 +88,25 @@ void BM_CurveSum(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(curve_sum(curves, 100.0));
 }
 BENCHMARK(BM_CurveSum)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/// K staircases shaped like higher-priority service lower bounds: 256 jumps
+/// each, scaled so that together they consume half of the horizon.
+std::vector<PwlCurve> make_hp_services(int k) {
+  std::vector<PwlCurve> out;
+  for (const PwlCurve& c : make_steps(k, 256)) {
+    out.push_back(curve_scale(c, 50.0 / (256.0 * k)));
+  }
+  return out;
+}
+
+/// Q̄ = t - Σ S̲hp: the identity base minus K staircases, in one pass.
+void BM_CurveAvailable(benchmark::State& state) {
+  const PwlCurve ident = PwlCurve::identity(100.0);
+  const std::vector<PwlCurve> hp =
+      make_hp_services(static_cast<int>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(curve_available(ident, hp));
+}
+BENCHMARK(BM_CurveAvailable)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 /// The left fold of binary curve_add that the one-pass curve_sum replaced.
 void BM_CurveSumLeftFold(benchmark::State& state) {
@@ -444,6 +464,28 @@ std::vector<KernelResult> run_comparison() {
         [&] {
           legacyref::Curve acc = rzero;
           for (const legacyref::Curve& c : rcurves) acc = legacyref::add(acc, c);
+          benchmark::DoNotOptimize(acc);
+        },
+        50, kRepeats);
+    out.push_back(k);
+  }
+
+  {
+    // Q̄-shaped: the identity minus eight staircases in one pass vs a left
+    // fold of the legacy binary sub.
+    KernelResult k{"available_k8", 256, 0.0, 0.0};
+    const PwlCurve ident = PwlCurve::identity(100.0);
+    const std::vector<PwlCurve> hp = make_hp_services(8);
+    std::vector<legacyref::Curve> rhp;
+    for (const PwlCurve& c : hp) rhp.push_back(c.knots());
+    const legacyref::Curve rident = ident.knots();
+    k.flat_ns = ns_per_op(
+        [&] { benchmark::DoNotOptimize(curve_available(ident, hp)); }, 50,
+        kRepeats);
+    k.legacy_ns = ns_per_op(
+        [&] {
+          legacyref::Curve acc = rident;
+          for (const legacyref::Curve& c : rhp) acc = legacyref::sub(acc, c);
           benchmark::DoNotOptimize(acc);
         },
         50, kRepeats);

@@ -15,30 +15,19 @@ namespace detail {
 
 namespace {
 
-/// Σ_hp S_hp(t^-) at nondecreasing instants t, summed operand by operand in
-/// input order; one SegmentCursor per operand stands in for eval_left's
-/// binary search, with the same result.
-class LeftSum {
- public:
-  explicit LeftSum(const std::vector<PwlCurve>& curves) {
-    for (const PwlCurve& c : curves) {
-      views_.push_back(c.view());
-      cursors_.emplace_back(c.view());
-    }
+/// Σ_hp S_hp(t^-) at each of the nondecreasing instants `ts`: one sweep
+/// per operand, accumulated in input order (the order of a left fold).
+std::vector<double> hp_left_sums(const std::vector<PwlCurve>& hp,
+                                 const std::vector<Time>& ts) {
+  std::vector<double> sums(ts.size(), 0.0);
+  for (const PwlCurve& c : hp) {
+    flat_eval_sweep(c.view(), ts.data(), ts.size(),
+                    [&](std::size_t k, double left, double) {
+                      sums[k] += left;
+                    });
   }
-
-  double operator()(Time t) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < views_.size(); ++k) {
-      sum += flat_eval_left(views_[k], t, cursors_[k]);
-    }
-    return sum;
-  }
-
- private:
-  std::vector<CurveView> views_;
-  std::vector<SegmentCursor> cursors_;
-};
+  return sums;
+}
 
 /// Bounds for the subjobs of a static-priority processor (SPP with b = 0,
 /// SPNP with b of Eq. 15), in descending priority order.
@@ -176,8 +165,9 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   //
   // No S̄hp or S̲hp curve is built, so the unit's kernel calls are also
   // independent of how many subjobs outrank it. The offsets read the hp
-  // sums only at the candidates s_i, evaluated operand by operand, and the
-  // candidates themselves come from pseudo-inverse sweeps.
+  // sums only at the candidates s_i: one pseudo-inverse sweep collects the
+  // candidates, then one flat_eval_sweep per hp operand adds its left
+  // limits at all of them (O(candidates + knots) per operand, no search).
   const PwlCurve q_lower = curve_available(ident, hp_upper, -b);
   const PwlCurve q_upper = curve_available(ident, hp_lower);
 
@@ -185,15 +175,20 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   const long long count_upper = tolerant_floor(st.arr_upper.end_value() + 0.5);
 
   // ---- Lower service bound.
-  std::vector<Hinge> hinges;
-  hinges.reserve(static_cast<std::size_t>(count_lower));
+  std::vector<Time> latest;
+  latest.reserve(static_cast<std::size_t>(count_lower));
   PinvSweep latest_arrival(st.arr_lower);
-  LeftSum hp_lower_left(hp_lower);
   for (long long i = 1; i <= count_lower; ++i) {
     const Time s_i = latest_arrival.next(static_cast<double>(i));
     if (std::isinf(s_i)) break;
-    hinges.push_back({static_cast<double>(i - 1) * tau,
-                      s_i - hp_lower_left(s_i)});
+    latest.push_back(s_i);
+  }
+  const std::vector<double> lower_drained = hp_left_sums(hp_lower, latest);
+  std::vector<Hinge> hinges;
+  hinges.reserve(latest.size());
+  for (std::size_t i = 0; i < latest.size(); ++i) {
+    hinges.push_back({static_cast<double>(i) * tau,
+                      latest[i] - lower_drained[i]});
   }
   // Demand cap (service never exceeds arrived work; with lower arrival
   // counts this only loosens, which is sound for a lower bound). g >= 0,
@@ -207,16 +202,18 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   // ---- Upper service bound.
   std::vector<Time> starts{0.0};
   std::vector<double> elapsed_off{0.0};
-  LeftSum hp_upper_left(hp_upper);
-  std::vector<double> drained_off{hp_upper_left(0.0)};
   PinvSweep earliest_arrival(st.arr_upper);
   for (long long i = 1; i <= count_upper; ++i) {
     const Time s_i = earliest_arrival.next(static_cast<double>(i));
     if (std::isinf(s_i)) break;
-    const double base = static_cast<double>(i - 1) * tau;
     starts.push_back(s_i);
-    elapsed_off.push_back(base - s_i);
-    drained_off.push_back(base - s_i + hp_upper_left(s_i));
+    elapsed_off.push_back(static_cast<double>(i - 1) * tau - s_i);
+  }
+  // The i = 0 entry's 0.0 + Σ S̄hp(0^-) is the sum itself: a sum that
+  // starts from +0.0 is never -0.0.
+  std::vector<double> drained_off = hp_left_sums(hp_upper, starts);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    drained_off[i] += elapsed_off[i];
   }
   const PwlCurve p1 = curve_prefix_min_steps(horizon, starts, elapsed_off);
   const PwlCurve p2 = curve_prefix_min_steps(horizon, starts, drained_off);

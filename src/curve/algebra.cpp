@@ -14,11 +14,11 @@ namespace rta {
 namespace {
 
 // The pointwise kernels walk the flat knot arrays directly: grids come from
-// a linear merge of the contiguous time arrays, evaluations from monotone
-// SegmentCursors, and results are assembled in the thread-local CurveArena
-// (one canonicalization pass, no per-curve vector<Knot> churn). Values and
-// grid contents match the legacy knot-walking implementation bit for bit
-// (tests/test_curve_kernels.cpp).
+// a linear merge of the contiguous time arrays, each operand's values on a
+// grid from one flat_eval_sweep, and results are assembled in the
+// thread-local CurveArena (one canonicalization pass, no per-curve
+// vector<Knot> churn). Values and grid contents match the legacy
+// knot-walking implementation bit for bit (tests/test_curve_kernels.cpp).
 
 /// Sorted union of the knot abscissae of two curves (tolerance-deduplicated)
 /// by linear merge of the already-sorted time arrays.
@@ -39,8 +39,8 @@ void merged_grid(const CurveView& a, const CurveView& b,
   }
 }
 
-/// Per-thread scratch of the n-ary kernels: operand views, the left-limit
-/// and right-value sums per grid point, and the merge buffers.
+/// Per-thread scratch of the grid kernels: operand views, the left limits
+/// and right values (or their sums) per grid point, and the merge buffers.
 struct SumScratch {
   std::vector<CurveView> views;
   std::vector<double> left;
@@ -49,7 +49,7 @@ struct SumScratch {
   std::vector<Time> merging;     // the other half of each merge round
   std::vector<std::size_t> runs;  // start of each sorted run, then the end
   std::vector<std::size_t> next_runs;
-  std::vector<Time> crossings;  // curve_min_of_sums, one grid interval
+  std::vector<Time> crossings;  // crossing instants to insert
 };
 
 SumScratch& tls_sum_scratch() {
@@ -110,32 +110,27 @@ bool changes_sign(double du, double dv) {
          (du < -kValueEps && dv > kValueEps);
 }
 
-/// Insert the crossing instants of (a - b) into the grid so that pointwise
-/// min/max stay piecewise linear between consecutive grid points.
-void insert_crossings(const CurveView& a, const CurveView& b,
-                      std::vector<Time>& grid) {
-  std::vector<Time> crossings;
-  SegmentCursor ar(a);
-  SegmentCursor br(b);
-  SegmentCursor al(a);
-  SegmentCursor bl(b);
-  for (std::size_t i = 0; i + 1 < grid.size(); ++i) {
-    const Time u = grid[i];
-    const Time v = grid[i + 1];
-    const double du = flat_eval(a, u, ar) - flat_eval(b, u, br);  // right
-    const double dv =
-        flat_eval_left(a, v, al) - flat_eval_left(b, v, bl);  // left
-    if (changes_sign(du, dv)) {
-      const Time tc = u + (v - u) * (du / (du - dv));
-      if (time_lt(u, tc) && time_lt(tc, v)) crossings.push_back(tc);
-    }
-  }
-  if (crossings.empty()) return;
-  grid.insert(grid.end(), crossings.begin(), crossings.end());
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end(),
-                         [](Time x, Time y) { return time_eq(x, y); }),
-             grid.end());
+/// The left limits and right values of `v` at each grid point.
+void sample(const CurveView& v, const std::vector<Time>& grid,
+            std::vector<double>& left, std::vector<double>& right) {
+  left.resize(grid.size());
+  right.resize(grid.size());
+  flat_eval_sweep(v, grid.data(), grid.size(),
+                  [&](std::size_t i, double l, double r) {
+                    left[i] = l;
+                    right[i] = r;
+                  });
+}
+
+/// Adds the left limits and right values of `v` at each grid point to
+/// left[i] and right[i].
+void accumulate(const CurveView& v, const std::vector<Time>& grid,
+                double* left, double* right) {
+  flat_eval_sweep(v, grid.data(), grid.size(),
+                  [&](std::size_t i, double l, double r) {
+                    left[i] += l;
+                    right[i] += r;
+                  });
 }
 
 /// curve_first_crossing's knot scan, started at knot `from` and leaving
@@ -165,6 +160,12 @@ void report_pointwise(std::size_t result_knots) {
   }
 }
 
+/// op(a, b) on the merged grid of a and b, as one sweep of a into the
+/// scratch arrays and one sweep of b that pushes the results. With
+/// needs_crossings (min/max), b's sweep also collects the instants where
+/// a - b changes sign between consecutive grid points; if there are any,
+/// they join the grid and both sweeps run once more on it, so the result
+/// is piecewise linear between its knots.
 template <typename Op>
 PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
                  bool needs_crossings) {
@@ -173,36 +174,46 @@ PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
   const CurveView bv = b.view();
   std::vector<Time>& grid = tls_grid_scratch();
   merged_grid(av, bv, grid);
-  if (needs_crossings) insert_crossings(av, bv, grid);
+  SumScratch& scratch = tls_sum_scratch();
+  const std::vector<double>& al = scratch.left;
+  const std::vector<double>& ar = scratch.right;
+  std::vector<Time>& crossings = scratch.crossings;
+  crossings.clear();
   CurveArena& arena = tls_curve_arena();
-  arena.clear();
-  arena.reserve(grid.size());
-  SegmentCursor al(av);
-  SegmentCursor ar(av);
-  SegmentCursor bl(bv);
-  SegmentCursor br(bv);
-  for (Time t : grid) {
-    const double left = op(flat_eval_left(av, t, al), flat_eval_left(bv, t, bl));
-    const double right = op(flat_eval(av, t, ar), flat_eval(bv, t, br));
-    arena.push(t, left, right);
+  const auto pass = [&](bool find_crossings) {
+    sample(av, grid, scratch.left, scratch.right);
+    arena.clear();
+    arena.reserve(grid.size());
+    double du = 0.0;  // (a - b) at the previous grid point, right values
+    flat_eval_sweep(bv, grid.data(), grid.size(),
+                    [&](std::size_t i, double bl, double br) {
+                      if (find_crossings) {
+                        const double dv = al[i] - bl;  // left values
+                        if (i > 0 && changes_sign(du, dv)) {
+                          const Time u = grid[i - 1];
+                          const Time v = grid[i];
+                          const Time tc = u + (v - u) * (du / (du - dv));
+                          if (time_lt(u, tc) && time_lt(tc, v)) {
+                            crossings.push_back(tc);
+                          }
+                        }
+                        du = ar[i] - br;
+                      }
+                      arena.push(grid[i], op(al[i], bl), op(ar[i], br));
+                    });
+  };
+  pass(needs_crossings);
+  if (!crossings.empty()) {
+    grid.insert(grid.end(), crossings.begin(), crossings.end());
+    std::sort(grid.begin(), grid.end());
+    grid.erase(std::unique(grid.begin(), grid.end(),
+                           [](Time x, Time y) { return time_eq(x, y); }),
+               grid.end());
+    pass(false);
   }
   PwlCurve result(arena.finalize());
   report_pointwise(result.knot_count());
   return result;
-}
-
-/// Adds the left limits and right values of `v` at each grid point to
-/// left[i] and right[i].
-void accumulate(const CurveView& v, const std::vector<Time>& grid,
-                double* left, double* right) {
-  SegmentCursor cur(v);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    double l = 0.0;
-    double r = 0.0;
-    flat_eval_both(v, grid[i], cur, l, r);
-    left[i] += l;
-    right[i] += r;
-  }
 }
 
 /// The one n-ary pointwise pass behind curve_sum and curve_available:
@@ -233,18 +244,17 @@ PwlCurve sum_pass(const PwlCurve* base, const std::vector<PwlCurve>& terms,
   for (const PwlCurve& c : terms) {
     accumulate(c.view(), grid, left.data(), right.data());
   }
+  if (base != nullptr) {
+    flat_eval_sweep(views[0], grid.data(), grid.size(),
+                    [&](std::size_t i, double l, double r) {
+                      left[i] = finish(l, left[i]);
+                      right[i] = finish(r, right[i]);
+                    });
+  }
   CurveArena& arena = tls_curve_arena();
   arena.clear();
   arena.reserve(grid.size());
-  SegmentCursor base_cur(views[0]);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (base != nullptr) {
-      double l = 0.0;
-      double r = 0.0;
-      flat_eval_both(views[0], grid[i], base_cur, l, r);
-      left[i] = finish(l, left[i]);
-      right[i] = finish(r, right[i]);
-    }
     arena.push(grid[i], left[i], right[i]);
   }
   PwlCurve result(arena.finalize());
@@ -302,24 +312,25 @@ class SortedCursor {
   std::size_t i_ = 0;
 };
 
+/// The grid index compose_walk passes for instants between grid points.
+constexpr std::size_t kOffGrid = std::numeric_limits<std::size_t>::max();
+
 /// Walks g(a(t)) over `grid`, which holds every knot time of `a` and
-/// possibly more: calls emit(t, left, right) at each grid point and, between
-/// grid points, at every instant where `a` passes a breakpoint of g, in time
-/// order. Since g is continuous, each jump of `a` maps to a jump of g o a
-/// and each linear piece of `a` to a piecewise-linear run.
+/// possibly more: calls emit(t, left, right, k) at each grid point
+/// t = grid[k] and, between grid points, at every instant where `a` passes
+/// a breakpoint of g (with k = kOffGrid), in time order. Since g is
+/// continuous, each jump of `a` maps to a jump of g o a and each linear
+/// piece of `a` to a piecewise-linear run.
 template <typename Emit>
 void compose_walk(const HingeEnvelope& g, const CurveView& a,
                   const std::vector<Time>& grid, Emit&& emit) {
   const std::vector<double>& kq = g.breakpoints();
   const std::vector<double>& kv = g.values();
   SortedCursor knee(kq);
-  SegmentCursor cur(a);
   double qa = 0.0;  // a at the previous grid point
   Time last = 0.0;  // the last emitted instant
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    double ql = 0.0;
-    double qr = 0.0;
-    flat_eval_both(a, grid[i], cur, ql, qr);
+  flat_eval_sweep(a, grid.data(), grid.size(),
+                  [&](std::size_t i, double ql, double qr) {
     if (i > 0) {
       // `a` runs linearly from qa at grid[i-1] to ql at grid[i]^-; g o a
       // gains a knot wherever it passes a breakpoint of g, in the order it
@@ -336,14 +347,14 @@ void compose_walk(const HingeEnvelope& g, const CurveView& a,
         const std::size_t j = up ? lo + k : hi - 1 - k;
         const Time t = ta + (tb - ta) * ((kq[j] - qa) / (qb - qa));
         last = std::clamp(t, last, tb);
-        emit(last, kv[j], kv[j]);
+        emit(last, kv[j], kv[j], kOffGrid);
       }
     }
     const double gl = g.at(ql, knee.upper(ql));
-    emit(grid[i], gl, g.at(qr, knee.upper(qr)));
+    emit(grid[i], gl, g.at(qr, knee.upper(qr)), i);
     last = grid[i];
     qa = qr;
-  }
+  });
 }
 
 /// The jump instants of curve_crossing_counts(a, tau), in order.
@@ -728,7 +739,7 @@ PwlCurve curve_compose(const HingeEnvelope& g, const PwlCurve& a) {
   CurveArena& arena = tls_curve_arena();
   arena.clear();
   arena.reserve(v.n);
-  compose_walk(g, v, grid, [&](Time t, double left, double right) {
+  compose_walk(g, v, grid, [&](Time t, double left, double right, std::size_t) {
     arena.push(t, left, right);
   });
   PwlCurve result(arena.finalize());
@@ -777,16 +788,25 @@ PwlCurve curve_compose_capped_max(const HingeEnvelope& g, const PwlCurve& a,
 
   // Middle stage: min with the cap. Between consecutive knots of g o a both
   // it and the cap are linear (the grid holds every cap knot), so they
-  // cross at most once there.
+  // cross at most once there. The cap's values on the grid come from one
+  // sweep; only the knee crossings between grid points query it singly.
+  SumScratch& scratch = tls_sum_scratch();
+  sample(cv, grid, scratch.left, scratch.right);
   SegmentCursor cap_cur(cv);
   Time last_t = 0.0;
   double last_g = 0.0;     // g o a at last_t
   double last_gap = 0.0;   // g o a - cap at last_t
   bool have_last = false;
-  compose_walk(g, av, grid, [&](Time t, double left, double right) {
+  compose_walk(g, av, grid,
+               [&](Time t, double left, double right, std::size_t k) {
     double cap_l = 0.0;
     double cap_r = 0.0;
-    flat_eval_both(cv, t, cap_cur, cap_l, cap_r);
+    if (k != kOffGrid) {
+      cap_l = scratch.left[k];
+      cap_r = scratch.right[k];
+    } else {
+      flat_eval_both(cv, t, cap_cur, cap_l, cap_r);
+    }
     if (have_last && changes_sign(last_gap, left - cap_l)) {
       const double dv = left - cap_l;
       const Time tc = last_t + (t - last_t) * (last_gap / (last_gap - dv));

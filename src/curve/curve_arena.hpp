@@ -21,10 +21,20 @@
 // cleared for the next use).
 //
 // CurveView + the flat_eval* helpers are the evaluation substrate shared by
-// PwlCurve and the kernels. They replicate the knot-based eval/eval_left
-// semantics branch for branch, so results are bit-identical to the legacy
-// implementation (proven by tests/test_curve_kernels.cpp against the
-// test-only oracle tests/support/curve_reference.hpp).
+// PwlCurve and the kernels, with two entry points:
+//
+//   * point queries: flat_eval / flat_eval_left / flat_eval_both, through a
+//     SegmentCursor (or a binary search) and the tolerant branch ladder
+//     that replicates the knot-based eval/eval_left semantics branch for
+//     branch;
+//   * sorted sweeps: flat_eval_sweep, which yields both values at every
+//     instant of a nondecreasing array, computing the interpolation of the
+//     segment an instant lies strictly inside and running the ladder only
+//     at instants on or near a knot (or outside the curve's span).
+//
+// Both give the same bits, and those are the legacy implementation's
+// (proven by tests/test_curve_kernels.cpp against the test-only oracles in
+// tests/support/curve_reference.hpp).
 #pragma once
 
 #include <algorithm>
@@ -148,11 +158,6 @@ template <typename Seg>
   return flat_eval_with(v, q, [&](Time x) { return cur.index(x); });
 }
 
-[[nodiscard]] inline double flat_eval_left(const CurveView& v, Time q,
-                                           SegmentCursor& cur) {
-  return flat_eval_left_with(v, q, [&](Time x) { return cur.index(x); });
-}
-
 /// flat_eval_left and flat_eval at the same q, sharing one cursor lookup;
 /// the results are those of the two separate calls.
 inline void flat_eval_both(const CurveView& v, Time q, SegmentCursor& cur,
@@ -168,6 +173,48 @@ inline void flat_eval_both(const CurveView& v, Time q, SegmentCursor& cur,
   };
   left = flat_eval_left_with(v, q, seg);
   right = flat_eval_with(v, q, seg);
+}
+
+/// flat_eval_both at every instant of the nondecreasing array q[0..m):
+/// calls emit(k, left, right) for k = 0, 1, ..., m - 1 in order, with the
+/// values of flat_eval_both(v, q[k], ...) bit for bit. An instant strictly
+/// inside segment i (above t_i and below t_{i+1}, time_eq to neither) gets
+/// the segment's interpolation directly; plain comparisons find those
+/// instants, with O(1) time_eq calls per segment. Only instants <= 0,
+/// time_eq to a knot, or at or past the last knot run the tolerant ladder,
+/// so any sorted array works, whether or not it holds the curve's knots.
+template <typename Emit>
+void flat_eval_sweep(const CurveView& v, const Time* q, std::size_t m,
+                     Emit&& emit) {
+  SegmentCursor cur(v);
+  const auto ladder = [&](std::size_t k) {
+    double left = 0.0;
+    double right = 0.0;
+    flat_eval_both(v, q[k], cur, left, right);
+    emit(k, left, right);
+  };
+  std::size_t k = 0;
+  for (std::size_t i = 0; i + 1 < v.n && k < m; ++i) {
+    const Time t0 = v.t[i];
+    const Time t1 = v.t[i + 1];
+    std::size_t end = k;  // [k, end): the instants below t1
+    while (end < m && q[end] < t1) ++end;
+    // time_eq to t0 holds on a prefix of these instants and time_eq to t1
+    // on a suffix, since |q - t| grows (shrinks) with q faster than the
+    // tolerance does.
+    std::size_t lo = k;
+    while (lo < end && (q[lo] <= 0.0 || time_eq(q[lo], t0))) ++lo;
+    std::size_t hi = end;
+    while (hi > lo && time_eq(q[hi - 1], t1)) --hi;
+    for (; k < lo; ++k) ladder(k);
+    for (; k < hi; ++k) {
+      const double frac = (q[k] - t0) / (t1 - t0);
+      const double value = v.r[i] + frac * (v.l[i + 1] - v.r[i]);
+      emit(k, value, value);
+    }
+    for (; k < end; ++k) ladder(k);
+  }
+  for (; k < m; ++k) ladder(k);
 }
 
 /// Reusable SoA builder for curve results. See the file comment for the

@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+
+#include "curve/curve_arena.hpp"
 
 namespace rta::legacyref {
 
@@ -332,3 +335,295 @@ Curve constant(Time horizon, double value) {
 }
 
 }  // namespace rta::legacyref
+
+namespace rta::ladderref {
+
+namespace {
+
+/// Sorted union of the knot abscissae of two curves (tolerance-deduplicated).
+void merged_grid(const CurveView& a, const CurveView& b,
+                 std::vector<Time>& out) {
+  out.clear();
+  out.reserve(a.n + b.n);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.n || j < b.n) {
+    Time t = 0.0;
+    if (j >= b.n || (i < a.n && a.t[i] <= b.t[j])) {
+      t = a.t[i++];
+    } else {
+      t = b.t[j++];
+    }
+    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+  }
+}
+
+/// Sorted union of the knot abscissae of any number of curves, deduplicated
+/// like the two-operand merged_grid. A sorted multiset has one order, so
+/// sorting the concatenation gives the kernels' k-way merge exactly.
+void merged_grid(const std::vector<CurveView>& views, std::vector<Time>& out) {
+  std::vector<Time> merged;
+  for (const CurveView& v : views) merged.insert(merged.end(), v.t, v.t + v.n);
+  std::sort(merged.begin(), merged.end());
+  out.clear();
+  for (const Time t : merged) {
+    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+  }
+}
+
+bool changes_sign(double du, double dv) {
+  return (du > kValueEps && dv < -kValueEps) ||
+         (du < -kValueEps && dv > kValueEps);
+}
+
+/// Adds the left limits and right values of `v` at each grid point to
+/// left[i] and right[i].
+void accumulate(const CurveView& v, const std::vector<Time>& grid,
+                double* left, double* right) {
+  SegmentCursor cur(v);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    double l = 0.0;
+    double r = 0.0;
+    flat_eval_both(v, grid[i], cur, l, r);
+    left[i] += l;
+    right[i] += r;
+  }
+}
+
+template <typename Finish>
+PwlCurve sum_pass(const PwlCurve* base, const std::vector<PwlCurve>& terms,
+                  Finish finish) {
+  std::vector<CurveView> views;
+  if (base != nullptr) views.push_back(base->view());
+  for (const PwlCurve& c : terms) views.push_back(c.view());
+  assert(!views.empty());
+  std::vector<Time> grid;
+  merged_grid(views, grid);
+  std::vector<double> left(grid.size(), 0.0);
+  std::vector<double> right(grid.size(), 0.0);
+  for (const PwlCurve& c : terms) {
+    accumulate(c.view(), grid, left.data(), right.data());
+  }
+  CurveArena arena;
+  arena.reserve(grid.size());
+  SegmentCursor base_cur(views[0]);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (base != nullptr) {
+      double l = 0.0;
+      double r = 0.0;
+      flat_eval_both(views[0], grid[i], base_cur, l, r);
+      left[i] = finish(l, left[i]);
+      right[i] = finish(r, right[i]);
+    }
+    arena.push(grid[i], left[i], right[i]);
+  }
+  return PwlCurve(arena.finalize());
+}
+
+/// Walks g(a(t)) over `grid` (every knot time of `a`, possibly more):
+/// emit(t, left, right) at each grid point and at every instant between
+/// grid points where `a` passes a breakpoint of g, in time order.
+template <typename Emit>
+void compose_walk(const HingeEnvelope& g, const CurveView& a,
+                  const std::vector<Time>& grid, Emit&& emit) {
+  const std::vector<double>& kq = g.breakpoints();
+  const std::vector<double>& kv = g.values();
+  const auto upper = [&](double q) {
+    return static_cast<std::size_t>(
+        std::upper_bound(kq.begin(), kq.end(), q) - kq.begin());
+  };
+  const auto lower = [&](double q) {
+    return static_cast<std::size_t>(
+        std::lower_bound(kq.begin(), kq.end(), q) - kq.begin());
+  };
+  SegmentCursor cur(a);
+  double qa = 0.0;  // a at the previous grid point
+  Time last = 0.0;  // the last emitted instant
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    double ql = 0.0;
+    double qr = 0.0;
+    flat_eval_both(a, grid[i], cur, ql, qr);
+    if (i > 0) {
+      const Time ta = grid[i - 1];
+      const Time tb = grid[i];
+      const double qb = ql;
+      const std::size_t lo = upper(std::min(qa, qb));
+      const std::size_t hi = lower(std::max(qa, qb));
+      const bool up = qa < qb;
+      for (std::size_t k = 0; lo + k < hi; ++k) {
+        const std::size_t j = up ? lo + k : hi - 1 - k;
+        const Time t = ta + (tb - ta) * ((kq[j] - qa) / (qb - qa));
+        last = std::clamp(t, last, tb);
+        emit(last, kv[j], kv[j]);
+      }
+    }
+    const double gl = g.at(ql, upper(ql));
+    emit(grid[i], gl, g.at(qr, upper(qr)));
+    last = grid[i];
+    qa = qr;
+  }
+}
+
+}  // namespace
+
+PwlCurve curve_sum(const std::vector<PwlCurve>& curves, Time horizon) {
+  if (curves.size() > 1) {
+    return sum_pass(nullptr, curves, [](double, double sum) { return sum; });
+  }
+  return curves.empty() ? PwlCurve::zero(horizon) : curves[0];
+}
+
+PwlCurve curve_available(const PwlCurve& base,
+                         const std::vector<PwlCurve>& consumed,
+                         double offset) {
+  return sum_pass(&base, consumed, [offset](double b, double sum) {
+    return b - sum + offset;
+  });
+}
+
+PwlCurve curve_min_of_sums(const std::vector<SumTerm>& terms) {
+  assert(!terms.empty());
+  std::vector<CurveView> views;
+  for (const SumTerm& term : terms) {
+    views.push_back(term.a->view());
+    if (term.b != nullptr) views.push_back(term.b->view());
+  }
+  std::vector<Time> grid;
+  merged_grid(views, grid);
+  const std::size_t n = grid.size();
+  const std::size_t count = terms.size();
+  std::vector<double> left(count * n, 0.0);
+  std::vector<double> right(count * n, 0.0);
+  for (std::size_t k = 0; k < count; ++k) {
+    double* lk = left.data() + k * n;
+    double* rk = right.data() + k * n;
+    accumulate(terms[k].a->view(), grid, lk, rk);
+    if (terms[k].b != nullptr) accumulate(terms[k].b->view(), grid, lk, rk);
+    for (std::size_t i = 0; i < n; ++i) {
+      lk[i] += terms[k].offset;
+      rk[i] += terms[k].offset;
+    }
+  }
+  const auto min_at = [&](const std::vector<double>& values, std::size_t i) {
+    double m = values[i];
+    for (std::size_t k = 1; k < count; ++k) m = std::min(m, values[k * n + i]);
+    return m;
+  };
+  std::vector<SegmentCursor> cursors(views.begin(), views.end());
+  const auto min_between = [&](Time t) {
+    double m = std::numeric_limits<double>::infinity();
+    std::size_t j = 0;
+    for (const SumTerm& term : terms) {
+      double sum = flat_eval(views[j], t, cursors[j]);
+      ++j;
+      if (term.b != nullptr) {
+        sum += flat_eval(views[j], t, cursors[j]);
+        ++j;
+      }
+      m = std::min(m, sum + term.offset);
+    }
+    return m;
+  };
+  CurveArena arena;
+  arena.reserve(n);
+  std::vector<Time> crossings;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) {
+      const Time u = grid[i - 1];
+      const Time v = grid[i];
+      crossings.clear();
+      for (std::size_t p = 0; p < count; ++p) {
+        for (std::size_t q = p + 1; q < count; ++q) {
+          const double du = right[p * n + i - 1] - right[q * n + i - 1];
+          const double dv = left[p * n + i] - left[q * n + i];
+          if (!changes_sign(du, dv)) continue;
+          const Time tc = u + (v - u) * (du / (du - dv));
+          if (time_lt(u, tc) && time_lt(tc, v)) crossings.push_back(tc);
+        }
+      }
+      std::sort(crossings.begin(), crossings.end());
+      for (const Time tc : crossings) {
+        const double m = min_between(tc);
+        arena.push(tc, m, m);
+      }
+    }
+    arena.push(grid[i], min_at(left, i), min_at(right, i));
+  }
+  return PwlCurve(arena.finalize());
+}
+
+PwlCurve curve_compose(const HingeEnvelope& g, const PwlCurve& a) {
+  const CurveView v = a.view();
+  const std::vector<Time> grid(v.t, v.t + v.n);
+  CurveArena arena;
+  arena.reserve(v.n);
+  compose_walk(g, v, grid, [&](Time t, double left, double right) {
+    arena.push(t, left, right);
+  });
+  return PwlCurve(arena.finalize());
+}
+
+PwlCurve curve_compose_capped_max(const HingeEnvelope& g, const PwlCurve& a,
+                                  const PwlCurve& cap) {
+  const CurveView av = a.view();
+  const CurveView cv = cap.view();
+  std::vector<Time> grid;
+  merged_grid(av, cv, grid);
+  CurveArena arena;
+  arena.reserve(grid.size());
+
+  // curve_running_max's scan over the capped knots as they come.
+  bool started = false;
+  double top = 0.0;   // running max so far
+  Time prev_t = 0.0;  // previous capped knot
+  double prev_r = 0.0;
+  const auto raise = [&](Time t, double left, double right) {
+    if (!started) {
+      started = true;
+      top = right;
+      arena.push(t, top, top);
+    } else {
+      if (left > top + kValueEps) {
+        if (prev_r < top - kValueEps) {
+          arena.push(prev_t + (t - prev_t) * ((top - prev_r) / (left - prev_r)),
+                     top, top);
+        }
+        top = left;
+      }
+      const double before = top;
+      top = std::max(top, right);
+      arena.push(t, before, top);
+    }
+    prev_t = t;
+    prev_r = right;
+  };
+
+  // The min with the cap, crossing it at most once between knots of g o a.
+  SegmentCursor cap_cur(cv);
+  Time last_t = 0.0;
+  double last_g = 0.0;    // g o a at last_t
+  double last_gap = 0.0;  // g o a - cap at last_t
+  bool have_last = false;
+  compose_walk(g, av, grid, [&](Time t, double left, double right) {
+    double cap_l = 0.0;
+    double cap_r = 0.0;
+    flat_eval_both(cv, t, cap_cur, cap_l, cap_r);
+    if (have_last && changes_sign(last_gap, left - cap_l)) {
+      const double dv = left - cap_l;
+      const Time tc = last_t + (t - last_t) * (last_gap / (last_gap - dv));
+      if (time_lt(last_t, tc) && time_lt(tc, t)) {
+        const double m =
+            last_g + (left - last_g) * ((tc - last_t) / (t - last_t));
+        raise(tc, m, m);
+      }
+    }
+    raise(t, std::min(left, cap_l), std::min(right, cap_r));
+    last_t = t;
+    last_g = right;
+    last_gap = right - cap_r;
+    have_last = true;
+  });
+  return PwlCurve(arena.finalize());
+}
+
+}  // namespace rta::ladderref

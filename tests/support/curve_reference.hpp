@@ -1,4 +1,6 @@
-// Legacy knot-walking reference kernels -- the differential oracle.
+// Legacy knot-walking reference kernels -- the differential oracle -- and
+// the per-point ladder references of the grid kernels (namespace ladderref,
+// at the end of this file).
 //
 // These are the pre-SoA implementations of the curve constructor pipeline
 // and the hot kernels, transplanted verbatim to operate on plain
@@ -14,6 +16,7 @@
 
 #include <vector>
 
+#include "curve/algebra.hpp"
 #include "curve/pwl_curve.hpp"
 
 namespace rta::legacyref {
@@ -60,3 +63,29 @@ using Curve = std::vector<Knot>;
 [[nodiscard]] Curve constant(Time horizon, double value);
 
 }  // namespace rta::legacyref
+
+namespace rta::ladderref {
+
+// The grid kernels of curve/algebra.cpp as they were before
+// flat_eval_sweep: every operand is evaluated at every grid point through
+// flat_eval_both's tolerant branch ladder, one SegmentCursor per operand.
+// The production kernels, which compute the interpolation directly inside
+// segments, must match these bit for bit (curves_identical). The same
+// "do not improve" rule as for legacyref applies; only the kernel-hook
+// reports are dropped, and the knee searches use std::upper_bound /
+// std::lower_bound in place of the kernels' galloping cursor (same
+// results).
+
+[[nodiscard]] PwlCurve curve_sum(const std::vector<PwlCurve>& curves,
+                                 Time horizon);
+[[nodiscard]] PwlCurve curve_available(const PwlCurve& base,
+                                       const std::vector<PwlCurve>& consumed,
+                                       double offset = 0.0);
+[[nodiscard]] PwlCurve curve_min_of_sums(const std::vector<SumTerm>& terms);
+[[nodiscard]] PwlCurve curve_compose(const HingeEnvelope& g,
+                                     const PwlCurve& a);
+[[nodiscard]] PwlCurve curve_compose_capped_max(const HingeEnvelope& g,
+                                                const PwlCurve& a,
+                                                const PwlCurve& cap);
+
+}  // namespace rta::ladderref

@@ -26,12 +26,17 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "analysis/bounds.hpp"
 #include "curve/algebra.hpp"
-#include "support/curve_reference.hpp"
+#include "curve/curve_arena.hpp"
 #include "curve/transforms.hpp"
+#include "model/priority.hpp"
+#include "support/curve_reference.hpp"
 #include "util/rng.hpp"
+#include "workload/jobshop.hpp"
 
 namespace rta {
 namespace {
@@ -666,6 +671,249 @@ TEST(CurveKernelDifferential, ComposeCappedMaxMatchesChain) {
     EXPECT_LE(fused.max_abs_difference(chain), kFusedTol)
         << "fused " << fused << "\nchain " << chain;
   }
+}
+
+// ---------------------------------------------------------------------------
+// flat_eval_sweep: bit for bit flat_eval_both at every instant of a sorted
+// grid, on grids built to hit every branch of the ladder -- instants <= 0,
+// exactly on knots, within +-1e-9 of a knot on either side (several of them
+// time_eq to one knot), past the last knot, duplicates -- and on grids that
+// hold none of the curve's knots.
+
+/// The sweep's (left, right) at every instant of `grid`.
+std::vector<std::pair<double, double>> sweep_values(
+    const PwlCurve& c, const std::vector<Time>& grid) {
+  std::vector<std::pair<double, double>> out(grid.size());
+  std::size_t expected = 0;
+  flat_eval_sweep(c.view(), grid.data(), grid.size(),
+                  [&](std::size_t k, double left, double right) {
+                    EXPECT_EQ(k, expected++);  // every instant, in order
+                    out[k] = {left, right};
+                  });
+  EXPECT_EQ(expected, grid.size());
+  return out;
+}
+
+void expect_sweep_matches_ladder(const PwlCurve& c,
+                                 const std::vector<Time>& grid) {
+  ASSERT_TRUE(std::is_sorted(grid.begin(), grid.end()));
+  const std::vector<std::pair<double, double>> got = sweep_values(c, grid);
+  const CurveView v = c.view();
+  SegmentCursor cur(v);
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    double left = 0.0;
+    double right = 0.0;
+    flat_eval_both(v, grid[k], cur, left, right);
+    EXPECT_BITEQ(got[k].first, left) << "left at t=" << grid[k];
+    EXPECT_BITEQ(got[k].second, right) << "right at t=" << grid[k];
+  }
+}
+
+/// Adversarial sorted grid around the knots of `c`.
+std::vector<Time> knot_grid(const PwlCurve& c, Rng& rng) {
+  std::vector<Time> ts = {-2.0, -1e-12, 0.0, 0.0, 4e-10, 1e-9};
+  const CurveView v = c.view();
+  for (std::size_t i = 0; i < v.n; ++i) {
+    const Time t = v.t[i];
+    ts.push_back(t);
+    // Inside, at and just outside the time tolerance, on both sides; the
+    // +-4e-10 pair puts two grid points time_eq to one knot.
+    for (const double d : {4e-10, 9.99e-10, 1e-9, 1.001e-9, 1e-6}) {
+      ts.push_back(t - d);
+      ts.push_back(t + d);
+    }
+    if (i + 1 < v.n) {
+      ts.push_back(0.5 * (t + v.t[i + 1]));
+      ts.push_back(rng.uniform(t, v.t[i + 1]));
+    }
+  }
+  const Time end = v.t[v.n - 1];
+  for (const Time t : {end + 2e-10, end + 1.0, end + 1.0, end + 5.0}) {
+    ts.push_back(t);
+  }
+  for (int i = 0; i < 6; ++i) ts.push_back(rng.uniform(-0.5, end + 0.5));
+  std::sort(ts.begin(), ts.end());
+  return ts;
+}
+
+/// Sorted uniform draws strictly inside the segments, away from every knot.
+std::vector<Time> off_knot_grid(const PwlCurve& c, Rng& rng) {
+  std::vector<Time> ts;
+  const CurveView v = c.view();
+  for (std::size_t i = 0; i + 1 < v.n; ++i) {
+    const Time span = v.t[i + 1] - v.t[i];
+    if (span < 1e-6) continue;
+    for (int j = rng.uniform_int(0, 4); j > 0; --j) {
+      ts.push_back(v.t[i] + span * rng.uniform(0.01, 0.99));
+    }
+  }
+  std::sort(ts.begin(), ts.end());
+  return ts;
+}
+
+TEST(CurveEvalSweep, MatchesFlatEvalBothBitwise) {
+  constexpr int kCases = 3500;
+  for (int seed = 0; seed < kCases; ++seed) {
+    Rng rng(0x5EE9u + static_cast<std::uint64_t>(seed));
+    const int family = seed % kFamilyCount;
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed) + " family=" +
+                 family_name(family));
+    const PwlCurve c{make_raw(rng, family)};
+    expect_sweep_matches_ladder(c, knot_grid(c, rng));
+    expect_sweep_matches_ladder(c, off_knot_grid(c, rng));
+  }
+}
+
+TEST(CurveEvalSweep, DegenerateCurvesAndGrids) {
+  Rng rng(7);
+  const PwlCurve one_knot({{0.0, 2.5, 2.5}});
+  ASSERT_EQ(one_knot.knot_count(), 1u);
+  expect_sweep_matches_ladder(one_knot, knot_grid(one_knot, rng));
+  expect_sweep_matches_ladder(one_knot, {-1.0, 0.0, 0.0, 3.0, 3.0});
+
+  const PwlCurve ramp({{0.0, 0.0, 0.0}, {2.0, 1.0, 3.0}, {kH, 4.0, 4.0}});
+  expect_sweep_matches_ladder(ramp, {});
+  // No knot of the curve on the grid, all instants strictly inside.
+  expect_sweep_matches_ladder(ramp, {0.5, 0.5, 1.0, 1.9, 2.1, 7.0, 9.5});
+  // Two instants time_eq to the middle knot from either side, then the
+  // horizon approached from below inside the tolerance, and past it.
+  expect_sweep_matches_ladder(
+      ramp, {2.0 - 5e-10, 2.0 + 5e-10, kH - 5e-10, kH, kH + 5e-10, 11.0});
+  const std::vector<std::pair<double, double>> inside =
+      sweep_values(ramp, {1.0, 6.0});
+  EXPECT_BITEQ(inside[0].first, 0.5);
+  EXPECT_BITEQ(inside[1].second, 3.5);
+}
+
+// ---------------------------------------------------------------------------
+// The grid kernels against their per-point ladder references
+// (support/curve_reference.hpp, namespace ladderref): curve_sum,
+// curve_available, curve_min_of_sums, curve_compose and
+// curve_compose_capped_max must build identical curves, bit for bit, on
+// random operands whose knots nearly tie, and with the S̄/S̲ curves of
+// analyzed shops as higher-priority operands.
+
+/// A curve on [0, kH] whose interior knots sit within +-2e-9 of base's
+/// (inside and just outside the time tolerance), with fresh values.
+PwlCurve near_tie_curve(Rng& rng, const PwlCurve& base) {
+  std::vector<Knot> ks;
+  double v = rng.uniform(-1.0, 1.0);
+  ks.push_back({0.0, v, v});
+  const CurveView b = base.view();
+  for (std::size_t i = 1; i < b.n; ++i) {
+    const Time t = b.t[i] + rng.uniform(-2e-9, 2e-9);
+    if (t <= ks.back().t || t >= kH) continue;
+    const double left = v + rng.uniform(-1.0, 1.5);
+    v = rng.uniform_int(0, 2) == 0 ? left + rng.uniform(-0.5, 1.0) : left;
+    ks.push_back({t, left, v});
+  }
+  ks.push_back({kH, v, v});
+  return PwlCurve(std::move(ks));
+}
+
+void expect_same_curve(const PwlCurve& got, const PwlCurve& ref) {
+  EXPECT_TRUE(curves_identical(got, ref)) << "kernel " << got << "\nladder "
+                                          << ref;
+}
+
+TEST(CurveKernelLadderPins, RandomOperandsWithNearTieKnots) {
+  constexpr int kCases = 1500;
+  const int families[] = {kSteps,      kBurst,     kRampJump, kDegenerate,
+                          kHorizonEdge, kJumpDense, kWiggle};
+  for (int seed = 0; seed < kCases; ++seed) {
+    Rng rng(0x1ADDu + static_cast<std::uint64_t>(seed));
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
+    const int count = rng.uniform_int(1, 6);
+    std::vector<PwlCurve> ops;
+    for (int i = 0; i < count; ++i) {
+      if (i > 0 && rng.uniform_int(0, 1) == 0) {
+        ops.push_back(near_tie_curve(rng, ops[static_cast<std::size_t>(
+                                              rng.uniform_int(0, i - 1))]));
+      } else {
+        ops.push_back(full_horizon_curve(rng, families[rng.uniform_int(0, 6)]));
+      }
+    }
+    const PwlCurve base = rng.uniform_int(0, 1) == 0
+                              ? PwlCurve::identity(kH)
+                              : near_tie_curve(rng, ops[0]);
+    const double offset = rng.uniform(-1.0, 1.0);
+    expect_same_curve(curve_sum(ops, kH), ladderref::curve_sum(ops, kH));
+    expect_same_curve(curve_available(base, ops, offset),
+                     ladderref::curve_available(base, ops, offset));
+
+    std::vector<SumTerm> terms;
+    for (std::size_t k = 0; k + 1 < ops.size(); k += 2) {
+      terms.push_back({&ops[k], &ops[k + 1], rng.uniform(-1.0, 1.0)});
+    }
+    terms.push_back({&ops.back(), nullptr, 0.0});
+    terms.push_back({&base});
+    expect_same_curve(curve_min_of_sums(terms),
+                     ladderref::curve_min_of_sums(terms));
+
+    std::vector<Hinge> hinges;
+    for (int i = rng.uniform_int(1, 6); i > 0; --i) {
+      hinges.push_back({rng.uniform(0.0, 3.0), rng.uniform(-2.0, 4.0)});
+    }
+    const HingeEnvelope g(hinges);
+    expect_same_curve(curve_compose(g, ops[0]),
+                     ladderref::curve_compose(g, ops[0]));
+    expect_same_curve(curve_compose_capped_max(g, ops[0], ops.back()),
+                     ladderref::curve_compose_capped_max(g, ops[0],
+                                                         ops.back()));
+  }
+}
+
+TEST(CurveKernelLadderPins, RecordedServiceBoundsAsHpOperands) {
+  AnalysisConfig config;
+  config.record_curves = true;
+  const BoundsAnalyzer analyzer(config);
+  int checked = 0;
+  for (const SchedulerKind kind :
+       {SchedulerKind::kSpp, SchedulerKind::kSpnp, SchedulerKind::kFcfs}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(to_string(kind)) + " seed=" +
+                   std::to_string(seed));
+      JobShopConfig cfg;
+      cfg.stages = 3;
+      cfg.processors_per_stage = 1 + seed % 2;
+      cfg.jobs = 6;
+      cfg.pattern = seed % 3 == 0 ? ArrivalPattern::kAperiodic
+                                  : ArrivalPattern::kPeriodic;
+      cfg.utilization = seed % 4 == 0 ? 0.95 : 0.8;
+      cfg.scheduler = kind;
+      Rng rng(seed);
+      System system = generate_jobshop(cfg, rng);
+      assign_proportional_deadline_monotonic(system);
+      const AnalysisResult r = analyzer.analyze(system);
+      ASSERT_TRUE(r.ok);
+      std::vector<PwlCurve> uppers;
+      std::vector<PwlCurve> lowers;
+      for (const JobReport& job : r.jobs) {
+        for (const SubjobReport& hop : job.hops) {
+          ASSERT_EQ(hop.curves.size(), 1u);
+          uppers.push_back(hop.curves[0].service_upper);
+          lowers.push_back(hop.curves[0].service_lower);
+        }
+      }
+      const PwlCurve ident = PwlCurve::identity(r.horizon);
+      const double b = rng.uniform(0.0, 1.0);
+      // Every prefix of the recorded curves is one higher-priority set.
+      for (std::size_t k = 1; k <= uppers.size(); ++k) {
+        const std::vector<PwlCurve> hp_upper(uppers.begin(),
+                                             uppers.begin() + k);
+        const std::vector<PwlCurve> hp_lower(lowers.begin(),
+                                             lowers.begin() + k);
+        expect_same_curve(curve_available(ident, hp_upper, -b),
+                         ladderref::curve_available(ident, hp_upper, -b));
+        expect_same_curve(curve_available(ident, hp_lower),
+                         ladderref::curve_available(ident, hp_lower));
+        expect_same_curve(curve_sum(hp_upper, r.horizon),
+                         ladderref::curve_sum(hp_upper, r.horizon));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 300);
 }
 
 // ---------------------------------------------------------------------------
