@@ -8,8 +8,8 @@
 
 #include "analysis/analyzer.hpp"
 #include "eval/experiment.hpp"  // AdmissionPoint
-#include "util/csv.hpp"
-#include "util/stats.hpp"
+#include "support/csv.hpp"
+#include "support/stats.hpp"
 
 namespace rta::bench {
 

@@ -10,10 +10,10 @@
 //        --aperiodic (use Eq. 27 arrivals; drops SPP/S&L)  --out FILE.csv
 #include <cstdio>
 
-#include "eval/breakdown.hpp"
-#include "util/csv.hpp"
+#include "support/breakdown.hpp"
+#include "support/csv.hpp"
+#include "support/stats.hpp"
 #include "util/options.hpp"
-#include "util/stats.hpp"
 
 using namespace rta;
 

@@ -16,9 +16,9 @@
 #include "envelope/envelope_analysis.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
-#include "util/csv.hpp"
+#include "support/csv.hpp"
+#include "support/stats.hpp"
 #include "util/options.hpp"
-#include "util/stats.hpp"
 #include "workload/jobshop.hpp"
 
 using namespace rta;

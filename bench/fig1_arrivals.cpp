@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "curve/arrival.hpp"
-#include "util/csv.hpp"
+#include "support/csv.hpp"
 #include "util/options.hpp"
 
 using namespace rta;

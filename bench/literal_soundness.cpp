@@ -22,8 +22,8 @@
 #include "analysis/bounds.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
+#include "support/csv.hpp"
 #include "support/literal_bounds.hpp"
-#include "util/csv.hpp"
 #include "util/options.hpp"
 #include "workload/jobshop.hpp"
 

@@ -1,24 +1,33 @@
-// Scaling study for the parallel analysis engine: analyze a batch of Fig. 3
-// (periodic) and Fig. 4 (aperiodic) job-shop systems with the iterative
-// fixed-point engine, sweeping the worker count from 1 up to the hardware
-// concurrency (and at least 8, the paper-reproduction reference point). The
-// baseline is the serial engine -- exactly what `rta_cli analyze` runs by
-// default -- so "speedup" reads as end-to-end analysis-time reduction, not
-// kernel-only time.
+// Scaling study for the parallel analysis engines: analyze a batch of
+// job-shop systems per scenario, sweeping the worker count from 1 up to the
+// hardware concurrency (and at least 8, the paper-reproduction reference
+// point). The baseline is the serial engine -- exactly what `rta_cli
+// analyze` runs by default -- so "speedup" reads as end-to-end
+// analysis-time reduction, not kernel-only time.
+//
+// Scenarios, so the file shows a workload on each side of the break-even:
+//   * Fig. 3 (periodic) and Fig. 4 (Eq. 27 aperiodic) SPP shops of the
+//     --stages x --procs x --jobs shape, iterative fixed-point engine: light
+//     per-round work, where the per-round fan-out barely pays;
+//   * SPNP 6 x 4 x 16 Eq. 27 shops, timed with both the iterative engine
+//     (per-round processor/job fan-out) and the one-pass bounds engine
+//     (dependency wavefront): heavy units, where both fan-outs pay.
 //
 // Every configuration's results are checksummed against the baseline; a
 // mismatch aborts the bench, so a reported speedup is always a speedup of
-// the SAME arithmetic (the engine's determinism contract).
+// the SAME arithmetic (the engines' determinism contract).
 //
 // Output: a human-readable table on stdout and BENCH_parallel.json with one
 // entry per (scenario, threads) point: wall seconds (best of --repeats),
-// speedup vs baseline, and the engine's phase times and pass-skip counts.
+// speedup vs baseline, and the engines' counters (iterative: phase times
+// and pass-skip counts; bounds: waves and units; zero for the other engine).
 //
 // Flags: --systems N (default 24)  --repeats N (default 3)
 //        --stages N (default 4)    --procs N (default 2, per stage)
 //        --jobs N (default 8)      --util U (default 0.7)
 //        --seed S (default 42)     --out FILE (default BENCH_parallel.json)
 //        --max-threads N (default max(hardware, 8))
+// The shape flags apply to the Fig. 3/4 scenarios; the SPNP shape is fixed.
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/bounds.hpp"
 #include "analysis/iterative.hpp"
 #include "model/priority.hpp"
 #include "obs/metrics.hpp"
@@ -37,35 +47,48 @@ using namespace rta;
 
 namespace {
 
+enum class Engine { kIterative, kBounds };
+
+const char* engine_name(Engine e) {
+  return e == Engine::kIterative ? "iterative" : "bounds";
+}
+
 struct Scenario {
   std::string name;
+  Engine engine;
+  SchedulerKind scheduler;
   ArrivalPattern pattern;
+  std::size_t stages;
+  std::size_t procs;  ///< per stage
+  std::size_t jobs;
 };
 
 struct Point {
   int threads = 1;
   double seconds = 0.0;
   double speedup = 1.0;
-  /// Per-phase engine breakdown from the metrics registry (last repeat):
+  /// Iterative engine breakdown from the metrics registry (last repeat):
   /// wall time inside processor passes vs. arrival propagation.
   std::uint64_t pass_time_us = 0;
   std::uint64_t propagate_time_us = 0;
   std::uint64_t passes_run = 0;
   std::uint64_t passes_skipped = 0;
+  /// Bounds engine: wavefront levels and units run (last repeat).
+  std::uint64_t waves = 0;
+  std::uint64_t units = 0;
 };
 
-std::vector<System> make_systems(const Options& opts, ArrivalPattern pattern,
+std::vector<System> make_systems(const Options& opts, const Scenario& sc,
                                  std::size_t count, std::uint64_t seed) {
   JobShopConfig cfg;
-  cfg.stages = static_cast<std::size_t>(opts.get_int("stages", 4));
-  cfg.processors_per_stage =
-      static_cast<std::size_t>(opts.get_int("procs", 2));
-  cfg.jobs = static_cast<std::size_t>(opts.get_int("jobs", 8));
-  cfg.pattern = pattern;
+  cfg.stages = sc.stages;
+  cfg.processors_per_stage = sc.procs;
+  cfg.jobs = sc.jobs;
+  cfg.pattern = sc.pattern;
   cfg.utilization = opts.get_double("util", 0.7);
   cfg.window_periods = 4.0;
   cfg.deadline.period_multiple = 4.0;
-  cfg.scheduler = SchedulerKind::kSpp;
+  cfg.scheduler = sc.scheduler;
 
   const RngFactory factory(seed);
   std::vector<System> systems;
@@ -98,6 +121,7 @@ std::uint64_t result_digest(std::uint64_t h, const AnalysisResult& r) {
 /// Analyze the whole batch through one analyzer (so its pool amortizes
 /// across systems); returns the best-of-repeats wall time and the digest of
 /// the last repeat.
+template <typename Analyzer>
 Point run_config(const std::vector<System>& systems, int threads, int repeats,
                  std::uint64_t* digest_out) {
   Point point;
@@ -111,7 +135,7 @@ Point run_config(const std::vector<System>& systems, int threads, int repeats,
     AnalysisConfig cfg;
     cfg.threads = threads;
     cfg.observer.metrics = &registry;
-    IterativeBoundsAnalyzer analyzer(cfg);
+    const Analyzer analyzer(cfg);
     std::uint64_t digest = 0xC0FFEEull;
     const auto start = std::chrono::steady_clock::now();
     for (const System& system : systems) {
@@ -132,6 +156,8 @@ Point run_config(const std::vector<System>& systems, int threads, int repeats,
     point.propagate_time_us = counter("iterative.propagate_time_us");
     point.passes_run = counter("iterative.passes_run");
     point.passes_skipped = counter("iterative.passes_skipped");
+    point.waves = counter("bounds.waves");
+    point.units = counter("bounds.units");
   }
   return point;
 }
@@ -147,7 +173,6 @@ void write_json(const std::string& path, const Options& opts,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"parallel_scaling\",\n");
-  std::fprintf(f, "  \"engine\": \"iterative\",\n");
   std::fprintf(f,
                "  \"baseline\": {\"threads\": 1, \"note\": \"serial engine; "
                "speedup is relative to this\"},\n");
@@ -155,15 +180,18 @@ void write_json(const std::string& path, const Options& opts,
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"systems_per_scenario\": %zu,\n", system_count);
   std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(f, "  \"stages\": %lld, \"processors_per_stage\": %lld, "
-               "\"jobs\": %lld, \"utilization\": %g,\n",
-               opts.get_int("stages", 4), opts.get_int("procs", 2),
-               opts.get_int("jobs", 8), opts.get_double("util", 0.7));
+  std::fprintf(f, "  \"utilization\": %g,\n", opts.get_double("util", 0.7));
   std::fprintf(f, "  \"scenarios\": [\n");
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const auto& [scenario, points] = scenarios[s];
-    std::fprintf(f, "    {\n      \"name\": \"%s\",\n      \"points\": [\n",
-                 scenario.name.c_str());
+    std::fprintf(f,
+                 "    {\n      \"name\": \"%s\", \"engine\": \"%s\", "
+                 "\"scheduler\": \"%s\",\n      \"stages\": %zu, "
+                 "\"processors_per_stage\": %zu, \"jobs\": %zu,\n"
+                 "      \"points\": [\n",
+                 scenario.name.c_str(), engine_name(scenario.engine),
+                 to_string(scenario.scheduler), scenario.stages,
+                 scenario.procs, scenario.jobs);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       std::fprintf(f,
@@ -171,12 +199,15 @@ void write_json(const std::string& path, const Options& opts,
                    "\"seconds\": %.6f, \"speedup\": %.3f, "
                    "\"phase_us\": {\"processor_passes\": %llu, "
                    "\"propagation\": %llu}, "
-                   "\"passes_run\": %llu, \"passes_skipped\": %llu}%s\n",
+                   "\"passes_run\": %llu, \"passes_skipped\": %llu, "
+                   "\"waves\": %llu, \"units\": %llu}%s\n",
                    p.threads, p.seconds, p.speedup,
                    static_cast<unsigned long long>(p.pass_time_us),
                    static_cast<unsigned long long>(p.propagate_time_us),
                    static_cast<unsigned long long>(p.passes_run),
                    static_cast<unsigned long long>(p.passes_skipped),
+                   static_cast<unsigned long long>(p.waves),
+                   static_cast<unsigned long long>(p.units),
                    i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "      ]\n    }%s\n",
@@ -207,23 +238,37 @@ int main(int argc, char** argv) {
     thread_counts.push_back(static_cast<int>(max_threads));
   }
 
-  std::printf("Parallel scaling: iterative engine on %zu job-shop systems "
-              "per scenario, best of %d repeats (hardware threads: %u)\n",
+  std::printf("Parallel scaling: %zu job-shop systems per scenario, best "
+              "of %d repeats (hardware threads: %u)\n",
               system_count, repeats, hw);
 
+  const auto shape = [&](const char* flag, long long def) {
+    return static_cast<std::size_t>(opts.get_int(flag, def));
+  };
+  const std::size_t stages = shape("stages", 4);
+  const std::size_t procs = shape("procs", 2);
+  const std::size_t jobs = shape("jobs", 8);
   const std::vector<Scenario> scenario_defs = {
-      {"fig3_periodic_jobshop", ArrivalPattern::kPeriodic},
-      {"fig4_aperiodic_jobshop", ArrivalPattern::kAperiodic},
+      {"fig3_periodic_jobshop", Engine::kIterative, SchedulerKind::kSpp,
+       ArrivalPattern::kPeriodic, stages, procs, jobs},
+      {"fig4_aperiodic_jobshop", Engine::kIterative, SchedulerKind::kSpp,
+       ArrivalPattern::kAperiodic, stages, procs, jobs},
+      {"spnp_eq27_6x4x16", Engine::kIterative, SchedulerKind::kSpnp,
+       ArrivalPattern::kAperiodic, 6, 4, 16},
+      {"spnp_eq27_6x4x16", Engine::kBounds, SchedulerKind::kSpnp,
+       ArrivalPattern::kAperiodic, 6, 4, 16},
   };
 
   std::vector<std::pair<Scenario, std::vector<Point>>> results;
   for (const Scenario& scenario : scenario_defs) {
     const std::vector<System> systems =
-        make_systems(opts, scenario.pattern, system_count, seed);
+        make_systems(opts, scenario, system_count, seed);
 
-    std::printf("\n--- %s ---\n", scenario.name.c_str());
-    std::printf("%8s %10s %8s %10s %10s %8s\n", "threads", "seconds",
-                "speedup", "pass_ms", "prop_ms", "skipped");
+    std::printf("\n--- %s (%s engine) ---\n", scenario.name.c_str(),
+                engine_name(scenario.engine));
+    std::printf("%8s %10s %8s %10s %10s %8s %6s %6s\n", "threads",
+                "seconds", "speedup", "pass_ms", "prop_ms", "skipped",
+                "waves", "units");
 
     // thread_counts starts at 1: the first point is the serial baseline.
     std::uint64_t baseline_digest = 0;
@@ -231,7 +276,11 @@ int main(int argc, char** argv) {
     std::vector<Point> points;
     for (const int threads : thread_counts) {
       std::uint64_t digest = 0;
-      Point p = run_config(systems, threads, repeats, &digest);
+      Point p = scenario.engine == Engine::kIterative
+                    ? run_config<IterativeBoundsAnalyzer>(systems, threads,
+                                                          repeats, &digest)
+                    : run_config<BoundsAnalyzer>(systems, threads, repeats,
+                                                 &digest);
       if (points.empty()) {
         baseline_digest = digest;
         baseline_seconds = p.seconds;
@@ -243,11 +292,13 @@ int main(int argc, char** argv) {
         return 1;
       }
       p.speedup = baseline_seconds / p.seconds;
-      std::printf("%8d %10.4f %8.2f %10.1f %10.1f %8llu\n", threads,
-                  p.seconds, p.speedup,
+      std::printf("%8d %10.4f %8.2f %10.1f %10.1f %8llu %6llu %6llu\n",
+                  threads, p.seconds, p.speedup,
                   static_cast<double>(p.pass_time_us) / 1000.0,
                   static_cast<double>(p.propagate_time_us) / 1000.0,
-                  static_cast<unsigned long long>(p.passes_skipped));
+                  static_cast<unsigned long long>(p.passes_skipped),
+                  static_cast<unsigned long long>(p.waves),
+                  static_cast<unsigned long long>(p.units));
       points.push_back(p);
     }
     results.emplace_back(scenario, std::move(points));

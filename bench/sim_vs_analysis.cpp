@@ -10,9 +10,9 @@
 
 #include "eval/validation.hpp"
 #include "model/priority.hpp"
-#include "util/csv.hpp"
+#include "support/csv.hpp"
+#include "support/stats.hpp"
 #include "util/options.hpp"
-#include "util/stats.hpp"
 #include "workload/jobshop.hpp"
 
 using namespace rta;

@@ -19,9 +19,9 @@
 #include "analysis/spp_exact.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
-#include "util/csv.hpp"
+#include "support/csv.hpp"
+#include "support/stats.hpp"
 #include "util/options.hpp"
-#include "util/stats.hpp"
 #include "workload/jobshop.hpp"
 
 using namespace rta;

@@ -137,7 +137,7 @@ void accumulate(const CurveView& v, const std::vector<Time>& grid,
 /// `from` at the knot (or segment start) where level y is first reached.
 /// Every knot and segment before `from` must stay below y; that holds when
 /// `from` comes from a scan for a lower level, which is what lets
-/// curve_crossing_counts resume instead of rescanning from t = 0.
+/// crossing_jumps resume instead of rescanning from t = 0.
 Time first_crossing_from(const CurveView& v, double y, std::size_t& from) {
   for (std::size_t& i = from; i < v.n; ++i) {
     // At the knot itself (right-continuous value).
@@ -357,7 +357,9 @@ void compose_walk(const HingeEnvelope& g, const CurveView& a,
   });
 }
 
-/// The jump instants of curve_crossing_counts(a, tau), in order.
+/// The first instants v(t) >= k*tau for k = 1, 2, ..., in order: the jumps
+/// of Lemma 2's crossing-count curve. First crossings of increasing levels
+/// are nondecreasing in time for any curve, so `out` is sorted.
 void crossing_jumps(const CurveView& v, double tau, std::vector<Time>& out) {
   out.clear();
   std::size_t from = 0;
@@ -493,15 +495,6 @@ PwlCurve curve_available(const PwlCurve& base,
 Time curve_first_crossing(const PwlCurve& a, double y) {
   std::size_t from = 0;
   return first_crossing_from(a.view(), y, from);
-}
-
-PwlCurve curve_crossing_counts(const PwlCurve& a, double tau) {
-  assert(tau > 0.0);
-  std::vector<Time> jumps;
-  crossing_jumps(a.view(), tau, jumps);
-  // First crossings of increasing levels are nondecreasing in time for any
-  // curve, so `jumps` is sorted as PwlCurve::step requires.
-  return PwlCurve::step(a.horizon(), jumps);
 }
 
 PwlCurve curve_crossing_counts_min_shift(const PwlCurve& s, const PwlCurve& a,
@@ -730,21 +723,6 @@ double HingeEnvelope::at(double q, std::size_t above) const {
   const std::size_t j = above - 1;
   assert(j + 1 < q_.size());
   return v_[j] + (q - q_[j]) * ((v_[j + 1] - v_[j]) / (q_[j + 1] - q_[j]));
-}
-
-PwlCurve curve_compose(const HingeEnvelope& g, const PwlCurve& a) {
-  const CurveView v = a.view();
-  std::vector<Time>& grid = tls_grid_scratch();
-  grid.assign(v.t, v.t + v.n);
-  CurveArena& arena = tls_curve_arena();
-  arena.clear();
-  arena.reserve(v.n);
-  compose_walk(g, v, grid, [&](Time t, double left, double right, std::size_t) {
-    arena.push(t, left, right);
-  });
-  PwlCurve result(arena.finalize());
-  report_pointwise(result.knot_count());
-  return result;
 }
 
 PwlCurve curve_compose_capped_max(const HingeEnvelope& g, const PwlCurve& a,

@@ -83,19 +83,17 @@ struct SumTerm {
 /// pseudo_inverse.
 [[nodiscard]] Time curve_first_crossing(const PwlCurve& a, double y);
 
-/// Counting curve with a unit jump at the first instant a(t) >= k*tau, for
-/// k = 1, 2, ...; the non-monotone-safe analogue of curve_floor_div, used to
-/// turn *upper* service bounds into next-hop arrival-count upper bounds.
-/// One knot scan that resumes across levels: O(knots + levels), with the
-/// same jump times as calling curve_first_crossing per level.
-[[nodiscard]] PwlCurve curve_crossing_counts(const PwlCurve& a, double tau);
-
-/// min(curve_crossing_counts(s, tau), curve_shift_right(a, tau)) for a
-/// counting step curve `a` (integer jumps), built from the two jump lists
-/// with one PwlCurve::step and no pointwise pass: the min of two unit-step
-/// counting curves takes its k-th jump at the later of their k-th jumps (at
-/// the earlier one when the two are time_eq, where the merged grid of the
-/// pointwise min would place it).
+/// Lemma 2's next-hop arrival-count upper bound min(C, curve_shift_right(a,
+/// tau)) for a counting step curve `a` (integer jumps), where C is the
+/// crossing count of the upper service bound `s`: a unit jump at the first
+/// instant s(t) >= k*tau, for k = 1, 2, ... (the non-monotone-safe analogue
+/// of curve_floor_div). C's jumps come from one knot scan that resumes
+/// across levels, O(knots + levels), at the same times as calling
+/// curve_first_crossing per level. The result is built from the two jump
+/// lists with one PwlCurve::step and no pointwise pass: the min of two
+/// unit-step counting curves takes its k-th jump at the later of their k-th
+/// jumps (at the earlier one when the two are time_eq, where the merged grid
+/// of the pointwise min would place it).
 [[nodiscard]] PwlCurve curve_crossing_counts_min_shift(const PwlCurve& s,
                                                        const PwlCurve& a,
                                                        double tau);
@@ -139,18 +137,14 @@ class HingeEnvelope {
   std::vector<double> v_;
 };
 
-/// Exact composition g(a(t)). `a` may be non-monotone and may jump either
-/// way; since g is continuous, each jump of `a` maps to a jump of the result
-/// and each linear segment of `a` maps to a piecewise-linear run with a knot
-/// wherever a(t) passes a breakpoint of g.
-[[nodiscard]] PwlCurve curve_compose(const HingeEnvelope& g,
-                                     const PwlCurve& a);
-
 /// Running maximum of min(g(a(t)), cap(t)) (curve_running_max of the capped
 /// composition, as tighten_lower_bound takes it) in one pass over the merged
-/// knot grid of `a` and `cap`: the composition's knots, its crossings with
-/// the cap and the running maximum are produced as the grid is walked, and
-/// only the result is finalized.
+/// knot grid of `a` and `cap`. `a` may be non-monotone and may jump either
+/// way; since g is continuous, the composition g(a(t)) is exact: each jump of
+/// `a` maps to a jump and each linear segment of `a` to a piecewise-linear
+/// run with a knot wherever a(t) passes a breakpoint of g. The composition's
+/// knots, its crossings with the cap and the running maximum are produced as
+/// the grid is walked, and only the result is finalized.
 [[nodiscard]] PwlCurve curve_compose_capped_max(const HingeEnvelope& g,
                                                 const PwlCurve& a,
                                                 const PwlCurve& cap);

@@ -13,6 +13,9 @@ namespace rta {
 
 namespace {
 
+/// Local bounds above this many evaluation spans are reported as infinity.
+constexpr double kDivergenceFactor = 4.0;
+
 /// Slope of the final segment of a curve (its tail behavior).
 double end_slope(const PwlCurve& c) {
   const CurveView v = c.view();
@@ -93,14 +96,9 @@ EnvelopeResult EnvelopeAnalyzer::analyze(
     return result;
   }
 
-  Time span = config_.span;
-  if (span <= 0.0) {
-    for (const ArrivalEnvelope& e : envelopes) {
-      span = std::max(span, e.span());
-    }
-    span = std::max<Time>(span, 1.0);
-  }
-  const Time cap = config_.divergence_factor * span;
+  Time span = 1.0;
+  for (const ArrivalEnvelope& e : envelopes) span = std::max(span, e.span());
+  const Time cap = kDivergenceFactor * span;
   const Time beta_span = span + cap;
 
   // Per-subjob envelope at its hop (jitter-propagated along the chain).
@@ -215,8 +213,7 @@ EnvelopeResult EnvelopeAnalyzer::analyze(
 EnvelopeResult EnvelopeAnalyzer::analyze_from_traces(
     const System& system) const {
   std::vector<ArrivalEnvelope> envelopes;
-  Time span = config_.span;
-  if (span <= 0.0) span = std::max<Time>(system.last_release(), 1.0);
+  const Time span = std::max<Time>(system.last_release(), 1.0);
   envelopes.reserve(system.job_count());
   for (int k = 0; k < system.job_count(); ++k) {
     envelopes.push_back(

@@ -54,32 +54,21 @@ struct EnvelopeResult {
   }
 };
 
-/// Configuration for the envelope analysis.
-struct EnvelopeConfig {
-  /// Interval span the curves are evaluated on; 0 picks automatically from
-  /// the envelopes' spans.
-  Time span = 0.0;
-  /// Local bounds above this many spans are reported as infinity.
-  double divergence_factor = 4.0;
-};
-
+/// The curves are evaluated on the longest envelope span (at least 1); a
+/// local bound above four such spans is reported as infinity.
 class EnvelopeAnalyzer {
  public:
-  explicit EnvelopeAnalyzer(EnvelopeConfig config = {}) : config_(config) {}
-
   /// Analyze `system` with one arrival envelope per job (for its first
   /// hop), in job order. Requires an acyclic dependency graph.
   [[nodiscard]] EnvelopeResult analyze(
       const System& system, const std::vector<ArrivalEnvelope>& envelopes) const;
 
   /// Convenience: derive each job's envelope empirically from its release
-  /// trace (ArrivalEnvelope::from_trace) and analyze.
+  /// trace (ArrivalEnvelope::from_trace, over the last release time, at
+  /// least 1) and analyze.
   [[nodiscard]] EnvelopeResult analyze_from_traces(const System& system) const;
 
   [[nodiscard]] static const char* name() { return "Envelope"; }
-
- private:
-  EnvelopeConfig config_;
 };
 
 /// Horizontal deviation sup_D ( beta^{-1}(alpha_workload(D)) - D ), the

@@ -15,7 +15,7 @@
 #include "model/priority.hpp"
 #include "model/system.hpp"
 
-// Analyzers (§4) and the classical baselines. analysis/analyzer.hpp is the
+// Analyzers (§4) and the holistic baseline. analysis/analyzer.hpp is the
 // unified facade (engine + paper-method dispatch) and the single public
 // entry point for running an analysis; see docs/api.md.
 #include "analysis/analyzer.hpp"
@@ -26,7 +26,6 @@
 #include "analysis/phase_mod.hpp"
 #include "analysis/result.hpp"
 #include "analysis/spp_exact.hpp"
-#include "analysis/utilization.hpp"
 
 // Interval-domain arrival envelopes (Cruz-style) and the trace-independent
 // analyzer built on them.

@@ -8,6 +8,7 @@
 #include "curve/algebra.hpp"
 #include "curve/curve_arena.hpp"
 #include "curve/transforms.hpp"
+#include "support/bounds_fold_oracle.hpp"
 
 namespace rta::literal {
 
@@ -85,8 +86,8 @@ void literal_priority_subjob(const System& system, SubjobRef ref,
   st.svc_lower = tighten_lower_bound(svc_lower);
   st.svc_upper = svc_upper;
   // Lemma 1 / Lemma 2 as printed: counting curves straight from the bounds.
-  st.dep_lower = curve_crossing_counts(st.svc_lower, tau);
-  st.next_arr_upper = curve_crossing_counts(svc_upper, tau);
+  st.dep_lower = oracle::crossing_counts_per_level(st.svc_lower, tau);
+  st.next_arr_upper = oracle::crossing_counts_per_level(svc_upper, tau);
   st.local_bound = detail::local_delay_bound(st.dep_lower, st.arr_upper);
   st.computed = true;
 }

@@ -1,6 +1,7 @@
 // Unit and property tests for the curve algebra (curve/algebra.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -213,9 +214,24 @@ TEST(Algebra, FirstCrossingOnDippingCurve) {
   EXPECT_NEAR(curve_first_crossing(f, 3.5), 5.0 + 2.5 / 0.6, 1e-9);
 }
 
+/// Lemma 2's crossing counts of `s` (a unit jump at the first instant
+/// s(t) >= k*tau, k = 1, 2, ...) through the kernel that computes them,
+/// curve_crossing_counts_min_shift, with arrivals that all land at t = 0:
+/// more of them than `s` has levels, so the shifted arrivals never bind
+/// the min.
+PwlCurve crossing_counts(const PwlCurve& s, double tau) {
+  double top = 0.0;
+  const CurveView v = s.view();
+  for (std::size_t i = 0; i < v.n; ++i) top = std::max({top, v.l[i], v.r[i]});
+  const std::vector<Time> at_zero(static_cast<std::size_t>(top / tau) + 2,
+                                  0.0);
+  return curve_crossing_counts_min_shift(
+      s, PwlCurve::step(s.horizon(), at_zero), tau);
+}
+
 TEST(Algebra, CrossingCountsMatchFloorDivOnMonotone) {
   const PwlCurve s = PwlCurve::identity(10.0);
-  const PwlCurve a = curve_crossing_counts(s, 2.0);
+  const PwlCurve a = crossing_counts(s, 2.0);
   const PwlCurve b = curve_floor_div(s, 2.0);
   EXPECT_TRUE(a.approx_equal(b));
 }
@@ -251,21 +267,48 @@ double brute_hinge_min(const std::vector<Hinge>& hinges, double q) {
   return g;
 }
 
-/// g o a against the brute-force hinge minimum at every knot of either
-/// curve and on a dense grid, both sides of each instant.
-void expect_composition(const std::vector<Hinge>& hinges, const PwlCurve& a) {
-  const PwlCurve c = curve_compose(HingeEnvelope(hinges), a);
+/// The running max of min(g o a, cap) for a constant cap, against the
+/// brute-force hinge minimum, at every knot of either curve and on a dense
+/// grid, both sides of each instant. On a segment of `a` the composition is
+/// monotone (g is nondecreasing), so its supremum over [0, t] is reached at
+/// a knot of `a` or at t itself; the brute force takes exactly those.
+void expect_capped_composition(const std::vector<Hinge>& hinges,
+                               const PwlCurve& a, double cap) {
+  const PwlCurve c = curve_compose_capped_max(
+      HingeEnvelope(hinges), a, PwlCurve::constant(a.horizon(), cap));
   ASSERT_TRUE(c.check_invariants());
+  const auto f = [&](double q) {
+    return std::min(brute_hinge_min(hinges, q), cap);
+  };
+  const std::vector<Knot> knots = a.knots();
   std::vector<Time> probes;
-  for (const Knot& k : a.knots()) probes.push_back(k.t);
+  for (const Knot& k : knots) probes.push_back(k.t);
   for (const Knot& k : c.knots()) probes.push_back(k.t);
   for (int i = 0; i <= 400; ++i) probes.push_back(a.horizon() * i / 400.0);
   for (Time t : probes) {
-    EXPECT_NEAR(c.eval(t), brute_hinge_min(hinges, a.eval(t)), 1e-9)
+    double before = f(a.eval(0.0));  // sup of f over [0, t)
+    for (const Knot& k : knots) {
+      if (!time_lt(k.t, t)) break;
+      before = std::max({before, f(k.left), f(k.right)});
+    }
+    const double left = t > 0.0 ? std::max(before, f(a.eval_left(t))) : before;
+    EXPECT_NEAR(c.eval_left(t), left, 1e-9) << "t- = " << t;
+    EXPECT_NEAR(c.eval(t), std::max(left, f(a.eval(t))), 1e-9)
         << "t = " << t;
-    EXPECT_NEAR(c.eval_left(t), brute_hinge_min(hinges, a.eval_left(t)), 1e-9)
-        << "t- = " << t;
   }
+}
+
+/// g o a itself: a cap above every value g takes on `a` never binds, and
+/// the running max of the uncapped composition is what
+/// curve_compose_capped_max walks; a mid-range cap binds part of the time.
+void expect_composition(const std::vector<Hinge>& hinges, const PwlCurve& a) {
+  double hi = 0.0;
+  for (const Knot& k : a.knots()) {
+    hi = std::max({hi, brute_hinge_min(hinges, k.left),
+                   brute_hinge_min(hinges, k.right)});
+  }
+  expect_capped_composition(hinges, a, hi + 1.0);
+  expect_capped_composition(hinges, a, 0.5 * hi);
 }
 
 TEST(Algebra, HingeEnvelopeSingleHinge) {
@@ -379,7 +422,7 @@ TEST(Algebra, CrossingCountsResumedScanMatchesPerLevelScan) {
     const PwlCurve a =
         random_wiggly(rng, 30.0, rng.uniform_int(0, 40), trial % 3 == 0);
     const double tau = trial % 4 == 0 ? 1.0 : rng.uniform(0.05, 3.0);
-    const PwlCurve fast = curve_crossing_counts(a, tau);
+    const PwlCurve fast = crossing_counts(a, tau);
     const PwlCurve slow = oracle::crossing_counts_per_level(a, tau);
     EXPECT_TRUE(CurveData::identical(*fast.data(), *slow.data()))
         << "trial " << trial << ": " << fast << " vs " << slow;

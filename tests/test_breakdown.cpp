@@ -1,8 +1,8 @@
-// Tests for breakdown utilization (eval/breakdown.hpp): bisection
+// Tests for breakdown utilization (support/breakdown.hpp): bisection
 // correctness, determinism, and the method ordering it must reproduce.
 #include <gtest/gtest.h>
 
-#include "eval/breakdown.hpp"
+#include "support/breakdown.hpp"
 
 namespace rta {
 namespace {

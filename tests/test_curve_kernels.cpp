@@ -34,6 +34,7 @@
 #include "curve/curve_arena.hpp"
 #include "curve/transforms.hpp"
 #include "model/priority.hpp"
+#include "support/bounds_fold_oracle.hpp"
 #include "support/curve_reference.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
@@ -642,10 +643,11 @@ TEST(CurveKernelDifferential, MinOfSumsTieAtGridPointAndJump) {
   EXPECT_NEAR(fused.eval(7.0), 8.0, 1e-12);
 }
 
-/// The chain curve_compose_capped_max replaces.
+/// The chain curve_compose_capped_max replaces, composing with the ladder
+/// reference (the composition has no kernel of its own).
 PwlCurve compose_capped_max_chain(const HingeEnvelope& g, const PwlCurve& a,
                                   const PwlCurve& cap) {
-  return tighten_lower_bound(curve_min(curve_compose(g, a), cap));
+  return tighten_lower_bound(curve_min(ladderref::curve_compose(g, a), cap));
 }
 
 TEST(CurveKernelDifferential, ComposeCappedMaxMatchesChain) {
@@ -788,10 +790,10 @@ TEST(CurveEvalSweep, DegenerateCurvesAndGrids) {
 // ---------------------------------------------------------------------------
 // The grid kernels against their per-point ladder references
 // (support/curve_reference.hpp, namespace ladderref): curve_sum,
-// curve_available, curve_min_of_sums, curve_compose and
-// curve_compose_capped_max must build identical curves, bit for bit, on
-// random operands whose knots nearly tie, and with the S̄/S̲ curves of
-// analyzed shops as higher-priority operands.
+// curve_available, curve_min_of_sums and curve_compose_capped_max must
+// build identical curves, bit for bit, on random operands whose knots nearly
+// tie, and with the S̄/S̲ curves of analyzed shops as higher-priority
+// operands.
 
 /// A curve on [0, kH] whose interior knots sit within +-2e-9 of base's
 /// (inside and just outside the time tolerance), with fresh values.
@@ -855,8 +857,6 @@ TEST(CurveKernelLadderPins, RandomOperandsWithNearTieKnots) {
       hinges.push_back({rng.uniform(0.0, 3.0), rng.uniform(-2.0, 4.0)});
     }
     const HingeEnvelope g(hinges);
-    expect_same_curve(curve_compose(g, ops[0]),
-                     ladderref::curve_compose(g, ops[0]));
     expect_same_curve(curve_compose_capped_max(g, ops[0], ops.back()),
                      ladderref::curve_compose_capped_max(g, ops[0],
                                                          ops.back()));
@@ -1039,8 +1039,8 @@ TEST(CurveKernelDifferential, CrossingCountsMinShiftMatchesPointwiseMin) {
     const PwlCurve a = arrival_counts(rng, tau);
     const PwlCurve s = crossing_source(rng, tau, kind);
     const PwlCurve closed = curve_crossing_counts_min_shift(s, a, tau);
-    const PwlCurve chain =
-        curve_min(curve_crossing_counts(s, tau), curve_shift_right(a, tau));
+    const PwlCurve chain = curve_min(oracle::crossing_counts_per_level(s, tau),
+                                     curve_shift_right(a, tau));
     EXPECT_TRUE(curves_identical(closed, chain))
         << "a " << a << "\ns " << s << "\nclosed " << closed << "\nchain "
         << chain;
@@ -1054,7 +1054,7 @@ TEST(CurveKernelDifferential, CrossingCountsMinShiftHoldsArrivalsAtZero) {
   const PwlCurve s = PwlCurve::identity(kH);
   const PwlCurve closed = curve_crossing_counts_min_shift(s, a, 2.0);
   EXPECT_TRUE(curves_identical(
-      closed, curve_min(curve_crossing_counts(s, 2.0),
+      closed, curve_min(oracle::crossing_counts_per_level(s, 2.0),
                         curve_shift_right(a, 2.0))));
   EXPECT_DOUBLE_EQ(closed.pseudo_inverse(1.0), 2.0);
   EXPECT_DOUBLE_EQ(closed.pseudo_inverse(2.0), 4.0);
@@ -1072,7 +1072,7 @@ TEST(CurveKernelDifferential, CrossingCountsMinShiftTakesEarlierOfTimeEqJumps) {
     const PwlCurve a = PwlCurve::step(kH, {3.0 - skew, 6.0});
     const PwlCurve closed = curve_crossing_counts_min_shift(s, a, 1.0);
     EXPECT_TRUE(curves_identical(
-        closed, curve_min(curve_crossing_counts(s, 1.0),
+        closed, curve_min(oracle::crossing_counts_per_level(s, 1.0),
                           curve_shift_right(a, 1.0))))
         << closed;
     EXPECT_BITEQ(closed.knot_time(1), std::min(4.0, 4.0 - skew));

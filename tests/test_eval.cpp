@@ -7,7 +7,7 @@
 
 #include "eval/experiment.hpp"
 #include "eval/validation.hpp"
-#include "util/csv.hpp"
+#include "support/csv.hpp"
 
 namespace rta {
 namespace {

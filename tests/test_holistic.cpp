@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "analysis/holistic.hpp"
-#include "analysis/utilization.hpp"
+#include "support/utilization.hpp"
 
 namespace rta {
 namespace {

@@ -8,8 +8,8 @@
 #include "analysis/holistic.hpp"
 #include "analysis/phase_mod.hpp"
 #include "model/priority.hpp"
-#include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
+#include "support/sim_invariants.hpp"
 #include "workload/jobshop.hpp"
 
 namespace rta {

@@ -4,8 +4,8 @@
 
 #include "analysis/result.hpp"
 #include "model/priority.hpp"
-#include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
+#include "support/sim_invariants.hpp"
 #include "workload/jobshop.hpp"
 
 namespace rta {

@@ -5,8 +5,8 @@
 #include <set>
 #include <thread>
 
+#include "support/stats.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time.hpp"
 

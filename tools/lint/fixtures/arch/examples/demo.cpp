@@ -1,2 +1,4 @@
-// Fixture: shipped example code.
+// Fixture: shipped example code. It includes shape.hpp too, so that header
+// is reached and only its layering finding fires.
 #include "curve/public.hpp"
+#include "curve/shape.hpp"

@@ -32,7 +32,8 @@ Passes and rules (see docs/static-analysis.md for the catalog):
                schema-phantom  a field documented in docs/api.md that no
                                service code emits
   test-only    test-only-src   a src/ header that only tests and benches
-                               include (its own .cpp aside)
+                               include, or that nothing includes (its own
+                               .cpp aside)
   (always on)  bad-suppression an `rta-archcheck: allow(...)` comment with no
                                reason text
 
@@ -79,7 +80,8 @@ RULE_DOCS = {
                    "literal",
     "schema-undocumented": "service response field missing from docs/api.md",
     "schema-phantom": "documented response field no service code emits",
-    "test-only-src": "src/ header reached only by tests and benches",
+    "test-only-src": "src/ header reached only by tests and benches, or by "
+                     "nothing",
     "bad-suppression": "rta-archcheck: allow(...) comment without a reason",
 }
 
@@ -686,16 +688,20 @@ class Analyzer:
                 continue
             own_cpp = os.path.splitext(src.rel)[0] + ".cpp"
             users = includers.get(src.rel[len("src/"):], set()) - {own_cpp}
-            if users and all(u.split("/")[0] in TEST_ONLY_DIRS
-                             for u in users):
-                # At the first code line, where an allow() comment reaches.
-                self.report(
-                    src, min(src.code_lines, default=1), "test-only-src",
-                    f"'{src.rel}' is included only by tests/benches ("
-                    + ", ".join(sorted(users)) + "): move it to "
-                    "tests/support/ (rta_test_support) so the shipped "
-                    "libraries hold no test-only code",
-                )
+            if not users:
+                message = (f"'{src.rel}' is included by nothing (its own "
+                           ".cpp aside): no shipped code reaches it, so "
+                           "delete it")
+            elif all(u.split("/")[0] in TEST_ONLY_DIRS for u in users):
+                message = (f"'{src.rel}' is included only by tests/benches ("
+                           + ", ".join(sorted(users)) + "): move it to "
+                           "tests/support/ (rta_test_support) so the shipped "
+                           "libraries hold no test-only code")
+            else:
+                continue
+            # At the first code line, where an allow() comment reaches.
+            self.report(src, min(src.code_lines, default=1), "test-only-src",
+                        message)
 
     # --- suppression ----------------------------------------------------
 

@@ -6,7 +6,9 @@ Checks, in order:
      fixtures/arch/expected.json (file, line, rule, suppressed) and
      exits 1.
   2. Each of the five passes individually catches its seeded violation
-     (layering, lock-order, units, schema, test-only) via --rules.
+     (layering, lock-order, units, schema, test-only) via --rules, and
+     test-only-src flags both of its shapes: a header only tests and
+     benches include, and a header nothing includes.
   3. The real tree (src/ + docs/api.md) is clean: exit 0, no findings.
   4. --write-baseline followed by a baselined run exits 0 with every
      finding accounted as baselined; dropping one fingerprint from the
@@ -106,6 +108,21 @@ def main():
             check(f"--rules {rules} catches its seed",
                   expect <= seen and seen <= expect | {"bad-suppression"},
                   f"expected {expect}, saw {seen}")
+
+        proc = run_fixture("--no-baseline", "--rules", "test-only-src",
+                           json_to=report_path)
+        rep = load_report(report_path)
+        flagged = {f["file"]: f["message"] for f in rep["findings"]
+                   if f["rule"] == "test-only-src"}
+        check("test-only-src flags the test-only header",
+              "included only by tests/benches"
+              in flagged.get("src/curve/oracle.hpp", ""), str(flagged))
+        check("test-only-src flags the header nothing includes",
+              "included by nothing" in flagged.get("src/util/orphan.hpp", ""),
+              str(flagged))
+        check("test-only-src spares headers shipped code includes",
+              set(flagged) == {"src/curve/oracle.hpp", "src/util/orphan.hpp"},
+              str(sorted(flagged)))
 
         # 3. The real tree is clean.
         print("real tree:")

@@ -51,6 +51,11 @@ namespace {
 
 using namespace rta;
 
+/// Largest value a worker-count flag (FlagSpec::workers) accepts, the region
+/// column cap: each value sizes a thread pool, and a shard scheduler starts
+/// all of its threads up front.
+constexpr long long kMaxWorkers = 256;
+
 /// One flag row of the command table: the parser default and the help line
 /// come from the same place.
 struct FlagSpec {
@@ -58,6 +63,9 @@ struct FlagSpec {
   const char* arg;   ///< metavar ("N", "FILE", ...); nullptr = boolean flag
   const char* def;   ///< default printed in --help; nullptr = none/required
   const char* help;  ///< one-line description
+  /// A worker count: its value sizes a thread pool, so check_numeric_flags
+  /// caps it at kMaxWorkers.
+  bool workers = false;
 };
 
 struct CommandSpec {
@@ -74,7 +82,8 @@ const std::vector<FlagSpec>& shared_analysis_flags() {
   static const std::vector<FlagSpec> kFlags = {
       {"threads", "N", "1",
        "bounds-engine worker threads (0 = all hardware threads); results "
-       "are identical for every N"},
+       "are identical for every N",
+       true},
       {"stats", nullptr, nullptr,
        "print kernel/pool statistics; never changes computed bounds"},
       {"metrics-json", "FILE", nullptr,
@@ -158,7 +167,7 @@ const std::vector<CommandSpec>& command_table() {
            {"horizon", "H", "auto", "pinned analysis horizon"},
            {"priorities", "P", "keep", "keep|pdm|dm|rm"},
            {"parallel-reads", "N", "1",
-            "read-batch workers (0 = all hardware threads)"},
+            "read-batch workers (0 = all hardware threads)", true},
            {"max-inflight", "N", "0",
             "shed requests beyond this batch depth (0 = unbounded)"},
            {"request-timeout-ms", "MS", "0",
@@ -170,7 +179,8 @@ const std::vector<CommandSpec>& command_table() {
             "multi-tenant mode: manifest of 'name [system-file]' lines, one "
             "tenant each (docs/api.md)"},
            {"shards", "N", "1",
-            "multi-tenant worker shards (0 = hardware; needs --tenants-from)"},
+            "multi-tenant worker shards (0 = hardware; needs --tenants-from)",
+            true},
        }},
       {"generate", "", "emit a random job shop", false,
        {
@@ -257,8 +267,9 @@ int usage() {
 }
 
 /// Values of N / MS / H flags must parse in full as finite numbers: N and MS
-/// non-negative (integers for N), H (a horizon) positive. Prints every
-/// offender; true when all are well-formed.
+/// non-negative (integers for N, at most kMaxWorkers for a worker count),
+/// H (a horizon) positive. Prints every offender; true when all are
+/// well-formed.
 bool check_numeric_flags(const char* cmd, const Options& opts,
                          const std::vector<FlagSpec>& flags) {
   bool ok = true;
@@ -280,6 +291,10 @@ bool check_numeric_flags(const char* cmd, const Options& opts,
                    : positive ? "positive number"
                               : "non-negative number",
                    v.c_str());
+      ok = false;
+    } else if (f.workers && x > static_cast<double>(kMaxWorkers)) {
+      std::fprintf(stderr, "rta_cli %s: --%s wants at most %lld workers, "
+                   "got '%s'\n", cmd, f.name, kMaxWorkers, v.c_str());
       ok = false;
     }
   }
