@@ -17,24 +17,24 @@
 // A second phase drives a read-heavy polling stream (default 400 requests,
 // 90% read-only: clients re-probing pending candidates between
 // reconfigurations) through the sequential reference runner and through the
-// batching RequestScheduler at parallel_reads 1, 2, and hardware. The
+// batching RequestScheduler, each over N trials on fresh sessions. The
 // scheduler's wins here are read coalescing (identical probes in a batch
-// run once) and batch-amortized barriers; fan-out adds on top on multicore
-// hosts. Every configuration's responses are digest-checked byte-identical
-// (modulo latency_us) against the sequential run before any throughput
-// number is reported.
+// run once) and batch-amortized barriers. Every trial's responses are
+// digest-checked byte-identical (modulo latency_us) against the sequential
+// run before any throughput number is reported.
 //
-// A third phase re-runs the scheduler pr=2 stream with the full
-// observability path attached (per-request span trees, latency histograms,
-// one live stats snapshot + Prometheus render inside the timer) and
-// reports the overhead against the observer-off run; the bar is <= 5%.
+// A third phase re-runs the scheduler stream with the full observability
+// path attached (per-request span trees, latency histograms, one live stats
+// snapshot + Prometheus render inside the timer) and reports the overhead
+// of its median against the observer-off median; the bar is <= 5%.
 //
 // Output: a per-candidate latency table on stdout and BENCH_service.json
-// with median/p90/max latencies per path, the median speedup, the
-// stream-phase throughput per scheduler configuration, and the
-// observability overhead fraction. The acceptance bars are a >= 2x median
-// speedup for single-job admits, a >= 2x stream throughput for the
-// scheduler over the sequential runner, and <= 5% observability overhead.
+// with median/p90/max latencies per path, the median speedup, the median
+// and interquartile range of each stream driver's trials next to the
+// host's hardware thread count, and the observability overhead fraction.
+// The acceptance bars are a >= 2x median speedup for single-job admits, a
+// >= 2x stream throughput for the scheduler over the sequential runner, and
+// <= 5% observability overhead.
 //
 // Flags: --candidates N (default 40)  --repeats N (default 5)
 //        --stages N (default 4)       --procs N (default 2, per stage)
@@ -42,7 +42,8 @@
 //        --seed S (default 42)        --threads N (default 1; sizes the
 //                                     baseline analyzer's pool only -- the
 //                                     session analyzes serially)
-//        --stream-requests N (default 400)  --stream-repeats N (default 2)
+//        --stream-requests N (default 400)
+//        --stream-repeats N (default 5; trials per stream driver)
 //        --out FILE (default BENCH_service.json)
 #include <algorithm>
 #include <bit>
@@ -140,6 +141,24 @@ double percentile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] + frac * (values[hi] - values[lo]);
+}
+
+/// Median and quartiles of a set of trial times.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread(const std::vector<double>& us) {
+  return {percentile(us, 0.5), percentile(us, 0.25), percentile(us, 0.75)};
+}
+
+void print_spread(std::FILE* f, const char* key, const Spread& s) {
+  std::fprintf(f,
+               "  \"%s\": {\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f, "
+               "\"iqr\": %.1f},\n",
+               key, s.median, s.q1, s.q3, s.q3 - s.q1);
 }
 
 struct PathStats {
@@ -349,139 +368,113 @@ int main(int argc, char** argv) {
   // ---- Stream phase: sequential runner vs. RequestScheduler ------------
   const int stream_requests =
       static_cast<int>(opts.get_int("stream-requests", 400));
-  const int stream_repeats =
-      static_cast<int>(opts.get_int("stream-repeats", 2));
+  const int stream_trials =
+      std::max(1, static_cast<int>(opts.get_int("stream-repeats", 5)));
   double read_fraction = 0.0;
   const std::string stream =
       build_stream(base, stream_requests, seed, &read_fraction);
 
+  // One stream driver timed over stream_trials fresh sessions; false when
+  // two trials' responses differ. With `observed`, a MetricsRegistry and
+  // Tracer ride along and one live stats snapshot + Prometheus render runs
+  // inside the timer -- the full introspection path `serve --metrics-prom`
+  // exercises.
   struct StreamRun {
+    StreamRun(const char* l, bool s, bool o)
+        : label(l), scheduled(s), observed(o) {}
     const char* label;
     bool scheduled;
-    int parallel_reads;  // meaningful when scheduled
-    double best_us = -1.0;
+    bool observed;
+    std::vector<double> us;
     std::uint64_t digest = 0;
     service::RunnerStats stats;
+    std::size_t prom_bytes = 0;
   };
-  std::vector<StreamRun> runs = {
-      {"sequential", false, 1, -1.0, 0, {}},
-      {"scheduler pr=1", true, 1, -1.0, 0, {}},
-      {"scheduler pr=2", true, 2, -1.0, 0, {}},
-      {"scheduler pr=hw", true, 0, -1.0, 0, {}},
-  };
-
-  std::printf("\nStream phase: %d requests, %.0f%% read-only, best of %d "
-              "repeats\n",
-              stream_requests, 100.0 * read_fraction, stream_repeats);
-  for (StreamRun& run : runs) {
-    for (int rep = 0; rep < stream_repeats; ++rep) {
-      service::AdmissionSession stream_session(base, session_cfg);
+  const auto time_stream = [&](StreamRun& run) {
+    for (int trial = 0; trial < stream_trials; ++trial) {
+      obs::MetricsRegistry registry;
+      obs::Tracer tracer;
+      service::SessionConfig cfg = session_cfg;
+      if (run.observed) {
+        cfg.analysis.observer = obs::Observer{&registry, &tracer};
+      }
+      service::AdmissionSession stream_session(base, cfg);
       std::istringstream in(stream);
       std::ostringstream responses;
-      service::StreamOptions stream_opts;
-      stream_opts.parallel_reads = run.parallel_reads;
       const Clock::time_point t0 = Clock::now();
-      const service::RunnerStats stats =
-          run.scheduled
-              ? service::run_request_stream(stream_session, in, responses,
-                                            stream_opts)
-              : service::run_request_stream(stream_session, in, responses);
+      run.stats = run.scheduled
+                      ? service::run_request_stream(stream_session, in,
+                                                    responses,
+                                                    service::StreamOptions{})
+                      : service::run_request_stream(stream_session, in,
+                                                    responses);
+      if (run.observed) {
+        run.prom_bytes =
+            service::to_prometheus_text(registry.snapshot()).size();
+      }
       const std::chrono::duration<double, std::micro> us = Clock::now() - t0;
+      run.us.push_back(us.count());
       const std::uint64_t digest = bytes_digest(strip_latency(responses.str()));
-      if (rep == 0) {
-        run.digest = digest;
-        run.stats = stats;
-      } else if (digest != run.digest) {
-        std::fprintf(stderr, "FATAL: %s responses differ across repeats\n",
-                     run.label);
-        return 1;
-      }
-      if (run.best_us < 0.0 || us.count() < run.best_us) {
-        run.best_us = us.count();
-      }
+      if (trial > 0 && digest != run.digest) return false;
+      run.digest = digest;
     }
-    if (run.digest != runs[0].digest || run.stats.requests != runs[0].stats.requests ||
-        run.stats.errors != runs[0].stats.errors) {
+    return true;
+  };
+
+  std::printf("\nStream phase: %d requests, %.0f%% read-only, %d trials "
+              "(median, IQR)\n",
+              stream_requests, 100.0 * read_fraction, stream_trials);
+  StreamRun sequential("sequential", false, false);
+  StreamRun scheduler("scheduler", true, false);
+  StreamRun observed("scheduler+obs", true, true);
+  for (StreamRun* run : {&sequential, &scheduler, &observed}) {
+    if (!time_stream(*run)) {
+      std::fprintf(stderr, "FATAL: %s responses differ across trials\n",
+                   run->label);
+      return 1;
+    }
+    if (run->digest != sequential.digest ||
+        run->stats.requests != sequential.stats.requests ||
+        run->stats.errors != sequential.stats.errors) {
       std::fprintf(stderr,
                    "FATAL: %s responses diverge from the sequential runner "
                    "-- determinism contract violated\n",
-                   run.label);
+                   run->label);
       return 1;
     }
-    const double speedup =
-        run.best_us > 0.0 ? runs[0].best_us / run.best_us : 0.0;
-    std::printf("  %-16s %10.1f us  %8.1f req/s  %5.2fx  "
+    const Spread t = spread(run->us);
+    std::printf("  %-14s %10.1f us (IQR %8.1f)  %8.1f req/s  "
                 "(%d responses, %d errors, %d coalesced)\n",
-                run.label, run.best_us,
-                run.best_us > 0.0 ? 1e6 * stream_requests / run.best_us : 0.0,
-                speedup, run.stats.requests, run.stats.errors,
-                run.stats.coalesced);
+                run->label, t.median, t.q3 - t.q1,
+                t.median > 0.0 ? 1e6 * stream_requests / t.median : 0.0,
+                run->stats.requests, run->stats.errors,
+                run->stats.coalesced);
   }
-  double stream_best_speedup = 0.0;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    stream_best_speedup = std::max(
-        stream_best_speedup,
-        runs[i].best_us > 0.0 ? runs[0].best_us / runs[i].best_us : 0.0);
-  }
-  if (stream_best_speedup < 2.0) {
+  const Spread seq_us = spread(sequential.us);
+  const Spread sched_us = spread(scheduler.us);
+  const Spread obs_us = spread(observed.us);
+  const double stream_speedup =
+      sched_us.median > 0.0 ? seq_us.median / sched_us.median : 0.0;
+  std::printf("  scheduler speedup over sequential (medians): %.2fx\n",
+              stream_speedup);
+  if (stream_speedup < 2.0) {
     std::fprintf(stderr,
                  "WARNING: stream speedup %.2fx below the 2x acceptance "
                  "bar\n",
-                 stream_best_speedup);
+                 stream_speedup);
   }
 
-  // ---- Observability overhead phase ------------------------------------
-  // Re-run the scheduler pr=2 stream with a MetricsRegistry and Tracer
-  // attached (per-request span trees, latency histograms) plus one live
-  // stats snapshot and Prometheus render inside the timer -- the full
-  // introspection path `serve --metrics-prom` exercises. The acceptance
-  // bar is <= 5% overhead against the observer-off pr=2 run above, and
-  // the responses must stay byte-identical: observability never changes
-  // what the service answers.
-  double obs_best_us = -1.0;
-  std::uint64_t obs_digest = 0;
-  std::size_t obs_prom_bytes = 0;
-  for (int rep = 0; rep < stream_repeats; ++rep) {
-    obs::MetricsRegistry registry;
-    obs::Tracer tracer;
-    service::SessionConfig obs_cfg = session_cfg;
-    obs_cfg.analysis.observer = obs::Observer{&registry, &tracer};
-    service::AdmissionSession stream_session(base, obs_cfg);
-    std::istringstream in(stream);
-    std::ostringstream responses;
-    service::StreamOptions stream_opts;
-    stream_opts.parallel_reads = 2;
-    const Clock::time_point t0 = Clock::now();
-    service::run_request_stream(stream_session, in, responses, stream_opts);
-    const std::string prom = service::to_prometheus_text(registry.snapshot());
-    const std::chrono::duration<double, std::micro> us = Clock::now() - t0;
-    obs_prom_bytes = prom.size();
-    const std::uint64_t digest = bytes_digest(strip_latency(responses.str()));
-    if (rep == 0) {
-      obs_digest = digest;
-    } else if (digest != obs_digest) {
-      std::fprintf(stderr,
-                   "FATAL: observer-on responses differ across repeats\n");
-      return 1;
-    }
-    if (obs_best_us < 0.0 || us.count() < obs_best_us) {
-      obs_best_us = us.count();
-    }
-  }
-  if (obs_digest != runs[0].digest) {
-    std::fprintf(stderr,
-                 "FATAL: observer-on responses diverge from the sequential "
-                 "runner -- observability changed the answers\n");
-    return 1;
-  }
+  // ---- Observability overhead ------------------------------------------
+  // The acceptance bar is <= 5% overhead of the observed median against the
+  // observer-off scheduler median, and the responses stayed byte-identical
+  // above: observability never changes what the service answers.
   const double obs_overhead_fraction =
-      runs[2].best_us > 0.0 ? obs_best_us / runs[2].best_us - 1.0 : 0.0;
-  std::printf("\nObservability overhead (tracing + metrics + stats render, "
-              "scheduler pr=2):\n");
+      sched_us.median > 0.0 ? obs_us.median / sched_us.median - 1.0 : 0.0;
+  std::printf("\nObservability overhead (tracing + metrics + stats render):\n");
   std::printf("  observer off %10.1f us, observer on %10.1f us: %+.1f%% "
               "(%zu-byte Prometheus render)\n",
-              runs[2].best_us, obs_best_us, 100.0 * obs_overhead_fraction,
-              obs_prom_bytes);
+              sched_us.median, obs_us.median, 100.0 * obs_overhead_fraction,
+              observed.prom_bytes);
   if (obs_overhead_fraction > 0.05) {
     std::fprintf(stderr,
                  "WARNING: observability overhead %.1f%% above the 5%% "
@@ -525,26 +518,18 @@ int main(int argc, char** argv) {
                percentile(per_candidate_speedup, 0.9));
   std::fprintf(f,
                "  \"stream_requests\": %d, \"stream_read_fraction\": %.3f, "
-               "\"stream_repeats\": %d,\n",
-               stream_requests, read_fraction, stream_repeats);
-  std::fprintf(f, "  \"stream_sequential_us\": %.1f,\n", runs[0].best_us);
-  std::fprintf(f, "  \"stream_scheduler\": [\n");
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"parallel_reads\": %d, \"us\": %.1f, "
-                 "\"speedup\": %.3f, \"coalesced\": %d}%s\n",
-                 runs[i].parallel_reads, runs[i].best_us,
-                 runs[i].best_us > 0.0 ? runs[0].best_us / runs[i].best_us
-                                       : 0.0,
-                 runs[i].stats.coalesced, i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"stream_best_speedup\": %.3f,\n", stream_best_speedup);
+               "\"stream_trials\": %d,\n",
+               stream_requests, read_fraction, stream_trials);
+  print_spread(f, "stream_sequential_us", seq_us);
+  print_spread(f, "stream_scheduler_us", sched_us);
+  std::fprintf(f, "  \"stream_speedup\": %.3f, \"stream_coalesced\": %d,\n",
+               stream_speedup, scheduler.stats.coalesced);
   std::fprintf(f, "  \"stream_digest_identical\": true,\n");
+  print_spread(f, "obs_stream_us", obs_us);
   std::fprintf(f,
-               "  \"obs_stream_us\": %.1f, \"obs_overhead_fraction\": %.4f, "
+               "  \"obs_overhead_fraction\": %.4f, "
                "\"obs_overhead_bar\": 0.05, \"obs_prom_bytes\": %zu,\n",
-               obs_best_us, obs_overhead_fraction, obs_prom_bytes);
+               obs_overhead_fraction, observed.prom_bytes);
   std::fprintf(f,
                "  \"determinism\": \"every candidate's bounds bit-identical "
                "between paths; stream responses byte-identical modulo "

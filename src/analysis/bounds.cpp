@@ -382,36 +382,42 @@ void run_bounds_wavefront(const System& system, const DependencyOrder& order,
   }
 }
 
+JobReport job_bound(const BoundStateMap& states, int k, int hops) {
+  JobReport report;
+  report.hops.resize(static_cast<std::size_t>(hops));
+  for (int h = 0; h < hops; ++h) {
+    const Time d = states.at({k, h}).local_bound;
+    report.hops[h].ref = {k, h};
+    report.hops[h].local_bound = d;
+    report.wcrt += d;  // Eq. 11
+  }
+  return report;
+}
+
 AnalysisResult bounds_result_from_states(const System& system, Time horizon,
                                          bool record_curves,
                                          const BoundStateMap& states) {
   AnalysisResult result;
   result.ok = true;
   result.horizon = horizon;
-  result.jobs.resize(system.job_count());
+  result.jobs.reserve(static_cast<std::size_t>(system.job_count()));
 
   for (int k = 0; k < system.job_count(); ++k) {
     const Job& job = system.job(k);
-    JobReport& report = result.jobs[k];
-    report.hops.resize(job.chain.size());
-    Time total = 0.0;
-    for (int h = 0; h < static_cast<int>(job.chain.size()); ++h) {
+    const int hops = static_cast<int>(job.chain.size());
+    JobReport& report = result.jobs.emplace_back(job_bound(states, k, hops));
+    report.schedulable = time_le(report.wcrt, job.deadline);
+    if (!record_curves) continue;
+    for (int h = 0; h < hops; ++h) {
       const BoundState& st = states.at({k, h});
-      report.hops[h].ref = {k, h};
-      report.hops[h].local_bound = st.local_bound;
-      total += st.local_bound;  // Eq. 11
-      if (record_curves) {
-        SubjobCurves curves;
-        curves.arrival_upper = st.arr_upper;
-        curves.arrival_lower = st.arr_lower;
-        curves.service_upper = st.svc_upper;
-        curves.service_lower = st.svc_lower;
-        curves.departure_lower = st.dep_lower;
-        report.hops[h].curves.push_back(std::move(curves));
-      }
+      SubjobCurves curves;
+      curves.arrival_upper = st.arr_upper;
+      curves.arrival_lower = st.arr_lower;
+      curves.service_upper = st.svc_upper;
+      curves.service_lower = st.svc_lower;
+      curves.departure_lower = st.dep_lower;
+      report.hops[h].curves.push_back(std::move(curves));
     }
-    report.wcrt = total;
-    report.schedulable = time_le(total, job.deadline);
   }
   return result;
 }

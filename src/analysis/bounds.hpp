@@ -131,6 +131,14 @@ void run_bounds_wavefront(const System& system, const DependencyOrder& order,
                           const std::vector<char>* dirty,
                           BoundStateMap& states);
 
+/// Job k's end-to-end bound from its computed states for hops 0..hops-1:
+/// each hop's Eq. 12 term d_{k,j} in hops[j] (ref and local_bound set) and
+/// their Eq. 11 sum, taken in hop order, in wcrt. The one place the
+/// end-to-end composition lives; schedulable and curves are left to the
+/// caller.
+[[nodiscard]] JobReport job_bound(const BoundStateMap& states, int k,
+                                  int hops);
+
 /// Assemble the per-job report (Eq. 11/12) from computed states.
 [[nodiscard]] AnalysisResult bounds_result_from_states(
     const System& system, Time horizon, bool record_curves,

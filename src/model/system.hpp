@@ -79,8 +79,8 @@ class System {
   /// The id the next zero-id add_job would assign. Together with
   /// set_next_job_id this lets callers running speculative add_job +
   /// remove_job sequences (service what-ifs) leave id assignment exactly as
-  /// if the speculation had not happened, and lets snapshot replicas hand
-  /// out the same ids the original would.
+  /// if the speculation had not happened, and lets a batching scheduler
+  /// pre-assign the ids sequential execution would hand out.
   [[nodiscard]] std::uint64_t next_job_id() const { return next_job_id_; }
   void set_next_job_id(std::uint64_t next) { next_job_id_ = next; }
 

@@ -158,6 +158,23 @@ int dominant_hop(const std::vector<ExplainHop>& hops) {
   return dominant;
 }
 
+/// The explain of candidate `job` whose end-to-end bound is `bound`
+/// (detail::job_bound's form); the general and the fast what-if path both
+/// build it here, so their explains are bit-identical. Leaves
+/// horizon_doublings to the caller.
+void fill_explain(Explain& explain, const Job& job, const JobReport& bound) {
+  explain.available = true;
+  explain.wcrt = bound.wcrt;
+  explain.deadline = job.deadline;
+  explain.hops.clear();
+  explain.hops.reserve(bound.hops.size());
+  for (std::size_t h = 0; h < bound.hops.size(); ++h) {
+    explain.hops.push_back({static_cast<int>(h), job.chain[h].processor,
+                            bound.hops[h].local_bound});
+  }
+  explain.dominant_hop = dominant_hop(explain.hops);
+}
+
 }  // namespace
 
 AdmissionSession::AdmissionSession(System base, SessionConfig config)
@@ -221,7 +238,7 @@ const AdmissionSession::ReadCache& AdmissionSession::read_cache() {
 
 AdmissionSession::AdmissionSession(const SessionConfig& config)
     : config_(config) {
-  // Worker-replica shell: clone_committed fills in the state.
+  // Clone shell: clone_committed fills in the state.
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
 }
 
@@ -250,24 +267,6 @@ ReadDecision AdmissionSession::summarize(const Decision& d) {
   rd.horizon = d.analysis.horizon;
   rd.explain = d.explain;
   return rd;
-}
-
-void AdmissionSession::fill_explain(Decision& d, std::size_t k_new) const {
-  if (!d.ok || k_new >= d.analysis.jobs.size()) return;
-  const Job& job = system_.job(static_cast<int>(k_new));
-  const JobReport& report = d.analysis.jobs[k_new];
-  d.explain.available = true;
-  d.explain.wcrt = report.wcrt;
-  d.explain.deadline = job.deadline;
-  d.explain.hops.clear();
-  for (std::size_t h = 0; h < report.hops.size(); ++h) {
-    ExplainHop eh;
-    eh.hop = static_cast<int>(h);
-    eh.processor = h < job.chain.size() ? job.chain[h].processor : 0;
-    eh.bound = report.hops[h].local_bound;
-    d.explain.hops.push_back(eh);
-  }
-  d.explain.dominant_hop = dominant_hop(d.explain.hops);
 }
 
 ReadDecision AdmissionSession::read_what_if(Job job) {
@@ -339,9 +338,6 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   // wave, in chain order), minus the O(system) bookkeeping around them.
   const std::uint64_t saved_next_id = system_.next_job_id();
   const int k_new = system_.add_job(job);
-  Time candidate_wcrt = 0.0;
-  std::vector<ExplainHop> explain_hops;
-  explain_hops.reserve(static_cast<std::size_t>(hops));
   {
     detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
     curve::KernelHooksScope sink_scope(
@@ -354,13 +350,10 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
       detail::fill_hop_arrivals(system_, {k_new, hh}, horizon_, states_);
       detail::compute_single_priority_subjob(system_, {k_new, hh}, horizon_,
                                              states_);
-      const Time hop_bound = states_.at({k_new, hh}).local_bound;
-      candidate_wcrt += hop_bound;  // Eq. 11
-      explain_hops.push_back(
-          {hh, system_.job(k_new).chain[static_cast<std::size_t>(hh)].processor,
-           hop_bound});
     }
   }
+  const JobReport bound = detail::job_bound(states_, k_new, hops);
+  const Time candidate_wcrt = bound.wcrt;
   const std::uint64_t assigned_id = system_.job(k_new).id;
   for (int hh = 0; hh < hops; ++hh) states_.erase({k_new, hh});
   system_.remove_job(k_new);
@@ -383,12 +376,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   rd.admitted = rd.schedulable;
   rd.max_wcrt = std::max(rc.committed_max_wcrt, candidate_wcrt);
   rd.horizon = horizon_;
-  rd.explain.available = true;
-  rd.explain.hops = std::move(explain_hops);
-  rd.explain.wcrt = candidate_wcrt;
-  rd.explain.deadline = job.deadline;
-  rd.explain.horizon_doublings = 0;
-  rd.explain.dominant_hop = dominant_hop(rd.explain.hops);
+  fill_explain(rd.explain, job, bound);
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.incremental").inc();
     eobs_->metrics()
@@ -549,7 +537,9 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
         return seeds_for_added_job(system_, graph, k_new);
       },
       &undo);
-  fill_explain(d, static_cast<std::size_t>(k_new));
+  if (d.ok) {
+    fill_explain(d.explain, system_.job(k_new), d.analysis.jobs[k_new]);
+  }
   d.admitted = d.analysis.all_schedulable();
   if (commit_on_admit && d.admitted) {
     d.committed = true;

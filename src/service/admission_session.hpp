@@ -31,12 +31,13 @@
 //
 // Concurrency discipline (docs/static-analysis.md): a session is
 // single-threaded -- its wavefronts run serially on the one thread that owns
-// it, and concurrency comes from cloning committed snapshots
-// (clone_committed) that each hand off to exactly one worker. The session
-// therefore holds no locks of its own; the lock-bearing components it embeds
-// (the obs registries) carry the Clang thread-safety annotations, and the
-// hand-off discipline itself is exercised under TSan and the differential
-// stream tests rather than the static analysis.
+// it. Where work does run concurrently (tenant shards, region columns), each
+// worker owns its own session: a tenant's, or a committed snapshot
+// (clone_committed) handed to exactly one worker. The session therefore
+// holds no locks of its own; the lock-bearing components it embeds (the obs
+// registries) carry the Clang thread-safety annotations, and the hand-off
+// discipline itself is exercised under TSan and the differential tests
+// rather than the static analysis.
 #pragma once
 
 #include <cstdint>
@@ -158,16 +159,16 @@ class AdmissionSession {
   /// path would produce for the same candidate).
   [[nodiscard]] static ReadDecision summarize(const Decision& d);
 
-  /// Deep copy of the committed session state (retained curves included)
-  /// for snapshot-isolated read execution: the replica answers what_if /
-  /// query exactly like the original at its creation instant and is mutated
-  /// only by its single owning worker. Replicas share no mutable state
-  /// with the parent: curves are immutable and shared by handle.
+  /// Deep copy of the committed session state (retained curves included):
+  /// the copy answers what_if / query exactly like the original at its
+  /// creation instant and is mutated only by its single owner (a tenant of
+  /// a registry, a region probe column). Copies share no mutable state with
+  /// the parent: curves are immutable and shared by handle.
   [[nodiscard]] std::unique_ptr<AdmissionSession> clone_committed() const;
 
-  /// Stable-id counter passthrough, so a scheduler fanning reads over
-  /// replicas can pre-assign the ids the sequential execution would have
-  /// handed out (System::next_job_id semantics).
+  /// Stable-id counter passthrough, so a scheduler coalescing reads can
+  /// pre-assign the ids the sequential execution would have handed out
+  /// (System::next_job_id semantics).
   [[nodiscard]] std::uint64_t peek_next_job_id() const {
     return system_.next_job_id();
   }
@@ -183,7 +184,6 @@ class AdmissionSession {
 
   Decision run_candidate(Job job, bool commit_on_admit);
   bool try_fast_what_if(const Job& job, ReadDecision& rd);
-  void fill_explain(Decision& d, std::size_t k_new) const;
   const ReadCache& read_cache();
   void analyze_pass(Decision& d, const DependencyOrder& order,
                     Time base_horizon, const std::vector<char>* dirty,

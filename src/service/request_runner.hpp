@@ -29,7 +29,7 @@
 //     runner; every request executes one at a time on the primary session
 //     through the general analysis path.
 //   - run_request_stream(session, in, out, options): the batching
-//     RequestScheduler (request_scheduler.hpp) with read fan-out,
+//     RequestScheduler (request_scheduler.hpp) with read coalescing,
 //     backpressure, and per-request timeouts.
 #pragma once
 
@@ -51,8 +51,9 @@ struct RunnerStats {
 
 /// Scheduler knobs for the 4-argument run_request_stream overload.
 struct StreamOptions {
-  /// Worker count for read batches: 1 = no fan-out (primary session only),
-  /// 0 = hardware concurrency, N = that many workers.
+  /// No effect: every read batch runs on the one session. Kept only so that
+  /// perfbench/closed_loop.cpp, which sets it, still compiles; remove both
+  /// together in the next change to perfbench.
   int parallel_reads = 1;
   /// Upper bound on requests buffered in the current batch; a request
   /// arriving at a full batch is rejected with the retryable error code
@@ -73,9 +74,9 @@ RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
                                std::ostream& out);
 
 /// Scheduler-driven variant: classifies requests read-only vs mutating,
-/// fans consecutive reads across snapshot replicas, coalesces duplicate
-/// reads (singleflight) and consecutive mutations, and applies the
-/// backpressure / timeout policy in `options`.
+/// batches consecutive requests of one class, coalesces duplicate reads
+/// (singleflight), and applies the backpressure / timeout policy in
+/// `options`.
 /// Responses are emitted in request order and are byte-identical (modulo
 /// latency_us) to the sequential runner for any stream when timeouts and
 /// backpressure are disabled. Defined in request_scheduler.cpp.

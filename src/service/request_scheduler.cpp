@@ -1,11 +1,11 @@
 #include "service/request_scheduler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -15,15 +15,6 @@
 namespace rta::service {
 
 namespace {
-
-int resolve_read_workers(int parallel_reads) {
-  if (parallel_reads == 1) return 1;
-  if (parallel_reads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  return parallel_reads;
-}
 
 double micros_since(std::chrono::steady_clock::time_point since) {
   const std::chrono::duration<double, std::micro> us =
@@ -35,10 +26,7 @@ double micros_since(std::chrono::steady_clock::time_point since) {
 
 RequestScheduler::RequestScheduler(AdmissionSession& session,
                                    std::ostream& out, StreamOptions options)
-    : session_(session),
-      out_(out),
-      options_(options),
-      read_workers_(resolve_read_workers(options.parallel_reads)) {
+    : session_(session), out_(out), options_(options) {
   tracer_ = session.config().analysis.observer.tracer;
   obs::MetricsRegistry* metrics = session.config().analysis.observer.metrics;
   if (metrics != nullptr) {
@@ -52,7 +40,6 @@ RequestScheduler::RequestScheduler(AdmissionSession& session,
     timeout_counter_ = metrics->counter("service.timeouts");
     failure_counter_ = metrics->counter("service.failures");
     coalesced_counter_ = metrics->counter("service.coalesced");
-    replica_refresh_counter_ = metrics->counter("service.replica_refresh");
   }
 }
 
@@ -186,13 +173,13 @@ bool RequestScheduler::expire_if_stale(Pending& p) {
   return true;
 }
 
-void RequestScheduler::execute_one(AdmissionSession& session, Pending& p) {
+void RequestScheduler::execute_one(Pending& p) {
   obs::Tracer::Span req_span = request_span(p);
   try {
     obs::Tracer::Span class_span = obs::Tracer::span_if(
         tracer_, p.req.cls == detail::RequestClass::kMutate ? "service.mutate"
                                                             : "service.read");
-    p.ok = detail::execute_request(session, p.req, p.response,
+    p.ok = detail::execute_request(session_, p.req, p.response,
                                    /*fast_reads=*/true);
   } catch (const std::exception& e) {
     detail::set_error(p.response, "internal",
@@ -210,19 +197,18 @@ void RequestScheduler::execute_one(AdmissionSession& session, Pending& p) {
 
 void RequestScheduler::execute_mutations() {
   for (Pending& p : pending_) {
-    if (p.executable && !expire_if_stale(p)) execute_one(session_, p);
+    if (p.executable && !expire_if_stale(p)) execute_one(p);
   }
-  // The committed state moved; snapshots answer from the past now.
-  ++commit_epoch_;
 }
 
 void RequestScheduler::execute_reads() {
   // Simulate the stable-id counter over the batch in request order: a
   // sequential what_if consumes an id (System::add_job bumps the counter;
-  // the rollback does not rewind it), so replicas must receive
-  // pre-assigned ids and the primary must land on the same counter value.
-  // Expired entries are excluded first (expire_if_stale): they never
-  // execute, so they never consume an id.
+  // the rollback does not rewind it), so a coalesced duplicate must echo
+  // the id its own sequential execution would have drawn, and the session
+  // must land on the same counter value. Expired entries are excluded
+  // first (expire_if_stale): they never execute, so they never consume an
+  // id.
   std::uint64_t cur = session_.peek_next_job_id();
   std::vector<std::size_t> exec;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
@@ -264,42 +250,7 @@ void RequestScheduler::execute_reads() {
     primaries = exec;
   }
 
-  const std::size_t n = primaries.size();
-  // At least one chunk: a batch whose reads all expired has n == 0.
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(static_cast<std::size_t>(read_workers_), n));
-  if (chunks > 1) {
-    if (replica_epoch_ != commit_epoch_) {
-      obs::Tracer::Span clone_span = obs::Tracer::span_if(
-          tracer_, "service.snapshot_clone",
-          "{\"replicas\": " + std::to_string(read_workers_ - 1) + "}");
-      replicas_.clear();
-      for (int r = 0; r + 1 < read_workers_; ++r) {
-        replicas_.push_back(session_.clone_committed());
-      }
-      replica_epoch_ = commit_epoch_;
-      replica_refresh_counter_.inc();
-    }
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(
-          static_cast<std::size_t>(read_workers_ - 1));
-    }
-  }
-
-  const std::size_t per = (n + chunks - 1) / chunks;
-  auto run_chunk = [&](std::size_t c) {
-    AdmissionSession& session = c == 0 ? session_ : *replicas_[c - 1];
-    const std::size_t begin = c * per;
-    const std::size_t end = std::min(n, begin + per);
-    for (std::size_t j = begin; j < end; ++j) {
-      execute_one(session, pending_[primaries[j]]);
-    }
-  };
-  if (chunks == 1) {
-    run_chunk(0);
-  } else {
-    for_each_index(pool_.get(), chunks, run_chunk);
-  }
+  for (const std::size_t idx : primaries) execute_one(pending_[idx]);
 
   // Resolve duplicates from their primaries, re-stamping the per-request
   // echo fields. A simulated (auto) job id is the only decision field that

@@ -4,27 +4,20 @@
 // read-only (what_if, query) vs mutating (admit, remove). The scheduler
 // buffers consecutive requests of one class and executes the buffer as a
 // batch at each class boundary (a barrier), at end of input, or when
-// backpressure sheds the overflow:
+// backpressure sheds the overflow. Every batch runs in request order on the
+// one session, on the calling thread:
 //
-//   - A read batch fans out across up to `parallel_reads` workers. Chunk 0
-//     runs on the primary session (whose fast what-if path mutates and
-//     restores, so it must stay single-owner); the other chunks run against
-//     committed-state replica snapshots (AdmissionSession::clone_committed),
-//     rebuilt lazily after a mutation batch and only when a batch actually
-//     spans multiple chunks. With parallel_reads == 1 no replica is ever
-//     cloned.
-//   - A mutation batch executes serially on the primary session, in order;
-//     coalescing consecutive mutations means the committed state (and the
-//     replicas) are reconciled once per batch, not once per request.
-//   - Within a read batch, byte-identical request lines are coalesced
-//     (singleflight): the analysis runs once and every duplicate receives a
-//     copy of the answer, with its own request/line echo and -- for
-//     auto-assigned ids -- its own simulated job_id. Against one committed
-//     snapshot identical reads are pure-function calls, so this is exact,
-//     not approximate; it is what makes polling workloads (clients
+//   - A read batch answers through the session's fast what-if path where
+//     it applies. Within the batch, byte-identical request lines are
+//     coalesced (singleflight): the analysis runs once and every duplicate
+//     receives a copy of the answer, with its own request/line echo and --
+//     for auto-assigned ids -- its own simulated job_id. Against one
+//     committed state identical reads are pure-function calls, so this is
+//     exact, not approximate; it is what makes polling workloads (clients
 //     re-probing pending candidates between reconfigurations) cheap.
 //     Coalescing is disabled while request_timeout_ms is set, because each
 //     instance's expiry is wall-clock-specific.
+//   - A mutation batch executes in order, one request at a time.
 //
 // Ordering guarantees: responses are emitted in request order, and every
 // read observes the committed state as of the last preceding mutation (the
@@ -32,51 +25,34 @@
 // any stream -- with timeouts and backpressure disabled -- the scheduler's
 // responses are byte-identical to run_request_stream(session, in, out)
 // modulo the latency_us field (tests/test_request_scheduler.cpp drives
-// randomized differential streams at 1, 2, and hardware threads).
+// randomized differential streams).
 //
-// Determinism under fan-out rests on two invariants. First, reads are
-// side-effect-free against a snapshot identical to the primary's committed
-// state. Second, the stable-id counter is simulated: a what_if consumes a
-// job id exactly like sequential execution would (auto ids are pre-assigned
-// in request order, explicit non-duplicate ids advance the counter,
-// duplicates consume nothing), and the primary's counter is set to the
-// simulated value after the batch -- so job_id fields and later admits match
-// the sequential runner bit for bit.
-//
-// Concurrency discipline (docs/static-analysis.md): shared state during a
-// read fan-out is partitioned, not locked -- each Pending entry's outcome
-// fields are written by exactly one worker (the chunk that executes it),
-// chunk 0 owns the primary session, and chunks 1.. own one replica each.
-// The scheduler therefore carries no mutexes; the ThreadPool it fans out on
-// is fully annotated for Clang's -Wthread-safety, and the partitioning
-// contract is enforced dynamically (TSan job) and differentially
-// (tests/test_request_scheduler.cpp) rather than statically.
+// The stable-id counter is simulated over a read batch: a what_if consumes
+// a job id exactly like sequential execution would (auto ids are
+// pre-assigned in request order, explicit non-duplicate ids advance the
+// counter, duplicates consume nothing), and the session's counter is set
+// to the simulated value after the batch -- so the job_id a coalesced
+// duplicate echoes, and every later admit, match the sequential runner bit
+// for bit.
 //
 // Failure isolation: a request whose execution throws yields an
 // "internal" error ("request failed: ...") for its line; the stream always
 // continues. Backpressure (max_inflight) rejects with the retryable code
 // "overloaded"; per-request timeouts (request_timeout_ms) answer the
-// retryable code "timeout" without executing. Expiry is decided once per batch, before the job-id counter
-// simulation, so a request that never executes (shed or timed out) never
-// consumes an id -- later job_ids match the sequential runner on the
-// surviving lines bit for bit. docs/api.md documents the full response
-// schema.
+// retryable code "timeout" without executing. Expiry is decided once per
+// batch, before the job-id counter simulation, so a request that never
+// executes (shed or timed out) never consumes an id -- later job_ids match
+// the sequential runner on the surviving lines bit for bit. docs/api.md
+// documents the full response schema.
 //
 // Lifecycle: finish() drains and seals the scheduler; it is idempotent, and
 // submitting after it throws std::logic_error (the defined error for the
 // use-after-close programming bug -- silently emitting past the drained
 // stream end would interleave with whatever the caller did next).
-//
-// Snapshot replicas are epoch-based: every mutation batch advances
-// commit_epoch(), and a read fan-out re-clones its replicas only when their
-// epoch is stale -- once per mutation batch at most, never per request
-// (counter service.replica_refresh observes exactly that).
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,7 +61,6 @@
 #include "service/admission_session.hpp"
 #include "service/request_codec.hpp"
 #include "service/request_runner.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rta::service {
 
@@ -96,7 +71,7 @@ class RequestScheduler {
   /// service.read_us / service.mutate_us, gauge service.queue_depth_max
   /// (high-water batch depth since start; docs/observability.md), and
   /// counters service.rejected / service.timeouts / service.failures /
-  /// service.coalesced / service.replica_refresh.
+  /// service.coalesced.
   RequestScheduler(AdmissionSession& session, std::ostream& out,
                    StreamOptions options = {});
   ~RequestScheduler();
@@ -134,13 +109,6 @@ class RequestScheduler {
 
   [[nodiscard]] const RunnerStats& stats() const { return stats_; }
 
-  /// Resolved read fan-out width (parallel_reads with 0 -> hardware).
-  [[nodiscard]] int read_workers() const { return read_workers_; }
-
-  /// Committed-state epoch: bumped once per executed mutation batch. Read
-  /// replicas are re-cloned only when their epoch trails this one.
-  [[nodiscard]] std::uint64_t commit_epoch() const { return commit_epoch_; }
-
  private:
   struct Pending {
     detail::ParsedRequest req;
@@ -150,7 +118,7 @@ class RequestScheduler {
     std::chrono::steady_clock::time_point arrival;
     bool executable = false;  ///< false: response completed at submit time
     bool auto_id = false;     ///< job_id was simulated, not client-supplied
-    // Outcome, written only by the one worker executing this entry.
+    // Outcome of executing this entry.
     bool ok = false;
     bool failed = false;
     bool timed_out = false;
@@ -159,7 +127,7 @@ class RequestScheduler {
 
   void execute_mutations();
   void execute_reads();
-  void execute_one(AdmissionSession& session, Pending& p);
+  void execute_one(Pending& p);
   void complete_at_submit(Pending& p);
   [[nodiscard]] Pending make_pending(const std::string& line,
                                      detail::ParsedRequest req);
@@ -169,15 +137,6 @@ class RequestScheduler {
   AdmissionSession& session_;
   std::ostream& out_;
   StreamOptions options_;
-  int read_workers_ = 1;
-
-  /// Fan-out helpers (read_workers_ - 1; the caller is chunk 0's worker).
-  std::unique_ptr<ThreadPool> pool_;
-  /// Committed-state snapshots for chunks 1..; stale when their epoch
-  /// trails commit_epoch_ (replica_epoch_ 0 = never cloned).
-  std::vector<std::unique_ptr<AdmissionSession>> replicas_;
-  std::uint64_t commit_epoch_ = 1;
-  std::uint64_t replica_epoch_ = 0;
 
   std::vector<Pending> pending_;  ///< current batch + interleaved immediates
   int inflight_ = 0;              ///< executable entries in pending_
@@ -197,7 +156,6 @@ class RequestScheduler {
   obs::Counter timeout_counter_;
   obs::Counter failure_counter_;
   obs::Counter coalesced_counter_;
-  obs::Counter replica_refresh_counter_;
 };
 
 }  // namespace rta::service

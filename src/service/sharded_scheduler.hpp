@@ -5,8 +5,7 @@
 // (TenantRegistry::shard_of, a pure function of the tenant name) and gives
 // every tenant its own RequestScheduler -- so each tenant keeps the full
 // single-session machinery: read/mutate classification with class barriers,
-// singleflight coalescing, epoch-refreshed snapshot replicas, and the
-// simulated stable-id counter.
+// singleflight coalescing, and the simulated stable-id counter.
 //
 // Data flow: submit_line parses the line once, routes it by its "tenant"
 // field, and appends it to its shard's run queue. When the queued lines
@@ -69,7 +68,7 @@ struct ShardedOptions {
   /// sets drain concurrently.
   int shards = 1;
 
-  /// Per-tenant scheduler knobs (read fan-out, timeouts). The
+  /// Per-tenant scheduler knobs (timeouts, backpressure). The
   /// scheduler-level max_inflight composes with the routing-level bounds
   /// below; multi-tenant callers normally leave it 0 and bound at routing
   /// time instead.

@@ -1,6 +1,8 @@
 // Fixed-size worker pool for embarrassingly-parallel work: Monte-Carlo
-// evaluation (eval/experiment.cpp) and the parallel analysis engine
-// (analysis/bounds.cpp, analysis/iterative.cpp).
+// evaluation (eval/experiment.cpp), the parallel analysis engines
+// (analysis/bounds.cpp, analysis/iterative.cpp), region probe columns
+// (service/region.cpp) and tenant shards (service/sharded_scheduler.cpp).
+// parallel_for_index is its one entry point.
 //
 // Determinism contract: parallel_for_index hands each index to exactly one
 // shard; bodies write only per-index state (callers derive per-index RNG
@@ -74,13 +76,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Tasks submitted but not yet picked up by a worker. A point-in-time
-  /// reading for queue-depth gauges; stale by the time the caller acts on it.
-  [[nodiscard]] std::size_t pending() const {
-    MutexLock lock(mutex_);
-    return tasks_.size();
-  }
-
   /// Point-in-time copy of the lifetime counters.
   [[nodiscard]] Stats stats() const {
     Stats s;
@@ -97,16 +92,6 @@ class ThreadPool {
       s.worker_busy_ns.push_back(busy_ns_[i].load(std::memory_order_relaxed));
     }
     return s;
-  }
-
-  /// Enqueue a task; it runs on some worker eventually. Tasks must not throw.
-  void submit(std::function<void()> task) {
-    {
-      MutexLock lock(mutex_);
-      tasks_.push(std::move(task));
-      if (tasks_.size() > queue_high_water_) queue_high_water_ = tasks_.size();
-    }
-    cv_.notify_one();
   }
 
   /// Run body(i) for i in [0, count) across the pool and the calling thread;
@@ -199,6 +184,16 @@ class ThreadPool {
   }
 
  private:
+  /// Enqueue a task; it runs on some worker eventually. Tasks must not throw.
+  void submit(std::function<void()> task) {
+    {
+      MutexLock lock(mutex_);
+      tasks_.push(std::move(task));
+      if (tasks_.size() > queue_high_water_) queue_high_water_ = tasks_.size();
+    }
+    cv_.notify_one();
+  }
+
   void worker_loop(std::size_t worker_index) {
     for (;;) {
       std::function<void()> task;

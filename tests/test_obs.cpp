@@ -568,9 +568,7 @@ TEST(ServiceObs, QueueDepthGaugeIsNamedAsHighWaterMark) {
   cfg.analysis.observer.metrics = &registry;
   service::AdmissionSession session(sys, cfg);
   std::ostringstream out;
-  service::StreamOptions options;
-  options.parallel_reads = 2;
-  service::RequestScheduler scheduler(session, out, options);
+  service::RequestScheduler scheduler(session, out, service::StreamOptions{});
   for (int i = 0; i < 3; ++i) scheduler.submit_line("{\"op\": \"query\"}");
   scheduler.finish();
 

@@ -3,8 +3,8 @@
 // backpressure disabled, the scheduler's response stream is byte-identical
 // (modulo the latency_us field) to the sequential reference runner for ANY
 // request stream -- including malformed lines, unknown ops, duplicate ids,
-// and invalid removals -- at every read fan-out width. On top of that, the
-// shedding and expiry policies themselves are exercised directly.
+// and invalid removals. On top of that, the shedding and expiry policies
+// themselves are exercised directly.
 //
 // Suites are named Service* so the CI thread-sanitizer job picks them up
 // (.github/workflows/ci.yml filters on the Service prefix).
@@ -190,11 +190,10 @@ RunnerStats run_scheduled(const System& base, const std::string& stream,
   return stats;
 }
 
-/// The acceptance bar: byte-identical payloads at 1, 2, and hardware
-/// threads, for streams mixing reads, mutations, and malformed input.
+/// The acceptance bar: byte-identical payloads for streams mixing reads,
+/// mutations, and malformed input.
 TEST(ServiceScheduler, DifferentialMatchesSequentialRunner) {
   const RngFactory factory(0xD1FFBA7C);
-  const int widths[] = {1, 2, 0};  // 0 resolves to hardware concurrency
   int total_coalesced = 0;
   for (int trial = 0; trial < 3; ++trial) {
     const System base = make_base(100 + static_cast<std::uint64_t>(trial));
@@ -205,21 +204,15 @@ TEST(ServiceScheduler, DifferentialMatchesSequentialRunner) {
     std::string expected;
     const RunnerStats ref = run_sequential(base, stream, expected);
     ASSERT_GT(ref.requests, 0);
-    const std::string expected_stripped = strip_latency(expected);
 
-    for (const int width : widths) {
-      StreamOptions options;
-      options.parallel_reads = width;
-      std::string got;
-      const RunnerStats stats = run_scheduled(base, stream, options, got);
-      EXPECT_EQ(strip_latency(got), expected_stripped)
-          << "trial " << trial << " parallel_reads " << width;
-      EXPECT_EQ(stats.requests, ref.requests) << "parallel_reads " << width;
-      EXPECT_EQ(stats.errors, ref.errors) << "parallel_reads " << width;
-      EXPECT_EQ(stats.rejected, 0);
-      EXPECT_EQ(stats.timeouts, 0);
-      total_coalesced += stats.coalesced;
-    }
+    std::string got;
+    const RunnerStats stats = run_scheduled(base, stream, StreamOptions{}, got);
+    EXPECT_EQ(strip_latency(got), strip_latency(expected)) << "trial " << trial;
+    EXPECT_EQ(stats.requests, ref.requests) << "trial " << trial;
+    EXPECT_EQ(stats.errors, ref.errors) << "trial " << trial;
+    EXPECT_EQ(stats.rejected, 0);
+    EXPECT_EQ(stats.timeouts, 0);
+    total_coalesced += stats.coalesced;
     EXPECT_EQ(ref.coalesced, 0);  // the sequential runner never coalesces
   }
   // The streams contain verbatim-repeated reads, so coalescing must have
@@ -248,9 +241,8 @@ TEST(ServiceScheduler, CoalescesDuplicateReadsBitIdentically) {
   const RunnerStats ref = run_sequential(base, stream, expected);
   EXPECT_EQ(ref.coalesced, 0);
 
-  StreamOptions options;  // width 1: coalescing is width-independent
   std::string got;
-  const RunnerStats stats = run_scheduled(base, stream, options, got);
+  const RunnerStats stats = run_scheduled(base, stream, StreamOptions{}, got);
   EXPECT_EQ(strip_latency(got), strip_latency(expected));
   EXPECT_EQ(stats.requests, 5);
   EXPECT_EQ(stats.coalesced, 3);  // one query + two what_if duplicates
@@ -273,10 +265,9 @@ TEST(ServiceScheduler, ErrorStreamCompletesWithPerLineResponses) {
       "{\"op\": \"remove\", \"job_id\": 424242}\n"
       "{\"op\": \"remove\", \"name\": \"ghost\"}\n"
       "{\"op\": \"query\"}\n";
-  StreamOptions options;
-  options.parallel_reads = 2;
   std::string responses;
-  const RunnerStats stats = run_scheduled(base, stream, options, responses);
+  const RunnerStats stats =
+      run_scheduled(base, stream, StreamOptions{}, responses);
 
   EXPECT_EQ(stats.requests, 9);  // 11 lines minus blank + comment
   EXPECT_EQ(stats.errors, 8);    // everything except the final query
@@ -403,10 +394,8 @@ TEST(ServiceScheduler, TraceIdsPropagateOrMintDeterministically) {
 
   std::string sequential;
   run_sequential(base, stream, sequential);
-  StreamOptions options;
-  options.parallel_reads = 2;
   std::string scheduled;
-  run_scheduled(base, stream, options, scheduled);
+  run_scheduled(base, stream, StreamOptions{}, scheduled);
 
   const auto trace_ids = [](const std::string& responses) {
     std::vector<std::string> ids;
@@ -444,7 +433,6 @@ TEST(ServiceScheduler, BackpressureShedsDeterministically) {
   stream << "{\"op\": \"query\"}\n";  // same class: still shed
 
   StreamOptions options;
-  options.parallel_reads = 2;
   options.max_inflight = 2;
   std::string responses;
   const RunnerStats stats =
@@ -572,7 +560,6 @@ TEST(ServiceScheduler, ShedRequestsDoNotConsumeJobIds) {
     }
 
     StreamOptions options;
-    options.parallel_reads = 2;
     options.max_inflight = 2;             // dense read runs overflow and shed
     options.request_timeout_ms = 1.0e7;   // armed, never fires
     std::string responses;
@@ -651,8 +638,8 @@ TEST(ServiceScheduler, FinishIsIdempotentAndSubmitAfterFinishThrows) {
 }
 
 /// what_if_region flows through the read path of both drivers and stays
-/// inside the byte-identity contract at every fan-out width; probing never
-/// consumes job ids, so surrounding what_ifs are unaffected.
+/// inside the byte-identity contract; probing never consumes job ids, so
+/// surrounding what_ifs are unaffected.
 TEST(ServiceScheduler, RegionRequestsAreByteIdenticalAcrossDrivers) {
   const System base = make_base(31);
   Rng rng(0x9E6107);
@@ -674,7 +661,6 @@ TEST(ServiceScheduler, RegionRequestsAreByteIdenticalAcrossDrivers) {
   const RunnerStats ref = run_sequential(base, stream, expected);
   EXPECT_EQ(ref.requests, 7);
   EXPECT_EQ(ref.errors, 2);  // unknown target + empty axes
-  const std::string expected_stripped = strip_latency(expected);
 
   bool saw_region = false;
   std::istringstream lines(expected);
@@ -692,15 +678,10 @@ TEST(ServiceScheduler, RegionRequestsAreByteIdenticalAcrossDrivers) {
   }
   EXPECT_TRUE(saw_region);
 
-  for (const int width : {1, 2, 0}) {
-    StreamOptions options;
-    options.parallel_reads = width;
-    std::string got;
-    const RunnerStats stats = run_scheduled(base, stream, options, got);
-    EXPECT_EQ(strip_latency(got), expected_stripped)
-        << "parallel_reads " << width;
-    EXPECT_EQ(stats.errors, ref.errors) << "parallel_reads " << width;
-  }
+  std::string got;
+  const RunnerStats stats = run_scheduled(base, stream, StreamOptions{}, got);
+  EXPECT_EQ(strip_latency(got), strip_latency(expected));
+  EXPECT_EQ(stats.errors, ref.errors);
 }
 
 /// Reads always observe the committed state as of the last preceding
@@ -722,11 +703,9 @@ TEST(ServiceScheduler, ReadsObserveLatestCommittedMutation) {
   stream << "{\"op\": \"remove\", \"name\": \"light\"}\n";
   stream << "{\"op\": \"query\"}\n";
 
-  StreamOptions options;
-  options.parallel_reads = 2;
   std::string responses;
   const RunnerStats stats =
-      run_scheduled(base, stream.str(), options, responses);
+      run_scheduled(base, stream.str(), StreamOptions{}, responses);
   EXPECT_EQ(stats.errors, 0) << responses;
 
   std::vector<int> job_counts;

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -166,8 +167,6 @@ const std::vector<CommandSpec>& command_table() {
            {"out", "FILE", nullptr, "responses here instead of stdout"},
            {"horizon", "H", "auto", "pinned analysis horizon"},
            {"priorities", "P", "keep", "keep|pdm|dm|rm"},
-           {"parallel-reads", "N", "1",
-            "read-batch workers (0 = all hardware threads)", true},
            {"max-inflight", "N", "0",
             "shed requests beyond this batch depth (0 = unbounded)"},
            {"request-timeout-ms", "MS", "0",
@@ -267,9 +266,9 @@ int usage() {
 }
 
 /// Values of N / MS / H flags must parse in full as finite numbers: N and MS
-/// non-negative (integers for N, at most kMaxWorkers for a worker count),
-/// H (a horizon) positive. Prints every offender; true when all are
-/// well-formed.
+/// non-negative (integers for N, at most INT_MAX since the commands read
+/// them into an int, and at most kMaxWorkers for a worker count), H (a
+/// horizon) positive. Prints every offender; true when all are well-formed.
 bool check_numeric_flags(const char* cmd, const Options& opts,
                          const std::vector<FlagSpec>& flags) {
   bool ok = true;
@@ -291,6 +290,10 @@ bool check_numeric_flags(const char* cmd, const Options& opts,
                    : positive ? "positive number"
                               : "non-negative number",
                    v.c_str());
+      ok = false;
+    } else if (integer && x > static_cast<double>(INT_MAX)) {
+      std::fprintf(stderr, "rta_cli %s: --%s wants an integer at most %d, "
+                   "got '%s'\n", cmd, f.name, INT_MAX, v.c_str());
       ok = false;
     } else if (f.workers && x > static_cast<double>(kMaxWorkers)) {
       std::fprintf(stderr, "rta_cli %s: --%s wants at most %lld workers, "
@@ -990,8 +993,6 @@ int cmd_serve(const Options& opts, System system) {
     }
 
     service::StreamOptions stream;
-    stream.parallel_reads = static_cast<int>(
-        opts.get_int("parallel-reads", stream.parallel_reads));
     stream.max_inflight =
         static_cast<int>(opts.get_int("max-inflight", stream.max_inflight));
     stream.request_timeout_ms =
@@ -1010,13 +1011,11 @@ int cmd_serve(const Options& opts, System system) {
                      admission->system().job_count());
         return stats.errors == 0 ? 0 : 1;
       }
-      // Multi-tenant: read fan-out runs across shards, so each tenant's
-      // scheduler stays serial, and --max-inflight becomes the per-tenant
-      // routing bound (docs/api.md, sharded_scheduler.hpp).
+      // Multi-tenant: --max-inflight becomes the per-tenant routing bound
+      // (docs/api.md, sharded_scheduler.hpp).
       service::ShardedOptions sharded;
       sharded.shards = static_cast<int>(opts.get_int("shards", 1));
       sharded.stream = stream;
-      sharded.stream.parallel_reads = 1;
       sharded.stream.max_inflight = 0;
       sharded.tenant_max_inflight = stream.max_inflight;
       service::ShardedScheduler sched(registry, os, sharded,
