@@ -35,7 +35,7 @@ void merged_grid(const CurveView& a, const CurveView& b,
     } else {
       t = b.t[j++];
     }
-    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+    if (out.empty() || !time_eq_ordered(out.back(), t)) out.push_back(t);
   }
 }
 
@@ -99,7 +99,7 @@ void merged_grid(const std::vector<CurveView>& views, SumScratch& scratch,
   out.clear();
   out.reserve(merged.size());
   for (const Time t : merged) {
-    if (out.empty() || !time_eq(out.back(), t)) out.push_back(t);
+    if (out.empty() || !time_eq_ordered(out.back(), t)) out.push_back(t);
   }
 }
 
@@ -207,7 +207,9 @@ PwlCurve combine(const PwlCurve& a, const PwlCurve& b, Op op,
     grid.insert(grid.end(), crossings.begin(), crossings.end());
     std::sort(grid.begin(), grid.end());
     grid.erase(std::unique(grid.begin(), grid.end(),
-                           [](Time x, Time y) { return time_eq(x, y); }),
+                           [](Time x, Time y) {
+                             return time_eq_ordered(x, y);
+                           }),
                grid.end());
     pass(false);
   }

@@ -46,7 +46,7 @@ std::shared_ptr<const CurveData> CurveArena::finalize() {
   std::size_t w = 0;
   const std::size_t n = t_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (w > 0 && time_eq(t_[w - 1], t_[i])) {
+    if (w > 0 && time_eq_ordered(t_[w - 1], t_[i])) {
       r_[w - 1] = r_[i];
     } else {
       assert(w == 0 || t_[i] > t_[w - 1]);

@@ -28,9 +28,11 @@
 //     that replicates the knot-based eval/eval_left semantics branch for
 //     branch;
 //   * sorted sweeps: flat_eval_sweep, which yields both values at every
-//     instant of a nondecreasing array, computing the interpolation of the
-//     segment an instant lies strictly inside and running the ladder only
-//     at instants on or near a knot (or outside the curve's span).
+//     instant of a nondecreasing array and sorts each instant into one of
+//     three classes: strictly inside a segment (the segment's
+//     interpolation), exactly on an interior knot (that knot's stored left
+//     limit and right value), and everything else -- near a knot, on the
+//     first or last knot, or outside the curve's span (the ladder).
 //
 // Both give the same bits, and those are the legacy implementation's
 // (proven by tests/test_curve_kernels.cpp against the test-only oracles in
@@ -177,12 +179,21 @@ inline void flat_eval_both(const CurveView& v, Time q, SegmentCursor& cur,
 
 /// flat_eval_both at every instant of the nondecreasing array q[0..m):
 /// calls emit(k, left, right) for k = 0, 1, ..., m - 1 in order, with the
-/// values of flat_eval_both(v, q[k], ...) bit for bit. An instant strictly
-/// inside segment i (above t_i and below t_{i+1}, time_eq to neither) gets
-/// the segment's interpolation directly; plain comparisons find those
-/// instants, with O(1) time_eq calls per segment. Only instants <= 0,
-/// time_eq to a knot, or at or past the last knot run the tolerant ladder,
-/// so any sorted array works, whether or not it holds the curve's knots.
+/// values of flat_eval_both(v, q[k], ...) bit for bit, for any view laid out
+/// as CurveArena::finalize leaves it (t_0 = 0, strictly increasing, no two
+/// neighbouring knots time_eq). Each instant falls in one of three classes:
+///
+///   * strictly inside segment i (above t_i and below t_{i+1}, time_eq to
+///     neither): the segment's interpolation, found by plain comparisons
+///     with O(1) time_eq calls per segment;
+///   * bitwise equal to an interior knot t_i (1 <= i <= n - 2): (l[i], r[i])
+///     directly. That is the ladder's answer: the cursor lands on i, q is
+///     time_eq to t_i, and since no neighbours are time_eq, q is time_eq
+///     neither to 0 nor to t_{n-1};
+///   * everything else -- q <= 0, t_0, t_{n-1}, near (time_eq to but not
+///     equal to) a knot, or past the last knot: the tolerant ladder.
+///
+/// So any sorted array works, whether or not it holds the curve's knots.
 template <typename Emit>
 void flat_eval_sweep(const CurveView& v, const Time* q, std::size_t m,
                      Emit&& emit) {
@@ -197,16 +208,26 @@ void flat_eval_sweep(const CurveView& v, const Time* q, std::size_t m,
   for (std::size_t i = 0; i + 1 < v.n && k < m; ++i) {
     const Time t0 = v.t[i];
     const Time t1 = v.t[i + 1];
+    assert(!time_eq_ordered(t0, t1));
     std::size_t end = k;  // [k, end): the instants below t1
     while (end < m && q[end] < t1) ++end;
     // time_eq to t0 holds on a prefix of these instants and time_eq to t1
     // on a suffix, since |q - t| grows (shrinks) with q faster than the
-    // tolerance does.
+    // tolerance does. Every instant here past the ones <= 0 is >= t0 (the
+    // earlier segments took those below it) and below t1, so both scans
+    // compare operands in order.
     std::size_t lo = k;
-    while (lo < end && (q[lo] <= 0.0 || time_eq(q[lo], t0))) ++lo;
+    while (lo < end && (q[lo] <= 0.0 || time_eq_ordered(t0, q[lo]))) ++lo;
     std::size_t hi = end;
-    while (hi > lo && time_eq(q[hi - 1], t1)) --hi;
-    for (; k < lo; ++k) ladder(k);
+    while (hi > lo && time_eq_ordered(q[hi - 1], t1)) --hi;
+    for (; k < lo; ++k) {
+      // rta-lint: allow(float-eq) the exact-knot class is bitwise q == t_i
+      if (i > 0 && q[k] == t0) {
+        emit(k, v.l[i], v.r[i]);  // exactly on interior knot i
+      } else {
+        ladder(k);
+      }
+    }
     for (; k < hi; ++k) {
       const double frac = (q[k] - t0) / (t1 - t0);
       const double value = v.r[i] + frac * (v.l[i + 1] - v.r[i]);

@@ -7,6 +7,7 @@
 // through the tolerant helpers here so that 2.9999999996 counts as 3.
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -34,6 +35,16 @@ inline constexpr double kTimeEpsRel = 1e-12;
 [[nodiscard]] inline bool time_eq(Time a, Time b) {
   if (std::isinf(a) || std::isinf(b)) return a == b;
   return std::fabs(a - b) <= time_tolerance(a, b);
+}
+
+/// time_eq(a, b) for operands already in order, bit for bit. Domain: a >= 0,
+/// b finite, and a <= b (or a above b but time_eq to it, where both forms
+/// hold). There |a - b| is exactly b - a and max(|a|, |b|) is b, so the
+/// isinf/fabs/fmax steps of time_eq drop out. For sorted grids and knot
+/// arrays; the domain is asserted in debug builds.
+[[nodiscard]] inline bool time_eq_ordered(Time a, Time b) {
+  assert(a >= 0.0 && std::isfinite(b) && (a <= b || time_eq(a, b)));
+  return b - a <= kTimeEpsAbs + kTimeEpsRel * b;
 }
 
 /// a < b and not within tolerance.

@@ -25,6 +25,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -684,10 +685,10 @@ TEST(CurveKernelDifferential, ComposeCappedMaxMatchesChain) {
 
 /// The sweep's (left, right) at every instant of `grid`.
 std::vector<std::pair<double, double>> sweep_values(
-    const PwlCurve& c, const std::vector<Time>& grid) {
+    const CurveView& v, const std::vector<Time>& grid) {
   std::vector<std::pair<double, double>> out(grid.size());
   std::size_t expected = 0;
-  flat_eval_sweep(c.view(), grid.data(), grid.size(),
+  flat_eval_sweep(v, grid.data(), grid.size(),
                   [&](std::size_t k, double left, double right) {
                     EXPECT_EQ(k, expected++);  // every instant, in order
                     out[k] = {left, right};
@@ -696,11 +697,10 @@ std::vector<std::pair<double, double>> sweep_values(
   return out;
 }
 
-void expect_sweep_matches_ladder(const PwlCurve& c,
+void expect_sweep_matches_ladder(const CurveView& v,
                                  const std::vector<Time>& grid) {
   ASSERT_TRUE(std::is_sorted(grid.begin(), grid.end()));
-  const std::vector<std::pair<double, double>> got = sweep_values(c, grid);
-  const CurveView v = c.view();
+  const std::vector<std::pair<double, double>> got = sweep_values(v, grid);
   SegmentCursor cur(v);
   for (std::size_t k = 0; k < grid.size(); ++k) {
     double left = 0.0;
@@ -761,8 +761,8 @@ TEST(CurveEvalSweep, MatchesFlatEvalBothBitwise) {
     SCOPED_TRACE(std::string("seed=") + std::to_string(seed) + " family=" +
                  family_name(family));
     const PwlCurve c{make_raw(rng, family)};
-    expect_sweep_matches_ladder(c, knot_grid(c, rng));
-    expect_sweep_matches_ladder(c, off_knot_grid(c, rng));
+    expect_sweep_matches_ladder(c.view(), knot_grid(c, rng));
+    expect_sweep_matches_ladder(c.view(), off_knot_grid(c, rng));
   }
 }
 
@@ -770,21 +770,138 @@ TEST(CurveEvalSweep, DegenerateCurvesAndGrids) {
   Rng rng(7);
   const PwlCurve one_knot({{0.0, 2.5, 2.5}});
   ASSERT_EQ(one_knot.knot_count(), 1u);
-  expect_sweep_matches_ladder(one_knot, knot_grid(one_knot, rng));
-  expect_sweep_matches_ladder(one_knot, {-1.0, 0.0, 0.0, 3.0, 3.0});
+  expect_sweep_matches_ladder(one_knot.view(), knot_grid(one_knot, rng));
+  expect_sweep_matches_ladder(one_knot.view(), {-1.0, 0.0, 0.0, 3.0, 3.0});
 
   const PwlCurve ramp({{0.0, 0.0, 0.0}, {2.0, 1.0, 3.0}, {kH, 4.0, 4.0}});
-  expect_sweep_matches_ladder(ramp, {});
+  expect_sweep_matches_ladder(ramp.view(), {});
   // No knot of the curve on the grid, all instants strictly inside.
-  expect_sweep_matches_ladder(ramp, {0.5, 0.5, 1.0, 1.9, 2.1, 7.0, 9.5});
+  expect_sweep_matches_ladder(ramp.view(),
+                              {0.5, 0.5, 1.0, 1.9, 2.1, 7.0, 9.5});
   // Two instants time_eq to the middle knot from either side, then the
   // horizon approached from below inside the tolerance, and past it.
-  expect_sweep_matches_ladder(
-      ramp, {2.0 - 5e-10, 2.0 + 5e-10, kH - 5e-10, kH, kH + 5e-10, 11.0});
+  expect_sweep_matches_ladder(ramp.view(), {2.0 - 5e-10, 2.0 + 5e-10,
+                                            kH - 5e-10, kH, kH + 5e-10, 11.0});
   const std::vector<std::pair<double, double>> inside =
-      sweep_values(ramp, {1.0, 6.0});
+      sweep_values(ramp.view(), {1.0, 6.0});
   EXPECT_BITEQ(inside[0].first, 0.5);
   EXPECT_BITEQ(inside[1].second, 3.5);
+}
+
+// The exact-knot class: an instant bitwise equal to an interior knot t_i
+// (1 <= i <= n - 2) takes (l[i], r[i]) without the ladder, while t_0,
+// t_{n-1} and instants near a knot still take the ladder. The grids below
+// hold knots exactly, so the two paths meet at every one of them.
+
+/// The sorted knot times of the curves, each knot once per curve.
+std::vector<Time> knots_of(std::initializer_list<const PwlCurve*> curves) {
+  std::vector<Time> ts;
+  for (const PwlCurve* c : curves) {
+    const CurveView v = c->view();
+    ts.insert(ts.end(), v.t, v.t + v.n);
+  }
+  std::sort(ts.begin(), ts.end());
+  return ts;
+}
+
+/// The knot vector with every abscissa multiplied by `scale`.
+std::vector<Knot> scaled(std::vector<Knot> ks, double scale) {
+  for (Knot& k : ks) k.t *= scale;
+  return ks;
+}
+
+TEST(CurveEvalSweep, ExactKnotGridsAcrossMagnitudes) {
+  // Horizons from 1e-6 to 1e7: the absolute tolerance dominates at the low
+  // end, the relative one at the high end.
+  for (const double scale : {1e-7, 1e-6, 1e-3, 1.0, 1e3, 1e6}) {
+    for (int seed = 0; seed < 300; ++seed) {
+      Rng rng(0xE4AC7u + static_cast<std::uint64_t>(seed));
+      const int family = seed % kFamilyCount;
+      SCOPED_TRACE("scale=" + std::to_string(scale) + " seed=" +
+                   std::to_string(seed) + " family=" + family_name(family));
+      const PwlCurve c{scaled(make_raw(rng, family), scale)};
+      const PwlCurve d{scaled(make_raw(rng, family + 3), scale)};
+      // Each curve's own knots, then the undeduplicated union of both (a
+      // merged grid before its time_eq pass, exact duplicates included).
+      expect_sweep_matches_ladder(c.view(), knots_of({&c}));
+      expect_sweep_matches_ladder(c.view(), knots_of({&c, &c}));
+      const std::vector<Time> both = knots_of({&c, &d});
+      expect_sweep_matches_ladder(c.view(), both);
+      expect_sweep_matches_ladder(d.view(), both);
+    }
+  }
+}
+
+/// The least instant above t that is not time_eq to t.
+Time first_apart(Time t) {
+  Time u = t + time_tolerance(t, t);
+  while (time_eq(t, u)) u = std::nextafter(u, kTimeInfinity);
+  return u;
+}
+
+TEST(CurveEvalSweep, KnotsJustOverOneToleranceApart) {
+  for (const Time base : {1e-6, 0.75, 3.0, 1e5, 1e7}) {
+    SCOPED_TRACE("base=" + std::to_string(base));
+    Rng rng(static_cast<std::uint64_t>(base * 8.0) + 1);
+    std::vector<Knot> ks = {{0.0, 0.0, 0.0}};
+    Time t = base;
+    double level = 0.0;
+    for (int j = 0; j < 6; ++j) {  // a jump at each knot keeps all of them
+      const double left = level + rng.uniform(-1.0, 1.0);
+      level = left + rng.uniform(0.5, 2.0);
+      ks.push_back({t, left, level});
+      t = first_apart(t);
+    }
+    ks.push_back({2.0 * base + 1.0, level, level});
+    const PwlCurve c{ks};
+    ASSERT_EQ(c.knot_count(), ks.size());
+    // Every knot exactly and one ulp to either side, and the midpoints,
+    // which are time_eq to both of their knots.
+    std::vector<Time> grid;
+    const CurveView v = c.view();
+    for (std::size_t i = 0; i < v.n; ++i) {
+      grid.push_back(v.t[i]);
+      grid.push_back(std::nextafter(v.t[i], -kTimeInfinity));
+      grid.push_back(std::nextafter(v.t[i], kTimeInfinity));
+      if (i + 1 < v.n) grid.push_back(0.5 * (v.t[i] + v.t[i + 1]));
+    }
+    std::sort(grid.begin(), grid.end());
+    expect_sweep_matches_ladder(v, grid);
+    expect_sweep_matches_ladder(v, knots_of({&c}));
+  }
+}
+
+TEST(CurveEvalSweep, TwoKnotCurvesHaveNoInteriorKnot) {
+  for (const Time end : {1e-6, 1.0, kH, 1e7}) {
+    SCOPED_TRACE("end=" + std::to_string(end));
+    const PwlCurve c({{0.0, 1.0, 1.0}, {end, 3.0, 5.0}});
+    ASSERT_EQ(c.knot_count(), 2u);
+    expect_sweep_matches_ladder(c.view(), knots_of({&c, &c}));
+    expect_sweep_matches_ladder(
+        c.view(), {-1.0, 0.0, 0.0, 0.5 * end, end, end, 2.0 * end});
+  }
+}
+
+TEST(CurveEvalSweep, FirstAndLastKnotTakeTheLadder) {
+  // Raw views whose first left limit is not pinned to its right value (as
+  // finalize would pin it): at t_0 the ladder answers r[0] on both sides,
+  // so an exact-knot shortcut there would show. At t_{n-1} the ladder's
+  // answer is (l[n-1], r[n-1]), which for n = 1 is t_0 again.
+  const double t[] = {0.0, 2.0, 5.0, kH};
+  const double l[] = {-7.0, 1.0, 2.0, 4.0};
+  const double r[] = {3.0, 1.5, 2.0, 6.0};
+  for (const std::size_t n : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const CurveView v{t, l, r, n};
+    std::vector<Time> grid = {-1.0, 0.0, 0.0};
+    for (std::size_t i = 1; i < n; ++i) grid.insert(grid.end(), 2, t[i]);
+    grid.push_back(t[n - 1] + 1.0);
+    expect_sweep_matches_ladder(v, grid);
+    const std::vector<std::pair<double, double>> at_zero =
+        sweep_values(v, {0.0});
+    EXPECT_BITEQ(at_zero[0].first, 3.0);
+    EXPECT_BITEQ(at_zero[0].second, 3.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

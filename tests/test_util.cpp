@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -33,6 +34,35 @@ TEST(TimeTolerance, InfinityHandling) {
   EXPECT_TRUE(time_eq(kTimeInfinity, kTimeInfinity));
   EXPECT_FALSE(time_eq(kTimeInfinity, 1.0));
   EXPECT_TRUE(time_lt(1.0, kTimeInfinity));
+}
+
+TEST(TimeTolerance, OrderedCompareMatchesTimeEqOnItsDomain) {
+  // For each a >= 0: b at and around a, then one ulp either side of the
+  // last b that time_eq accepts.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (const double a : {0.0, denorm, 1e-310, 1e-300, 1e-9, 0.5, 1.0, 3.0,
+                         1e7, 1e300}) {
+    SCOPED_TRACE(testing::Message() << "a=" << a);
+    Time last = a + time_tolerance(a, a);
+    while (!time_eq(a, last)) last = std::nextafter(last, 0.0);
+    while (time_eq(a, std::nextafter(last, kTimeInfinity))) {
+      last = std::nextafter(last, kTimeInfinity);
+    }
+    const Time past = std::nextafter(last, kTimeInfinity);
+    EXPECT_TRUE(time_eq_ordered(a, last));
+    EXPECT_FALSE(time_eq_ordered(a, past));
+    for (const double b : {a, std::nextafter(a, kTimeInfinity), 2.0 * a,
+                           std::nextafter(last, 0.0), last, past,
+                           std::nextafter(past, kTimeInfinity)}) {
+      EXPECT_EQ(time_eq_ordered(a, b), time_eq(a, b)) << "b=" << b;
+    }
+    // a just above b, inside the tolerance, is in the domain too.
+    if (a > 0.0) {
+      const double below = std::nextafter(a, 0.0);
+      EXPECT_TRUE(time_eq_ordered(a, below));
+      EXPECT_EQ(time_eq_ordered(a, below), time_eq(a, below));
+    }
+  }
 }
 
 TEST(TolerantFloor, CountsEpsilonBelowInteger) {
