@@ -1,7 +1,10 @@
 // Microbenchmarks of the analyzers (google-benchmark): cost scaling with
 // job count and stage count, per method, plus the discrete-event simulator
-// for reference.
+// for reference, and the admission session's fast what-if path.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <memory>
 
 #include "analysis/bounds.hpp"
 #include "analysis/holistic.hpp"
@@ -10,6 +13,7 @@
 #include "model/priority.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/admission_session.hpp"
 #include "sim/simulator.hpp"
 #include "workload/jobshop.hpp"
 
@@ -164,6 +168,88 @@ BENCHMARK(BM_BoundsByArrivals)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+// The fast what-if path (service::AdmissionSession::read_what_if): one
+// lowest-priority candidate on the Fig. 3 shop at U 0.7 (4 stages x 2
+// processors, 8 periodic jobs, PDM priorities, pinned horizon), one hop per
+// stage. Args: hops (1-3); first-hop releases (0 = periodic with period 4,
+// else that many Eq. 27-shaped bursty releases over the committed window);
+// cache state (1 = warm: one session answers every iteration, so the
+// per-committed-state data is built once; 0 = cold: a fresh
+// clone_committed() per iteration, made and destroyed outside the timed
+// region).
+System fig3_shop_u07() {
+  JobShopConfig cfg;
+  cfg.stages = 4;
+  cfg.processors_per_stage = 2;
+  cfg.jobs = 8;
+  cfg.pattern = ArrivalPattern::kPeriodic;
+  cfg.utilization = 0.7;
+  cfg.window_periods = 4.0;
+  cfg.deadline.period_multiple = 4.0;
+  cfg.scheduler = SchedulerKind::kSpp;
+  Rng rng(42);
+  System sys = generate_jobshop(cfg, rng);
+  assign_proportional_deadline_monotonic(sys);
+  return sys;
+}
+
+Job fast_what_if_candidate(const System& base, int hops, int releases) {
+  const Time window = base.last_release();
+  Job job;
+  job.name = "probe";
+  job.deadline = 1e6;
+  double exec = 0.05;
+  if (releases == 0) {
+    job.arrivals = ArrivalSequence::periodic(4.0, window);
+  } else {
+    // sqrt(x^2 + m^2) / x - 1 (Eq. 27's shape) rescaled onto the window.
+    const double x = 0.5;
+    std::vector<Time> t(static_cast<std::size_t>(releases));
+    for (std::size_t m = 0; m < t.size(); ++m) {
+      const double k = static_cast<double>(m);
+      t[m] = std::sqrt(x * x + k * k) / x - 1.0;
+    }
+    const double scale = 0.98 * window / t.back();
+    for (Time& v : t) v *= scale;
+    job.arrivals = ArrivalSequence(std::move(t));
+    exec = 0.03 * window / releases;
+  }
+  for (int h = 0; h < hops; ++h) job.chain.push_back({2 * h + 1, exec, 0});
+  service::assign_lowest_priorities(base, job);
+  return job;
+}
+
+void BM_FastWhatIf(benchmark::State& state) {
+  const System base = fig3_shop_u07();
+  service::SessionConfig cfg;
+  cfg.analysis.horizon = default_horizon(base, AnalysisConfig{});
+  service::AdmissionSession session(base, cfg);
+  const Job job = fast_what_if_candidate(
+      base, static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+  const bool warm = state.range(2) == 1;
+  if (!session.read_what_if(job).ok) {
+    state.SkipWithError("candidate rejected");
+    return;
+  }
+  for (auto _ : state) {
+    if (warm) {
+      benchmark::DoNotOptimize(session.read_what_if(job));
+      continue;
+    }
+    state.PauseTiming();
+    std::unique_ptr<service::AdmissionSession> cold = session.clone_committed();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(cold->read_what_if(job));
+    state.PauseTiming();
+    cold.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_FastWhatIf)
+    ->ArgNames({"hops", "releases", "warm"})
+    ->ArgsProduct({{1, 2, 3}, {0, 24, 96}, {1, 0}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace rta

@@ -52,7 +52,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -66,6 +65,7 @@
 #include "service/admission_session.hpp"
 #include "service/metrics_export.hpp"
 #include "service/request_runner.hpp"
+#include "support/strip_latency.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
@@ -252,13 +252,6 @@ std::string build_stream(const System& base, int n, std::uint64_t seed,
     *read_fraction_out = static_cast<double>(reads) / n;
   }
   return out.str();
-}
-
-/// Drop the (timing-dependent) latency_us field so response payloads can be
-/// compared byte-for-byte across drivers.
-std::string strip_latency(const std::string& responses) {
-  static const std::regex kLatency(",\"latency_us\":[^,}]+");
-  return std::regex_replace(responses, kLatency, "");
 }
 
 std::uint64_t bytes_digest(const std::string& bytes) {

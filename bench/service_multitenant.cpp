@@ -43,7 +43,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,6 +54,7 @@
 #include "service/request_runner.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "service/tenant_registry.hpp"
+#include "support/strip_latency.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
@@ -111,11 +111,6 @@ std::string random_line(Rng& rng, const std::string& name, const System& base,
   if (r < 0.9) return prefix + "\"op\": \"admit\", " + job.str() + "}";
   return prefix + "\"op\": \"remove\", \"name\": \"" + name + "_c" +
          std::to_string(rng.uniform_int(0, serial + 2)) + "\"}";
-}
-
-std::string strip_latency(const std::string& responses) {
-  static const std::regex kLatency(",\"latency_us\":[^,}]+");
-  return std::regex_replace(responses, kLatency, "");
 }
 
 std::uint64_t bytes_digest(const std::string& bytes) {

@@ -106,75 +106,84 @@ void fcfs_processor_bounds(const System& system, int p, Time horizon,
 
 }  // namespace
 
-void compute_single_priority_subjob(const System& system, SubjobRef ref,
-                                    Time horizon, BoundStateMap& states) {
+// Theorems 5/6 realized per *queue-empty candidate* (see bounds.hpp): the
+// literal per-window forms re-credit the blocking b after every queue
+// drain and mix bound directions in the interference increment, both of
+// which the simulator refutes. With Q̲(t) = t - b - S̄hp(t),
+// Q̄(t) = t - S̲hp(t) and base_i = (i-1) tau, the sound per-candidate
+// forms are
+//
+//   S̲(t) = min_i ( base_i + max(0, Q̲(t) - off_i) ),
+//     off_i = s_i - S̲hp(s_i^-), s_i = latest possible i-th arrival
+//     (the last queue-empty instant can be pushed to just before the next
+//      arrival; blocking is incurred at most once per backlogged period);
+//
+//   S̄(t) = min( c̄(t), min_{i >= 0 : s_i <= t} base_i
+//                        + min( t - s_i, Q̄(t) - s_i + S̄hp(s_i^-) ) ),
+//     s_i = earliest possible i-th arrival, plus the i = 0 entry
+//     s_0 = base_0 = 0 -- every term is independently a valid upper bound
+//     once its candidate has arrived (service in (s_i, t] is limited by
+//     elapsed time minus guaranteed higher-priority consumption).
+//
+// Neither is evaluated term by term. S̲ = g o Q̲ with g the lower envelope
+// of the hinges q -> base_i + max(0, q - off_i), composed exactly segment
+// by segment. S̄ = min(c̄, t + P1(t), Q̄(t) + P2(t)) with P1, P2 the
+// prefix-minimum step curves of base_i - s_i and
+// base_i - s_i + S̄hp(s_i^-) over the candidates with s_i <= t. Each
+// bound is a fixed set of kernels, whatever the arrival count:
+//
+//   Q̲, Q̄: one curve_available pass each over the higher-priority curves
+//          (HpOperands);
+//   S̲:    one curve_compose_capped_max pass (g o Q̲, capped by c̲, with
+//          tighten_lower_bound's running max);
+//   f̲_dep: curve_floor_div, one pseudo-inverse sweep (Lemma 1);
+//   S̄:    two curve_prefix_min_steps builds and one curve_min_of_sums
+//          pass over its three terms;
+//   f̄_arr of the next hop: curve_crossing_counts_min_shift, one step
+//          curve from two jump lists (Lemma 2).
+//
+// No S̄hp or S̲hp curve is built, so the unit's kernel calls are also
+// independent of how many subjobs outrank it. The offsets read the hp
+// sums only at the candidates s_i: one pseudo-inverse sweep collects the
+// candidates, then one flat_eval_sweep per hp operand adds its left
+// limits at all of them (O(candidates + knots) per operand, no search).
+// HpOperands holds Q̲ and Q̄; S̲ and f̲_dep are the lower part, S̄ and the
+// next hop's f̄_arr the upper part.
+
+HpOperands::HpOperands(std::vector<PwlCurve> upper,
+                       std::vector<PwlCurve> lower, double blocking,
+                       Time horizon)
+    : upper_(std::move(upper)),
+      lower_(std::move(lower)),
+      ident_(PwlCurve::identity(horizon)),
+      q_lower_(curve_available(ident_, upper_, -blocking)) {}
+
+const PwlCurve& HpOperands::q_upper() {
+  if (!q_upper_) q_upper_ = curve_available(ident_, lower_);
+  return *q_upper_;
+}
+
+HpOperands priority_hp_operands(const System& system, SubjobRef ref,
+                                Time horizon, const BoundStateMap& states) {
   const Subjob& sj = system.subjob(ref);
   const bool preemptive =
       system.scheduler(sj.processor) == SchedulerKind::kSpp;
-  BoundState& st = states.at({ref.job, ref.hop});
-  const double tau = sj.exec_time;
-  const double b = preemptive ? 0.0 : system.blocking_time(ref);
-  const PwlCurve ident = PwlCurve::identity(horizon);
-
-  std::vector<PwlCurve> hp_upper;  // S̄ of higher-priority subjobs
-  std::vector<PwlCurve> hp_lower;  // S̲ of higher-priority subjobs
+  std::vector<PwlCurve> upper;  // S̄ of higher-priority subjobs
+  std::vector<PwlCurve> lower;  // S̲ of higher-priority subjobs
   for (const SubjobRef& hp :
        system.higher_priority_on(sj.processor, sj.priority)) {
     const BoundState& hp_state = states.at({hp.job, hp.hop});
     assert(hp_state.computed);
-    hp_upper.push_back(hp_state.svc_upper);
-    hp_lower.push_back(hp_state.svc_lower);
+    upper.push_back(hp_state.svc_upper);
+    lower.push_back(hp_state.svc_lower);
   }
-  const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
-  const PwlCurve c_lower = curve_scale(st.arr_lower, tau);
+  return HpOperands(std::move(upper), std::move(lower),
+                    preemptive ? 0.0 : system.blocking_time(ref), horizon);
+}
 
-  // Theorems 5/6 realized per *queue-empty candidate* (see bounds.hpp): the
-  // literal per-window forms re-credit the blocking b after every queue
-  // drain and mix bound directions in the interference increment, both of
-  // which the simulator refutes. With Q̲(t) = t - b - S̄hp(t),
-  // Q̄(t) = t - S̲hp(t) and base_i = (i-1) tau, the sound per-candidate
-  // forms are
-  //
-  //   S̲(t) = min_i ( base_i + max(0, Q̲(t) - off_i) ),
-  //     off_i = s_i - S̲hp(s_i^-), s_i = latest possible i-th arrival
-  //     (the last queue-empty instant can be pushed to just before the next
-  //      arrival; blocking is incurred at most once per backlogged period);
-  //
-  //   S̄(t) = min( c̄(t), min_{i >= 0 : s_i <= t} base_i
-  //                        + min( t - s_i, Q̄(t) - s_i + S̄hp(s_i^-) ) ),
-  //     s_i = earliest possible i-th arrival, plus the i = 0 entry
-  //     s_0 = base_0 = 0 -- every term is independently a valid upper bound
-  //     once its candidate has arrived (service in (s_i, t] is limited by
-  //     elapsed time minus guaranteed higher-priority consumption).
-  //
-  // Neither is evaluated term by term. S̲ = g o Q̲ with g the lower envelope
-  // of the hinges q -> base_i + max(0, q - off_i), composed exactly segment
-  // by segment. S̄ = min(c̄, t + P1(t), Q̄(t) + P2(t)) with P1, P2 the
-  // prefix-minimum step curves of base_i - s_i and
-  // base_i - s_i + S̄hp(s_i^-) over the candidates with s_i <= t. Each
-  // bound is a fixed set of kernels, whatever the arrival count:
-  //
-  //   Q̲, Q̄: one curve_available pass each over the higher-priority curves;
-  //   S̲:    one curve_compose_capped_max pass (g o Q̲, capped by c̲, with
-  //          tighten_lower_bound's running max);
-  //   S̄:    two curve_prefix_min_steps builds and one curve_min_of_sums
-  //          pass over its three terms;
-  //   f̲_dep: curve_floor_div, one pseudo-inverse sweep (Lemma 1);
-  //   f̄_arr of the next hop: curve_crossing_counts_min_shift, one step
-  //          curve from two jump lists (Lemma 2).
-  //
-  // No S̄hp or S̲hp curve is built, so the unit's kernel calls are also
-  // independent of how many subjobs outrank it. The offsets read the hp
-  // sums only at the candidates s_i: one pseudo-inverse sweep collects the
-  // candidates, then one flat_eval_sweep per hp operand adds its left
-  // limits at all of them (O(candidates + knots) per operand, no search).
-  const PwlCurve q_lower = curve_available(ident, hp_upper, -b);
-  const PwlCurve q_upper = curve_available(ident, hp_lower);
-
+void priority_lower_part(const HpOperands& hp, double tau, Time horizon,
+                         BoundState& st) {
   const long long count_lower = tolerant_floor(st.arr_lower.end_value() + 0.5);
-  const long long count_upper = tolerant_floor(st.arr_upper.end_value() + 0.5);
-
-  // ---- Lower service bound.
   std::vector<Time> latest;
   latest.reserve(static_cast<std::size_t>(count_lower));
   PinvSweep latest_arrival(st.arr_lower);
@@ -183,7 +192,7 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
     if (std::isinf(s_i)) break;
     latest.push_back(s_i);
   }
-  const std::vector<double> lower_drained = hp_left_sums(hp_lower, latest);
+  const std::vector<double> lower_drained = hp_left_sums(hp.lower(), latest);
   std::vector<Hinge> hinges;
   hinges.reserve(latest.size());
   for (std::size_t i = 0; i < latest.size(); ++i) {
@@ -197,9 +206,15 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
       hinges.empty()
           ? PwlCurve::zero(horizon)
           : curve_compose_capped_max(HingeEnvelope(std::move(hinges)),
-                                     q_lower, c_lower);
+                                     hp.q_lower(),
+                                     curve_scale(st.arr_lower, tau));
+  st.dep_lower = curve_floor_div(st.svc_lower, tau);  // Lemma 1
+  st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
+}
 
-  // ---- Upper service bound.
+void priority_upper_part(HpOperands& hp, double tau, Time horizon,
+                         BoundState& st) {
+  const long long count_upper = tolerant_floor(st.arr_upper.end_value() + 0.5);
   std::vector<Time> starts{0.0};
   std::vector<double> elapsed_off{0.0};
   PinvSweep earliest_arrival(st.arr_upper);
@@ -211,23 +226,30 @@ void compute_single_priority_subjob(const System& system, SubjobRef ref,
   }
   // The i = 0 entry's 0.0 + Σ S̄hp(0^-) is the sum itself: a sum that
   // starts from +0.0 is never -0.0.
-  std::vector<double> drained_off = hp_left_sums(hp_upper, starts);
+  std::vector<double> drained_off = hp_left_sums(hp.upper(), starts);
   for (std::size_t i = 0; i < starts.size(); ++i) {
     drained_off[i] += elapsed_off[i];
   }
   const PwlCurve p1 = curve_prefix_min_steps(horizon, starts, elapsed_off);
   const PwlCurve p2 = curve_prefix_min_steps(horizon, starts, drained_off);
   // Demand cap: S(t) <= c(t^-) <= c̄(t).
-  st.svc_upper =
-      curve_min_of_sums({{&ident, &p1}, {&q_upper, &p2}, {&c_upper}});
-
-  st.dep_lower = curve_floor_div(st.svc_lower, tau);  // Lemma 1
+  const PwlCurve c_upper = curve_scale(st.arr_upper, tau);
+  st.svc_upper = curve_min_of_sums(
+      {{&hp.ident(), &p1}, {&hp.q_upper(), &p2}, {&c_upper}});
   // Lemma 2: instances arrive at hop j+1 when S̄ first crosses multiples of
   // tau, and none earlier than tau after its own earliest hop-j arrival.
   st.next_arr_upper =
       curve_crossing_counts_min_shift(st.svc_upper, st.arr_upper, tau);
-  st.local_bound = local_delay_bound(st.dep_lower, st.arr_upper);
   st.computed = true;
+}
+
+void compute_single_priority_subjob(const System& system, SubjobRef ref,
+                                    Time horizon, BoundStateMap& states) {
+  const double tau = system.subjob(ref).exec_time;
+  BoundState& st = states.at({ref.job, ref.hop});
+  HpOperands hp = priority_hp_operands(system, ref, horizon, states);
+  priority_lower_part(hp, tau, horizon, st);
+  priority_upper_part(hp, tau, horizon, st);
 }
 
 Time local_delay_bound(const PwlCurve& dep_lower, const PwlCurve& arr_upper) {

@@ -59,7 +59,9 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "analysis/instrument.hpp"
 #include "analysis/order.hpp"
@@ -90,9 +92,60 @@ using BoundStateMap = std::map<std::pair<int, int>, BoundState>;
 void compute_processor_bounds(const System& system, int p, Time horizon,
                               BoundStateMap& states);
 
-/// Compute bounds for one subjob on a static-priority processor. Its
-/// arrival bounds and the service bounds of all higher-priority subjobs on
-/// the processor must already be present in `states`.
+/// The higher-priority operands of one priority unit (Theorems 5/6): the S̄
+/// and S̲ handles of the subjobs that outrank it on its processor, in
+/// System::higher_priority_on order, the identity at the horizon, and
+/// Q̲ = t - b - Σ S̄hp (one curve_available pass, built with the operands).
+/// Q̄ = t - Σ S̲hp is built the first time q_upper() is called, so a caller
+/// that runs only the lower part never builds it.
+class HpOperands {
+ public:
+  HpOperands(std::vector<PwlCurve> upper, std::vector<PwlCurve> lower,
+             double blocking, Time horizon);
+
+  [[nodiscard]] const std::vector<PwlCurve>& upper() const { return upper_; }
+  [[nodiscard]] const std::vector<PwlCurve>& lower() const { return lower_; }
+  [[nodiscard]] const PwlCurve& ident() const { return ident_; }
+  [[nodiscard]] const PwlCurve& q_lower() const { return q_lower_; }
+  [[nodiscard]] const PwlCurve& q_upper();
+
+ private:
+  std::vector<PwlCurve> upper_;
+  std::vector<PwlCurve> lower_;
+  PwlCurve ident_;
+  PwlCurve q_lower_;
+  std::optional<PwlCurve> q_upper_;
+};
+
+/// One priority unit in three parts, split by what reads them:
+///
+///   * priority_hp_operands: the unit's HpOperands, read from the computed
+///     states of the subjobs that outrank `ref` (b = 0 under SPP, Eq. 15
+///     under SPNP);
+///   * priority_lower_part: S̲ (Theorem 5), f̲_dep (Lemma 1) and d_{k,j}
+///     (Eq. 12) -- everything Eq. 11's sum reads;
+///   * priority_upper_part: S̄ (Theorem 6) and the next hop's f̄_arr
+///     (Lemma 2), read only by the next hop and by lower-priority subjobs;
+///     it marks the state computed.
+///
+/// The parts call pure kernels on disjoint outputs, so running them in any
+/// order gives the same bits. compute_single_priority_subjob (the general
+/// wavefront) runs all three. The fast what-if path of
+/// service::AdmissionSession shares one HpOperands per processor across
+/// candidates and runs only the lower part on a candidate's last hop, whose
+/// S̄ nothing reads. Both parts need `st`'s arrival bounds set.
+[[nodiscard]] HpOperands priority_hp_operands(const System& system,
+                                              SubjobRef ref, Time horizon,
+                                              const BoundStateMap& states);
+void priority_lower_part(const HpOperands& hp, double tau, Time horizon,
+                         BoundState& st);
+void priority_upper_part(HpOperands& hp, double tau, Time horizon,
+                         BoundState& st);
+
+/// Compute bounds for one subjob on a static-priority processor: all three
+/// parts above. Its arrival bounds and the service bounds of all
+/// higher-priority subjobs on the processor must already be present in
+/// `states`.
 void compute_single_priority_subjob(const System& system, SubjobRef ref,
                                     Time horizon, BoundStateMap& states);
 

@@ -1,9 +1,11 @@
 #include "service/admission_session.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "analysis/order.hpp"
@@ -144,6 +146,14 @@ std::vector<int> seeds_for_removed_job(
   return seeds;
 }
 
+/// True when no hop of `job` before `hop` runs on hop `hop`'s processor.
+bool first_hop_on_processor(const Job& job, int hop) {
+  for (int g = 0; g < hop; ++g) {
+    if (job.chain[g].processor == job.chain[hop].processor) return false;
+  }
+  return true;
+}
+
 /// First argmax of the hop bounds, -1 without hops; any local bound (finite
 /// or +inf) beats the -1 sentinel.
 int dominant_hop(const std::vector<ExplainHop>& hops) {
@@ -194,9 +204,20 @@ AdmissionSession::AdmissionSession(System base, SessionConfig config)
 
 AdmissionSession::~AdmissionSession() = default;
 
-/// Per-committed-state aggregates backing the fast what-if path. Everything
-/// here is derivable from (system_, last_) in one O(subjobs) sweep; caching
-/// it once per committed state makes each fast what-if O(candidate hops).
+/// Per-committed-state data backing the fast what-if path: aggregates
+/// derivable from (system_, last_) in one O(subjobs) sweep, and per
+/// processor the higher-priority operands of a candidate's first hop there.
+/// Dropped with everything else on every admit and remove.
+///
+/// The operands are exact for every later candidate until then: such a hop
+/// outranks nothing on its SPP processor, so its higher-priority set is
+/// exactly the committed subjobs on it in subjobs_on order (no earlier hop of
+/// the candidate is there, being its first hop on it), b = 0, and the fast
+/// path runs only at horizon_. A hop whose processor already carries an
+/// earlier hop of the candidate has that hop in its set and builds its
+/// operands fresh. The two curve_available passes over the committed curves
+/// (Q̲, and Q̄ once a hop needs it) thus run once per processor and
+/// committed state, not once per request.
 struct AdmissionSession::ReadCache {
   std::vector<int> max_priority;  ///< per processor; INT_MIN when unused
   std::vector<char> is_spp;       ///< per processor
@@ -206,14 +227,17 @@ struct AdmissionSession::ReadCache {
   bool committed_all_schedulable = false;
   bool committed_any_unbounded = false;
   int committed_subjobs = 0;
+  /// Per processor: a first hop's operands, built on first use.
+  std::vector<std::optional<detail::HpOperands>> hp_operands;
 };
 
-const AdmissionSession::ReadCache& AdmissionSession::read_cache() {
+AdmissionSession::ReadCache& AdmissionSession::read_cache() {
   if (read_cache_ != nullptr) return *read_cache_;
   auto rc = std::make_unique<ReadCache>();
   const int m = system_.processor_count();
   rc->max_priority.assign(m, std::numeric_limits<int>::min());
   rc->is_spp.assign(m, 0);
+  rc->hp_operands.resize(m);
   for (int p = 0; p < m; ++p) {
     rc->is_spp[p] = system_.scheduler(p) == SchedulerKind::kSpp ? 1 : 0;
   }
@@ -291,7 +315,7 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   // answer from scratch -- so a condition here may be conservative, but
   // never unsound.
   if (!have_states_ || !last_.ok) return false;
-  const ReadCache& rc = read_cache();
+  ReadCache& rc = read_cache();
   // An unbounded committed WCRT would re-trigger horizon doubling on every
   // request; the general path owns that loop.
   if (rc.committed_any_unbounded) return false;
@@ -333,9 +357,11 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   // bit-identical horizon, an epsilon match would resume from wrong states
   if (h != horizon_) return false;
 
-  // Speculative add + per-hop compute + rollback, exactly the units the
-  // sequential wavefront would run for this dirty set (each hop is its own
-  // wave, in chain order), minus the O(system) bookkeeping around them.
+  // Speculative add + per-hop compute + rollback: the units the sequential
+  // wavefront would run for this dirty set (each hop is its own wave, in
+  // chain order), minus the O(system) bookkeeping around them, the
+  // higher-priority operands the read cache already holds, and every part
+  // of the last hop that its local bound does not read.
   const std::uint64_t saved_next_id = system_.next_job_id();
   const int k_new = system_.add_job(job);
   {
@@ -346,10 +372,31 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
         eobs_ != nullptr ? eobs_->tracer() : nullptr, "service.fast_what_if",
         "{\"hops\": " + std::to_string(hops) + "}");
     for (int hh = 0; hh < hops; ++hh) {
-      states_.try_emplace({k_new, hh});
-      detail::fill_hop_arrivals(system_, {k_new, hh}, horizon_, states_);
-      detail::compute_single_priority_subjob(system_, {k_new, hh}, horizon_,
-                                             states_);
+      const SubjobRef ref{k_new, hh};
+      const Subjob& s = job.chain[hh];
+      detail::BoundState& st = states_[{k_new, hh}];
+      detail::fill_hop_arrivals(system_, ref, horizon_, states_);
+      std::optional<detail::HpOperands> fresh;
+      detail::HpOperands* hp = nullptr;
+      if (first_hop_on_processor(job, hh)) {
+        std::optional<detail::HpOperands>& cached = rc.hp_operands[s.processor];
+        if (!cached) {
+          cached = detail::priority_hp_operands(system_, ref, horizon_,
+                                                states_);
+        }
+        assert(cached->upper().size() ==
+               system_.higher_priority_on(s.processor, s.priority).size());
+        hp = &*cached;
+      } else {
+        hp = &fresh.emplace(
+            detail::priority_hp_operands(system_, ref, horizon_, states_));
+      }
+      detail::priority_lower_part(*hp, s.exec_time, horizon_, st);
+      // The last hop's S̄ and Lemma 2 curve feed nothing: its states are
+      // erased below, right after job_bound reads its local bound.
+      if (hh + 1 < hops) {
+        detail::priority_upper_part(*hp, s.exec_time, horizon_, st);
+      }
     }
   }
   const JobReport bound = detail::job_bound(states_, k_new, hops);

@@ -145,14 +145,17 @@ class AdmissionSession {
   /// when the id exists (removals cannot make a system less schedulable).
   Decision remove(std::uint64_t job_id);
 
-  /// what_if() reduced to the serialized aggregates. Takes an O(candidate
-  /// hops) fast path -- no validate(), no graph build, no per-job report --
-  /// when the candidate provably dirties only its own subjobs (every hop on
-  /// an SPP processor at strictly-lowest priority, horizon unchanged, the
+  /// what_if() reduced to the serialized aggregates. Takes a fast path --
+  /// no validate(), no graph build, no wavefront, no per-job report -- when
+  /// the candidate provably dirties only its own subjobs (every hop on an
+  /// SPP processor at strictly-lowest priority, horizon unchanged, the
   /// committed analysis bounded); falls back to the general what_if()
-  /// otherwise. The returned aggregates are byte-identical either way (the
+  /// otherwise. The fast path computes only what the answer reads: each
+  /// hop's higher-priority operands come from the read cache (built once per
+  /// processor and committed state), and the last hop stops at its local
+  /// bound. The returned aggregates are byte-identical either way (the
   /// service determinism contract extended to the read path;
-  /// tests/test_request_scheduler.cpp).
+  /// tests/test_service.cpp, tests/test_request_scheduler.cpp).
   ReadDecision read_what_if(Job job);
 
   /// Reduce a full Decision to the aggregate view (same bytes as the fast
@@ -184,7 +187,7 @@ class AdmissionSession {
 
   Decision run_candidate(Job job, bool commit_on_admit);
   bool try_fast_what_if(const Job& job, ReadDecision& rd);
-  const ReadCache& read_cache();
+  ReadCache& read_cache();
   void analyze_pass(Decision& d, const DependencyOrder& order,
                     Time base_horizon, const std::vector<char>* dirty,
                     detail::BoundStateMap& states) const;
@@ -210,9 +213,10 @@ class AdmissionSession {
   bool have_states_ = false;  ///< false until a full pass succeeds
   AnalysisResult last_;
 
-  /// Lazily built per-committed-state aggregates backing try_fast_what_if
+  /// Lazily built per-committed-state data backing try_fast_what_if
   /// (per-processor priority tops, horizon ingredients, committed verdict
-  /// roll-ups); dropped whenever a call commits.
+  /// roll-ups, per-processor higher-priority operands of a candidate's first
+  /// hop); dropped by every admit and remove.
   std::unique_ptr<ReadCache> read_cache_;
 };
 

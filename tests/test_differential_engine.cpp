@@ -15,6 +15,7 @@
 
 #include "analysis/bounds.hpp"
 #include "analysis/iterative.hpp"
+#include "analysis/order.hpp"
 #include "model/priority.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -187,6 +188,53 @@ TEST(DifferentialEngine, SkippedPassesEqualRecomputedPasses) {
   }
   EXPECT_GT(checked, 0);
   EXPECT_GT(registry.snapshot().counters.at("iterative.passes_skipped"), 0u);
+}
+
+// The fast what-if path runs only the lower part of a candidate's last hop
+// (bounds.hpp). That is exact only if S̲, f̲_dep and d_{k,j} read nothing
+// the upper part writes: on every priority subjob of generated SPP and SPNP
+// shops, the lower part alone, fed the full wavefront's arrival bounds and
+// higher-priority states, must reproduce the full unit's lower outputs bit
+// for bit and leave the state uncomputed.
+TEST(DifferentialEngine, LowerPartAloneMatchesFullUnit) {
+  const RngFactory factory(0x10E4);
+  int checked = 0;
+  for (const SchedulerKind scheduler :
+       {SchedulerKind::kSpp, SchedulerKind::kSpnp}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      Rng rng = factory.stream(static_cast<std::uint64_t>(trial));
+      const System system = random_system(rng, scheduler);
+      std::string error;
+      const auto order = checked_dependency_order(system, error);
+      ASSERT_TRUE(order.has_value()) << error;
+      const Time horizon = default_horizon(system, AnalysisConfig{});
+      detail::BoundStateMap states;
+      detail::run_bounds_wavefront(system, *order, horizon, /*pool=*/nullptr,
+                                   /*eobs=*/nullptr, /*dirty=*/nullptr, states);
+      const std::string label = std::string(to_string(scheduler)) +
+                                " trial " + std::to_string(trial);
+      for (const auto& [key, full] : states) {
+        const SubjobRef ref{key.first, key.second};
+        detail::BoundState lower_only;
+        lower_only.arr_upper = full.arr_upper;
+        lower_only.arr_lower = full.arr_lower;
+        const detail::HpOperands hp =
+            detail::priority_hp_operands(system, ref, horizon, states);
+        detail::priority_lower_part(hp, system.subjob(ref).exec_time, horizon,
+                                    lower_only);
+        const std::string where = label + " job " + std::to_string(ref.job) +
+                                  " hop " + std::to_string(ref.hop);
+        EXPECT_TRUE(curves_identical(lower_only.svc_lower, full.svc_lower))
+            << where;
+        EXPECT_TRUE(curves_identical(lower_only.dep_lower, full.dep_lower))
+            << where;
+        EXPECT_EQ(lower_only.local_bound, full.local_bound) << where;
+        EXPECT_FALSE(lower_only.computed) << where;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
 }
 
 }  // namespace

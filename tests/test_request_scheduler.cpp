@@ -10,7 +10,6 @@
 // (.github/workflows/ci.yml filters on the Service prefix).
 #include <chrono>
 #include <cstdint>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +25,7 @@
 #include "service/request_codec.hpp"
 #include "service/request_runner.hpp"
 #include "service/request_scheduler.hpp"
+#include "support/strip_latency.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
 
@@ -163,11 +163,6 @@ std::string build_stream(Rng& rng, const System& base, int n,
   return out.str();
 }
 
-std::string strip_latency(const std::string& responses) {
-  static const std::regex latency(",\"latency_us\":[^,}]*");
-  return std::regex_replace(responses, latency, "");
-}
-
 RunnerStats run_sequential(const System& base, const std::string& stream,
                            std::string& responses) {
   AdmissionSession session(base, make_session_config(base));
@@ -192,6 +187,18 @@ RunnerStats run_scheduled(const System& base, const std::string& stream,
 
 /// The acceptance bar: byte-identical payloads for streams mixing reads,
 /// mutations, and malformed input.
+// The differential tests compare streams through strip_latency: it must
+// drop each latency_us field with its value and touch nothing else.
+TEST(ServiceScheduler, StripLatencyDropsOnlyTheLatencyField) {
+  EXPECT_EQ(strip_latency(""), "");
+  EXPECT_EQ(strip_latency("{\"ok\":true}\n"), "{\"ok\":true}\n");
+  EXPECT_EQ(strip_latency("{\"ok\":true,\"latency_us\":12.5}\n"
+                          "{\"latency_us\":3,\"ok\":false,\"latency_us\":7,"
+                          "\"latency_us\":1e-3,\"id\":2}\n"),
+            "{\"ok\":true}\n{\"latency_us\":3,\"ok\":false,\"id\":2}\n");
+  EXPECT_EQ(strip_latency("{\"a\":1,\"latency_us\":9"), "{\"a\":1");
+}
+
 TEST(ServiceScheduler, DifferentialMatchesSequentialRunner) {
   const RngFactory factory(0xD1FFBA7C);
   int total_coalesced = 0;

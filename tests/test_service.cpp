@@ -5,6 +5,7 @@
 // dirty-set propagation are a latency optimization, never a result change
 // (admission_session.hpp states the contract). Exact double equality, as in
 // test_differential_engine.cpp.
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "analysis/bounds.hpp"
 #include "model/priority.hpp"
+#include "obs/trace.hpp"
 #include "service/admission_session.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
@@ -300,6 +302,156 @@ TEST(Service, ExplainBitIdenticalBetweenFastAndGeneralWhatIf) {
           << "candidate " << i << " hop " << h;
     }
   }
+}
+
+/// A candidate of FastWhatIfFollowsCommits on an SPP shop: `hops` hops on
+/// random processors, the second on the first's processor when
+/// `share_processor`; first-hop arrivals periodic, a burst then periodic, or
+/// Eq. 27 bursty. Lowest priorities against `committed`, lowered by a
+/// further `offset` so a fixed probe stays strictly lowest while admits
+/// come and go.
+Job follow_candidate(Rng& rng, const System& committed, int hops,
+                     bool share_processor, int arrivals, int offset,
+                     int serial) {
+  Job job;
+  job.name = "follow" + std::to_string(serial);
+  double exec_total = 0.0;
+  for (int h = 0; h < hops; ++h) {
+    Subjob s;
+    s.processor = h == 1 && share_processor
+                      ? job.chain[0].processor
+                      : rng.uniform_int(0, committed.processor_count() - 1);
+    s.exec_time = rng.uniform(0.02, 0.12);
+    exec_total += s.exec_time;
+    job.chain.push_back(s);
+  }
+  const Time period = rng.uniform(1.0, 4.0);
+  const Time window = std::max<Time>(committed.last_release(), 4.0 * period);
+  switch (arrivals) {
+    case 0:
+      job.arrivals = ArrivalSequence::periodic(period, window);
+      break;
+    case 1:
+      job.arrivals =
+          ArrivalSequence::burst_then_periodic(4, 0.1 * period, period, window);
+      break;
+    default:
+      job.arrivals = ArrivalSequence::bursty_eq27(0.5, window);
+      break;
+  }
+  job.deadline = exec_total * rng.uniform(4.0, 20.0) + period;
+  service::assign_lowest_priorities(committed, job);
+  for (Subjob& s : job.chain) s.priority += offset;
+  return job;
+}
+
+/// read_what_if (fast path when it applies) against the general what_if on
+/// the same candidate, with the same job id handed out to both: every
+/// serialized field must agree bit for bit.
+void expect_fast_equals_general(AdmissionSession& session, const Job& job,
+                                const std::string& label) {
+  const std::uint64_t next_id = session.peek_next_job_id();
+  const service::ReadDecision fast = session.read_what_if(job);
+  session.set_next_job_id(next_id);
+  const service::ReadDecision general =
+      AdmissionSession::summarize(session.what_if(job));
+  ASSERT_EQ(fast.ok, general.ok) << label;
+  EXPECT_EQ(fast.error, general.error) << label;
+  EXPECT_EQ(fast.admitted, general.admitted) << label;
+  EXPECT_EQ(fast.committed, general.committed) << label;
+  EXPECT_EQ(fast.incremental, general.incremental) << label;
+  EXPECT_EQ(fast.job_id, general.job_id) << label;
+  EXPECT_EQ(fast.dirty_subjobs, general.dirty_subjobs) << label;
+  EXPECT_EQ(fast.total_subjobs, general.total_subjobs) << label;
+  EXPECT_EQ(fast.schedulable, general.schedulable) << label;
+  EXPECT_EQ(fast.max_wcrt, general.max_wcrt) << label;
+  EXPECT_EQ(fast.horizon, general.horizon) << label;
+  EXPECT_EQ(fast.explain.available, general.explain.available) << label;
+  EXPECT_EQ(fast.explain.wcrt, general.explain.wcrt) << label;
+  EXPECT_EQ(fast.explain.dominant_hop, general.explain.dominant_hop) << label;
+  ASSERT_EQ(fast.explain.hops.size(), general.explain.hops.size()) << label;
+  for (std::size_t h = 0; h < fast.explain.hops.size(); ++h) {
+    EXPECT_EQ(fast.explain.hops[h].bound, general.explain.hops[h].bound)
+        << label << " hop " << h;
+  }
+}
+
+std::size_t fast_what_if_spans(const obs::Tracer& tracer) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.phase == 'B' && e.name == "service.fast_what_if") ++n;
+  }
+  return n;
+}
+
+// The fast what-if path keeps per-processor higher-priority operands across
+// reads of one committed state and cuts the last hop at its local bound.
+// Fixed probes -- 1-3 hops, periodic and bursty first hops, two of them with
+// two hops on one processor -- are re-asked after every step of a stream of
+// committed and refused admits, removes and general-path what_ifs, and must
+// match the general path bit for bit each time: a stale cache, a cache
+// reused for a hop whose processor already carries an earlier hop of the
+// candidate, or a skipped upper part on a non-last hop all show up here.
+TEST(Service, FastWhatIfFollowsCommits) {
+  Rng rng(43);
+  const System base = random_base(rng, SchedulerKind::kSpp, false);
+  obs::Tracer tracer;
+  SessionConfig cfg;
+  cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
+  cfg.analysis.observer.tracer = &tracer;
+  AdmissionSession session(base, cfg);
+  ASSERT_TRUE(session.last().ok);
+
+  constexpr int kProbeOffset = 1000;
+  const std::vector<Job> probes = {
+      follow_candidate(rng, base, 1, false, 0, kProbeOffset, 0),
+      follow_candidate(rng, base, 2, false, 1, kProbeOffset, 1),
+      follow_candidate(rng, base, 3, true, 0, kProbeOffset, 2),
+      follow_candidate(rng, base, 2, true, 2, kProbeOffset, 3),
+      follow_candidate(rng, base, 3, false, 2, kProbeOffset, 4),
+  };
+  std::vector<std::uint64_t> admitted;
+  int removes = 0, commits = 0, refusals = 0;
+  for (int step = 0; step < 40; ++step) {
+    const std::string label = "step " + std::to_string(step);
+    const int kind = rng.uniform_int(0, 9);
+    const int hops = rng.uniform_int(1, 3);
+    Job job = follow_candidate(rng, session.system(), hops,
+                               rng.uniform_int(0, 2) == 0,
+                               rng.uniform_int(0, 2), 0, 100 + step);
+    if (kind < 3 && !admitted.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(admitted.size()) - 1));
+      ASSERT_TRUE(session.remove(admitted[pick]).committed) << label;
+      admitted.erase(admitted.begin() + static_cast<std::ptrdiff_t>(pick));
+      ++removes;
+    } else if (kind < 7) {
+      if (kind == 6) job.deadline = 1e-3;  // certainly refused
+      const Decision d = session.admit(job);
+      ASSERT_TRUE(d.ok) << label << ": " << d.error;
+      if (d.committed) {
+        admitted.push_back(d.job_id);
+        ++commits;
+      } else {
+        ++refusals;
+      }
+    } else {
+      const Decision d = session.what_if(job);
+      ASSERT_TRUE(d.ok) << label << ": " << d.error;
+      EXPECT_FALSE(d.committed) << label;
+      expect_fast_equals_general(session, job, label + " fresh candidate");
+    }
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      expect_fast_equals_general(session, probes[i],
+                                 label + " probe " + std::to_string(i));
+    }
+  }
+  EXPECT_GT(removes, 0);
+  EXPECT_GT(commits, 0);
+  EXPECT_GT(refusals, 0);
+  // Every probe read took the fast path (a fallback would compare the
+  // general path with itself).
+  EXPECT_GE(fast_what_if_spans(tracer), 40 * probes.size());
 }
 
 // Explain invariants on the general path: one provenance entry per chain

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +26,7 @@
 #include "service/request_runner.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "service/tenant_registry.hpp"
+#include "support/strip_latency.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
 
@@ -60,11 +60,6 @@ SessionConfig make_session_config(const System& base) {
   SessionConfig cfg;
   cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
   return cfg;
-}
-
-std::string strip_latency(const std::string& responses) {
-  static const std::regex latency(",\"latency_us\":[^,}]*");
-  return std::regex_replace(responses, latency, "");
 }
 
 /// One random request line for `tenant`: mostly reads (query / what_if),
