@@ -18,11 +18,13 @@
 // the SAME arithmetic (the engines' determinism contract).
 //
 // Output: a human-readable table on stdout and BENCH_parallel.json with one
-// entry per (scenario, threads) point: wall seconds (best of --repeats),
-// speedup vs baseline, and the engines' counters (iterative: phase times
-// and pass-skip counts; bounds: waves and units; zero for the other engine).
+// entry per (scenario, threads) point: wall seconds (best of --repeats, and
+// the median and q1-q3 over the repeats), speedup vs baseline (best over
+// best, and median over median), and the engines' counters (iterative:
+// phase times and pass-skip counts; bounds: waves and units; zero for the
+// other engine).
 //
-// Flags: --systems N (default 24)  --repeats N (default 3)
+// Flags: --systems N (default 24)  --repeats N (default 5)
 //        --stages N (default 4)    --procs N (default 2, per stage)
 //        --jobs N (default 8)      --util U (default 0.7)
 //        --seed S (default 42)     --out FILE (default BENCH_parallel.json)
@@ -40,6 +42,7 @@
 #include "model/priority.hpp"
 #include "obs/metrics.hpp"
 #include "util/options.hpp"
+#include "support/stats.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
 
@@ -65,8 +68,12 @@ struct Scenario {
 
 struct Point {
   int threads = 1;
-  double seconds = 0.0;
-  double speedup = 1.0;
+  double seconds = 0.0;  ///< best of the repeats
+  double median_seconds = 0.0;
+  double q1_seconds = 0.0;
+  double q3_seconds = 0.0;
+  double speedup = 1.0;         ///< baseline best / this best
+  double median_speedup = 1.0;  ///< baseline median / this median
   /// Iterative engine breakdown from the metrics registry (last repeat):
   /// wall time inside processor passes vs. arrival propagation.
   std::uint64_t pass_time_us = 0;
@@ -119,14 +126,14 @@ std::uint64_t result_digest(std::uint64_t h, const AnalysisResult& r) {
 }
 
 /// Analyze the whole batch through one analyzer (so its pool amortizes
-/// across systems); returns the best-of-repeats wall time and the digest of
-/// the last repeat.
+/// across systems); returns the best, median and quartile wall times over
+/// the repeats and the digest of the last repeat.
 template <typename Analyzer>
 Point run_config(const std::vector<System>& systems, int threads, int repeats,
                  std::uint64_t* digest_out) {
   Point point;
   point.threads = threads;
-  point.seconds = -1.0;
+  std::vector<double> times;
   for (int rep = 0; rep < repeats; ++rep) {
     // Every repeat carries the same metrics sink, so the timing comparison
     // across thread counts stays apples-to-apples (the sink's overhead is
@@ -143,9 +150,7 @@ Point run_config(const std::vector<System>& systems, int threads, int repeats,
     }
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    if (point.seconds < 0.0 || elapsed.count() < point.seconds) {
-      point.seconds = elapsed.count();
-    }
+    times.push_back(elapsed.count());
     *digest_out = digest;
     const obs::MetricsSnapshot snap = registry.snapshot();
     auto counter = [&](const char* name) -> std::uint64_t {
@@ -159,6 +164,10 @@ Point run_config(const std::vector<System>& systems, int threads, int repeats,
     point.waves = counter("bounds.waves");
     point.units = counter("bounds.units");
   }
+  point.seconds = quantile(times, 0.0);
+  point.median_seconds = quantile(times, 0.5);
+  point.q1_seconds = quantile(times, 0.25);
+  point.q3_seconds = quantile(times, 0.75);
   return point;
 }
 
@@ -175,7 +184,8 @@ void write_json(const std::string& path, const Options& opts,
   std::fprintf(f, "  \"bench\": \"parallel_scaling\",\n");
   std::fprintf(f,
                "  \"baseline\": {\"threads\": 1, \"note\": \"serial engine; "
-               "speedup is relative to this\"},\n");
+               "speedup is best over best, median_speedup median over "
+               "median, both relative to this\"},\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"systems_per_scenario\": %zu,\n", system_count);
@@ -196,12 +206,15 @@ void write_json(const std::string& path, const Options& opts,
       const Point& p = points[i];
       std::fprintf(f,
                    "        {\"threads\": %d, "
-                   "\"seconds\": %.6f, \"speedup\": %.3f, "
+                   "\"seconds\": %.6f, \"median_seconds\": %.6f, "
+                   "\"q1_seconds\": %.6f, \"q3_seconds\": %.6f, "
+                   "\"speedup\": %.3f, \"median_speedup\": %.3f, "
                    "\"phase_us\": {\"processor_passes\": %llu, "
                    "\"propagation\": %llu}, "
                    "\"passes_run\": %llu, \"passes_skipped\": %llu, "
                    "\"waves\": %llu, \"units\": %llu}%s\n",
-                   p.threads, p.seconds, p.speedup,
+                   p.threads, p.seconds, p.median_seconds, p.q1_seconds,
+                   p.q3_seconds, p.speedup, p.median_speedup,
                    static_cast<unsigned long long>(p.pass_time_us),
                    static_cast<unsigned long long>(p.propagate_time_us),
                    static_cast<unsigned long long>(p.passes_run),
@@ -224,7 +237,7 @@ int main(int argc, char** argv) {
   const Options opts = Options::parse(argc, argv);
   const std::size_t system_count =
       static_cast<std::size_t>(opts.get_int("systems", 24));
-  const int repeats = static_cast<int>(opts.get_int("repeats", 3));
+  const int repeats = static_cast<int>(opts.get_int("repeats", 5));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const std::string out = opts.get("out", "BENCH_parallel.json");
@@ -266,13 +279,15 @@ int main(int argc, char** argv) {
 
     std::printf("\n--- %s (%s engine) ---\n", scenario.name.c_str(),
                 engine_name(scenario.engine));
-    std::printf("%8s %10s %8s %10s %10s %8s %6s %6s\n", "threads",
-                "seconds", "speedup", "pass_ms", "prop_ms", "skipped",
-                "waves", "units");
+    std::printf("%8s %10s %10s %17s %8s %8s %10s %10s %8s %6s %6s\n",
+                "threads", "seconds", "median", "q1-q3", "speedup",
+                "med_spd", "pass_ms", "prop_ms", "skipped", "waves",
+                "units");
 
     // thread_counts starts at 1: the first point is the serial baseline.
     std::uint64_t baseline_digest = 0;
     double baseline_seconds = 0.0;
+    double baseline_median = 0.0;
     std::vector<Point> points;
     for (const int threads : thread_counts) {
       std::uint64_t digest = 0;
@@ -284,6 +299,7 @@ int main(int argc, char** argv) {
       if (points.empty()) {
         baseline_digest = digest;
         baseline_seconds = p.seconds;
+        baseline_median = p.median_seconds;
       } else if (digest != baseline_digest) {
         std::fprintf(stderr,
                      "FATAL: results at threads=%d diverge from the serial "
@@ -292,13 +308,17 @@ int main(int argc, char** argv) {
         return 1;
       }
       p.speedup = baseline_seconds / p.seconds;
-      std::printf("%8d %10.4f %8.2f %10.1f %10.1f %8llu %6llu %6llu\n",
-                  threads, p.seconds, p.speedup,
-                  static_cast<double>(p.pass_time_us) / 1000.0,
-                  static_cast<double>(p.propagate_time_us) / 1000.0,
-                  static_cast<unsigned long long>(p.passes_skipped),
-                  static_cast<unsigned long long>(p.waves),
-                  static_cast<unsigned long long>(p.units));
+      p.median_speedup = baseline_median / p.median_seconds;
+      std::printf(
+          "%8d %10.4f %10.4f %8.4f-%-8.4f %8.2f %8.2f %10.1f %10.1f %8llu "
+          "%6llu %6llu\n",
+          threads, p.seconds, p.median_seconds, p.q1_seconds, p.q3_seconds,
+          p.speedup, p.median_speedup,
+          static_cast<double>(p.pass_time_us) / 1000.0,
+          static_cast<double>(p.propagate_time_us) / 1000.0,
+          static_cast<unsigned long long>(p.passes_skipped),
+          static_cast<unsigned long long>(p.waves),
+          static_cast<unsigned long long>(p.units));
       points.push_back(p);
     }
     results.emplace_back(scenario, std::move(points));

@@ -30,17 +30,24 @@
 // (the determinism contract of docs/api.md; tests/test_region.cpp
 // certifies the same equivalence per probe).
 //
+// A last section times the column grain: one 2-D global-scope query
+// (exec_scale x rate_scale over every job, so each probe is a full-system
+// analysis) run with its columns in sequence and on --threads column
+// workers. The two results must serialize to the same bytes.
+//
 // Output: a per-query latency table on stdout and BENCH_region.json with
 // median/p90/max latencies per path, the median speedups per query class,
-// and the fraction of probes answered on the incremental dirty-closure
-// path. The acceptance bar is a >= 3x median speedup over fresh-per-point
-// on the candidate sweeps.
+// the fraction of probes answered on the incremental dirty-closure path,
+// and the column sweep's median and q1-q3 wall times at both widths. The
+// acceptance bar is a >= 3x median speedup over fresh-per-point on the
+// candidate sweeps.
 //
 // Flags: --repeats N (default 3)   --stages N (default 4)
 //        --procs N (default 2, per stage)  --jobs N (default 8)
 //        --candidates N (default 8, admitted before querying)
 //        --util U (default 0.7)    --seed S (default 42)
-//        --threads N (default 1)   --tolerance T (default 0.001)
+//        --threads N (default 1; also the column sweep's parallel width)
+//        --tolerance T (default 0.001)
 //        --out FILE (default BENCH_region.json)
 #include <algorithm>
 #include <chrono>
@@ -385,6 +392,52 @@ int main(int argc, char** argv) {
                  median_speedup);
   }
 
+  // The column grain: a 2-D global-scope sweep, columns serial vs on
+  // --threads column workers (a column's own analyzer is always serial).
+  RegionQuery column_query;
+  column_query.axes.push_back(RegionAxis{
+      RegionParam::kExecScale, RegionScope::kGlobal, -1, 0.5, 1.5});
+  column_query.axes.push_back(RegionAxis{
+      RegionParam::kRateScale, RegionScope::kGlobal, -1, 1.0, 4.0});
+  column_query.tolerance = tolerance;
+  service::SessionConfig serial_cfg = session_cfg;
+  serial_cfg.analysis.threads = 1;
+  RegionAnalyzer serial_columns(committed, serial_cfg);
+  RegionAnalyzer parallel_columns(committed, session_cfg);
+  std::vector<double> serial_s, parallel_s;
+  int column_probes = 0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const Clock::time_point s0 = Clock::now();
+    const RegionResult serial = serial_columns.run(column_query);
+    const std::chrono::duration<double> s_s = Clock::now() - s0;
+    const Clock::time_point p0 = Clock::now();
+    const RegionResult parallel = parallel_columns.run(column_query);
+    const std::chrono::duration<double> p_s = Clock::now() - p0;
+    if (!serial.ok || !parallel.ok) {
+      std::fprintf(stderr, "FATAL: column sweep failed: %s\n",
+                   (serial.ok ? parallel : serial).error.c_str());
+      return 1;
+    }
+    if (region_result_value(serial).dump() !=
+        region_result_value(parallel).dump()) {
+      std::fprintf(stderr,
+                   "FATAL: column sweep at threads=%d diverges from the "
+                   "serial sweep -- determinism contract violated\n",
+                   threads);
+      return 1;
+    }
+    serial_s.push_back(s_s.count());
+    parallel_s.push_back(p_s.count());
+    column_probes = serial.probes;
+  }
+  const double column_speedup =
+      percentile(serial_s, 0.5) / percentile(parallel_s, 0.5);
+  std::printf("column sweep (global exec_scale x rate_scale, %d columns, "
+              "%d probes): serial median %.3f s, threads %d median %.3f s, "
+              "%.2fx\n",
+              column_query.columns, column_probes, percentile(serial_s, 0.5),
+              threads, percentile(parallel_s, 0.5), column_speedup);
+
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
@@ -436,6 +489,21 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"established_median_speedup\": %.3f,\n",
                established_median_speedup);
   std::fprintf(f, "  \"speedup_bar\": 3.0,\n");
+  const auto seconds = [&](const char* key, const std::vector<double>& xs) {
+    std::fprintf(f,
+                 "    \"%s\": {\"median\": %.6f, \"q1\": %.6f, "
+                 "\"q3\": %.6f},\n",
+                 key, percentile(xs, 0.5), percentile(xs, 0.25),
+                 percentile(xs, 0.75));
+  };
+  std::fprintf(f,
+               "  \"column_sweep\": {\n    \"scope\": \"global\", "
+               "\"axes\": \"exec_scale x rate_scale\", \"columns\": %d, "
+               "\"probes\": %d, \"threads\": %d,\n",
+               column_query.columns, column_probes, threads);
+  seconds("serial_s", serial_s);
+  seconds("parallel_s", parallel_s);
+  std::fprintf(f, "    \"median_speedup\": %.3f\n  },\n", column_speedup);
   std::fprintf(f,
                "  \"determinism\": \"every query's boundary (flags, "
                "endpoints, probe count) identical between the incremental "

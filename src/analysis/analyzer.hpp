@@ -18,8 +18,9 @@
 //     *named by the scheduling policy it evaluates*.
 //
 // One Analyzer instance reuses its engines across analyze() calls, so the
-// engines' ThreadPools amortize over request streams (the admission
-// service's hot path). Engines are created lazily under a mutex;
+// engines' ThreadPools amortize over repeated analyses (the admission
+// session does not go through it: it analyzes serially and owns no pool).
+// Engines are created lazily under a mutex;
 // analyze() itself is safe to call concurrently (the underlying engines
 // are).
 //
@@ -100,7 +101,7 @@ class Analyzer {
 
  private:
   /// Lazily created engines, shared across analyze() calls so their pools
-  /// amortize over request streams.
+  /// amortize over repeated analyses.
   [[nodiscard]] const ExactSppAnalyzer& exact() const;
   [[nodiscard]] const BoundsAnalyzer& bounds() const;
   [[nodiscard]] const IterativeBoundsAnalyzer& iterative() const;

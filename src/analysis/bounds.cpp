@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "curve/algebra.hpp"
 #include "curve/kernel_hooks.hpp"
@@ -446,17 +445,8 @@ AnalysisResult bounds_result_from_states(const System& system, Time horizon,
 
 }  // namespace detail
 
-std::size_t analysis_worker_count(int threads) {
-  if (threads == 1) return 1;
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-  }
-  return static_cast<std::size_t>(threads);
-}
-
 BoundsAnalyzer::BoundsAnalyzer(AnalysisConfig config) : config_(config) {
-  const std::size_t workers = analysis_worker_count(config.threads);
+  const std::size_t workers = resolve_workers(config.threads);
   if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
   eobs_ = detail::EngineObs::make_if(config.observer, "bounds");
 }

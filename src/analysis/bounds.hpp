@@ -225,7 +225,4 @@ class BoundsAnalyzer {
   std::unique_ptr<detail::EngineObs> eobs_;  ///< null without an observer
 };
 
-/// Workers implied by AnalysisConfig::threads (1 = serial, 0 = hardware).
-[[nodiscard]] std::size_t analysis_worker_count(int threads);
-
 }  // namespace rta

@@ -13,7 +13,7 @@ namespace rta {
 
 IterativeBoundsAnalyzer::IterativeBoundsAnalyzer(AnalysisConfig config)
     : config_(config) {
-  const std::size_t workers = analysis_worker_count(config.threads);
+  const std::size_t workers = resolve_workers(config.threads);
   if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
   eobs_ = detail::EngineObs::make_if(config.observer, "iterative");
 }

@@ -32,8 +32,9 @@ struct AnalysisConfig {
   int max_iterations = 64;
 
   /// Worker threads for the parallel bounds engines and region columns
-  /// (service::AdmissionSession always analyzes serially): 1 = serial
-  /// (default), 0 = std::thread::hardware_concurrency(), N = that many.
+  /// (service::AdmissionSession always analyzes serially), resolved by
+  /// resolve_workers (util/thread_pool.hpp): 1 = serial (default),
+  /// 0 = hardware concurrency, N = that many.
   /// Determinism contract: the computed bounds are bit-identical for every
   /// value (tests/test_differential_engine.cpp).
   int threads = 1;

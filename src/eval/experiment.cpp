@@ -1,7 +1,7 @@
 #include "eval/experiment.hpp"
 
 #include <atomic>
-#include <thread>
+#include <memory>
 
 #include "analysis/analyzer.hpp"
 #include "model/priority.hpp"
@@ -28,12 +28,11 @@ std::vector<AdmissionPoint> run_admission_experiment(
   for (auto& a : admitted) a.store(0, std::memory_order_relaxed);
 
   const RngFactory factory(config.seed);
-  const std::size_t workers = config.threads
-                                  ? config.threads
-                                  : std::thread::hardware_concurrency();
-  ThreadPool pool(workers ? workers : 1);
+  const std::size_t workers = resolve_workers(config.threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
 
-  pool.parallel_for_index(config.trials, [&](std::size_t trial) {
+  for_each_index(pool.get(), config.trials, [&](std::size_t trial) {
     for (std::size_t ui = 0; ui < u_count; ++ui) {
       // Same trial index -> same random draws; utilization only scales
       // execution times, so the job set is comparable across the sweep.
@@ -50,7 +49,7 @@ std::vector<AdmissionPoint> run_admission_experiment(
         }
         assign_proportional_deadline_monotonic(system);
         const AnalysisResult result =
-            analyze_with(method, system, config.analysis);
+            analyze_with(method, system, AnalysisConfig{});
         if (result.ok && result.all_schedulable()) {
           admitted[ui * m_count + mi].fetch_add(1, std::memory_order_relaxed);
         }

@@ -36,8 +36,9 @@ struct AdmissionConfig {
   std::vector<Method> methods;
   std::size_t trials = 1000;
   std::uint64_t seed = 42;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  AnalysisConfig analysis;
+  /// Trial workers, resolved by resolve_workers (util/thread_pool.hpp):
+  /// 1 = serial, 0 = hardware concurrency. Each trial analyzes serially.
+  int threads = 0;
 };
 
 /// Run the full grid; returns utilizations.size() * methods.size() points in

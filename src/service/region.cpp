@@ -356,7 +356,9 @@ RegionResult RegionAnalyzer::run(const RegionQuery& query) {
     }
   }
 
-  auto make_prober = [&](bool clone) {
+  // A 2-D column already runs on the column pool, so its full-system
+  // analyzer is serial: no pool starts inside a pooled grain.
+  auto make_prober = [&](bool column) {
     Prober p;
     p.query = &q;
     p.counter = counter;
@@ -364,16 +366,18 @@ RegionResult RegionAnalyzer::run(const RegionQuery& query) {
     if (all_job_scoped) {
       p.target = target;
       p.probe_session =
-          clone ? probe_base->clone_committed() : std::move(probe_base);
+          column ? probe_base->clone_committed() : std::move(probe_base);
     } else {
       p.base = &session_->system();
-      p.full = std::make_unique<BoundsAnalyzer>(cfg.analysis);
+      AnalysisConfig analysis = cfg.analysis;
+      if (column) analysis.threads = 1;
+      p.full = std::make_unique<BoundsAnalyzer>(analysis);
     }
     return p;
   };
 
   if (q.axes.size() == 1) {
-    Prober p = make_prober(/*clone=*/false);
+    Prober p = make_prober(/*column=*/false);
     result.boundary = bisect(q, 0, {}, p);
     result.probes = p.probes;
     result.incremental_probes = p.incremental;
@@ -399,11 +403,11 @@ RegionResult RegionAnalyzer::run(const RegionQuery& query) {
     double v = c + 1 == n ? a0.hi : a0.lo + static_cast<double>(c) * step;
     if (a0.param == RegionParam::kBurst) v = std::floor(v);
     result.columns[c].value = v;
-    probers.push_back(make_prober(/*clone=*/true));
+    probers.push_back(make_prober(/*column=*/true));
   }
 
   const std::size_t workers =
-      std::min(analysis_worker_count(cfg.analysis.threads), n);
+      std::min(resolve_workers(cfg.analysis.threads), n);
   std::unique_ptr<ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
   for_each_index(pool.get(), n, [&](std::size_t c) {

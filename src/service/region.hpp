@@ -22,7 +22,10 @@
 // smaller is provably clean). 2-D queries sweep a grid of axis-0 values,
 // each column binary-searching axis-1; columns are independent and
 // deterministic, so fanning them over a ThreadPool against per-column
-// session clones returns byte-identical results to sequential probing.
+// session clones returns byte-identical results to sequential probing. The
+// column pool is the only pool on that path: a column's full-system
+// analyzer runs serially (Sun et al.'s parametric sweep, PAPERS.md, has
+// the same grain).
 //
 // Determinism contract: a probe's verdict equals a fresh
 // BoundsAnalyzer(config.analysis) analysis of apply_axes(base, query,

@@ -1,12 +1,10 @@
 #include "service/sharded_scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "obs/trace_context.hpp"
@@ -14,15 +12,6 @@
 namespace rta::service {
 
 namespace {
-
-int resolve_shards(int shards) {
-  if (shards == 1) return 1;
-  if (shards <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  return shards;
-}
 
 double micros_since(std::chrono::steady_clock::time_point since) {
   const std::chrono::duration<double, std::micro> us =
@@ -48,11 +37,11 @@ ShardedScheduler::ShardedScheduler(TenantRegistry& registry, std::ostream& out,
       out_(out),
       options_(std::move(options)),
       tracer_(observer.tracer) {
-  const int n = resolve_shards(options_.shards);
-  shards_.resize(static_cast<std::size_t>(n));
+  const std::size_t n = resolve_workers(options_.shards);
+  shards_.resize(n);
   if (observer.metrics != nullptr) {
-    for (int k = 0; k < n; ++k) {
-      Shard& sh = shards_[static_cast<std::size_t>(k)];
+    for (std::size_t k = 0; k < n; ++k) {
+      Shard& sh = shards_[k];
       const std::string prefix = "service.shard." + std::to_string(k);
       sh.requests_counter = observer.metrics->counter(prefix + ".requests");
       sh.shed_counter = observer.metrics->counter(prefix + ".shed");
@@ -60,7 +49,7 @@ ShardedScheduler::ShardedScheduler(TenantRegistry& registry, std::ostream& out,
     }
   }
   tenants_.resize(static_cast<std::size_t>(registry_.count()));
-  if (n > 1) pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(n - 1));
+  if (n > 1) pool_ = std::make_unique<ThreadPool>(n - 1);
 }
 
 ShardedScheduler::~ShardedScheduler() = default;
@@ -134,28 +123,14 @@ void ShardedScheduler::submit_line(const std::string& line) {
   Entry e;
   e.tenant = idx;
   e.line = line;
-  if (executable) {
-    if (options_.tenant_max_inflight > 0 &&
-        tn.queued >= options_.tenant_max_inflight) {
-      e.shed = true;
-      e.message = "tenant overloaded: tenant_max_inflight exceeded";
-    } else if (options_.shard_max_inflight > 0 &&
-               sh.depth >= options_.shard_max_inflight) {
-      // Fair-share rule: a shard over its bound sheds only tenants at or
-      // above an equal split of the bound, so a quiet tenant keeps landing
-      // lines while its hot neighbor sheds.
-      const int share =
-          std::max(1, options_.shard_max_inflight / std::max(1, sh.active));
-      if (tn.queued >= share) {
-        e.shed = true;
-        e.message = "shard overloaded: run queue full";
-      }
-    }
+  if (executable && options_.tenant_max_inflight > 0 &&
+      tn.queued >= options_.tenant_max_inflight) {
+    e.shed = true;
+    e.message = "tenant overloaded: tenant_max_inflight exceeded";
   }
   e.req = std::move(req);
 
   if (executable && !e.shed) {
-    if (tn.queued == 0) ++sh.active;
     ++tn.queued;
     ++sh.depth;
   }
@@ -231,7 +206,6 @@ void ShardedScheduler::pump() {
     sh.queue.clear();
     sh.touched.clear();
     sh.depth = 0;
-    sh.active = 0;
   }
   pending_lines_ = 0;
   emit_ready();

@@ -31,13 +31,9 @@
 // depths alone -- never from wall-clock -- and sheds with the v2
 // `overloaded` retryable error through the tenant's own scheduler (so the
 // rejection consumes the tenant's numbering like any other line):
-//   - tenant_max_inflight bounds one tenant's executable lines per pump
-//     window: a hot tenant starts shedding while its siblings, below their
-//     own bounds, are untouched.
-//   - shard_max_inflight bounds a shard's run queue. When the shard is
-//     over its bound, only tenants at or above their fair share
-//     (shard_max_inflight / active tenants in the window) are shed, so a
-//     hot tenant cannot starve a quiet one that shares its shard.
+// tenant_max_inflight bounds one tenant's executable lines per pump window,
+// so a hot tenant starts shedding while its siblings, below their own
+// bounds, are untouched.
 //
 // Observability: per-shard counters service.shard.<k>.requests /
 // service.shard.<k>.shed and gauge service.shard.<k>.depth (executable
@@ -63,13 +59,14 @@
 namespace rta::service {
 
 struct ShardedOptions {
-  /// Worker shards (0 = hardware concurrency). Shard placement is
-  /// per-tenant and width-independent; the width only sets how many tenant
-  /// sets drain concurrently.
+  /// Worker shards, resolved by resolve_workers (util/thread_pool.hpp):
+  /// 1 = serial, 0 = hardware concurrency. Shard placement is per-tenant
+  /// and width-independent; the width only sets how many tenant sets drain
+  /// concurrently.
   int shards = 1;
 
   /// Per-tenant scheduler knobs (timeouts, backpressure). The
-  /// scheduler-level max_inflight composes with the routing-level bounds
+  /// scheduler-level max_inflight composes with the routing-level bound
   /// below; multi-tenant callers normally leave it 0 and bound at routing
   /// time instead.
   StreamOptions stream;
@@ -77,10 +74,6 @@ struct ShardedOptions {
   /// Executable lines one tenant may queue per pump window before it sheds
   /// (0 = unbounded).
   int tenant_max_inflight = 0;
-
-  /// Executable lines one shard may queue per pump window; over the bound,
-  /// only tenants at/above their fair share shed (0 = unbounded).
-  int shard_max_inflight = 0;
 
   /// Queued lines (across all shards) that trigger a pump.
   int pump_lines = 256;
@@ -146,7 +139,6 @@ class ShardedScheduler {
     std::vector<Entry> queue;
     std::vector<int> touched;  ///< tenants with lines this window, in order
     int depth = 0;             ///< executable lines queued this window
-    int active = 0;            ///< tenants contributing to depth
     std::uint64_t requests_total = 0;
     std::uint64_t shed_total = 0;
     obs::Counter requests_counter;

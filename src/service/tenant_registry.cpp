@@ -6,8 +6,6 @@ namespace rta::service {
 
 namespace {
 
-constexpr std::size_t kInitialSlots = 16;  // power of two
-
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -17,7 +15,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 }  // namespace
 
-TenantRegistry::TenantRegistry() : slots_(kInitialSlots) {}
+TenantRegistry::TenantRegistry() = default;
 TenantRegistry::~TenantRegistry() = default;
 
 std::uint64_t TenantRegistry::hash(std::string_view name) {
@@ -27,7 +25,7 @@ std::uint64_t TenantRegistry::hash(std::string_view name) {
     h *= 1099511628211ULL;
   }
   // FNV alone clusters on short ASCII ids ("t1", "t2", ...); the finalizer
-  // spreads them so both the probe sequence and shard_of stay balanced.
+  // spreads them so shard_of stays balanced.
   return splitmix64(h);
 }
 
@@ -36,49 +34,18 @@ int TenantRegistry::shard_of(std::string_view name, int shards) {
   return static_cast<int>(hash(name) % static_cast<std::uint64_t>(shards));
 }
 
-std::size_t TenantRegistry::probe(std::string_view name,
-                                  std::uint64_t h) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  for (;;) {
-    const Slot& s = slots_[i];
-    if (s.index < 0) return i;  // empty: name is absent, insert here
-    if (s.hash == h && names_[static_cast<std::size_t>(s.index)] == name) {
-      return i;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-void TenantRegistry::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.index < 0) continue;
-    std::size_t i = static_cast<std::size_t>(s.hash) & mask;
-    while (slots_[i].index >= 0) i = (i + 1) & mask;
-    slots_[i] = s;
-  }
-}
-
 int TenantRegistry::add(std::string name,
                         std::unique_ptr<AdmissionSession> session) {
-  // Keep load under 1/2 so linear probes stay short even at 10k tenants.
-  if ((names_.size() + 1) * 2 > slots_.size()) grow();
-  const std::uint64_t h = hash(name);
-  const std::size_t i = probe(name, h);
-  if (slots_[i].index >= 0) return -1;  // duplicate
   const int index = static_cast<int>(names_.size());
-  slots_[i] = Slot{h, index};
+  if (!index_.emplace(name, index).second) return -1;  // duplicate
   names_.push_back(std::move(name));
   sessions_.push_back(std::move(session));
   return index;
 }
 
 int TenantRegistry::find(std::string_view name) const {
-  const std::size_t i = probe(name, hash(name));
-  return slots_[i].index;
+  const auto it = index_.find(name);
+  return it == index_.end() ? -1 : it->second;
 }
 
 }  // namespace rta::service

@@ -1,13 +1,9 @@
-// Compact tenant-id -> AdmissionSession lookup for the sharded front end.
+// Tenant-id -> AdmissionSession lookup for the sharded front end.
 //
 // The registry interns tenant names into dense indices (the sharded
 // scheduler's per-tenant state lives in index-aligned vectors) and resolves
-// names through a power-of-two open-addressing table of (hash, index) slots
-// -- one flat array, linear probing, no per-node allocation. The idiom
-// follows the compact route-lookup structures of the related kernel slice
-// (net/ipv4/fib_trie.c): the hot path is a cache-friendly scan over a flat
-// table, and the full keys live out-of-line, touched only to confirm a
-// candidate.
+// names through a std::unordered_map with transparent std::string_view
+// lookup, so routing a line never builds a std::string.
 //
 // Shard placement is a pure function of the tenant name (shard_of), so a
 // tenant lands on the same shard no matter the insertion order, and widths
@@ -19,10 +15,13 @@
 // lookups are safe from any shard worker without locks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "service/admission_session.hpp"
@@ -60,16 +59,15 @@ class TenantRegistry {
   [[nodiscard]] static int shard_of(std::string_view name, int shards);
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    int index = -1;  ///< -1: empty (the table never deletes)
+  /// Transparent hash, so find() looks up a std::string_view directly.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
   };
 
-  void grow();
-  [[nodiscard]] std::size_t probe(std::string_view name,
-                                  std::uint64_t h) const;
-
-  std::vector<Slot> slots_;  ///< power-of-two open addressing, linear probe
+  std::unordered_map<std::string, int, NameHash, std::equal_to<>> index_;
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<AdmissionSession>> sessions_;
 };

@@ -2,7 +2,8 @@
 // evaluation (eval/experiment.cpp), the parallel analysis engines
 // (analysis/bounds.cpp, analysis/iterative.cpp), region probe columns
 // (service/region.cpp) and tenant shards (service/sharded_scheduler.cpp).
-// parallel_for_index is its one entry point.
+// parallel_for_index is its one entry point; resolve_workers is the one rule
+// that turns a requested width into a worker count.
 //
 // Determinism contract: parallel_for_index hands each index to exactly one
 // shard; bodies write only per-index state (callers derive per-index RNG
@@ -36,6 +37,14 @@
 
 namespace rta {
 
+/// The one width rule every fan-out shares: 1 = serial, 0 or less =
+/// std::thread::hardware_concurrency() (at least 1), N = N.
+[[nodiscard]] inline std::size_t resolve_workers(int requested) {
+  if (requested > 0) return static_cast<std::size_t>(requested);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw != 0 ? hw : 1;
+}
+
 /// A minimal task-queue thread pool.
 class ThreadPool {
  public:
@@ -52,8 +61,9 @@ class ThreadPool {
     std::vector<std::uint64_t> worker_busy_ns;  ///< per-worker task time
   };
 
-  explicit ThreadPool(std::size_t workers = std::thread::hardware_concurrency()) {
-    if (workers == 0) workers = 1;
+  /// `workers` helper threads, already resolved (resolve_workers); the
+  /// calling thread of each loop is one more shard.
+  explicit ThreadPool(std::size_t workers) {
     workers_.reserve(workers);
     busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(workers);
     for (std::size_t i = 0; i < workers; ++i) {

@@ -17,6 +17,7 @@
 #include "service/region.hpp"
 #include "analysis/result.hpp"
 #include "model/priority.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "workload/jobshop.hpp"
 
@@ -214,29 +215,62 @@ TEST(Region, TwoDimensionalColumnsAreMonotoneAndCertified) {
   }
 }
 
+/// Both axes global: every probe takes the full-system analysis path.
+RegionQuery global_2d_query() {
+  RegionQuery q;
+  q.axes.push_back(RegionAxis{RegionParam::kExecScale, RegionScope::kGlobal,
+                              -1, 1.0, 4.0});
+  q.axes.push_back(RegionAxis{RegionParam::kRateScale, RegionScope::kGlobal,
+                              -1, 1.0, 8.0});
+  q.columns = 4;
+  return q;
+}
+
 /// The 2-D fan-out contract: serial and parallel column probing serialize
-/// to the same bytes (region_result_value is deterministic field-for-field).
+/// to the same bytes (region_result_value is deterministic field-for-field),
+/// on the incremental path (job-scoped axes) and on the full-system path
+/// (global axes).
 TEST(Region, TwoDimensionalParallelMatchesSerialByteForByte) {
   const System base = make_shop(6, /*utilization=*/0.6);
-  RegionQuery q;
-  q.target = base.job(1).name;
-  q.axes.push_back(RegionAxis{RegionParam::kExecScale, RegionScope::kJob, -1,
-                              1.0, 6.0});
-  q.axes.push_back(
+  RegionQuery job_query;
+  job_query.target = base.job(1).name;
+  job_query.axes.push_back(RegionAxis{RegionParam::kExecScale,
+                                      RegionScope::kJob, -1, 1.0, 6.0});
+  job_query.axes.push_back(
       RegionAxis{RegionParam::kBurst, RegionScope::kJob, -1, 0.0, 512.0});
-  q.columns = 6;
+  job_query.columns = 6;
 
-  std::string dumps[2];
-  const int threads[2] = {1, 0};  // serial vs hardware concurrency
-  for (int i = 0; i < 2; ++i) {
-    service::SessionConfig cfg;
-    cfg.analysis.threads = threads[i];
-    RegionAnalyzer analyzer(base, cfg);
-    const RegionResult r = analyzer.run(q);
-    ASSERT_TRUE(r.ok) << r.error;
-    dumps[i] = region_result_value(r).dump();
+  for (const RegionQuery& q : {job_query, global_2d_query()}) {
+    std::string dumps[2];
+    const int threads[2] = {1, 0};  // serial vs hardware concurrency
+    for (int i = 0; i < 2; ++i) {
+      service::SessionConfig cfg;
+      cfg.analysis.threads = threads[i];
+      RegionAnalyzer analyzer(base, cfg);
+      const RegionResult r = analyzer.run(q);
+      ASSERT_TRUE(r.ok) << r.error;
+      dumps[i] = region_result_value(r).dump();
+    }
+    EXPECT_EQ(dumps[0], dumps[1]);
   }
-  EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+/// The column pool is the only pool on the 2-D path: a column's
+/// full-system analyzer runs serially, so no engine pool loop runs.
+TEST(Region, TwoDimensionalColumnsStartNoNestedPool) {
+  const System base = make_shop(6, /*utilization=*/0.6);
+  obs::MetricsRegistry metrics;
+  service::SessionConfig cfg;
+  cfg.analysis.threads = 2;
+  cfg.analysis.observer.metrics = &metrics;
+  RegionAnalyzer analyzer(base, cfg);
+  const RegionResult r = analyzer.run(global_2d_query());
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_GT(r.probes, 0);
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  const auto loops = snap.counters.find("pool.loops");
+  ASSERT_NE(loops, snap.counters.end());
+  EXPECT_EQ(loops->second, 0u);
 }
 
 TEST(Region, ValidationRejectsBadQueries) {

@@ -401,35 +401,6 @@ TEST(ServiceSharded, HotTenantShedsWithoutStarvingSiblings) {
   EXPECT_EQ(overloaded, 4);
 }
 
-/// Shard-level fair share: a shard over shard_max_inflight sheds only the
-/// tenants at or above an equal split of the bound, so the hot tenant
-/// cannot push a light sibling's lines out of the window.
-TEST(ServiceSharded, ShardFairShareShedsOnlyHotTenants) {
-  const System base = make_base(9);
-  const SessionConfig cfg = make_session_config(base);
-  TenantRegistry registry;
-  registry.add("hot", std::make_unique<AdmissionSession>(base, cfg));
-  registry.add("light", std::make_unique<AdmissionSession>(base, cfg));
-  ShardedOptions options;
-  options.shards = 1;
-  options.shard_max_inflight = 4;
-  std::ostringstream out;
-  ShardedScheduler scheduler(registry, out, options);
-  // The hot tenant fills the whole shard bound, then the light tenant's
-  // first-ever line arrives: under fair share (4 / 1 active = 4 > 0 queued)
-  // it still lands while the hot tenant keeps shedding.
-  for (int i = 0; i < 6; ++i) {
-    scheduler.submit_line("{\"tenant\": \"hot\", \"op\": \"query\"}");
-  }
-  scheduler.submit_line("{\"tenant\": \"light\", \"op\": \"query\"}");
-  scheduler.submit_line("{\"tenant\": \"hot\", \"op\": \"query\"}");
-  scheduler.finish();
-
-  EXPECT_EQ(scheduler.tenant_stats(registry.find("hot")).rejected, 3);
-  EXPECT_EQ(scheduler.tenant_stats(registry.find("light")).rejected, 0);
-  EXPECT_EQ(scheduler.tenant_stats(registry.find("light")).errors, 0);
-}
-
 /// Lifecycle mirrors the single-session scheduler: finish() is idempotent
 /// and submit_line afterwards is a defined programming error.
 TEST(ServiceSharded, FinishIsIdempotentAndSubmitAfterFinishThrows) {

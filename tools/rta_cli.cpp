@@ -178,7 +178,8 @@ const std::vector<CommandSpec>& command_table() {
             "multi-tenant mode: manifest of 'name [system-file]' lines, one "
             "tenant each (docs/api.md)"},
            {"shards", "N", "1",
-            "multi-tenant worker shards (0 = hardware; needs --tenants-from)",
+            "multi-tenant worker shards (0 = hardware; needs --tenants-from "
+            "and, unless 1, --threads 1)",
             true},
        }},
       {"generate", "", "emit a random job shop", false,
@@ -960,6 +961,13 @@ int cmd_serve(const Options& opts, System system) {
   const std::string tenants_path = opts.get("tenants-from", "");
   if (tenants_path.empty() && !opts.get("shards", "").empty()) {
     std::fprintf(stderr, "serve: --shards requires --tenants-from\n");
+    return 2;
+  }
+  // One pooled grain at a time: a tenant's region columns would otherwise
+  // start a pool inside a shard worker.
+  if (opts.get_int("shards", 1) != 1 && opts.get_int("threads", 1) != 1) {
+    std::fprintf(stderr,
+                 "serve: --shards other than 1 requires --threads 1\n");
     return 2;
   }
 
