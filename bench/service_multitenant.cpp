@@ -16,8 +16,8 @@
 //    exactly the work a one-session-at-a-time front end would do.
 //
 //  * Hot-tenant phase. One tenant floods (long bursts per pump window)
-//    while every other tenant trickles, with tenant_max_inflight bounding
-//    the per-window queue. Sheds MUST land on the hot tenant only: a
+//    while every other tenant trickles, with stream.max_inflight bounding
+//    each tenant's same-class batch (a pump flushes every batch). Sheds MUST land on the hot tenant only: a
 //    single rejected request on any quiet tenant is FATAL (backpressure
 //    isolation), and the quiet tenants' responses must still match their
 //    solo references byte for byte.
@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
           service::run_sharded_stream(registry, in, responses, sharded);
       const double us = micros_since(t0);
       if (rep == 0) run.stats = stats;
-      if (stats.shed != 0 || stats.unrouted != 0) {
+      if (stats.stream.rejected != 0 || stats.unrouted != 0) {
         std::fprintf(stderr, "FATAL: %s shed/unrouted in the identity phase\n",
                      run.label);
         return 1;
@@ -332,7 +332,7 @@ int main(int argc, char** argv) {
   }
   service::ShardedOptions hot_opts;
   hot_opts.shards = 2;
-  hot_opts.tenant_max_inflight = 4;
+  hot_opts.stream.max_inflight = 4;
   hot_opts.pump_lines = hot_burst_len + quiet_tenants;  // one burst per window
   std::ostringstream hot_out;
   service::ShardedScheduler hot_scheduler(hot_registry, hot_out, hot_opts);
@@ -351,12 +351,11 @@ int main(int argc, char** argv) {
                  "nothing\n");
     return 1;
   }
-  if (static_cast<std::uint64_t>(hot_rejected) != hot_stats.shed) {
+  if (hot_rejected != hot_stats.stream.rejected) {
     std::fprintf(stderr,
-                 "FATAL: %llu sheds total but %d on the hot tenant -- "
+                 "FATAL: %d sheds total but %d on the hot tenant -- "
                  "backpressure leaked onto quiet tenants\n",
-                 static_cast<unsigned long long>(hot_stats.shed),
-                 hot_rejected);
+                 hot_stats.stream.rejected, hot_rejected);
     return 1;
   }
   // Every quiet tenant: zero sheds AND byte-identical to its solo run.
@@ -390,9 +389,9 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("  hot-tenant phase: %llu sheds, all on the hot tenant; "
+  std::printf("  hot-tenant phase: %d sheds, all on the hot tenant; "
               "%d quiet tenants byte-identical to their solo runs\n",
-              static_cast<unsigned long long>(hot_stats.shed), quiet_tenants);
+              hot_stats.stream.rejected, quiet_tenants);
 
   // ---- Report -----------------------------------------------------------
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -427,11 +426,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"hot_phase\": {\"sheds\": %llu, "
+               "  \"hot_phase\": {\"sheds\": %d, "
                "\"all_on_hot_tenant\": true, \"quiet_tenants\": %d, "
                "\"quiet_identical_to_solo\": true},\n",
-               static_cast<unsigned long long>(hot_stats.shed),
-               quiet_tenants);
+               hot_stats.stream.rejected, quiet_tenants);
   std::fprintf(f,
                "  \"determinism\": \"per-tenant responses byte-identical "
                "modulo latency_us to each tenant's sequential solo run, at "

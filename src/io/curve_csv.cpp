@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 namespace rta {
@@ -41,12 +40,6 @@ void write_curve_samples_csv(const PwlCurve& curve, std::ostream& os,
     }
     os << t << "," << right << "\n";
   }
-}
-
-std::string curve_knots_csv(const PwlCurve& curve) {
-  std::ostringstream ss;
-  write_curve_knots_csv(curve, ss);
-  return ss.str();
 }
 
 bool save_curve_csv(const PwlCurve& curve, const std::string& path,

@@ -17,9 +17,6 @@ void write_curve_knots_csv(const PwlCurve& curve, std::ostream& os);
 void write_curve_samples_csv(const PwlCurve& curve, std::ostream& os,
                              std::size_t samples = 200);
 
-/// Convenience: knot CSV to string.
-[[nodiscard]] std::string curve_knots_csv(const PwlCurve& curve);
-
 /// Convenience: save sampled CSV to a file; false on I/O failure.
 bool save_curve_csv(const PwlCurve& curve, const std::string& path,
                     std::size_t samples = 200);

@@ -9,13 +9,12 @@
 
 namespace rta {
 
-namespace {
-
-/// Unbounded times have no JSON literal; they travel as the string "inf".
 json::Value time_value(Time t) {
   if (std::isinf(t)) return json::Value("inf");
   return json::Value(t);
 }
+
+namespace {
 
 bool read_time(const json::Value& v, Time& out) {
   if (v.is_number()) {
@@ -62,13 +61,6 @@ const json::Value* require(const json::Value& obj, const char* key,
     return nullptr;
   }
   return v;
-}
-
-std::optional<SchedulerKind> scheduler_from_name(const std::string& name) {
-  if (name == "SPP") return SchedulerKind::kSpp;
-  if (name == "SPNP") return SchedulerKind::kSpnp;
-  if (name == "FCFS") return SchedulerKind::kFcfs;
-  return std::nullopt;
 }
 
 }  // namespace
@@ -255,7 +247,7 @@ ParsedSystem parse_system_json(const std::string& text) {
     const Value* sched =
         require(proc, "scheduler", Value::Kind::kString, result.error);
     if (sched == nullptr) return result;
-    const auto kind = scheduler_from_name(sched->as_string());
+    const auto kind = parse_scheduler_kind(sched->as_string());
     if (!kind) {
       result.error = "unknown scheduler '" + sched->as_string() + "'";
       return result;

@@ -41,6 +41,10 @@ namespace rta {
 /// The schema_version both serializers write and the parsers accept.
 inline constexpr int kSystemJsonSchemaVersion = 1;
 
+/// JSON encoding of a possibly-unbounded time: unbounded times have no JSON
+/// literal, so they travel as the string "inf".
+[[nodiscard]] json::Value time_value(Time t);
+
 /// Serialize a system (pretty-printed; stable field order).
 [[nodiscard]] std::string to_system_json(const System& system);
 

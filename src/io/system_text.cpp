@@ -156,13 +156,6 @@ bool parse_arrivals(Parser& p, const std::vector<std::string>& tokens,
   return p.fail("unknown arrival kind '" + kind + "'");
 }
 
-std::optional<SchedulerKind> scheduler_from_name(const std::string& name) {
-  if (name == "SPP") return SchedulerKind::kSpp;
-  if (name == "SPNP") return SchedulerKind::kSpnp;
-  if (name == "FCFS") return SchedulerKind::kFcfs;
-  return std::nullopt;
-}
-
 }  // namespace
 
 ParsedSystem parse_system_text(std::istream& in) {
@@ -216,7 +209,7 @@ ParsedSystem parse_system_text(std::istream& in) {
         p.fail("scheduler: processor index out of range");
         break;
       }
-      const auto kind = scheduler_from_name(tokens[2]);
+      const auto kind = parse_scheduler_kind(tokens[2]);
       if (!kind) {
         p.fail("unknown scheduler '" + tokens[2] + "'");
         break;

@@ -18,6 +18,13 @@ const char* to_string(SchedulerKind kind) {
   return "?";
 }
 
+std::optional<SchedulerKind> parse_scheduler_kind(const std::string& name) {
+  if (name == "SPP") return SchedulerKind::kSpp;
+  if (name == "SPNP") return SchedulerKind::kSpnp;
+  if (name == "FCFS") return SchedulerKind::kFcfs;
+  return std::nullopt;
+}
+
 int System::add_job(Job job) {
   if (job.id == 0) {
     job.id = next_job_id_++;

@@ -27,6 +27,10 @@ enum class SchedulerKind {
 
 [[nodiscard]] const char* to_string(SchedulerKind kind);
 
+/// Inverse of to_string: "SPP", "SPNP" or "FCFS"; nullopt for anything else.
+[[nodiscard]] std::optional<SchedulerKind> parse_scheduler_kind(
+    const std::string& name);
+
 /// One hop of a job's chain.
 struct Subjob {
   int processor = -1;      ///< index of P(k,j)

@@ -1,18 +1,14 @@
 #include "service/request_codec.hpp"
 
-#include <cmath>
+#include <exception>
 #include <utility>
 
 #include "io/system_json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_context.hpp"
 #include "service/metrics_export.hpp"
 
 namespace rta::service::detail {
-
-json::Value time_value(Time t) {
-  if (std::isinf(t)) return json::Value("inf");
-  return json::Value(t);
-}
 
 namespace {
 
@@ -109,6 +105,11 @@ void set_error(json::Value& response, const char* code,
   response.set("error", std::move(err));
 }
 
+bool is_skipped_line(const std::string& line) {
+  const std::size_t first = line.find_first_not_of(" \t\r");
+  return first == std::string::npos || line[first] == '#';
+}
+
 ParsedRequest parse_request(const std::string& line) {
   ParsedRequest req;
   auto immediate = [&](std::string message) {
@@ -203,6 +204,19 @@ ParsedRequest parse_request(const std::string& line) {
   }
   return immediate("unknown op '" + req.op +
                    "' (admit, what_if, what_if_region, remove, query, stats)");
+}
+
+std::string open_envelope(json::Value& response, int request_no, int line_no,
+                          const ParsedRequest& req, const std::string& line) {
+  response.set("schema_version", 2);
+  response.set("request", request_no);
+  response.set("line", line_no);
+  if (!req.op.empty()) response.set("op", req.op);
+  if (req.has_tenant) response.set("tenant", req.tenant);
+  std::string trace_id =
+      req.trace_id.empty() ? obs::mint_trace_id(line_no, line) : req.trace_id;
+  response.set("trace_id", trace_id);
+  return trace_id;
 }
 
 void read_decision_into(json::Value& response, const ReadDecision& rd) {
@@ -325,6 +339,33 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
   response.set("max_wcrt", time_value(r.max_wcrt()));
   response.set("horizon", time_value(r.horizon));
   return true;
+}
+
+Executed guarded_execute(AdmissionSession& session, const ParsedRequest& req,
+                         json::Value& response, bool fast_reads,
+                         obs::Tracer* tracer) {
+  Executed result;
+  try {
+    obs::Tracer::Span class_span = obs::Tracer::span_if(
+        tracer, req.cls == RequestClass::kMutate ? "service.mutate"
+                                                 : "service.read");
+    result.ok = execute_request(session, req, response, fast_reads);
+  } catch (const std::exception& e) {
+    set_error(response, "internal", std::string("request failed: ") + e.what(),
+              /*retryable=*/false);
+    result.failed = true;
+  } catch (...) {
+    set_error(response, "internal", "request failed: unknown exception",
+              /*retryable=*/false);
+    result.failed = true;
+  }
+  return result;
+}
+
+double micros_since(std::chrono::steady_clock::time_point since) {
+  const std::chrono::duration<double, std::micro> us =
+      std::chrono::steady_clock::now() - since;
+  return us.count();
 }
 
 }  // namespace rta::service::detail

@@ -1,18 +1,23 @@
-// Shared request parsing / response serialization for the JSONL service.
+// Shared per-request steps for the JSONL service.
 //
-// Both request-stream drivers -- the sequential reference runner
-// (request_runner.cpp) and the batching RequestScheduler
-// (request_scheduler.cpp) -- go through these helpers, so a given request
-// produces byte-identical response objects (latency fields aside) no matter
-// which driver, and at any parallelism. That single emission path is what
-// the scheduler's differential test leans on.
+// Every request-stream driver -- the sequential reference runner
+// (request_runner.cpp), the batching RequestScheduler
+// (request_scheduler.cpp) and the sharded front end's untenanted bucket
+// (sharded_scheduler.cpp) -- goes through these helpers: skip blank and '#'
+// lines, parse, open the v2 envelope (propagating or minting the trace_id),
+// execute inside the one failure isolation, and serialize the decision. So
+// a given request produces byte-identical response objects (latency fields
+// aside) no matter which driver, and at any parallelism. That single
+// emission path is what the scheduler's differential test leans on.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
 #include "service/region.hpp"
 #include "io/json.hpp"
+#include "obs/trace.hpp"
 #include "service/admission_session.hpp"
 
 namespace rta::service::detail {
@@ -35,9 +40,9 @@ struct ParsedRequest {
 
   /// Propagated trace context: a non-empty string "trace_id" field on the
   /// request, echoed verbatim into the response. Empty when absent (or the
-  /// line failed to parse); the driver then mints one deterministically
+  /// line failed to parse); open_envelope then mints one deterministically
   /// (obs/trace_context.hpp), so minted ids are byte-identical across the
-  /// sequential runner and the scheduler.
+  /// drivers.
   std::string trace_id;
 
   /// Optional routing annotation: a non-empty string "tenant" field on the
@@ -64,13 +69,14 @@ struct ParsedRequest {
   RegionQuery region;
 };
 
+/// True for a line no driver answers: blank (spaces, tabs, CR) or a '#'
+/// comment. Skipped lines still count toward the input line numbers.
+[[nodiscard]] bool is_skipped_line(const std::string& line);
+
 /// Parse and classify one request line. Errors detectable without a session
 /// (malformed JSON, missing/unknown op, bad job object) come back as
 /// kImmediate with the exact error text the sequential runner emits.
 [[nodiscard]] ParsedRequest parse_request(const std::string& line);
-
-/// JSON encoding for possibly-unbounded times (the "inf" convention).
-[[nodiscard]] json::Value time_value(Time t);
 
 /// Stable machine-readable failure codes of the v2 envelope (docs/api.md):
 /// bad_request, not_found, conflict, invalid_argument, unavailable,
@@ -82,6 +88,14 @@ struct ParsedRequest {
 void set_error(json::Value& response, const char* code,
                const std::string& message, bool retryable);
 
+/// Open `response` with the v2 envelope fields every answer starts with, in
+/// their one order: schema_version, request, line, op (when the line had
+/// one), tenant (when routed by one), trace_id. The trace id is the
+/// request's own, or minted from `line_no` and the raw `line`. Returns the
+/// trace id.
+std::string open_envelope(json::Value& response, int request_no, int line_no,
+                          const ParsedRequest& req, const std::string& line);
+
 /// Serialize the aggregate decision fields into `response` -- the one field
 /// order every execution path shares.
 void read_decision_into(json::Value& response, const ReadDecision& rd);
@@ -89,8 +103,25 @@ void read_decision_into(json::Value& response, const ReadDecision& rd);
 /// Execute one executable (non-immediate) request against `session` and
 /// fill `response`'s decision fields. `fast_reads` routes what_if through
 /// AdmissionSession::read_what_if (aggregate-only fast path; same bytes).
-/// Returns the response's ok flag. May throw -- callers isolate.
+/// Returns the response's ok flag. May throw; drivers call it through
+/// guarded_execute.
 bool execute_request(AdmissionSession& session, const ParsedRequest& req,
                      json::Value& response, bool fast_reads);
+
+struct Executed {
+  bool ok = false;      ///< the response's ok flag
+  bool failed = false;  ///< execution threw (answered "internal")
+};
+
+/// execute_request inside the failure isolation every driver shares: a
+/// throwing request answers "internal" ("request failed: ...") for its line
+/// and the stream continues. Opens the service.read / service.mutate span
+/// on `tracer` (may be null) around the execution.
+Executed guarded_execute(AdmissionSession& session, const ParsedRequest& req,
+                         json::Value& response, bool fast_reads,
+                         obs::Tracer* tracer);
+
+/// Wall-clock microseconds elapsed since `since` (the latency_us field).
+[[nodiscard]] double micros_since(std::chrono::steady_clock::time_point since);
 
 }  // namespace rta::service::detail

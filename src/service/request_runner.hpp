@@ -23,14 +23,18 @@
 // response for that line and processing continues -- one bad request never
 // terminates the stream.
 //
-// Two drivers share this interface (and the request codec, so their
-// responses are byte-identical modulo latency_us):
+// Two drivers share this interface. Both take every per-request step --
+// line skipping, envelope, guarded execution -- from the request codec
+// (request_codec.hpp), so their responses are byte-identical modulo
+// latency_us:
 //   - run_request_stream(session, in, out): the sequential reference
 //     runner; every request executes one at a time on the primary session
-//     through the general analysis path.
+//     through the general what-if path (fast_reads = false), so it stays
+//     the differential reference for the fast path.
 //   - run_request_stream(session, in, out, options): the batching
 //     RequestScheduler (request_scheduler.hpp) with read coalescing,
-//     backpressure, and per-request timeouts.
+//     backpressure, and per-request timeouts. The sharded front end
+//     (sharded_scheduler.hpp) runs one per tenant with the same options.
 #pragma once
 
 #include <iosfwd>
@@ -55,9 +59,10 @@ struct StreamOptions {
   /// perfbench/closed_loop.cpp, which sets it, still compiles; remove both
   /// together in the next change to perfbench.
   int parallel_reads = 1;
-  /// Upper bound on requests buffered in the current batch; a request
-  /// arriving at a full batch is rejected with the retryable error code
-  /// "overloaded". 0 disables backpressure.
+  /// Upper bound on requests buffered in the current same-class batch; a
+  /// request arriving at a full batch is rejected with the retryable error
+  /// code "overloaded". 0 disables backpressure. The one backpressure rule:
+  /// the sharded front end applies it per tenant.
   int max_inflight = 0;
   /// Requests older than this (arrival to execution start) are answered
   /// with the retryable error code "timeout" without running. 0 disables

@@ -9,20 +9,11 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/trace_context.hpp"
 #include "util/time.hpp"
 
 namespace rta::service {
 
-namespace {
-
-double micros_since(std::chrono::steady_clock::time_point since) {
-  const std::chrono::duration<double, std::micro> us =
-      std::chrono::steady_clock::now() - since;
-  return us.count();
-}
-
-}  // namespace
+using detail::micros_since;
 
 RequestScheduler::RequestScheduler(AdmissionSession& session,
                                    std::ostream& out, StreamOptions options)
@@ -58,20 +49,13 @@ RequestScheduler::Pending RequestScheduler::make_pending(
   p.raw = line;
   p.req = std::move(req);
   ++submitted_;
-  p.response.set("schema_version", 2);
-  p.response.set("request", submitted_);
-  p.response.set("line", line_no_);
-  if (!p.req.op.empty()) p.response.set("op", p.req.op);
-  if (p.req.has_tenant) p.response.set("tenant", p.req.tenant);
-  p.trace_id = p.req.trace_id.empty() ? obs::mint_trace_id(line_no_, line)
-                                      : p.req.trace_id;
-  p.response.set("trace_id", p.trace_id);
+  p.trace_id =
+      detail::open_envelope(p.response, submitted_, line_no_, p.req, line);
   return p;
 }
 
 void RequestScheduler::submit_line(const std::string& line) {
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos || line[first] == '#') {
+  if (detail::is_skipped_line(line)) {
     if (finished_) {
       throw std::logic_error("RequestScheduler: submit_line after finish()");
     }
@@ -120,28 +104,6 @@ void RequestScheduler::submit_parsed(const std::string& line,
   queue_depth_.record_max(static_cast<double>(inflight_));
 }
 
-void RequestScheduler::reject_parsed(const std::string& line,
-                                     detail::ParsedRequest req,
-                                     const std::string& message) {
-  if (finished_) {
-    throw std::logic_error("RequestScheduler: submit_line after finish()");
-  }
-  Pending p = make_pending(line, std::move(req));
-  if (p.req.cls == detail::RequestClass::kImmediate) {
-    // A line the reference run would reject at parse time answers its parse
-    // error no matter what the front end's queues looked like.
-    detail::set_error(p.response, "bad_request", p.req.error,
-                      /*retryable=*/false);
-  } else {
-    detail::set_error(p.response, "overloaded", message,
-                      /*retryable=*/true);
-    ++stats_.rejected;
-    rejected_counter_.inc();
-  }
-  ++stats_.errors;
-  complete_at_submit(p);
-}
-
 obs::Tracer::Span RequestScheduler::request_span(const Pending& p) {
   // The span tree correlation point: the per-request span carries the
   // trace_id the response echoes, and the queue wait (arrival -> execution
@@ -175,23 +137,10 @@ bool RequestScheduler::expire_if_stale(Pending& p) {
 
 void RequestScheduler::execute_one(Pending& p) {
   obs::Tracer::Span req_span = request_span(p);
-  try {
-    obs::Tracer::Span class_span = obs::Tracer::span_if(
-        tracer_, p.req.cls == detail::RequestClass::kMutate ? "service.mutate"
-                                                            : "service.read");
-    p.ok = detail::execute_request(session_, p.req, p.response,
-                                   /*fast_reads=*/true);
-  } catch (const std::exception& e) {
-    detail::set_error(p.response, "internal",
-                      std::string("request failed: ") + e.what(),
-                      /*retryable=*/false);
-    p.failed = true;
-  } catch (...) {
-    detail::set_error(p.response, "internal",
-                      "request failed: unknown exception",
-                      /*retryable=*/false);
-    p.failed = true;
-  }
+  const detail::Executed done = detail::guarded_execute(
+      session_, p.req, p.response, /*fast_reads=*/true, tracer_);
+  p.ok = done.ok;
+  p.failed = done.failed;
   p.latency_us = micros_since(p.arrival);
 }
 
@@ -252,19 +201,19 @@ void RequestScheduler::execute_reads() {
 
   for (const std::size_t idx : primaries) execute_one(pending_[idx]);
 
-  // Resolve duplicates from their primaries, re-stamping the per-request
-  // echo fields. A simulated (auto) job id is the only decision field that
-  // differs between identical lines; explicit-id instances answer
-  // identically, patch and all.
+  // Resolve duplicates from their primaries, re-opening the envelope in
+  // place for the duplicate's own request/line/trace_id. A simulated (auto)
+  // job id is the only decision field that differs between identical
+  // lines; explicit-id instances answer identically, patch and all.
   for (const auto& [dup, prim] : duplicates) {
     Pending& d = pending_[dup];
     const Pending& p = pending_[prim];
-    const double request_no = d.response.find("request")->as_number();
-    const double input_line = d.response.find("line")->as_number();
+    const auto request_no =
+        static_cast<int>(d.response.find("request")->as_number());
+    const auto input_line =
+        static_cast<int>(d.response.find("line")->as_number());
     d.response = p.response;
-    d.response.set("request", request_no);
-    d.response.set("line", input_line);
-    d.response.set("trace_id", d.trace_id);
+    detail::open_envelope(d.response, request_no, input_line, d.req, d.raw);
     if (d.auto_id && d.response.find("job_id") != nullptr) {
       d.response.set("job_id", static_cast<double>(d.req.job.id));
     }

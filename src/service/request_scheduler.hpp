@@ -89,14 +89,6 @@ class RequestScheduler {
   /// comment. Behavior is byte-identical to submit_line(line).
   void submit_parsed(const std::string& line, detail::ParsedRequest req);
 
-  /// Buffer a deterministic `overloaded` rejection for `line` without
-  /// executing it: the sharded front end's cross-tenant backpressure, which
-  /// must consume this scheduler's request/line numbering exactly like an
-  /// accepted line would. A parse-error line degrades to its normal
-  /// bad_request response. Throws std::logic_error after finish().
-  void reject_parsed(const std::string& line, detail::ParsedRequest req,
-                     const std::string& message);
-
   /// Execute and emit everything buffered; the stream stays open for more
   /// submissions. Responses are batch-boundary independent, so callers may
   /// force a flush at any point without changing a single byte.

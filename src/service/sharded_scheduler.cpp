@@ -7,17 +7,11 @@
 #include <string>
 #include <utility>
 
-#include "obs/trace_context.hpp"
+#include "service/request_codec.hpp"
 
 namespace rta::service {
 
 namespace {
-
-double micros_since(std::chrono::steady_clock::time_point since) {
-  const std::chrono::duration<double, std::micro> us =
-      std::chrono::steady_clock::now() - since;
-  return us.count();
-}
 
 void accumulate(RunnerStats& into, const RunnerStats& from) {
   into.requests += from.requests;
@@ -49,7 +43,7 @@ ShardedScheduler::ShardedScheduler(TenantRegistry& registry, std::ostream& out,
     }
   }
   tenants_.resize(static_cast<std::size_t>(registry_.count()));
-  if (n > 1) pool_ = std::make_unique<ThreadPool>(n - 1);
+  if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
 }
 
 ShardedScheduler::~ShardedScheduler() = default;
@@ -60,7 +54,8 @@ ShardedScheduler::Tenant& ShardedScheduler::tenant(int idx) {
     slot = std::make_unique<Tenant>();
     slot->scheduler = std::make_unique<RequestScheduler>(
         registry_.session(idx), slot->buf, options_.stream);
-    slot->shard = TenantRegistry::shard_of(registry_.name(idx), shards());
+    slot->shard = TenantRegistry::shard_of(registry_.name(idx),
+                                           static_cast<int>(shards_.size()));
   }
   return *slot;
 }
@@ -72,14 +67,7 @@ void ShardedScheduler::route_untenanted(const std::string& line,
   const auto arrival = std::chrono::steady_clock::now();
   ++untenanted_no_;
   json::Value response;
-  response.set("schema_version", 2);
-  response.set("request", untenanted_no_);
-  response.set("line", untenanted_no_);
-  if (!req.op.empty()) response.set("op", req.op);
-  if (req.has_tenant) response.set("tenant", req.tenant);
-  response.set("trace_id", req.trace_id.empty()
-                               ? obs::mint_trace_id(untenanted_no_, line)
-                               : req.trace_id);
+  detail::open_envelope(response, untenanted_no_, untenanted_no_, req, line);
   if (req.cls == detail::RequestClass::kImmediate) {
     detail::set_error(response, "bad_request", req.error,
                       /*retryable=*/false);
@@ -92,7 +80,7 @@ void ShardedScheduler::route_untenanted(const std::string& line,
                       "no tenant named '" + req.tenant + "'",
                       /*retryable=*/false);
   }
-  response.set("latency_us", micros_since(arrival));
+  response.set("latency_us", detail::micros_since(arrival));
   ++unrouted_;
   order_.push_back(-1);
   untenanted_ready_.push_back(response.dump());
@@ -102,8 +90,7 @@ void ShardedScheduler::submit_line(const std::string& line) {
   if (finished_) {
     throw std::logic_error("ShardedScheduler: submit_line after finish()");
   }
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos || line[first] == '#') return;
+  if (detail::is_skipped_line(line)) return;
 
   detail::ParsedRequest req = detail::parse_request(line);
   const int idx = req.has_tenant ? registry_.find(req.tenant) : -1;
@@ -115,37 +102,14 @@ void ShardedScheduler::submit_line(const std::string& line) {
 
   Tenant& tn = tenant(idx);
   Shard& sh = shards_[static_cast<std::size_t>(tn.shard)];
-  const bool executable = req.cls != detail::RequestClass::kImmediate;
-
-  // Backpressure, decided deterministically from window depths alone. The
-  // rejection still flows through the tenant's scheduler so it consumes the
-  // tenant's request/line numbering like any accepted line.
-  Entry e;
-  e.tenant = idx;
-  e.line = line;
-  if (executable && options_.tenant_max_inflight > 0 &&
-      tn.queued >= options_.tenant_max_inflight) {
-    e.shed = true;
-    e.message = "tenant overloaded: tenant_max_inflight exceeded";
-  }
-  e.req = std::move(req);
-
-  if (executable && !e.shed) {
-    ++tn.queued;
-    ++sh.depth;
-  }
-  if (e.shed) {
-    ++sh.shed_total;
-    sh.shed_counter.inc();
-  }
+  if (req.cls != detail::RequestClass::kImmediate) ++sh.depth;
   if (!tn.touched) {
     tn.touched = true;
     sh.touched.push_back(idx);
   }
-  ++sh.requests_total;
   sh.requests_counter.inc();
   order_.push_back(idx);
-  sh.queue.push_back(std::move(e));
+  sh.queue.push_back(Entry{idx, line, std::move(req)});
   ++pending_lines_;
   if (pending_lines_ >= options_.pump_lines) pump();
 }
@@ -168,12 +132,8 @@ void ShardedScheduler::pump() {
                   ", \"lines\": " + std::to_string(sh.queue.size()) + "}"
             : std::string());
     for (Entry& e : sh.queue) {
-      Tenant& tn = *tenants_[static_cast<std::size_t>(e.tenant)];
-      if (e.shed) {
-        tn.scheduler->reject_parsed(e.line, std::move(e.req), e.message);
-      } else {
-        tn.scheduler->submit_parsed(e.line, std::move(e.req));
-      }
+      tenants_[static_cast<std::size_t>(e.tenant)]->scheduler->submit_parsed(
+          e.line, std::move(e.req));
     }
     for (const int idx : sh.touched) {
       tenants_[static_cast<std::size_t>(idx)]->scheduler->flush();
@@ -185,12 +145,16 @@ void ShardedScheduler::pump() {
     for_each_index(pool_.get(), shards_.size(), run_shard);
   }
 
-  // Serial epilogue: move flushed responses into the per-tenant ready
-  // queues, reset the window accounting, and emit the completed prefix.
+  // Serial epilogue: count each drained tenant's sheds, move flushed
+  // responses into the per-tenant ready queues, reset the window
+  // accounting, and emit the completed prefix.
   for (Shard& sh : shards_) {
-    if (!sh.queue.empty()) sh.depth_gauge.set(static_cast<double>(sh.depth));
+    int shed = 0;
     for (const int idx : sh.touched) {
       Tenant& tn = *tenants_[static_cast<std::size_t>(idx)];
+      const int rejected = tn.scheduler->stats().rejected;
+      shed += rejected - tn.rejected;
+      tn.rejected = rejected;
       std::string produced = tn.buf.str();
       tn.buf.str(std::string());
       std::size_t begin = 0;
@@ -200,8 +164,11 @@ void ShardedScheduler::pump() {
         tn.ready.push_back(produced.substr(begin, end - begin));
         begin = end + 1;
       }
-      tn.queued = 0;
       tn.touched = false;
+    }
+    if (!sh.queue.empty()) {
+      sh.shed_counter.add(static_cast<std::uint64_t>(shed));
+      sh.depth_gauge.set(static_cast<double>(sh.depth - shed));
     }
     sh.queue.clear();
     sh.touched.clear();
@@ -245,8 +212,8 @@ ShardedStats ShardedScheduler::stats() const {
   s.stream.requests += static_cast<int>(unrouted_);
   s.stream.errors += static_cast<int>(unrouted_);
   s.unrouted = unrouted_;
-  for (const Shard& sh : shards_) s.shed += sh.shed_total;
   s.pumps = pumps_;
+  s.shards = static_cast<int>(shards_.size());
   return s;
 }
 

@@ -27,18 +27,20 @@
 // bucket with its own numbering: bad_request for missing/invalid fields,
 // not_found (v2, non-retryable) for an unknown tenant.
 //
-// Backpressure is decided at routing time, deterministically, from queue
-// depths alone -- never from wall-clock -- and sheds with the v2
-// `overloaded` retryable error through the tenant's own scheduler (so the
-// rejection consumes the tenant's numbering like any other line):
-// tenant_max_inflight bounds one tenant's executable lines per pump window,
-// so a hot tenant starts shedding while its siblings, below their own
-// bounds, are untouched.
+// Backpressure is the single-session rule, applied by each tenant's own
+// scheduler: StreamOptions::max_inflight bounds each same-class batch, and
+// a line arriving at a full batch answers the v2 `overloaded` retryable
+// error. A pump flushes every tenant it touched, so batches never span a
+// pump window. A hot tenant therefore sheds while its siblings, each below
+// its own bound, are untouched; and for a stream that fits in one pump
+// window every tenant's answers equal its solo run under the same bound.
 //
 // Observability: per-shard counters service.shard.<k>.requests /
-// service.shard.<k>.shed and gauge service.shard.<k>.depth (executable
-// lines drained by the last pump), plus a shard-tagged service.shard.pump
-// span per drained shard per pump (docs/observability.md).
+// service.shard.<k>.shed (lines routed to the shard / shed by its tenants'
+// schedulers, counted from their `rejected` deltas after each pump) and
+// gauge service.shard.<k>.depth (executable lines the last pump drained,
+// sheds excluded), plus a shard-tagged service.shard.pump span per drained
+// shard per pump (docs/observability.md).
 #pragma once
 
 #include <cstdint>
@@ -65,15 +67,9 @@ struct ShardedOptions {
   /// concurrently.
   int shards = 1;
 
-  /// Per-tenant scheduler knobs (timeouts, backpressure). The
-  /// scheduler-level max_inflight composes with the routing-level bound
-  /// below; multi-tenant callers normally leave it 0 and bound at routing
-  /// time instead.
+  /// Per-tenant scheduler knobs (timeouts, backpressure), handed to every
+  /// tenant's RequestScheduler.
   StreamOptions stream;
-
-  /// Executable lines one tenant may queue per pump window before it sheds
-  /// (0 = unbounded).
-  int tenant_max_inflight = 0;
 
   /// Queued lines (across all shards) that trigger a pump.
   int pump_lines = 256;
@@ -83,8 +79,8 @@ struct ShardedStats {
   RunnerStats stream;           ///< aggregated over tenants + untenanted
   std::uint64_t routed = 0;     ///< lines routed to a tenant
   std::uint64_t unrouted = 0;   ///< missing/unknown tenant or unparseable
-  std::uint64_t shed = 0;       ///< routing-level backpressure rejections
   std::uint64_t pumps = 0;
+  int shards = 0;               ///< resolved shard count (0 -> hardware)
 };
 
 class ShardedScheduler {
@@ -111,9 +107,6 @@ class ShardedScheduler {
   /// Aggregate view (recomputed per call; cheap -- one pass over tenants).
   [[nodiscard]] ShardedStats stats() const;
 
-  /// Resolved shard count (option 0 -> hardware).
-  [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
-
   /// Per-tenant stream stats; zeros for a tenant that never sent a line.
   [[nodiscard]] RunnerStats tenant_stats(int idx) const;
 
@@ -123,15 +116,13 @@ class ShardedScheduler {
     std::unique_ptr<RequestScheduler> scheduler;
     std::deque<std::string> ready;  ///< flushed responses awaiting emission
     int shard = 0;
-    int queued = 0;        ///< executable lines queued this pump window
+    int rejected = 0;      ///< scheduler's rejected count at the last pump
     bool touched = false;  ///< routed at least one line this window
   };
 
   struct Entry {
     int tenant = -1;
-    bool shed = false;
     std::string line;
-    std::string message;  ///< overloaded detail when shed
     detail::ParsedRequest req;
   };
 
@@ -139,8 +130,6 @@ class ShardedScheduler {
     std::vector<Entry> queue;
     std::vector<int> touched;  ///< tenants with lines this window, in order
     int depth = 0;             ///< executable lines queued this window
-    std::uint64_t requests_total = 0;
-    std::uint64_t shed_total = 0;
     obs::Counter requests_counter;
     obs::Counter shed_counter;
     obs::Gauge depth_gauge;
@@ -158,7 +147,7 @@ class ShardedScheduler {
 
   std::vector<Shard> shards_;
   std::vector<std::unique_ptr<Tenant>> tenants_;  ///< registry-index aligned
-  std::unique_ptr<ThreadPool> pool_;  ///< shards-1 workers; caller is one
+  std::unique_ptr<ThreadPool> pool_;  ///< one shard per unit of pool width
 
   /// Response interleaving: bucket per routed line in arrival order
   /// (tenant index, or -1 for the untenanted bucket) and the emission

@@ -3,7 +3,9 @@
 // (analysis/bounds.cpp, analysis/iterative.cpp), region probe columns
 // (service/region.cpp) and tenant shards (service/sharded_scheduler.cpp).
 // parallel_for_index is its one entry point; resolve_workers is the one rule
-// that turns a requested width into a worker count.
+// that turns a requested width into a worker count, and a pool of width w
+// runs loop bodies on at most w threads at once: its w - 1 helper threads
+// plus the calling thread.
 //
 // Determinism contract: parallel_for_index hands each index to exactly one
 // shard; bodies write only per-index state (callers derive per-index RNG
@@ -61,12 +63,13 @@ class ThreadPool {
     std::vector<std::uint64_t> worker_busy_ns;  ///< per-worker task time
   };
 
-  /// `workers` helper threads, already resolved (resolve_workers); the
-  /// calling thread of each loop is one more shard.
-  explicit ThreadPool(std::size_t workers) {
-    workers_.reserve(workers);
-    busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
+  /// A pool of `width` shards, already resolved (resolve_workers): width - 1
+  /// helper threads, and the calling thread of each loop is the last shard.
+  explicit ThreadPool(std::size_t width) {
+    const std::size_t helpers = width > 1 ? width - 1 : 0;
+    workers_.reserve(helpers);
+    busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(helpers);
+    for (std::size_t i = 0; i < helpers; ++i) {
       busy_ns_[i].store(0, std::memory_order_relaxed);
       workers_.emplace_back([this, i] { worker_loop(i); });
     }
@@ -83,8 +86,6 @@ class ThreadPool {
     cv_.notify_all();
     for (auto& t : workers_) t.join();
   }
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Point-in-time copy of the lifetime counters.
   [[nodiscard]] Stats stats() const {

@@ -22,8 +22,11 @@
 
 #include "io/json.hpp"
 #include "model/priority.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "service/admission_session.hpp"
 #include "service/request_runner.hpp"
+#include "service/request_scheduler.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "service/tenant_registry.hpp"
 #include "support/strip_latency.hpp"
@@ -240,7 +243,7 @@ TEST(ServiceSharded, PerTenantByteIdentityAcrossShardWidths) {
 
     const ShardedStats stats = scheduler.stats();
     EXPECT_EQ(stats.unrouted, 2u) << "shards " << width;
-    EXPECT_EQ(stats.shed, 0u) << "shards " << width;
+    EXPECT_EQ(stats.stream.rejected, 0) << "shards " << width;
     EXPECT_GT(stats.pumps, 1u) << "shards " << width;
 
     std::map<std::string, std::string> got =
@@ -360,7 +363,7 @@ TEST(ServiceSharded, HotTenantShedsWithoutStarvingSiblings) {
   registry.add("quiet", std::make_unique<AdmissionSession>(base, cfg));
   ShardedOptions options;
   options.shards = 1;
-  options.tenant_max_inflight = 2;
+  options.stream.max_inflight = 2;
   std::ostringstream out;
   ShardedScheduler scheduler(registry, out, options);
   // One pump window: 6 hot reads (4 over the bound) around 2 quiet reads.
@@ -376,7 +379,7 @@ TEST(ServiceSharded, HotTenantShedsWithoutStarvingSiblings) {
 
   const int hot = registry.find("hot");
   const int quiet = registry.find("quiet");
-  EXPECT_EQ(scheduler.stats().shed, 4u);
+  EXPECT_EQ(scheduler.stats().stream.rejected, 4);
   EXPECT_EQ(scheduler.tenant_stats(hot).rejected, 4);
   EXPECT_EQ(scheduler.tenant_stats(quiet).rejected, 0);
   EXPECT_EQ(scheduler.tenant_stats(quiet).errors, 0);
@@ -399,6 +402,91 @@ TEST(ServiceSharded, HotTenantShedsWithoutStarvingSiblings) {
     ++overloaded;
   }
   EXPECT_EQ(overloaded, 4);
+}
+
+/// One backpressure rule: under stream.max_inflight every tenant's scheduler
+/// bounds each same-class batch exactly as a solo RequestScheduler with the
+/// same bound does. For a stream that fits in one pump window, each
+/// tenant's answers (sheds included) equal that solo run at every shard
+/// width, and the shard series count the same sheds.
+TEST(ServiceSharded, BackpressureMatchesSoloRunPerTenant) {
+  const System base = make_base(11);
+  const SessionConfig cfg = make_session_config(base);
+  const std::vector<std::string> tenants = {"alpha", "beta"};
+  auto job_line = [](const std::string& tenant, const char* op, int k) {
+    return "{\"tenant\": \"" + tenant + "\", \"op\": \"" + op +
+           "\", \"job\": {\"name\": \"" + tenant + std::to_string(k) +
+           "\", \"deadline\": 20, \"chain\": [{\"processor\": " +
+           std::to_string(k % 2) +
+           ", \"exec\": 0.05}], \"arrivals\": [0, 9, 18, 27]}}";
+  };
+  // Per tenant: runs of 3 reads (one over the bound) between mutations.
+  std::map<std::string, std::vector<std::string>> streams;
+  for (const std::string& t : tenants) {
+    const std::string query = "{\"tenant\": \"" + t + "\", \"op\": \"query\"}";
+    streams[t] = {query,
+                  job_line(t, "what_if", 0),
+                  query,
+                  job_line(t, "admit", 1),
+                  job_line(t, "what_if", 2),
+                  query,
+                  job_line(t, "what_if", 3),
+                  "{\"tenant\": \"" + t + "\", \"op\": \"remove\", "
+                  "\"name\": \"" + t + "1\"}",
+                  query};
+  }
+  std::vector<std::string> interleaved;
+  for (std::size_t i = 0; i < streams["alpha"].size(); ++i) {
+    for (const std::string& t : tenants) interleaved.push_back(streams[t][i]);
+  }
+
+  service::StreamOptions bounded;
+  bounded.max_inflight = 2;
+  std::map<std::string, std::string> expected;
+  int expected_rejected = 0;
+  for (const std::string& t : tenants) {
+    AdmissionSession session(base, cfg);
+    std::ostringstream out;
+    service::RequestScheduler solo(session, out, bounded);
+    for (const std::string& line : streams[t]) solo.submit_line(line);
+    solo.finish();
+    expected[t] = strip_latency(out.str());
+    expected_rejected += solo.stats().rejected;
+  }
+  ASSERT_EQ(expected_rejected, 4);  // one shed per 3-read run, per tenant
+
+  for (const int width : {1, 2}) {
+    TenantRegistry registry;
+    for (const std::string& t : tenants) {
+      registry.add(t, std::make_unique<AdmissionSession>(base, cfg));
+    }
+    obs::MetricsRegistry metrics;
+    ShardedOptions options;
+    options.shards = width;
+    options.stream = bounded;
+    std::ostringstream out;
+    ShardedScheduler scheduler(registry, out, options,
+                               obs::Observer{&metrics, nullptr});
+    for (const std::string& line : interleaved) scheduler.submit_line(line);
+    scheduler.finish();
+
+    EXPECT_EQ(scheduler.stats().pumps, 1u) << "shards " << width;
+    EXPECT_EQ(scheduler.stats().stream.rejected, expected_rejected)
+        << "shards " << width;
+    std::map<std::string, std::string> got =
+        split_by_tenant(strip_latency(out.str()));
+    for (const std::string& t : tenants) {
+      EXPECT_EQ(got[t], expected[t]) << "tenant " << t << " shards " << width;
+    }
+    std::uint64_t shard_sheds = 0;
+    for (int k = 0; k < width; ++k) {
+      shard_sheds += metrics.snapshot()
+                         .counters["service.shard." + std::to_string(k) +
+                                   ".shed"];
+    }
+    EXPECT_EQ(shard_sheds, static_cast<std::uint64_t>(expected_rejected))
+        << "shards " << width;
+  }
 }
 
 /// Lifecycle mirrors the single-session scheduler: finish() is idempotent

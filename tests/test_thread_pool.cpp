@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,6 +44,27 @@ TEST(ThreadPool, ResultsIndependentOfWorkerCount) {
       out[i] = static_cast<long long>(i * i + 3 * i);
     });
     EXPECT_EQ(out, reference) << "workers " << workers;
+  }
+}
+
+// A pool's width is its whole concurrency: width - 1 helpers plus the
+// calling thread, so a width-w loop never has more than w bodies in flight.
+TEST(ThreadPool, WidthBoundsBodiesInFlight) {
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}}) {
+    ThreadPool pool(width);
+    std::atomic<int> in_flight{0};
+    std::atomic<int> peak{0};
+    pool.parallel_for_index(64, [&](std::size_t) {
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      in_flight.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1) << "width " << width;
+    EXPECT_LE(peak.load(), static_cast<int>(width)) << "width " << width;
   }
 }
 
@@ -135,11 +157,11 @@ TEST(ThreadPool, ZeroCountIsANoOp) {
 }
 
 TEST(ThreadPool, StatsCountCleanLoops) {
-  ThreadPool pool(2);
+  ThreadPool pool(3);
   const ThreadPool::Stats before = pool.stats();
   EXPECT_EQ(before.loops, 0u);
   EXPECT_EQ(before.indices_executed, 0u);
-  EXPECT_EQ(before.worker_busy_ns.size(), 2u);
+  EXPECT_EQ(before.worker_busy_ns.size(), 2u);  // width 3: two helpers
 
   pool.parallel_for_index(64, [](std::size_t) {});
   pool.parallel_for_index(10, [](std::size_t) {});

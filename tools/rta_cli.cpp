@@ -1019,24 +1019,18 @@ int cmd_serve(const Options& opts, System system) {
                      admission->system().job_count());
         return stats.errors == 0 ? 0 : 1;
       }
-      // Multi-tenant: --max-inflight becomes the per-tenant routing bound
+      // Multi-tenant: every tenant's scheduler applies the same options
       // (docs/api.md, sharded_scheduler.hpp).
       service::ShardedOptions sharded;
       sharded.shards = static_cast<int>(opts.get_int("shards", 1));
       sharded.stream = stream;
-      sharded.stream.max_inflight = 0;
-      sharded.tenant_max_inflight = stream.max_inflight;
-      service::ShardedScheduler sched(registry, os, sharded,
-                                      session.observer());
-      std::string line;
-      while (std::getline(in, line)) sched.submit_line(line);
-      sched.finish();
-      const service::ShardedStats stats = sched.stats();
+      const service::ShardedStats stats = service::run_sharded_stream(
+          registry, in, os, sharded, session.observer());
       std::fprintf(stderr,
                    "served %d requests for %d tenants on %d shards "
                    "(%d failed, %d threw, %d timed out, %d shed, "
                    "%d coalesced, %llu unrouted, %llu pumps)\n",
-                   stats.stream.requests, registry.count(), sched.shards(),
+                   stats.stream.requests, registry.count(), stats.shards,
                    stats.stream.errors, stats.stream.failures,
                    stats.stream.timeouts, stats.stream.rejected,
                    stats.stream.coalesced,
@@ -1100,12 +1094,12 @@ int cmd_generate(const Options& opts) {
                     : ArrivalPattern::kPeriodic;
   const std::string sched =
       opts.get("scheduler", table_default("generate", "scheduler"));
-  if (sched == "SPNP") cfg.scheduler = SchedulerKind::kSpnp;
-  else if (sched == "FCFS") cfg.scheduler = SchedulerKind::kFcfs;
-  else if (sched != "SPP") {
+  const auto kind = parse_scheduler_kind(sched);
+  if (!kind) {
     std::fprintf(stderr, "unknown scheduler '%s'\n", sched.c_str());
     return 2;
   }
+  cfg.scheduler = *kind;
   Rng rng(opts.get_int("seed", table_default_int("generate", "seed")));
   System system = generate_jobshop(cfg, rng);
   assign_proportional_deadline_monotonic(system);
