@@ -8,9 +8,6 @@
 
 namespace rta {
 
-/// Write the exact knot structure: header "t,left,right", one row per knot.
-void write_curve_knots_csv(const PwlCurve& curve, std::ostream& os);
-
 /// Write a dense sampling suited to line plots: header "t,value", rows at
 /// `samples` evenly spaced instants plus every knot (so jumps are preserved
 /// as consecutive rows with equal t and differing value).

@@ -1,13 +1,15 @@
 #include "io/json.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cctype>
-#include <cerrno>
-#include <clocale>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
+#include <system_error>
+
+#include "util/number_format.hpp"
 
 namespace rta::json {
 
@@ -33,17 +35,43 @@ void escape_into(std::string& out, const std::string& s) {
   }
 }
 
-void append_number(std::string& out, double v) {
-  // %.17g round-trips IEEE doubles bit-exactly; integral values still print
-  // without an exponent or trailing zeros ("4" not "4.0000000000000000").
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 void newline_indent(std::string& out, int indent, int depth) {
   out += '\n';
   out.append(static_cast<std::size_t>(indent) * depth, ' ');
+}
+
+// ASCII classes, not <cctype>: isalnum follows LC_CTYPE, and the number
+// path stays independent of every locale category.
+bool is_ascii_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_ascii_alnum(char c) {
+  return is_ascii_digit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+/// Whether a grammar-valid JSON number token has magnitude below 1, from
+/// the decimal order of its first significant digit plus its exponent.
+/// Asked only of a token from_chars found out of range, where a negative
+/// order means underflow and any other means overflow.
+bool magnitude_below_one(std::string_view tok) {
+  const std::size_t exp_at = std::min(tok.find_first_of("eE"), tok.size());
+  const std::string_view mant = tok.substr(0, exp_at);
+  const std::size_t int_end = std::min(mant.find('.'), mant.size());
+  const std::size_t lead = mant.find_first_not_of("-0.");
+  if (lead == std::string_view::npos) return true;  // zero
+  std::int64_t order = lead < int_end
+                           ? static_cast<std::int64_t>(int_end - lead) - 1
+                           : -static_cast<std::int64_t>(lead - int_end);
+  // Saturate the exponent: past the cap the token is out of range either
+  // way, and the cap keeps `order + exp` far from int64 overflow.
+  constexpr std::int64_t kExpCap = std::int64_t{1} << 40;
+  std::int64_t exp = 0;
+  std::size_t j = exp_at + 1;
+  const bool neg_exp = j < tok.size() && tok[j] == '-';
+  if (j < tok.size() && (tok[j] == '+' || tok[j] == '-')) ++j;
+  for (; j < tok.size(); ++j) {
+    exp = std::min(exp * 10 + (tok[j] - '0'), kExpCap);
+  }
+  order += neg_exp ? -exp : exp;
+  return order < 0;
 }
 
 /// Recursive-descent parser over a flat byte buffer.
@@ -145,23 +173,20 @@ struct Parser {
     // error message shows the whole offending token (e.g. "12abc" inside an
     // array) instead of stopping at the first bad char.
     while (pos < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '.' || text[pos] == '+' || text[pos] == '-')) {
+           (is_ascii_alnum(text[pos]) || text[pos] == '.' ||
+            text[pos] == '+' || text[pos] == '-')) {
       ++pos;
     }
-    const std::string tok = text.substr(start, pos - start);
+    const std::string_view tok(text.data() + start, pos - start);
     // Validate the exact JSON grammar before converting:
     //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-    // strtod alone is too permissive ("0x10", "inf", "nan", leading '+')
-    // and, worse, locale-dependent: in a comma-decimal locale it rejects
-    // "1.5". The grammar check makes acceptance locale-independent; the
-    // conversion below normalizes the decimal separator for strtod.
+    // from_chars alone is too permissive ("inf", "nan", "1.", "01", ".5").
+    // Both steps are locale-free, so acceptance and value mean the same in
+    // every locale.
     std::size_t i = 0;
     auto digit = [&](std::size_t j) {
-      return j < tok.size() &&
-             std::isdigit(static_cast<unsigned char>(tok[j])) != 0;
+      return j < tok.size() && is_ascii_digit(tok[j]);
     };
-    std::size_t frac_start = std::string::npos;
     bool grammar_ok = [&] {
       if (i < tok.size() && tok[i] == '-') ++i;
       if (!digit(i)) return false;
@@ -171,7 +196,6 @@ struct Parser {
         while (digit(i)) ++i;
       }
       if (i < tok.size() && tok[i] == '.') {
-        frac_start = i;
         ++i;
         if (!digit(i)) return false;
         while (digit(i)) ++i;
@@ -186,30 +210,23 @@ struct Parser {
     }();
     if (!grammar_ok) {
       pos = start;
-      return fail("bad number '" + tok + "'");
+      return fail("bad number '" + std::string(tok) + "'");
     }
-    // strtod honors the C locale's decimal separator; rewrite the validated
-    // '.' to whatever the current locale expects so parsing succeeds (and
-    // means the same number) everywhere.
-    std::string conv = tok;
-    if (frac_start != std::string::npos) {
-      const char* lc_point = std::localeconv()->decimal_point;
-      if (lc_point != nullptr && std::string(lc_point) != ".") {
-        conv = tok.substr(0, frac_start) + lc_point + tok.substr(frac_start + 1);
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars leaves v unset on both overflow and underflow. JSON has
+      // no Infinity, so an overflowed literal is an error (dump() could not
+      // round-trip it); an underflow reads as a signed zero, as strtod does.
+      if (!magnitude_below_one(tok)) {
+        pos = start;
+        return fail("number out of range '" + std::string(tok) + "'");
       }
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(conv.c_str(), &end);
-    if (end != conv.c_str() + conv.size()) {
+      v = tok[0] == '-' ? -0.0 : 0.0;
+    } else if (ec != std::errc() || end != tok.data() + tok.size()) {
       pos = start;
-      return fail("bad number '" + tok + "'");
-    }
-    if (errno == ERANGE && std::isinf(v)) {
-      // JSON has no Infinity; accepting an overflowed literal would produce
-      // a value dump() cannot round-trip. (Underflow to 0 is fine.)
-      pos = start;
-      return fail("number out of range '" + tok + "'");
+      return fail("bad number '" + std::string(tok) + "'");
     }
     out = Value(v);
     return true;
@@ -323,7 +340,7 @@ void Value::dump_into(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       return;
     case Kind::kNumber:
-      append_number(out, num_);
+      append_double(out, num_);
       return;
     case Kind::kString:
       out += '"';

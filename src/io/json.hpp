@@ -5,8 +5,10 @@
 // admission service's JSONL request stream (service/) need.
 //
 //   * Objects preserve insertion order and reject duplicate keys on parse.
-//   * Numbers are IEEE doubles, written with %.17g so doubles round-trip
-//     bit-exactly through dump() -> parse().
+//   * Numbers are IEEE doubles, written as the bytes of C-locale printf %g
+//     at precision 17, via std::to_chars (util/number_format.hpp), so
+//     doubles round-trip bit-exactly through dump() -> parse(). Parsing is
+//     locale-free: a strict grammar check, then std::from_chars.
 //   * parse() never throws; errors carry a byte offset.
 //   * No Infinity/NaN literals (JSON has none); callers encode unbounded
 //     times as the string "inf" (see io/system_json.cpp).

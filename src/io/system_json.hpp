@@ -14,11 +14,12 @@
 //
 // Arrival sequences are written as explicit release instants, mirroring
 // to_system_text(): the model does not retain generator parameters, so the
-// *semantics* round-trip exactly. Numbers use %.17g, so doubles survive
-// save -> load bit-identically and JSON and text round-trips agree
-// (tests/test_system_json.cpp). Unlike the text format, stable Job::ids are
-// carried, so delta-based services (service/AdmissionSession) can address
-// jobs across a save/load boundary.
+// *semantics* round-trip exactly. Numbers are the bytes of C-locale printf
+// %g at precision 17, via std::to_chars, and parsing is locale-free, so
+// doubles survive save -> load bit-identically and JSON and text
+// round-trips agree (tests/test_system_json.cpp). Unlike the text format,
+// stable Job::ids are carried, so delta-based services
+// (service/AdmissionSession) can address jobs across a save/load boundary.
 //
 // AnalysisResult uses the same envelope ("schema_version", then the result
 // fields). Unbounded times serialize as the string "inf" (JSON has no

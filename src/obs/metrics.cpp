@@ -8,6 +8,7 @@
 #include <memory>
 #include <utility>
 
+#include "util/number_format.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace rta::obs {
@@ -42,12 +43,6 @@ void json_escape_into(std::string& out, const std::string& s) {
         }
     }
   }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
 }
 
 }  // namespace

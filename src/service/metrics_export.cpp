@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "util/number_format.hpp"
+
 namespace rta::service {
 
 namespace {
@@ -19,12 +21,6 @@ std::string prom_name(const std::string& name) {
     out += ok ? c : '_';
   }
   return out;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -66,7 +62,7 @@ std::string to_prometheus_text(const obs::MetricsSnapshot& snap) {
   for (const auto& [name, v] : snap.gauges) {
     const std::string p = prom_name(name);
     out += "# TYPE " + p + " gauge\n" + p + " ";
-    append_number(out, v);
+    append_double(out, v);
     out += "\n";
   }
   for (const auto& [name, h] : snap.histograms) {
@@ -76,12 +72,12 @@ std::string to_prometheus_text(const obs::MetricsSnapshot& snap) {
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       cum += i < h.counts.size() ? h.counts[i] : 0;
       out += p + "_bucket{le=\"";
-      append_number(out, h.bounds[i]);
+      append_double(out, h.bounds[i]);
       out += "\"} " + std::to_string(cum) + "\n";
     }
     out += p + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
     out += p + "_sum ";
-    append_number(out, h.sum);
+    append_double(out, h.sum);
     out += "\n" + p + "_count " + std::to_string(h.count) + "\n";
   }
   // Scrape timestamp (unix seconds) so dashboards can alert on a stale
@@ -92,7 +88,7 @@ std::string to_prometheus_text(const obs::MetricsSnapshot& snap) {
           std::chrono::system_clock::now().time_since_epoch())
           .count();
   out += "# TYPE rta_scrape_time_seconds gauge\nrta_scrape_time_seconds ";
-  append_number(out, now_s);
+  append_double(out, now_s);
   out += "\n";
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "analysis/result.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/number_format.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rta {
@@ -64,11 +64,9 @@ void transform_target(Job& job, const RegionAxis& axis, double v) {
 /// Preformatted probe-span args, e.g. {"values": [1.5, 2]}.
 std::string probe_args(const std::vector<double>& values) {
   std::string s = "{\"values\": [";
-  char buf[40];
   for (std::size_t i = 0; i < values.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.17g", values[i]);
     if (i > 0) s += ", ";
-    s += buf;
+    append_double(s, values[i]);
   }
   s += "]}";
   return s;

@@ -8,6 +8,7 @@
 #include "io/trace_csv.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
+#include "support/curve_knots_csv.hpp"
 #include "workload/jobshop.hpp"
 
 namespace rta {

@@ -46,6 +46,7 @@
 #include "service/metrics_export.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "service/tenant_registry.hpp"
+#include "util/number_format.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -697,20 +698,14 @@ std::string format_boundary(const RegionBoundary& b) {
 /// One CSV row: empty,open,feasible,infeasible,probes -- feasible /
 /// infeasible cells blank when the region is empty / open respectively.
 std::string csv_boundary(const RegionBoundary& b) {
-  std::ostringstream row;
-  row << (b.empty ? 1 : 0) << "," << (b.open ? 1 : 0) << ",";
-  char num[40];
-  if (!b.empty) {
-    std::snprintf(num, sizeof(num), "%.17g", b.feasible);
-    row << num;
-  }
-  row << ",";
-  if (!b.open) {
-    std::snprintf(num, sizeof(num), "%.17g", b.infeasible);
-    row << num;
-  }
-  row << "," << b.probes;
-  return row.str();
+  std::string row = b.empty ? "1," : "0,";
+  row += b.open ? "1," : "0,";
+  if (!b.empty) append_double(row, b.feasible);
+  row += ',';
+  if (!b.open) append_double(row, b.infeasible);
+  row += ',';
+  row += std::to_string(b.probes);
+  return row;
 }
 
 std::string axis_synopsis(const RegionAxis& axis) {
@@ -805,8 +800,8 @@ int cmd_region(const Options& opts, System system) {
     } else {
       report << "value,empty,open,feasible,infeasible,probes\n";
       for (const RegionColumn& col : r.columns) {
-        char num[40];
-        std::snprintf(num, sizeof(num), "%.17g", col.value);
+        std::string num;
+        append_double(num, col.value);
         report << num << "," << csv_boundary(col.boundary) << "\n";
       }
     }
