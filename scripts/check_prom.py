@@ -2,7 +2,7 @@
 """Validate a Prometheus text-exposition file written by --metrics-prom.
 
 Usage:
-    check_prom.py metrics.prom [--require NAME ...]
+    check_prom.py metrics.prom [--require NAME ...] [--require-positive NAME ...]
 
 Checks (stdlib only, text exposition format version 0.0.4):
   * every non-comment line parses as `name{labels} value` or `name value`
@@ -17,7 +17,9 @@ Checks (stdlib only, text exposition format version 0.0.4):
     non-decreasing, and the +Inf bucket equals _count;
   * the exporter's own scrape timestamp gauge rta_scrape_time_seconds is
     present and positive;
-  * each --require NAME names a family that must be present.
+  * each --require NAME names a family that must be present;
+  * each --require-positive NAME names a family that must be present with
+    a sample above zero (a counter that must have counted something).
 
 Exit status: 0 when the file validates, 1 otherwise.
 """
@@ -54,7 +56,7 @@ def parse_value(text):
         return None
 
 
-def check(path, required):
+def check(path, required, positive=()):
     errors = []
     types = {}      # family -> declared type
     samples = []    # (line_no, name, labels dict, value)
@@ -153,6 +155,13 @@ def check(path, required):
     for family in required:
         if family not in families_seen:
             errors.append(f"required family {family!r} not present")
+    for family in positive:
+        values = [v for _, name, _, v in samples
+                  if family_of(name, types) == family]
+        if not values:
+            errors.append(f"required family {family!r} not present")
+        elif not max(values) > 0:
+            errors.append(f"family {family!r} is never above zero")
     if not samples:
         errors.append("no samples found")
     return errors
@@ -165,9 +174,13 @@ def main():
                         metavar="NAME",
                         help="metric family that must be present "
                              "(repeatable)")
+    parser.add_argument("--require-positive", action="append", default=[],
+                        metavar="NAME",
+                        help="metric family that must be present with a "
+                             "sample above zero (repeatable)")
     args = parser.parse_args()
     try:
-        errors = check(args.file, args.require)
+        errors = check(args.file, args.require, args.require_positive)
     except OSError as exc:
         errors = [str(exc)]
     if errors:

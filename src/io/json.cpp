@@ -5,35 +5,15 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <string_view>
 #include <system_error>
 
+#include "util/json_escape.hpp"
 #include "util/number_format.hpp"
 
 namespace rta::json {
 
 namespace {
-
-void escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void newline_indent(std::string& out, int indent, int depth) {
   out += '\n';
@@ -344,7 +324,7 @@ void Value::dump_into(std::string& out, int indent, int depth) const {
       return;
     case Kind::kString:
       out += '"';
-      escape_into(out, str_);
+      append_json_escaped(out, str_);
       out += '"';
       return;
     case Kind::kArray: {
@@ -374,7 +354,7 @@ void Value::dump_into(std::string& out, int indent, int depth) const {
         first = false;
         if (indent >= 0) newline_indent(out, indent, depth + 1);
         out += '"';
-        escape_into(out, k);
+        append_json_escaped(out, k);
         out += "\":";
         if (indent >= 0) out += ' ';
         v.dump_into(out, indent, depth + 1);

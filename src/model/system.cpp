@@ -26,13 +26,15 @@ std::optional<SchedulerKind> parse_scheduler_kind(const std::string& name) {
 }
 
 int System::add_job(Job job) {
-  if (job.id == 0) {
-    job.id = next_job_id_++;
-  } else if (job.id >= next_job_id_) {
-    next_job_id_ = job.id + 1;
-  }
+  job.id = claim_job_id(job.id);
   jobs_.push_back(std::move(job));
   return static_cast<int>(jobs_.size()) - 1;
+}
+
+std::uint64_t System::claim_job_id(std::uint64_t id) {
+  if (id == 0) return next_job_id_++;
+  if (id >= next_job_id_) next_job_id_ = id + 1;
+  return id;
 }
 
 bool System::remove_job(int index) {

@@ -73,6 +73,12 @@ class System {
   /// the internal counter past them).
   int add_job(Job job);
 
+  /// The id add_job would give a job carrying `id`, with the counter moved
+  /// exactly as add_job moves it: a zero id takes the next fresh id, an
+  /// explicit one is kept and lifts the counter past it. Lets a memoized
+  /// what-if hand out the id its analysis would have drawn.
+  std::uint64_t claim_job_id(std::uint64_t id);
+
   /// Remove the job at `index`; later jobs shift down by one index but keep
   /// their stable ids. Returns false when the index is out of range.
   bool remove_job(int index);

@@ -3,11 +3,11 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <utility>
 
+#include "util/json_escape.hpp"
 #include "util/number_format.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -25,25 +25,6 @@ std::uint64_t next_registry_uid() {
 
 double bits_to_double(std::uint64_t b) { return std::bit_cast<double>(b); }
 std::uint64_t double_to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -335,7 +316,7 @@ std::string MetricsSnapshot::to_json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape_into(out, name);
+    append_json_escaped(out, name);
     out += "\": " + std::to_string(v);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -345,7 +326,7 @@ std::string MetricsSnapshot::to_json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape_into(out, name);
+    append_json_escaped(out, name);
     out += "\": ";
     append_double(out, v);
   }
@@ -356,7 +337,7 @@ std::string MetricsSnapshot::to_json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape_into(out, name);
+    append_json_escaped(out, name);
     out += "\": {\"bounds\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out += ", ";

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "util/json_escape.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace rta::obs {
@@ -13,25 +14,6 @@ namespace {
 std::uint64_t next_tracer_uid() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -125,7 +107,7 @@ std::string Tracer::to_chrome_json() const {
                   e.phase, e.ts_us, e.tid);
     out += head;
     out += ", \"cat\": \"rta\", \"name\": \"";
-    json_escape_into(out, e.name);
+    append_json_escaped(out, e.name);
     out += "\"";
     if (e.phase == 'i') out += ", \"s\": \"t\"";
     if (!e.args.empty()) {
@@ -146,7 +128,7 @@ std::string Tracer::to_jsonl() const {
                   "{\"ts_us\": %.3f, \"tid\": %d, \"ph\": \"%c\", \"name\": \"",
                   e.ts_us, e.tid, e.phase);
     out += head;
-    json_escape_into(out, e.name);
+    append_json_escaped(out, e.name);
     out += "\"";
     if (!e.args.empty()) {
       out += ", \"args\": ";

@@ -1,8 +1,10 @@
 #include "service/admission_session.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -187,9 +189,69 @@ void fill_explain(Explain& explain, const Job& job, const JobReport& bound) {
 
 }  // namespace
 
+/// The fast path's answers for the committed state, keyed by everything of
+/// a candidate that answer reads: the deadline, each hop's processor,
+/// execution time and priority, and the first-hop releases, doubles by bit
+/// pattern. Neither the name nor the id is read, apart from the duplicate-id
+/// check, which read_what_if makes before any lookup; the job_id of an
+/// answer is therefore not stored but drawn anew on every hit.
+///
+/// A ring of at most kWhatIfMemoSlots slots, of which slots[0, live) hold
+/// answers for the committed state. A commit sets live and next_slot to 0,
+/// so invalidation frees nothing, and a slot is overwritten in place (its
+/// vectors keep their capacity) when the ring comes round. Slots are added
+/// only as answers arrive, so a session that is asked few what-ifs (one
+/// tenant of many) holds few. Candidates over the hop or release bound are
+/// never copied in, so the memo holds at most kWhatIfMemoSlots *
+/// (kWhatIfMemoMaxReleases releases + kWhatIfMemoMaxHops hops).
+struct AdmissionSession::WhatIfMemo {
+  struct Slot {
+    Time deadline = 0.0;
+    std::vector<Subjob> chain;
+    std::vector<Time> releases;
+    ReadDecision answer;  ///< job_id left 0
+
+    [[nodiscard]] bool holds(const Job& job) const {
+      if (!same_bits(deadline, job.deadline) ||
+          chain.size() != job.chain.size()) {
+        return false;
+      }
+      for (std::size_t h = 0; h < chain.size(); ++h) {
+        const Subjob& kept = chain[h];
+        const Subjob& asked = job.chain[h];
+        if (kept.processor != asked.processor ||
+            kept.priority != asked.priority ||
+            !same_bits(kept.exec_time, asked.exec_time)) {
+          return false;
+        }
+      }
+      const std::vector<Time>& r = job.arrivals.releases();
+      return releases.size() == r.size() &&
+             (r.empty() || std::memcmp(releases.data(), r.data(),
+                                       r.size() * sizeof(Time)) == 0);
+    }
+  };
+
+  static bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }
+
+  explicit WhatIfMemo(const detail::EngineObs* eobs) {
+    if (eobs != nullptr && eobs->metrics() != nullptr) {
+      hits = eobs->metrics()->counter("service.what_if_memo_hits");
+    }
+  }
+
+  std::vector<Slot> slots;    ///< grows to kWhatIfMemoSlots, then a ring
+  std::size_t live = 0;       ///< slots[0, live) are this state's answers
+  std::size_t next_slot = 0;  ///< ring cursor: the slot the next store takes
+  obs::Counter hits;          ///< service.what_if_memo_hits, bound up front
+};
+
 AdmissionSession::AdmissionSession(System base, SessionConfig config)
     : system_(std::move(base)), config_(config) {
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
+  memo_ = std::make_unique<WhatIfMemo>(eobs_.get());
 
   Decision d;
   if (const auto order = structural_check(d)) {
@@ -207,7 +269,7 @@ AdmissionSession::~AdmissionSession() = default;
 /// Per-committed-state data backing the fast what-if path: aggregates
 /// derivable from (system_, last_) in one O(subjobs) sweep, and per
 /// processor the higher-priority operands of a candidate's first hop there.
-/// Dropped with everything else on every admit and remove.
+/// Dropped by every commit (committed_state_changed).
 ///
 /// The operands are exact for every later candidate until then: such a hop
 /// outranks nothing on its SPP processor, so its higher-priority set is
@@ -262,8 +324,9 @@ AdmissionSession::ReadCache& AdmissionSession::read_cache() {
 
 AdmissionSession::AdmissionSession(const SessionConfig& config)
     : config_(config) {
-  // Clone shell: clone_committed fills in the state.
+  // Clone shell: clone_committed fills in the state; the memo starts empty.
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
+  memo_ = std::make_unique<WhatIfMemo>(eobs_.get());
 }
 
 std::unique_ptr<AdmissionSession> AdmissionSession::clone_committed() const {
@@ -293,12 +356,55 @@ ReadDecision AdmissionSession::summarize(const Decision& d) {
   return rd;
 }
 
+const ReadDecision* AdmissionSession::memo_find(const Job& job) const {
+  for (std::size_t i = 0; i < memo_->live; ++i) {
+    if (memo_->slots[i].holds(job)) return &memo_->slots[i].answer;
+  }
+  return nullptr;
+}
+
+void AdmissionSession::memo_store(const Job& job, const ReadDecision& rd) {
+  if (job.chain.size() > kWhatIfMemoMaxHops ||
+      job.arrivals.count() > kWhatIfMemoMaxReleases) {
+    return;
+  }
+  WhatIfMemo& memo = *memo_;
+  if (memo.next_slot == memo.slots.size()) memo.slots.emplace_back();
+  WhatIfMemo::Slot& slot = memo.slots[memo.next_slot];
+  memo.next_slot = (memo.next_slot + 1) % kWhatIfMemoSlots;
+  memo.live = std::min(memo.live + 1, kWhatIfMemoSlots);
+  slot.deadline = job.deadline;
+  slot.chain.assign(job.chain.begin(), job.chain.end());
+  slot.releases.assign(job.arrivals.releases().begin(),
+                       job.arrivals.releases().end());
+  slot.answer = rd;
+  slot.answer.job_id = 0;
+}
+
+void AdmissionSession::committed_state_changed() {
+  read_cache_.reset();
+  memo_->live = 0;
+  memo_->next_slot = 0;
+}
+
 ReadDecision AdmissionSession::read_what_if(Job job) {
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.what_if").inc();
   }
+  // A committed explicit id takes the general path's duplicate-id error.
+  if (job.id == 0 || system_.job_index_by_id(job.id) < 0) {
+    if (const ReadDecision* hit = memo_find(job)) {
+      ReadDecision rd = *hit;
+      rd.job_id = system_.claim_job_id(job.id);
+      memo_->hits.inc();
+      return rd;
+    }
+  }
   ReadDecision rd;
-  if (try_fast_what_if(job, rd)) return rd;
+  if (try_fast_what_if(job, rd)) {
+    memo_store(job, rd);
+    return rd;
+  }
   return summarize(run_candidate(std::move(job), /*commit_on_admit=*/false));
 }
 
@@ -547,10 +653,11 @@ Decision AdmissionSession::admit(Job job) {
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.admit").inc();
   }
-  // A committing call changes what the fast what-if path aggregates over;
-  // dropping the cache up front (even for rejected admits) is always safe.
-  read_cache_.reset();
-  return run_candidate(std::move(job), /*commit_on_admit=*/true);
+  // A refused admit rolls back to the very curves and system it started
+  // from, so the read cache and the memo stay valid; only a commit ends them.
+  Decision d = run_candidate(std::move(job), /*commit_on_admit=*/true);
+  if (d.committed) committed_state_changed();
+  return d;
 }
 
 Decision AdmissionSession::what_if(Job job) {
@@ -599,7 +706,6 @@ Decision AdmissionSession::run_candidate(Job job, bool commit_on_admit) {
 }
 
 Decision AdmissionSession::remove(std::uint64_t job_id) {
-  read_cache_.reset();
   Decision d;
   d.job_id = job_id;
   const int k = system_.job_index_by_id(job_id);
@@ -607,6 +713,7 @@ Decision AdmissionSession::remove(std::uint64_t job_id) {
     d.error = "no job with id " + std::to_string(job_id);
     return d;
   }
+  committed_state_changed();
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.remove").inc();
   }

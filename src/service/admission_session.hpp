@@ -25,6 +25,14 @@
 // behavior), and runs a full wavefront only when nothing can be reused: no
 // retained curves yet, or the edit moved the horizon.
 //
+// Reads reuse work per committed state. read_what_if answers a repeated
+// candidate from a memo that lives until the next commit, across any number
+// of requests and scheduler batches; the RequestScheduler's coalescing, by
+// contrast, only merges byte-identical lines inside one batch (and also
+// covers query, what_if_region and general-path reads). A refused admit
+// restores the committed state exactly, so it keeps both the memo and the
+// fast path's read cache.
+//
 // Like BoundsAnalyzer, the session handles acyclic dependency graphs
 // (heterogeneous SPP/SPNP/FCFS mixes included); a candidate that creates a
 // cycle is rejected with the analyzer's error.
@@ -40,6 +48,7 @@
 // rather than the static analysis.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -145,6 +154,12 @@ class AdmissionSession {
   /// when the id exists (removals cannot make a system less schedulable).
   Decision remove(std::uint64_t job_id);
 
+  /// Bounds of read_what_if's memo: answers kept per committed state, and
+  /// the largest candidate (hops, first-hop releases) it copies in.
+  static constexpr std::size_t kWhatIfMemoSlots = 16;
+  static constexpr std::size_t kWhatIfMemoMaxHops = 16;
+  static constexpr std::size_t kWhatIfMemoMaxReleases = 512;
+
   /// what_if() reduced to the serialized aggregates. Takes a fast path --
   /// no validate(), no graph build, no wavefront, no per-job report -- when
   /// the candidate provably dirties only its own subjobs (every hop on an
@@ -156,6 +171,16 @@ class AdmissionSession {
   /// bound. The returned aggregates are byte-identical either way (the
   /// service determinism contract extended to the read path;
   /// tests/test_service.cpp, tests/test_request_scheduler.cpp).
+  ///
+  /// A fast-path answer is a pure function of the committed state and the
+  /// candidate's deadline, hops and releases, so it is memoized until the
+  /// next commit (an admit that commits, a remove that finds its job): a
+  /// candidate asked again -- under any name and id, in any later request --
+  /// is answered from the memo without analysis, and its job_id and the id
+  /// counter move exactly as System::add_job would move them. Error and
+  /// general-path answers are never memoized, nor is a candidate whose
+  /// explicit id is committed (it gets the duplicate-id error). Counter
+  /// service.what_if_memo_hits counts the hits.
   ReadDecision read_what_if(Job job);
 
   /// Reduce a full Decision to the aggregate view (same bytes as the fast
@@ -179,6 +204,7 @@ class AdmissionSession {
 
  private:
   struct ReadCache;
+  struct WhatIfMemo;
   struct Undo;
   /// Dirty seed nodes of a change, over the candidate's dependency graph.
   using SeedFn = std::function<std::vector<int>(const DependencyGraph&)>;
@@ -188,6 +214,13 @@ class AdmissionSession {
   Decision run_candidate(Job job, bool commit_on_admit);
   bool try_fast_what_if(const Job& job, ReadDecision& rd);
   ReadCache& read_cache();
+  /// The memoized answer to `job` for the committed state, or nullptr.
+  [[nodiscard]] const ReadDecision* memo_find(const Job& job) const;
+  /// Keep the fast path's answer `rd` to `job`, unless `job` is oversized.
+  void memo_store(const Job& job, const ReadDecision& rd);
+  /// Drops everything derived from the committed state: the read cache and
+  /// the memo's answers. Called by every committing call only.
+  void committed_state_changed();
   void analyze_pass(Decision& d, const DependencyOrder& order,
                     Time base_horizon, const std::vector<char>* dirty,
                     detail::BoundStateMap& states) const;
@@ -216,8 +249,11 @@ class AdmissionSession {
   /// Lazily built per-committed-state data backing try_fast_what_if
   /// (per-processor priority tops, horizon ingredients, committed verdict
   /// roll-ups, per-processor higher-priority operands of a candidate's first
-  /// hop); dropped by every admit and remove.
+  /// hop); dropped by every commit.
   std::unique_ptr<ReadCache> read_cache_;
+  /// read_what_if's answers for the committed state; emptied by every
+  /// commit, never copied by a clone.
+  std::unique_ptr<WhatIfMemo> memo_;
 };
 
 /// Assign each hop of `job` the lowest priority (largest phi) on its

@@ -13,8 +13,12 @@
 //     receives a copy of the answer, with its own request/line echo and --
 //     for auto-assigned ids -- its own simulated job_id. Against one
 //     committed state identical reads are pure-function calls, so this is
-//     exact, not approximate; it is what makes polling workloads (clients
-//     re-probing pending candidates between reconfigurations) cheap.
+//     exact, not approximate. Coalescing reaches only within one batch,
+//     skips building the response, and covers every read (query,
+//     what_if_region and general-path what_ifs too). A polling client
+//     re-probing a pending candidate in later batches is answered by the
+//     session's what-if memo instead (AdmissionSession::read_what_if),
+//     which holds fast-path answers until the next commit.
 //     Coalescing is disabled while request_timeout_ms is set, because each
 //     instance's expiry is wall-clock-specific.
 //   - A mutation batch executes in order, one request at a time.

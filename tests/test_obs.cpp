@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +29,7 @@
 #include "obs/observer.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
+#include "util/json_escape.hpp"
 #include "service/admission_session.hpp"
 #include "service/metrics_export.hpp"
 #include "service/request_scheduler.hpp"
@@ -634,6 +636,66 @@ TEST(ServiceObs, PromFlusherCleansUpTmpWhenRenameFails) {
   EXPECT_FALSE(fs::exists(tmp));  // ...and the staging file is gone
   EXPECT_TRUE(fs::is_directory(dir));
   fs::remove_all(dir, ec);
+}
+
+// One escaper (util/json_escape.hpp) spells a string the same way in JSON
+// dumps, --metrics-json and both trace exports: every one of the 32 control
+// bytes gets its short escape (TAB, LF, CR) or \u00XX, and each export
+// parses back to the original name.
+TEST(JsonEscape, AllControlBytesOneSpellingEverywhere) {
+  std::string name = "ctl";
+  std::string escaped = "ctl";
+  for (int c = 0; c < 0x20; ++c) {
+    name += static_cast<char>(c);
+    std::string one;
+    append_json_escaped(one, std::string(1, static_cast<char>(c)));
+    std::string want;
+    switch (c) {
+      case '\t': want = "\\t"; break;
+      case '\n': want = "\\n"; break;
+      case '\r': want = "\\r"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        want = buf;
+      }
+    }
+    EXPECT_EQ(one, want) << "byte " << c;
+    escaped += want;
+  }
+  name += "\"\\ \xc3\xa9~";
+  escaped += "\\\"\\\\ \xc3\xa9~";
+  const std::string quoted = "\"" + escaped + "\"";
+
+  EXPECT_EQ(json::Value(name).dump(), quoted);
+
+  obs::MetricsRegistry registry;
+  registry.counter(name).inc();
+  const std::string metrics_json = registry.snapshot().to_json();
+  EXPECT_NE(metrics_json.find(quoted), std::string::npos);
+  const json::ParseResult metrics_doc = json::parse(metrics_json);
+  ASSERT_TRUE(metrics_doc.ok) << metrics_doc.error;
+  EXPECT_NE(metrics_doc.value.find("counters")->find(name), nullptr);
+
+  obs::Tracer tracer;
+  tracer.instant(name);
+  const std::string chrome = tracer.to_chrome_json();
+  EXPECT_NE(chrome.find(quoted), std::string::npos);
+  const json::ParseResult chrome_doc = json::parse(chrome);
+  ASSERT_TRUE(chrome_doc.ok) << chrome_doc.error;
+  EXPECT_EQ(chrome_doc.value.find("traceEvents")
+                ->as_array()
+                .at(0)
+                .find("name")
+                ->as_string(),
+            name);
+  const std::string jsonl = tracer.to_jsonl();
+  EXPECT_NE(jsonl.find(quoted), std::string::npos);
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 1);
+  const json::ParseResult line_doc =
+      json::parse(jsonl.substr(0, jsonl.size() - 1));
+  ASSERT_TRUE(line_doc.ok) << line_doc.error;
+  EXPECT_EQ(line_doc.value.find("name")->as_string(), name);
 }
 
 }  // namespace

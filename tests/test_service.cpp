@@ -7,6 +7,7 @@
 // test_differential_engine.cpp.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "analysis/bounds.hpp"
 #include "model/priority.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/admission_session.hpp"
 #include "util/rng.hpp"
@@ -345,6 +347,37 @@ Job follow_candidate(Rng& rng, const System& committed, int hops,
   return job;
 }
 
+/// Every serialized field of two read answers, bit for bit.
+void expect_same_read(const service::ReadDecision& got,
+                      const service::ReadDecision& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.ok, want.ok) << label;
+  EXPECT_EQ(got.error, want.error) << label;
+  EXPECT_EQ(got.admitted, want.admitted) << label;
+  EXPECT_EQ(got.committed, want.committed) << label;
+  EXPECT_EQ(got.incremental, want.incremental) << label;
+  EXPECT_EQ(got.job_id, want.job_id) << label;
+  EXPECT_EQ(got.dirty_subjobs, want.dirty_subjobs) << label;
+  EXPECT_EQ(got.total_subjobs, want.total_subjobs) << label;
+  EXPECT_EQ(got.schedulable, want.schedulable) << label;
+  EXPECT_EQ(got.max_wcrt, want.max_wcrt) << label;
+  EXPECT_EQ(got.horizon, want.horizon) << label;
+  EXPECT_EQ(got.explain.available, want.explain.available) << label;
+  EXPECT_EQ(got.explain.wcrt, want.explain.wcrt) << label;
+  EXPECT_EQ(got.explain.deadline, want.explain.deadline) << label;
+  EXPECT_EQ(got.explain.dominant_hop, want.explain.dominant_hop) << label;
+  EXPECT_EQ(got.explain.horizon_doublings, want.explain.horizon_doublings)
+      << label;
+  ASSERT_EQ(got.explain.hops.size(), want.explain.hops.size()) << label;
+  for (std::size_t h = 0; h < got.explain.hops.size(); ++h) {
+    EXPECT_EQ(got.explain.hops[h].hop, want.explain.hops[h].hop) << label;
+    EXPECT_EQ(got.explain.hops[h].processor, want.explain.hops[h].processor)
+        << label << " hop " << h;
+    EXPECT_EQ(got.explain.hops[h].bound, want.explain.hops[h].bound)
+        << label << " hop " << h;
+  }
+}
+
 /// read_what_if (fast path when it applies) against the general what_if on
 /// the same candidate, with the same job id handed out to both: every
 /// serialized field must agree bit for bit.
@@ -355,25 +388,7 @@ void expect_fast_equals_general(AdmissionSession& session, const Job& job,
   session.set_next_job_id(next_id);
   const service::ReadDecision general =
       AdmissionSession::summarize(session.what_if(job));
-  ASSERT_EQ(fast.ok, general.ok) << label;
-  EXPECT_EQ(fast.error, general.error) << label;
-  EXPECT_EQ(fast.admitted, general.admitted) << label;
-  EXPECT_EQ(fast.committed, general.committed) << label;
-  EXPECT_EQ(fast.incremental, general.incremental) << label;
-  EXPECT_EQ(fast.job_id, general.job_id) << label;
-  EXPECT_EQ(fast.dirty_subjobs, general.dirty_subjobs) << label;
-  EXPECT_EQ(fast.total_subjobs, general.total_subjobs) << label;
-  EXPECT_EQ(fast.schedulable, general.schedulable) << label;
-  EXPECT_EQ(fast.max_wcrt, general.max_wcrt) << label;
-  EXPECT_EQ(fast.horizon, general.horizon) << label;
-  EXPECT_EQ(fast.explain.available, general.explain.available) << label;
-  EXPECT_EQ(fast.explain.wcrt, general.explain.wcrt) << label;
-  EXPECT_EQ(fast.explain.dominant_hop, general.explain.dominant_hop) << label;
-  ASSERT_EQ(fast.explain.hops.size(), general.explain.hops.size()) << label;
-  for (std::size_t h = 0; h < fast.explain.hops.size(); ++h) {
-    EXPECT_EQ(fast.explain.hops[h].bound, general.explain.hops[h].bound)
-        << label << " hop " << h;
-  }
+  expect_same_read(fast, general, label);
 }
 
 std::size_t fast_what_if_spans(const obs::Tracer& tracer) {
@@ -392,6 +407,10 @@ std::size_t fast_what_if_spans(const obs::Tracer& tracer) {
 // match the general path bit for bit each time: a stale cache, a cache
 // reused for a hop whose processor already carries an earlier hop of the
 // candidate, or a skipped upper part on a non-last hop all show up here.
+// Each probe is asked with a deadline of its own per step (the horizon is
+// pinned, so that moves only the verdict), which keeps every probe read off
+// read_what_if's memo and on the fast path over the read cache, also right
+// after a refused admit, which keeps that cache.
 TEST(Service, FastWhatIfFollowsCommits) {
   Rng rng(43);
   const System base = random_base(rng, SchedulerKind::kSpp, false);
@@ -442,7 +461,9 @@ TEST(Service, FastWhatIfFollowsCommits) {
       expect_fast_equals_general(session, job, label + " fresh candidate");
     }
     for (std::size_t i = 0; i < probes.size(); ++i) {
-      expect_fast_equals_general(session, probes[i],
+      Job probe = probes[i];
+      probe.deadline *= 1.0 + 0.01 * step;
+      expect_fast_equals_general(session, probe,
                                  label + " probe " + std::to_string(i));
     }
   }
@@ -450,8 +471,339 @@ TEST(Service, FastWhatIfFollowsCommits) {
   EXPECT_GT(commits, 0);
   EXPECT_GT(refusals, 0);
   // Every probe read took the fast path (a fallback would compare the
-  // general path with itself).
+  // general path with itself, and a memo hit opens no span).
   EXPECT_GE(fast_what_if_spans(tracer), 40 * probes.size());
+}
+
+std::uint64_t memo_hits(const obs::MetricsRegistry& metrics) {
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  const auto it = snap.counters.find("service.what_if_memo_hits");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// read_what_if on `session` checked against a clone_committed() taken just
+/// before it, whose memo is empty: the same answer field by field, and the
+/// same id counter afterwards. Returns the session's answer.
+service::ReadDecision read_against_clone(AdmissionSession& session,
+                                         const Job& job,
+                                         const std::string& label) {
+  const std::unique_ptr<AdmissionSession> fresh = session.clone_committed();
+  const service::ReadDecision got = session.read_what_if(job);
+  const service::ReadDecision want = fresh->read_what_if(job);
+  expect_same_read(got, want, label);
+  EXPECT_EQ(session.peek_next_job_id(), fresh->peek_next_job_id()) << label;
+  return got;
+}
+
+/// A session on an SPP shop with a pinned horizon and a metrics registry,
+/// for the what-if memo tests.
+struct MemoFixture {
+  explicit MemoFixture(std::uint64_t seed) : rng(seed) {
+    base = random_base(rng, SchedulerKind::kSpp, false);
+    SessionConfig cfg;
+    cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
+    cfg.analysis.observer.metrics = &metrics;
+    cfg.analysis.observer.tracer = &tracer;
+    session = std::make_unique<AdmissionSession>(base, cfg);
+  }
+  /// A fast-path candidate that stays lowest-priority while admits come
+  /// and go.
+  Job probe(int serial) {
+    return follow_candidate(rng, base, 2, false, 0, 1000, serial);
+  }
+
+  Rng rng;
+  System base;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  std::unique_ptr<AdmissionSession> session;
+};
+
+// The memo differential: seeded random streams of re-asked what-ifs (auto,
+// fresh explicit and committed explicit ids, renamed twins), fresh
+// candidates, committed and refused admits, found and unknown removes and
+// general-path what_ifs on one session. Every what_if must answer exactly
+// like a clone with an empty memo and leave the same id counter, on SPP
+// shops (fast path, memo) and on SPNP/FCFS mixes (general path, no memo).
+TEST(ServiceDifferential, WhatIfMemoMatchesEmptyMemoClone) {
+  std::uint64_t total_hits = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(1000 + seed);
+    const bool mixed = seed % 4 == 0;
+    const System base = random_base(rng, SchedulerKind::kSpp, mixed);
+    obs::MetricsRegistry metrics;
+    SessionConfig cfg;
+    cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
+    cfg.analysis.observer.metrics = &metrics;
+    AdmissionSession session(base, cfg);
+    ASSERT_TRUE(session.last().ok);
+
+    std::vector<Job> working;
+    for (int i = 0; i < 4; ++i) {
+      working.push_back(follow_candidate(rng, base, rng.uniform_int(1, 3),
+                                         rng.uniform_int(0, 1) == 0,
+                                         rng.uniform_int(0, 2), 1000, i));
+    }
+    std::vector<std::uint64_t> admitted;
+    for (int step = 0; step < 60; ++step) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const int kind = rng.uniform_int(0, 9);
+      Job job = working[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(working.size()) - 1))];
+      if (kind <= 4) {
+        switch (rng.uniform_int(0, 3)) {
+          case 0: break;
+          case 1: job.name += "-twin"; break;
+          case 2:
+            job.id = session.peek_next_job_id() +
+                     static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+            break;
+          default:
+            job.id = session.system().job(0).id;  // duplicate: an error
+            break;
+        }
+        read_against_clone(session, job, label + " re-ask");
+      } else if (kind == 5) {
+        Job fresh = random_job(rng, session.system(), 100 + step);
+        read_against_clone(session, fresh, label + " fresh");
+        working[static_cast<std::size_t>(step) % working.size()] = fresh;
+      } else if (kind <= 7) {
+        Job cand = follow_candidate(rng, session.system(),
+                                    rng.uniform_int(1, 2), false, 0, 0,
+                                    200 + step);
+        if (kind == 7) cand.deadline = 1e-3;  // certainly refused
+        const Decision d = session.admit(cand);
+        if (d.committed) admitted.push_back(d.job_id);
+      } else if (kind == 8) {
+        if (!admitted.empty() && rng.uniform_int(0, 2) != 0) {
+          ASSERT_TRUE(session.remove(admitted.back()).committed) << label;
+          admitted.pop_back();
+        } else {
+          EXPECT_FALSE(session.remove(987654).ok) << label;
+        }
+      } else {
+        EXPECT_FALSE(session.what_if(job).committed) << label;
+      }
+    }
+    if (!mixed) {
+      EXPECT_GT(memo_hits(metrics), 0u) << "seed " << seed;
+    }
+    total_hits += memo_hits(metrics);
+  }
+  EXPECT_GT(total_hits, 40u);
+}
+
+TEST(Service, WhatIfMemoSurvivesRefusedAdmitAndUnknownRemove) {
+  MemoFixture f(51);
+  AdmissionSession& session = *f.session;
+  const Job x = f.probe(0);
+  ASSERT_TRUE(read_against_clone(session, x, "first ask").ok);
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+
+  Job hog = f.probe(1);
+  hog.deadline = 1e-3;
+  ASSERT_FALSE(session.admit(hog).committed);
+  read_against_clone(session, x, "after refused admit");
+  EXPECT_EQ(memo_hits(f.metrics), 1u);
+
+  EXPECT_FALSE(session.remove(987654).ok);
+  read_against_clone(session, x, "after unknown remove");
+  EXPECT_EQ(memo_hits(f.metrics), 2u);
+
+  EXPECT_FALSE(session.what_if(hog).committed);
+  read_against_clone(session, x, "after general what_if");
+  EXPECT_EQ(memo_hits(f.metrics), 3u);
+}
+
+// A refused admit and an unknown-id remove keep the read cache: new
+// candidates (memo misses) read after each, one sharing the hops of the
+// candidate that built the cache, run the fast path over the kept cache and
+// answer like a clone that builds its own.
+TEST(Service, ReadCacheSurvivesRefusedAdmitAndUnknownRemove) {
+  MemoFixture f(58);
+  AdmissionSession& session = *f.session;
+  const Job x = f.probe(0);
+  ASSERT_TRUE(read_against_clone(session, x, "build cache").ok);
+
+  Job hog = f.probe(1);
+  hog.deadline = 1e-3;
+  ASSERT_FALSE(session.admit(hog).committed);
+  Job y = x;
+  y.deadline *= 0.5;
+  read_against_clone(session, y, "same hops after refused admit");
+  read_against_clone(session, f.probe(2), "new hops after refused admit");
+
+  EXPECT_FALSE(session.remove(987654).ok);
+  y.deadline *= 0.5;
+  read_against_clone(session, y, "same hops after unknown remove");
+  read_against_clone(session, f.probe(3), "new hops after unknown remove");
+
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+  // Every read ran the fast path, on the session and on its clones alike.
+  EXPECT_EQ(fast_what_if_spans(f.tracer), 10u);
+}
+
+TEST(Service, WhatIfMemoEmptiedByCommitAndRemove) {
+  MemoFixture f(52);
+  AdmissionSession& session = *f.session;
+  const Job x = f.probe(0);
+  read_against_clone(session, x, "first ask");
+
+  Job light = f.probe(1);
+  light.deadline = 1e6;
+  const Decision d = session.admit(light);
+  ASSERT_TRUE(d.committed);
+  read_against_clone(session, x, "after commit");
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+  read_against_clone(session, x, "re-ask after commit");
+  EXPECT_EQ(memo_hits(f.metrics), 1u);
+
+  ASSERT_TRUE(session.remove(d.job_id).committed);
+  read_against_clone(session, x, "after remove");
+  EXPECT_EQ(memo_hits(f.metrics), 1u);
+}
+
+// Keys compare doubles by bit pattern: a release at -0.0 is not the same
+// candidate as one at +0.0, though either answers the same. A renamed twin
+// is the same candidate.
+TEST(Service, WhatIfMemoKeysOnBitsNotNames) {
+  MemoFixture f(53);
+  AdmissionSession& session = *f.session;
+  Job plus = f.probe(0);
+  std::vector<Time> releases = plus.arrivals.releases();
+  ASSERT_FALSE(std::signbit(releases.front()));
+  ASSERT_EQ(releases.front(), 0.0);
+  releases.front() = -0.0;
+  Job minus = plus;
+  minus.arrivals = ArrivalSequence(releases);
+
+  const service::ReadDecision a = read_against_clone(session, plus, "+0.0");
+  const service::ReadDecision b = read_against_clone(session, minus, "-0.0");
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+  EXPECT_EQ(a.max_wcrt, b.max_wcrt);
+
+  Job twin = plus;
+  twin.name = "twin";
+  read_against_clone(session, twin, "renamed twin");
+  read_against_clone(session, minus, "-0.0 again");
+  EXPECT_EQ(memo_hits(f.metrics), 2u);
+}
+
+// Every analysed field is part of the key: a candidate that differs from a
+// stored one in any single field is a miss, and each is stored on its own.
+TEST(Service, WhatIfMemoKeysEveryAnalysedField) {
+  MemoFixture f(56);
+  AdmissionSession& session = *f.session;
+  Job x = f.probe(0);
+  ASSERT_NE(x.chain[0].processor, x.chain[1].processor);
+  x.chain[0].priority = 2000;  // lowest on any processor, in hop order
+  x.chain[1].priority = 2001;
+  std::vector<Job> variants(7, x);
+  variants[1].deadline *= 1.5;
+  variants[2].chain[1].exec_time *= 0.5;
+  variants[3].chain[1].processor = x.chain[0].processor;
+  variants[4].chain[1].priority += 1;
+  std::vector<Time> moved = x.arrivals.releases();
+  moved.back() *= 0.999;
+  variants[5].arrivals = ArrivalSequence(moved);
+  moved.pop_back();
+  variants[6].arrivals = ArrivalSequence(moved);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    ASSERT_TRUE(read_against_clone(session, variants[i],
+                                   "variant " + std::to_string(i))
+                    .ok);
+  }
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    read_against_clone(session, variants[i], "again " + std::to_string(i));
+  }
+  EXPECT_EQ(memo_hits(f.metrics), variants.size());
+}
+
+// The memo is a ring of kWhatIfMemoSlots answers: one more candidate evicts
+// the oldest, and the rest are still answered from it.
+TEST(Service, WhatIfMemoRingEvictsOldest) {
+  MemoFixture f(57);
+  AdmissionSession& session = *f.session;
+  const Job x = f.probe(0);
+  constexpr std::size_t kSlots = AdmissionSession::kWhatIfMemoSlots;
+  std::vector<Job> asked(kSlots + 1, x);
+  for (std::size_t i = 0; i < asked.size(); ++i) {
+    asked[i].deadline += static_cast<double>(i);
+    read_against_clone(session, asked[i], "fill " + std::to_string(i));
+  }
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+  for (std::size_t i = 2; i < asked.size(); ++i) {
+    read_against_clone(session, asked[i], "kept " + std::to_string(i));
+  }
+  EXPECT_EQ(memo_hits(f.metrics), kSlots - 1);
+  read_against_clone(session, asked[0], "evicted");
+  EXPECT_EQ(memo_hits(f.metrics), kSlots - 1);
+
+  // A commit empties the full ring; its slots refill from the first, and
+  // none of the old answers is read again.
+  Job light = follow_candidate(f.rng, session.system(), 1, false, 0, 0, 1);
+  light.deadline = 1e6;
+  ASSERT_TRUE(session.admit(light).committed);
+  for (std::size_t i = 0; i < 3; ++i) {
+    read_against_clone(session, asked[i], "refill " + std::to_string(i));
+  }
+  EXPECT_EQ(memo_hits(f.metrics), kSlots - 1);
+  for (std::size_t i = 0; i < asked.size(); ++i) {
+    read_against_clone(session, asked[i], "after refill " + std::to_string(i));
+  }
+  EXPECT_EQ(memo_hits(f.metrics), kSlots - 1 + 3);
+}
+
+TEST(Service, WhatIfMemoSkipsOversizedCandidate) {
+  MemoFixture f(54);
+  AdmissionSession& session = *f.session;
+  Job big = f.probe(0);
+  const Time span = f.base.last_release();
+  const std::size_t n = AdmissionSession::kWhatIfMemoMaxReleases + 1;
+  std::vector<Time> releases(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    releases[i] = span * static_cast<double>(i) / static_cast<double>(n);
+  }
+  big.arrivals = ArrivalSequence(std::move(releases));
+  big.deadline = 1e6;
+  for (Subjob& s : big.chain) s.exec_time = 1e-4;
+  const service::ReadDecision first = read_against_clone(session, big, "1st");
+  ASSERT_TRUE(first.ok);
+  ASSERT_TRUE(first.incremental);
+  read_against_clone(session, big, "2nd");
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+  // Both reads ran the fast path, on the session and on its clone alike.
+  EXPECT_EQ(fast_what_if_spans(f.tracer), 4u);
+}
+
+// Ids on a hit move exactly as System::add_job moves them, and a committed
+// explicit id still gets the duplicate-id error with a stored answer at hand.
+TEST(Service, WhatIfMemoHitDrawsIdsLikeAddJob) {
+  MemoFixture f(55);
+  AdmissionSession& session = *f.session;
+  Job x = f.probe(0);
+  read_against_clone(session, x, "store");
+
+  x.id = session.system().job(0).id;
+  const std::uint64_t next = session.peek_next_job_id();
+  const service::ReadDecision dup = read_against_clone(session, x, "dup");
+  EXPECT_FALSE(dup.ok);
+  EXPECT_EQ(dup.error, "duplicate job id " + std::to_string(x.id));
+  EXPECT_EQ(session.peek_next_job_id(), next);
+  EXPECT_EQ(memo_hits(f.metrics), 0u);
+
+  x.id = next + 10;  // explicit, past the counter: lifts it
+  EXPECT_EQ(read_against_clone(session, x, "explicit").job_id, next + 10);
+  EXPECT_EQ(session.peek_next_job_id(), next + 11);
+  x.id = next + 5;  // explicit, below the counter: leaves it
+  EXPECT_EQ(read_against_clone(session, x, "explicit low").job_id, next + 5);
+  EXPECT_EQ(session.peek_next_job_id(), next + 11);
+  x.id = 0;  // auto: draws the counter
+  EXPECT_EQ(read_against_clone(session, x, "auto").job_id, next + 11);
+  EXPECT_EQ(session.peek_next_job_id(), next + 12);
+  EXPECT_EQ(memo_hits(f.metrics), 3u);
 }
 
 // Explain invariants on the general path: one provenance entry per chain
