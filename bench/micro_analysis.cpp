@@ -265,6 +265,44 @@ BENCHMARK(BM_FastWhatIf)
     ->ArgsProduct({{1, 2, 3}, {0, 24, 96}, {2, 1, 0}})
     ->Unit(benchmark::kMicrosecond);
 
+// The fast admit path (service::AdmissionSession::admit on a candidate that
+// passes the fast what-if screen): BM_FastWhatIf's shop and candidate. Args:
+// hops (1 or 3); first-hop releases (24 or 96 Eq. 27-shaped releases);
+// committed (0 = refused by a 1e-3 deadline: the session keeps its read
+// cache, so each admit costs a warm fast what-if plus the report copy;
+// 1 = committed: each admit also runs its last hop's upper part and drops
+// the read cache, and the admitted job is removed again outside the timed
+// region, so each timed admit first rebuilds its processors' operands).
+void BM_FastAdmit(benchmark::State& state) {
+  const System base = fig3_shop_u07();
+  service::SessionConfig cfg;
+  cfg.analysis.horizon = default_horizon(base, AnalysisConfig{});
+  service::AdmissionSession session(base, cfg);
+  Job job = fast_what_if_candidate(
+      base, static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+  const bool commit = state.range(2) != 0;
+  if (!commit) job.deadline = 1e-3;
+  const service::Decision probe = session.admit(job);
+  if (!probe.ok || !probe.incremental || probe.committed != commit) {
+    state.SkipWithError("candidate not on the fast admit path");
+    return;
+  }
+  if (probe.committed) session.remove(probe.job_id);
+  for (auto _ : state) {
+    const service::Decision d = session.admit(job);
+    benchmark::DoNotOptimize(d);
+    if (d.committed) {
+      state.PauseTiming();
+      session.remove(d.job_id);
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_FastAdmit)
+    ->ArgNames({"hops", "releases", "committed"})
+    ->ArgsProduct({{1, 3}, {24, 96}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace rta
 

@@ -249,10 +249,8 @@ struct AdmissionSession::WhatIfMemo {
 };
 
 AdmissionSession::AdmissionSession(System base, SessionConfig config)
-    : system_(std::move(base)), config_(config) {
-  eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
-  memo_ = std::make_unique<WhatIfMemo>(eobs_.get());
-
+    : AdmissionSession(config) {
+  system_ = std::move(base);
   Decision d;
   if (const auto order = structural_check(d)) {
     detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
@@ -266,10 +264,11 @@ AdmissionSession::AdmissionSession(System base, SessionConfig config)
 
 AdmissionSession::~AdmissionSession() = default;
 
-/// Per-committed-state data backing the fast what-if path: aggregates
-/// derivable from (system_, last_) in one O(subjobs) sweep, and per
-/// processor the higher-priority operands of a candidate's first hop there.
-/// Dropped by every commit (committed_state_changed).
+/// Per-committed-state data backing the fast candidate path (what-if and
+/// admit): aggregates derivable from (system_, last_) in one O(subjobs)
+/// sweep, and per processor the higher-priority operands of a candidate's
+/// first hop there. Dropped by every commit (committed_state_changed), a
+/// fast one included.
 ///
 /// The operands are exact for every later candidate until then: such a hop
 /// outranks nothing on its SPP processor, so its higher-priority set is
@@ -282,14 +281,15 @@ AdmissionSession::~AdmissionSession() = default;
 /// committed state, not once per request.
 struct AdmissionSession::ReadCache {
   std::vector<int> max_priority;  ///< per processor; INT_MIN when unused
-  std::vector<char> is_spp;       ///< per processor
   double max_deadline = 0.0;      ///< over committed jobs
   Time last_release = 0.0;        ///< System::last_release of the committed set
   Time committed_max_wcrt = 0.0;
   bool committed_all_schedulable = false;
-  bool committed_any_unbounded = false;
+  /// Every committed WCRT finite at horizon_ itself (no doubled pass).
+  bool committed_bounded = false;
   int committed_subjobs = 0;
-  /// Per processor: a first hop's operands, built on first use.
+  /// Per processor: a first hop's operands, built on first use. Empty until
+  /// a candidate passes the screen, so a screened-out admit sizes nothing.
   std::vector<std::optional<detail::HpOperands>> hp_operands;
 };
 
@@ -298,11 +298,6 @@ AdmissionSession::ReadCache& AdmissionSession::read_cache() {
   auto rc = std::make_unique<ReadCache>();
   const int m = system_.processor_count();
   rc->max_priority.assign(m, std::numeric_limits<int>::min());
-  rc->is_spp.assign(m, 0);
-  rc->hp_operands.resize(m);
-  for (int p = 0; p < m; ++p) {
-    rc->is_spp[p] = system_.scheduler(p) == SchedulerKind::kSpp ? 1 : 0;
-  }
   for (int k = 0; k < system_.job_count(); ++k) {
     const Job& j = system_.job(k);
     rc->max_deadline = std::max(rc->max_deadline, j.deadline);
@@ -317,16 +312,22 @@ AdmissionSession::ReadCache& AdmissionSession::read_cache() {
   rc->last_release = system_.last_release();
   rc->committed_max_wcrt = last_.max_wcrt();
   rc->committed_all_schedulable = last_.all_schedulable();
-  rc->committed_any_unbounded = last_.any_unbounded();
+  // rta-lint: allow(float-eq) a doubled pass shows as a different horizon;
+  // the retained states then hold unbounded WCRTs at horizon_
+  rc->committed_bounded = !last_.any_unbounded() && last_.horizon == horizon_;
   read_cache_ = std::move(rc);
   return *read_cache_;
 }
 
 AdmissionSession::AdmissionSession(const SessionConfig& config)
     : config_(config) {
-  // Clone shell: clone_committed fills in the state; the memo starts empty.
+  // No committed state yet: the public constructor analyzes its base system,
+  // clone_committed copies one in; the memo starts empty either way.
   eobs_ = detail::EngineObs::make_if(config_.analysis.observer, "service");
   memo_ = std::make_unique<WhatIfMemo>(eobs_.get());
+  if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
+    fast_admits_ = eobs_->metrics()->counter("service.fast_admits");
+  }
 }
 
 std::unique_ptr<AdmissionSession> AdmissionSession::clone_committed() const {
@@ -401,16 +402,18 @@ ReadDecision AdmissionSession::read_what_if(Job job) {
     }
   }
   ReadDecision rd;
-  if (try_fast_what_if(job, rd)) {
+  JobReport bound;
+  if (try_fast_candidate(job, /*commit=*/false, rd, bound)) {
     memo_store(job, rd);
     return rd;
   }
   return summarize(run_candidate(std::move(job), /*commit_on_admit=*/false));
 }
 
-bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
-  // The fast path reproduces the sequential incremental what_if for the
-  // common online candidate -- every hop on an SPP processor at
+bool AdmissionSession::try_fast_candidate(const Job& job, bool commit,
+                                          ReadDecision& rd, JobReport& bound) {
+  // The fast path reproduces the sequential incremental what_if / admit for
+  // the common online candidate -- every hop on an SPP processor at
   // strictly-lowest priority -- where the dirty closure is provably the
   // candidate's own hops: no existing subjob has an interference edge from
   // a new one (nothing existing is strictly lower priority on a touched
@@ -421,24 +424,25 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   // answer from scratch -- so a condition here may be conservative, but
   // never unsound.
   if (!have_states_ || !last_.ok) return false;
-  ReadCache& rc = read_cache();
-  // An unbounded committed WCRT would re-trigger horizon doubling on every
-  // request; the general path owns that loop.
-  if (rc.committed_any_unbounded) return false;
+  // A Decision with recorded curves needs the general path's report.
+  if (commit && config_.analysis.record_curves) return false;
 
   const int hops = static_cast<int>(job.chain.size());
   // Candidate-local structural screen, mirroring System::validate's
   // per-job checks: any failure routes through the general path so the
-  // error text matches the sequential runner verbatim.
-  if (hops == 0 || job.deadline <= 0.0 || job.arrivals.empty()) return false;
+  // error text matches the sequential runner verbatim. It runs before the
+  // read cache is built, so a candidate off SPP costs nothing here.
+  if (hops == 0 || !(job.deadline > 0.0) || !std::isfinite(job.deadline) ||
+      job.arrivals.empty()) {
+    return false;
+  }
   for (int h = 0; h < hops; ++h) {
     const Subjob& s = job.chain[h];
     if (s.processor < 0 || s.processor >= system_.processor_count()) {
       return false;
     }
-    if (s.exec_time <= 0.0) return false;
-    if (rc.is_spp[s.processor] == 0) return false;
-    if (s.priority <= rc.max_priority[s.processor]) return false;
+    if (!(s.exec_time > 0.0) || !std::isfinite(s.exec_time)) return false;
+    if (system_.scheduler(s.processor) != SchedulerKind::kSpp) return false;
     // Same-processor hops must carry strictly increasing priorities in hop
     // order: equal would be a duplicate-priority error, decreasing would
     // add a backward interference edge (possible cycle).
@@ -452,6 +456,13 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   if (job.id != 0 && system_.job_index_by_id(job.id) >= 0) {
     return false;  // duplicate explicit id: general path produces the error
   }
+  ReadCache& rc = read_cache();
+  // An unbounded committed WCRT would re-trigger horizon doubling on every
+  // request; the general path owns that loop.
+  if (!rc.committed_bounded) return false;
+  for (const Subjob& s : job.chain) {
+    if (s.priority <= rc.max_priority[s.processor]) return false;
+  }
 
   // The incremental path requires the candidate to leave the analysis
   // horizon unchanged; compute it from the cached ingredients of the
@@ -463,27 +474,37 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
   // bit-identical horizon, an epsilon match would resume from wrong states
   if (h != horizon_) return false;
 
-  // Speculative add + per-hop compute + rollback: the units the sequential
-  // wavefront would run for this dirty set (each hop is its own wave, in
-  // chain order), minus the O(system) bookkeeping around them, the
-  // higher-priority operands the read cache already holds, and every part
-  // of the last hop that its local bound does not read.
+  // Speculative add + per-hop compute: the units the sequential wavefront
+  // would run for this dirty set (each hop is its own wave, in chain
+  // order), minus the O(system) bookkeeping around them, the
+  // higher-priority operands the read cache already holds, and, unless the
+  // candidate is committed, every part of the last hop that its local bound
+  // does not read.
   const std::uint64_t saved_next_id = system_.next_job_id();
   const int k_new = system_.add_job(job);
+  if (rc.hp_operands.empty()) {
+    rc.hp_operands.resize(static_cast<std::size_t>(system_.processor_count()));
+  }
+  bool keep = false;
   {
     detail::EngineObs::AnalyzeScope scope(eobs_.get(), /*pool=*/nullptr);
     curve::KernelHooksScope sink_scope(
         eobs_ != nullptr ? eobs_->kernel_sink() : nullptr);
-    obs::Tracer::Span fast_span = obs::Tracer::span_if(
-        eobs_ != nullptr ? eobs_->tracer() : nullptr, "service.fast_what_if",
-        "{\"hops\": " + std::to_string(hops) + "}");
+    obs::Tracer* tracer = eobs_ != nullptr ? eobs_->tracer() : nullptr;
+    std::string span_args;
+    if (tracer != nullptr) {
+      span_args = "{\"hops\": " + std::to_string(hops) +
+                  (commit ? ", \"op\": \"admit\"}" : "}");
+    }
+    obs::Tracer::Span fast_span =
+        obs::Tracer::span_if(tracer, "service.fast_what_if", span_args);
+    std::optional<detail::HpOperands> fresh;
+    detail::HpOperands* hp = nullptr;
     for (int hh = 0; hh < hops; ++hh) {
       const SubjobRef ref{k_new, hh};
       const Subjob& s = job.chain[hh];
       detail::BoundState& st = states_[{k_new, hh}];
       detail::fill_hop_arrivals(system_, ref, horizon_, states_);
-      std::optional<detail::HpOperands> fresh;
-      detail::HpOperands* hp = nullptr;
       if (first_hop_on_processor(job, hh)) {
         std::optional<detail::HpOperands>& cached = rc.hp_operands[s.processor];
         if (!cached) {
@@ -498,38 +519,48 @@ bool AdmissionSession::try_fast_what_if(const Job& job, ReadDecision& rd) {
             detail::priority_hp_operands(system_, ref, horizon_, states_));
       }
       detail::priority_lower_part(*hp, s.exec_time, horizon_, st);
-      // The last hop's S̄ and Lemma 2 curve feed nothing: its states are
-      // erased below, right after job_bound reads its local bound.
+      // The last hop's S̄ and Lemma 2 curve feed nothing unless the
+      // candidate stays: they are run below only for a commit.
       if (hh + 1 < hops) {
         detail::priority_upper_part(*hp, s.exec_time, horizon_, st);
       }
     }
+    bound = detail::job_bound(states_, k_new, hops);
+    bound.schedulable = time_le(bound.wcrt, job.deadline);
+    keep = commit && rc.committed_all_schedulable && bound.schedulable;
+    if (keep) {
+      // A kept candidate's last hop is read by later candidates and
+      // commits, so its states must equal a full wavefront's.
+      detail::priority_upper_part(*hp, job.chain.back().exec_time, horizon_,
+                                  states_[{k_new, hops - 1}]);
+    }
   }
-  const JobReport bound = detail::job_bound(states_, k_new, hops);
-  const Time candidate_wcrt = bound.wcrt;
   const std::uint64_t assigned_id = system_.job(k_new).id;
-  for (int hh = 0; hh < hops; ++hh) states_.erase({k_new, hh});
-  system_.remove_job(k_new);
+  if (!keep) {
+    for (int hh = 0; hh < hops; ++hh) states_.erase({k_new, hh});
+    system_.remove_job(k_new);
+  }
 
-  if (std::isinf(candidate_wcrt)) {
+  if (std::isinf(bound.wcrt)) {
     // Sequential processing would enter the horizon-doubling loop; rewind
-    // the id counter so the general-path retry assigns the same id.
+    // the id counter so the general-path retry assigns the same id. (An
+    // unbounded candidate is never schedulable, so it was not kept.)
     system_.set_next_job_id(saved_next_id);
     return false;
   }
 
   rd.ok = true;
   rd.incremental = true;
-  rd.committed = false;
+  rd.committed = keep;
   rd.job_id = assigned_id;
   rd.dirty_subjobs = hops;
   rd.total_subjobs = rc.committed_subjobs + hops;
-  rd.schedulable =
-      rc.committed_all_schedulable && time_le(candidate_wcrt, job.deadline);
+  rd.schedulable = rc.committed_all_schedulable && bound.schedulable;
   rd.admitted = rd.schedulable;
-  rd.max_wcrt = std::max(rc.committed_max_wcrt, candidate_wcrt);
+  rd.max_wcrt = std::max(rc.committed_max_wcrt, bound.wcrt);
   rd.horizon = horizon_;
   fill_explain(rd.explain, job, bound);
+  if (keep) last_.jobs.push_back(bound);
   if (eobs_ != nullptr && eobs_->metrics() != nullptr) {
     eobs_->metrics()->counter("service.incremental").inc();
     eobs_->metrics()
@@ -655,7 +686,27 @@ Decision AdmissionSession::admit(Job job) {
   }
   // A refused admit rolls back to the very curves and system it started
   // from, so the read cache and the memo stay valid; only a commit ends them.
-  Decision d = run_candidate(std::move(job), /*commit_on_admit=*/true);
+  Decision d;
+  ReadDecision rd;
+  JobReport bound;
+  if (try_fast_candidate(job, /*commit=*/true, rd, bound)) {
+    fast_admits_.inc();
+    d.ok = true;
+    d.admitted = rd.admitted;
+    d.committed = rd.committed;
+    d.incremental = true;
+    d.job_id = rd.job_id;
+    d.dirty_subjobs = rd.dirty_subjobs;
+    d.total_subjobs = rd.total_subjobs;
+    d.explain = std::move(rd.explain);
+    // The candidate changed no other job's curves: the candidate system's
+    // report is the committed one plus the candidate's (already appended to
+    // last_ on a commit).
+    d.analysis = last_;
+    if (!d.committed) d.analysis.jobs.push_back(std::move(bound));
+  } else {
+    d = run_candidate(std::move(job), /*commit_on_admit=*/true);
+  }
   if (d.committed) committed_state_changed();
   return d;
 }

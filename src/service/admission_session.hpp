@@ -61,6 +61,7 @@
 #include "analysis/order.hpp"
 #include "analysis/result.hpp"
 #include "model/system.hpp"
+#include "obs/metrics.hpp"
 
 namespace rta::service {
 
@@ -128,7 +129,8 @@ class AdmissionSession {
  public:
   /// Takes ownership of the base system and analyzes it in full. Metrics
   /// (when config.analysis.observer.metrics is set): counters
-  /// service.{admit,what_if,remove,incremental,full,dirty_subjobs}.
+  /// service.{admit,what_if,remove,incremental,full,dirty_subjobs,
+  /// fast_admits,what_if_memo_hits}.
   explicit AdmissionSession(System base, SessionConfig config = {});
 
   ~AdmissionSession();
@@ -144,6 +146,14 @@ class AdmissionSession {
   /// Add `job` if the resulting system stays fully schedulable; otherwise
   /// leave the session untouched (committed == admitted). A zero job.id is
   /// assigned; a duplicate explicit id is an error.
+  ///
+  /// A candidate that passes read_what_if's fast-path screen, with
+  /// record_curves off, takes that path here too: a refused admit costs
+  /// exactly a fast what-if, and a committed one adds only its last hop's
+  /// S̄ and Lemma 2 curve, so the retained states equal a full wavefront's.
+  /// Such a candidate changes no other job's curves, so Decision::analysis
+  /// is last() plus the candidate's report, bit-identical to the general
+  /// path. Counter service.fast_admits counts these admits.
   Decision admit(Job job);
 
   /// admit() without ever committing: evaluates the candidate and restores
@@ -164,12 +174,12 @@ class AdmissionSession {
   /// no validate(), no graph build, no wavefront, no per-job report -- when
   /// the candidate provably dirties only its own subjobs (every hop on an
   /// SPP processor at strictly-lowest priority, horizon unchanged, the
-  /// committed analysis bounded); falls back to the general what_if()
-  /// otherwise. The fast path computes only what the answer reads: each
-  /// hop's higher-priority operands come from the read cache (built once per
-  /// processor and committed state), and the last hop stops at its local
-  /// bound. The returned aggregates are byte-identical either way (the
-  /// service determinism contract extended to the read path;
+  /// committed analysis bounded at that horizon); falls back to the general
+  /// what_if() otherwise. The fast path computes only what the answer
+  /// reads: each hop's higher-priority operands come from the read cache
+  /// (built once per processor and committed state), and the last hop stops
+  /// at its local bound. The returned aggregates are byte-identical either
+  /// way (the service determinism contract extended to the read path;
   /// tests/test_service.cpp, tests/test_request_scheduler.cpp).
   ///
   /// A fast-path answer is a pure function of the committed state and the
@@ -212,7 +222,14 @@ class AdmissionSession {
   explicit AdmissionSession(const SessionConfig& config);  ///< clone shell
 
   Decision run_candidate(Job job, bool commit_on_admit);
-  bool try_fast_what_if(const Job& job, ReadDecision& rd);
+  /// The fast path of read_what_if and admit: false (session untouched)
+  /// when `job` fails its screen or is unbounded, else the answer in `rd`
+  /// and the candidate's report in `bound`. With `commit`, a candidate that
+  /// leaves the system schedulable also gets its last hop's upper part and
+  /// stays in the session, its report appended to last_; the caller then
+  /// runs committed_state_changed().
+  bool try_fast_candidate(const Job& job, bool commit, ReadDecision& rd,
+                          JobReport& bound);
   ReadCache& read_cache();
   /// The memoized answer to `job` for the committed state, or nullptr.
   [[nodiscard]] const ReadDecision* memo_find(const Job& job) const;
@@ -246,7 +263,7 @@ class AdmissionSession {
   bool have_states_ = false;  ///< false until a full pass succeeds
   AnalysisResult last_;
 
-  /// Lazily built per-committed-state data backing try_fast_what_if
+  /// Lazily built per-committed-state data backing try_fast_candidate
   /// (per-processor priority tops, horizon ingredients, committed verdict
   /// roll-ups, per-processor higher-priority operands of a candidate's first
   /// hop); dropped by every commit.
@@ -254,6 +271,7 @@ class AdmissionSession {
   /// read_what_if's answers for the committed state; emptied by every
   /// commit, never copied by a clone.
   std::unique_ptr<WhatIfMemo> memo_;
+  obs::Counter fast_admits_;  ///< service.fast_admits, bound up front
 };
 
 /// Assign each hop of `job` the lowest priority (largest phi) on its

@@ -7,6 +7,7 @@
 // test_differential_engine.cpp.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -391,12 +392,21 @@ void expect_fast_equals_general(AdmissionSession& session, const Job& job,
   expect_same_read(fast, general, label);
 }
 
-std::size_t fast_what_if_spans(const obs::Tracer& tracer) {
+/// service.fast_what_if spans opened by reads (`admits` false) or by fast
+/// admits, whose args carry "op": "admit".
+std::size_t fast_path_spans(const obs::Tracer& tracer, bool admits) {
   std::size_t n = 0;
   for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.phase == 'B' && e.name == "service.fast_what_if") ++n;
+    if (e.phase == 'B' && e.name == "service.fast_what_if" &&
+        (e.args.find("\"op\": \"admit\"") != std::string::npos) == admits) {
+      ++n;
+    }
   }
   return n;
+}
+
+std::size_t fast_what_if_spans(const obs::Tracer& tracer) {
+  return fast_path_spans(tracer, /*admits=*/false);
 }
 
 // The fast what-if path keeps per-processor higher-priority operands across
@@ -475,10 +485,15 @@ TEST(Service, FastWhatIfFollowsCommits) {
   EXPECT_GE(fast_what_if_spans(tracer), 40 * probes.size());
 }
 
-std::uint64_t memo_hits(const obs::MetricsRegistry& metrics) {
+std::uint64_t counter_value(const obs::MetricsRegistry& metrics,
+                            const std::string& name) {
   const obs::MetricsSnapshot snap = metrics.snapshot();
-  const auto it = snap.counters.find("service.what_if_memo_hits");
+  const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+std::uint64_t memo_hits(const obs::MetricsRegistry& metrics) {
+  return counter_value(metrics, "service.what_if_memo_hits");
 }
 
 /// read_what_if on `session` checked against a clone_committed() taken just
@@ -804,6 +819,291 @@ TEST(Service, WhatIfMemoHitDrawsIdsLikeAddJob) {
   EXPECT_EQ(read_against_clone(session, x, "auto").job_id, next + 11);
   EXPECT_EQ(session.peek_next_job_id(), next + 12);
   EXPECT_EQ(memo_hits(f.metrics), 3u);
+}
+
+/// A candidate of FastAdmitMatchesFreshSession: 1-3 hops, each on one of
+/// the `spp` processors with probability 3/4 (else on any processor), the
+/// second hop sometimes on the first's processor, lowest priorities against
+/// `committed`.
+Job admit_candidate(Rng& rng, const System& committed,
+                    const std::vector<int>& spp, int serial) {
+  Job job = random_job(rng, committed, serial);
+  for (Subjob& s : job.chain) {
+    if (rng.uniform_int(0, 3) != 0) {
+      s.processor = spp[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(spp.size()) - 1))];
+    }
+  }
+  if (job.chain.size() > 1 && rng.uniform_int(0, 2) == 0) {
+    job.chain[1].processor = job.chain[0].processor;
+  }
+  service::assign_lowest_priorities(committed, job);
+  return job;
+}
+
+// The fast admit differential: seeded streams of committed and refused
+// admits (lowest priorities, explicit and auto ids, hops on SPP processors
+// and, in the SPNP/FCFS mixes, elsewhere), found and unknown removes and
+// what-ifs, at a pinned horizon. After every op, last() equals a fresh
+// analysis of the shadow system bit for bit, and a fresh candidate on every
+// SPP processor -- whose higher-priority operands include the S̄ a fast
+// commit computed for its last hop -- answers exactly as it does on a
+// session built from the shadow system, with the same id counter after.
+TEST(ServiceDifferential, FastAdmitMatchesFreshSession) {
+  std::uint64_t fast_admits = 0, admits = 0;
+  int commits = 0, refusals = 0;
+  for (std::uint64_t seed = 1; seed <= 9; ++seed) {
+    Rng rng(2000 + seed);
+    const bool mixed = seed % 3 == 0;
+    const System base = random_base(rng, SchedulerKind::kSpp, mixed);
+    std::vector<int> spp;
+    for (int p = 0; p < base.processor_count(); ++p) {
+      if (base.scheduler(p) == SchedulerKind::kSpp) spp.push_back(p);
+    }
+    ASSERT_FALSE(spp.empty());
+    obs::MetricsRegistry metrics;
+    SessionConfig ref_session_cfg;
+    ref_session_cfg.analysis.horizon =
+        4.0 * default_horizon(base, AnalysisConfig{});
+    SessionConfig cfg = ref_session_cfg;
+    cfg.analysis.observer.metrics = &metrics;
+    AnalysisConfig ref_cfg;
+    ref_cfg.horizon = cfg.analysis.horizon;
+    AdmissionSession session(base, cfg);
+    ASSERT_TRUE(session.last().ok);
+
+    System shadow = base;
+    std::vector<std::uint64_t> admitted;
+    for (int step = 0; step < 30; ++step) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const int kind = rng.uniform_int(0, 9);
+      if (kind < 2 && !admitted.empty()) {
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(admitted.size()) - 1));
+        ASSERT_TRUE(session.remove(admitted[pick]).committed) << label;
+        ASSERT_TRUE(
+            shadow.remove_job(shadow.job_index_by_id(admitted[pick])));
+        admitted.erase(admitted.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (kind == 2) {
+        EXPECT_FALSE(session.remove(987654).ok) << label;
+      } else if (kind < 8) {
+        Job job = admit_candidate(rng, shadow, spp, step);
+        if (kind == 6) job.id = session.peek_next_job_id() + 3;
+        if (kind == 7) job.deadline = 1e-3;  // certainly refused
+        System candidate = shadow;
+        candidate.add_job(job);
+        const AnalysisResult fresh = BoundsAnalyzer(ref_cfg).analyze(candidate);
+        const Decision d = session.admit(job);
+        ++admits;
+        ASSERT_TRUE(d.ok) << label << ": " << d.error;
+        expect_bit_identical(fresh, d.analysis, label + " admit");
+        EXPECT_EQ(d.admitted, fresh.all_schedulable()) << label;
+        EXPECT_EQ(d.committed, d.admitted) << label;
+        EXPECT_TRUE(d.incremental) << label;
+        if (job.id != 0) {
+          EXPECT_EQ(d.job_id, job.id) << label;
+        }
+        if (d.committed) {
+          job.id = d.job_id;
+          shadow.add_job(job);
+          admitted.push_back(d.job_id);
+          ++commits;
+        } else {
+          ++refusals;
+        }
+      } else {
+        expect_fast_equals_general(
+            session, admit_candidate(rng, shadow, spp, step),
+            label + " what_if");
+      }
+      ASSERT_EQ(session.system().job_count(), shadow.job_count()) << label;
+      expect_bit_identical(BoundsAnalyzer(ref_cfg).analyze(shadow),
+                           session.last(), label + " last()");
+
+      AdmissionSession rebuilt(shadow, ref_session_cfg);
+      for (const int p : spp) {
+        Job probe;
+        probe.name = "probe";
+        const int hops = rng.uniform_int(1, 2);
+        for (int h = 0; h < hops; ++h) {
+          probe.chain.push_back(Subjob{p, rng.uniform(0.02, 0.1), 0});
+        }
+        probe.arrivals = ArrivalSequence::burst_then_periodic(
+            2, 0.5, rng.uniform(1.0, 4.0),
+            std::max<Time>(shadow.last_release(), 8.0));
+        probe.deadline = rng.uniform(1.0, 30.0);
+        service::assign_lowest_priorities(shadow, probe);
+        rebuilt.set_next_job_id(session.peek_next_job_id());
+        const std::string probe_label = label + " probe P" + std::to_string(p);
+        expect_same_read(session.read_what_if(probe),
+                         rebuilt.read_what_if(probe), probe_label);
+        EXPECT_EQ(session.peek_next_job_id(), rebuilt.peek_next_job_id())
+            << probe_label;
+      }
+      if (HasFatalFailure()) return;
+    }
+    fast_admits += counter_value(metrics, "service.fast_admits");
+  }
+  EXPECT_GT(commits, 20);
+  EXPECT_GT(refusals, 20);
+  EXPECT_GT(fast_admits, 40u);
+  EXPECT_LT(fast_admits, admits);  // the mixes also admit off the fast path
+}
+
+// Fast admits, committed and refused alike, are counted in
+// service.fast_admits and run no wavefront unit; an admit the screen turns
+// away (a mid priority, an SPNP or FCFS hop, recorded curves) is not
+// counted and takes the wavefront.
+TEST(Service, FastAdmitRunsNoWavefront) {
+  System base(3);
+  base.set_scheduler(1, SchedulerKind::kSpnp);
+  base.set_scheduler(2, SchedulerKind::kFcfs);
+  const auto make = [](const std::string& name, std::vector<Subjob> chain,
+                       Time period, Time deadline) {
+    Job j;
+    j.name = name;
+    j.deadline = deadline;
+    j.chain = std::move(chain);
+    j.arrivals = ArrivalSequence::periodic(period, 48.0);
+    return j;
+  };
+  base.add_job(make("a", {{0, 0.5, 1}, {1, 0.4, 1}, {2, 0.3, 0}}, 6.0, 20.0));
+  base.add_job(make("b", {{0, 0.4, 3}, {1, 0.3, 2}}, 8.0, 24.0));
+
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  SessionConfig cfg;
+  cfg.analysis.horizon = 4.0 * default_horizon(base, AnalysisConfig{});
+  cfg.analysis.observer.metrics = &metrics;
+  cfg.analysis.observer.tracer = &tracer;
+  AdmissionSession session(base, cfg);
+  ASSERT_TRUE(session.last().ok);
+  const auto fast = [&] {
+    return counter_value(metrics, "service.fast_admits");
+  };
+  const auto units = [&] { return counter_value(metrics, "bounds.units"); };
+  EXPECT_EQ(fast(), 0u);
+  const std::uint64_t base_units = units();
+  ASSERT_GT(base_units, 0u);
+
+  Job low = make("low", {{0, 0.1, 0}}, 12.0, 1e3);
+  service::assign_lowest_priorities(session.system(), low);
+  const Decision committed = session.admit(low);
+  ASSERT_TRUE(committed.committed) << committed.error;
+  EXPECT_EQ(committed.dirty_subjobs, 1);
+  EXPECT_EQ(fast(), 1u);
+  EXPECT_EQ(units(), base_units);
+
+  Job pair = make("pair", {{0, 0.1, 0}, {0, 0.1, 0}}, 12.0, 1e-3);
+  service::assign_lowest_priorities(session.system(), pair);
+  const Decision refused = session.admit(pair);
+  ASSERT_TRUE(refused.ok) << refused.error;
+  EXPECT_FALSE(refused.committed);
+  EXPECT_EQ(fast(), 2u);
+  EXPECT_EQ(units(), base_units);
+  EXPECT_EQ(fast_path_spans(tracer, /*admits=*/true), 2u);
+
+  const Job off_screen[] = {
+      make("mid", {{0, 0.1, 2}}, 12.0, 1e3),
+      make("spnp", {{1, 0.1, 5}}, 12.0, 1e3),
+      make("fcfs", {{2, 0.1, 0}}, 12.0, 1e3),
+  };
+  for (const Job& job : off_screen) {
+    const std::uint64_t before = units();
+    ASSERT_TRUE(session.admit(job).ok) << job.name;
+    EXPECT_EQ(fast(), 2u) << job.name;
+    EXPECT_GT(units(), before) << job.name;
+  }
+  EXPECT_EQ(fast_path_spans(tracer, /*admits=*/true), 2u);
+
+  obs::MetricsRegistry recorded_metrics;
+  SessionConfig recorded = cfg;
+  recorded.analysis.record_curves = true;
+  recorded.analysis.observer.metrics = &recorded_metrics;
+  recorded.analysis.observer.tracer = nullptr;
+  AdmissionSession recording(base, recorded);
+  Job again = make("again", {{0, 0.1, 0}}, 12.0, 1e3);
+  service::assign_lowest_priorities(recording.system(), again);
+  const Decision d = recording.admit(again);
+  ASSERT_TRUE(d.committed) << d.error;
+  EXPECT_FALSE(d.analysis.jobs.back().hops.front().curves.empty());
+  EXPECT_EQ(counter_value(recorded_metrics, "service.fast_admits"), 0u);
+}
+
+// A commit whose analysis needed a horizon doubling leaves last() at the
+// doubled horizon and the retained curves at the pinned one, where a
+// committed job is unbounded. Every later candidate then doubles too, so
+// the fast path must hand it to the general path: a fast answer would
+// report the pinned horizon and no doubling.
+TEST(Service, FastPathSkipsStateCommittedAtDoubledHorizon) {
+  System base(1);
+  Job a;
+  a.name = "a";
+  a.deadline = 20.0;
+  a.chain.push_back(Subjob{0, 1.0, 1});
+  a.arrivals = ArrivalSequence::periodic(10.0, 100.0);
+  base.add_job(a);
+  SessionConfig cfg;
+  cfg.analysis.horizon = 120.0;
+  AnalysisConfig ref_cfg;
+  ref_cfg.horizon = cfg.analysis.horizon;
+  AdmissionSession session(base, cfg);
+  ASSERT_EQ(session.last().horizon, 120.0);
+
+  Job late;
+  late.name = "late";
+  late.deadline = 40.0;
+  late.chain.push_back(Subjob{0, 0.5, 0});
+  late.arrivals = ArrivalSequence(std::vector<Time>{0.0, 50.0, 119.9});
+  service::assign_lowest_priorities(base, late);
+  const Decision committed = session.admit(late);
+  ASSERT_TRUE(committed.committed) << committed.error;
+  EXPECT_EQ(committed.explain.horizon_doublings, 1);
+  ASSERT_EQ(session.last().horizon, 240.0);
+
+  Job probe;
+  probe.name = "probe";
+  probe.deadline = 30.0;
+  probe.chain.push_back(Subjob{0, 0.2, 0});
+  probe.arrivals = ArrivalSequence::periodic(20.0, 100.0);
+  service::assign_lowest_priorities(session.system(), probe);
+  expect_fast_equals_general(session, probe, "what_if");
+  EXPECT_EQ(session.read_what_if(probe).horizon, 240.0);
+
+  System grown = session.system();
+  grown.add_job(probe);
+  const Decision d = session.admit(probe);
+  ASSERT_TRUE(d.ok) << d.error;
+  expect_bit_identical(BoundsAnalyzer(ref_cfg).analyze(grown), d.analysis,
+                       "admit");
+}
+
+// The fast path's screen mirrors System::validate's per-job checks, so a
+// non-finite deadline or execution time gets the general path's error on
+// both what-if and admit, and is never committed.
+TEST(Service, FastPathScreenRejectsNonFiniteCandidates) {
+  MemoFixture f(59);
+  AdmissionSession& session = *f.session;
+  const int jobs = session.system().job_count();
+  Job inf_deadline = f.probe(0);
+  inf_deadline.deadline = std::numeric_limits<double>::infinity();
+  Job inf_exec = f.probe(1);
+  inf_exec.chain.back().exec_time = std::numeric_limits<double>::infinity();
+  Job nan_exec = f.probe(2);
+  nan_exec.chain.front().exec_time = std::numeric_limits<double>::quiet_NaN();
+  for (const Job& job : {inf_deadline, inf_exec, nan_exec}) {
+    const service::ReadDecision read = read_against_clone(session, job, "read");
+    EXPECT_FALSE(read.ok);
+    EXPECT_NE(read.error.find("invalid system"), std::string::npos)
+        << read.error;
+    const Decision d = session.admit(job);
+    EXPECT_FALSE(d.ok);
+    EXPECT_EQ(d.error, read.error);
+    EXPECT_EQ(session.system().job_count(), jobs);
+  }
+  EXPECT_EQ(counter_value(f.metrics, "service.fast_admits"), 0u);
+  EXPECT_EQ(fast_path_spans(f.tracer, /*admits=*/false), 0u);
 }
 
 // Explain invariants on the general path: one provenance entry per chain

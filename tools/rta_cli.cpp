@@ -414,10 +414,10 @@ struct ObsSession {
     if (c("service.admit") + c("service.what_if") + c("service.remove") > 0) {
       std::fprintf(
           f,
-          "service: %llu admits, %llu what-ifs (%llu from the memo), %llu "
-          "removes; %llu incremental passes (%llu dirty subjobs), %llu full "
-          "passes\n",
-          c("service.admit"), c("service.what_if"),
+          "service: %llu admits (%llu fast), %llu what-ifs (%llu from the "
+          "memo), %llu removes; %llu incremental passes (%llu dirty "
+          "subjobs), %llu full passes\n",
+          c("service.admit"), c("service.fast_admits"), c("service.what_if"),
           c("service.what_if_memo_hits"), c("service.remove"),
           c("service.incremental"), c("service.dirty_subjobs"),
           c("service.full"));
