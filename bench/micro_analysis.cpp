@@ -1,20 +1,26 @@
 // Microbenchmarks of the analyzers (google-benchmark): cost scaling with
 // job count and stage count, per method, plus the discrete-event simulator
-// for reference, and the admission session's fast what-if path.
+// for reference, the admission session's fast what-if path, and one
+// memo-hit request through the service's request path.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "analysis/bounds.hpp"
 #include "analysis/holistic.hpp"
 #include "analysis/iterative.hpp"
 #include "analysis/spp_exact.hpp"
+#include "io/system_json.hpp"
 #include "model/priority.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/admission_session.hpp"
+#include "service/request_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "workload/jobshop.hpp"
 
@@ -301,6 +307,51 @@ void BM_FastAdmit(benchmark::State& state) {
 BENCHMARK(BM_FastAdmit)
     ->ArgNames({"hops", "releases", "committed"})
     ->ArgsProduct({{1, 3}, {24, 96}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+/// A stream buffer that drops every byte it is given.
+class DiscardBuf final : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    return n;
+  }
+};
+
+// One memo-hit what-if through the path a client's line takes:
+// RequestScheduler::submit_line (parse, envelope stamp) and flush (the
+// session's what-if memo answers, the response line is written to a stream
+// that drops it). BM_FastWhatIf's shop and periodic candidate; the first
+// request fills the memo, so every timed request is a hit and the time is
+// the codec's, the scheduler's and the response writer's. Args: hops (1 or
+// 3).
+void BM_ServeMemoHit(benchmark::State& state) {
+  const System base = fig3_shop_u07();
+  service::SessionConfig cfg;
+  cfg.analysis.horizon = default_horizon(base, AnalysisConfig{});
+  service::AdmissionSession session(base, cfg);
+  const Job job =
+      fast_what_if_candidate(base, static_cast<int>(state.range(0)), 0);
+  const std::string line =
+      "{\"op\": \"what_if\", \"job\": " + job_to_json(job).dump() + "}";
+  DiscardBuf sink;
+  std::ostream out(&sink);
+  service::RequestScheduler scheduler(session, out);
+  scheduler.submit_line(line);
+  scheduler.flush();
+  if (scheduler.stats().errors != 0) {
+    state.SkipWithError("what-if answered an error");
+    return;
+  }
+  for (auto _ : state) {
+    scheduler.submit_line(line);
+    scheduler.flush();
+  }
+}
+BENCHMARK(BM_ServeMemoHit)
+    ->ArgNames({"hops"})
+    ->Arg(1)
+    ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -72,6 +72,9 @@ class Value {
   /// with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
+  /// Append the compact dump() bytes to `out` (no temporary string).
+  void dump_append(std::string& out) const { dump_into(out, -1, 0); }
+
  private:
   void dump_into(std::string& out, int indent, int depth) const;
 

@@ -1,5 +1,7 @@
 #include "service/request_codec.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -7,6 +9,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_context.hpp"
 #include "service/metrics_export.hpp"
+#include "util/json_escape.hpp"
+#include "util/number_format.hpp"
 
 namespace rta::service::detail {
 
@@ -94,16 +98,6 @@ bool parse_region_axis(const json::Value& value, RegionAxis& axis,
 }
 
 }  // namespace
-
-void set_error(json::Value& response, const char* code,
-               const std::string& message, bool retryable) {
-  response.set("ok", false);
-  json::Value err{json::Value::Object{}};
-  err.set("code", code);
-  err.set("message", message);
-  err.set("retryable", retryable);
-  response.set("error", std::move(err));
-}
 
 bool is_skipped_line(const std::string& line) {
   const std::size_t first = line.find_first_not_of(" \t\r");
@@ -206,89 +200,245 @@ ParsedRequest parse_request(const std::string& line) {
                    "' (admit, what_if, what_if_region, remove, query, stats)");
 }
 
-std::string open_envelope(json::Value& response, int request_no, int line_no,
-                          const ParsedRequest& req, const std::string& line) {
-  response.set("schema_version", 2);
-  response.set("request", request_no);
-  response.set("line", line_no);
-  if (!req.op.empty()) response.set("op", req.op);
-  if (req.has_tenant) response.set("tenant", req.tenant);
-  std::string trace_id =
-      req.trace_id.empty() ? obs::mint_trace_id(line_no, line) : req.trace_id;
-  response.set("trace_id", trace_id);
-  return trace_id;
+bool outcome_ok(const Outcome& outcome) {
+  if (const auto* rd = std::get_if<ReadDecision>(&outcome)) return rd->ok;
+  return !std::holds_alternative<ErrorReply>(outcome);
 }
 
-void read_decision_into(json::Value& response, const ReadDecision& rd) {
-  response.set("ok", rd.ok);
-  if (!rd.error.empty()) {
-    json::Value err{json::Value::Object{}};
-    err.set("code", classify_error(rd.error));
-    err.set("message", rd.error);
-    err.set("retryable", false);
-    response.set("error", std::move(err));
+std::string response_trace_id(const ParsedRequest& req, int line_no,
+                              const std::string& line) {
+  return req.trace_id.empty() ? obs::mint_trace_id(line_no, line)
+                              : req.trace_id;
+}
+
+std::string json_quoted(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  append_json_escaped(out, s);
+  out += '"';
+  return out;
+}
+
+namespace {
+
+/// Append-only writer of compact JSON: field() writes the separator and the
+/// key, a value call writes the value's bytes. Field names are the codec's
+/// own ASCII identifiers and are copied as is; every string value is
+/// escaped. (tools/lint/rta_archcheck.py reads the field() names as the
+/// emitted response schema.)
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_(out) {}
+
+  void open(char bracket) {
+    out_ += bracket;
+    first_ = true;
   }
-  response.set("admitted", rd.admitted);
-  response.set("committed", rd.committed);
-  response.set("incremental", rd.incremental);
-  response.set("job_id", static_cast<double>(rd.job_id));
-  response.set("dirty_subjobs", rd.dirty_subjobs);
-  response.set("total_subjobs", rd.total_subjobs);
-  if (rd.ok) {
-    response.set("schedulable", rd.schedulable);
-    response.set("max_wcrt", time_value(rd.max_wcrt));
-    response.set("horizon", time_value(rd.horizon));
+  void close(char bracket) {
+    out_ += bracket;
+    first_ = false;
   }
-  if (rd.ok && rd.explain.available) {
-    json::Value hops{json::Value::Array{}};
-    for (const ExplainHop& eh : rd.explain.hops) {
-      json::Value hop{json::Value::Object{}};
-      hop.set("hop", eh.hop);
-      hop.set("processor", eh.processor);
-      hop.set("bound", time_value(eh.bound));
-      hops.as_array().push_back(std::move(hop));
+  /// Separator before the next object member or array element.
+  void next() {
+    if (!first_) out_ += ',';
+    first_ = false;
+  }
+  void field(std::string_view k) {
+    next();
+    out_ += '"';
+    out_ += k;
+    out_ += "\":";
+  }
+  /// field() for a key from a payload: escaped like a string value.
+  void escaped_field(std::string_view k) {
+    next();
+    string(k);
+    out_ += ':';
+  }
+  void boolean(bool b) { out_ += b ? "true" : "false"; }
+  void number(double v) { append_double(out_, v); }
+  /// An int's %.17g bytes: every int has fewer than 17 digits, so printf
+  /// prints it as plain digits, exactly what to_chars writes.
+  void integer(int v) {
+    char buf[16];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out_.append(buf, res.ptr);
+  }
+  void string(std::string_view s) {
+    out_ += '"';
+    append_json_escaped(out_, s);
+    out_ += '"';
+  }
+  /// time_value's spelling: "inf" for an unbounded time, else the number.
+  void time_or_inf(Time t) {
+    if (std::isinf(t)) {
+      out_ += "\"inf\"";
+    } else {
+      number(t);
     }
-    json::Value explain{json::Value::Object{}};
-    explain.set("wcrt", time_value(rd.explain.wcrt));
-    explain.set("deadline", time_value(rd.explain.deadline));
-    explain.set("dominant_hop", rd.explain.dominant_hop);
-    explain.set("doublings", rd.explain.horizon_doublings);
-    explain.set("hops", std::move(hops));
-    response.set("explain", std::move(explain));
+  }
+  void value(const json::Value& v) { v.dump_append(out_); }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// The structured "error" member: {"code", "message", "retryable"}.
+void write_error(JsonWriter& w, const char* code, std::string_view message,
+                 bool retryable) {
+  w.field("error");
+  w.open('{');
+  w.field("code");
+  w.string(code);
+  w.field("message");
+  w.string(message);
+  w.field("retryable");
+  w.boolean(retryable);
+  w.close('}');
+}
+
+void write_body(JsonWriter& w, const ReadDecision& rd) {
+  w.field("ok");
+  w.boolean(rd.ok);
+  if (!rd.error.empty()) {
+    write_error(w, classify_error(rd.error), rd.error, /*retryable=*/false);
+  }
+  w.field("admitted");
+  w.boolean(rd.admitted);
+  w.field("committed");
+  w.boolean(rd.committed);
+  w.field("incremental");
+  w.boolean(rd.incremental);
+  w.field("job_id");
+  w.number(static_cast<double>(rd.job_id));
+  w.field("dirty_subjobs");
+  w.integer(rd.dirty_subjobs);
+  w.field("total_subjobs");
+  w.integer(rd.total_subjobs);
+  if (!rd.ok) return;
+  w.field("schedulable");
+  w.boolean(rd.schedulable);
+  w.field("max_wcrt");
+  w.time_or_inf(rd.max_wcrt);
+  w.field("horizon");
+  w.time_or_inf(rd.horizon);
+  if (!rd.explain.available) return;
+  w.field("explain");
+  w.open('{');
+  w.field("wcrt");
+  w.time_or_inf(rd.explain.wcrt);
+  w.field("deadline");
+  w.time_or_inf(rd.explain.deadline);
+  w.field("dominant_hop");
+  w.integer(rd.explain.dominant_hop);
+  w.field("doublings");
+  w.integer(rd.explain.horizon_doublings);
+  w.field("hops");
+  w.open('[');
+  for (const ExplainHop& eh : rd.explain.hops) {
+    w.next();
+    w.open('{');
+    w.field("hop");
+    w.integer(eh.hop);
+    w.field("processor");
+    w.integer(eh.processor);
+    w.field("bound");
+    w.time_or_inf(eh.bound);
+    w.close('}');
+  }
+  w.close(']');
+  w.close('}');
+}
+
+void write_body(JsonWriter& w, const QuerySummary& q) {
+  w.field("ok");
+  w.boolean(true);
+  w.field("jobs");
+  w.integer(q.jobs);
+  w.field("schedulable");
+  w.boolean(q.schedulable);
+  w.field("max_wcrt");
+  w.time_or_inf(q.max_wcrt);
+  w.field("horizon");
+  w.time_or_inf(q.horizon);
+}
+
+void write_body(JsonWriter& w, const ErrorReply& e) {
+  w.field("ok");
+  w.boolean(false);
+  write_error(w, e.code, e.message, e.retryable);
+}
+
+void write_body(JsonWriter& w, const RegionReply& r) {
+  w.field("ok");
+  w.boolean(true);
+  w.field("region");
+  w.value(r.region);
+}
+
+void write_body(JsonWriter& w, const StatsReply& s) {
+  w.field("ok");
+  w.boolean(true);
+  for (const auto& [k, v] : s.payload.as_object()) {
+    w.escaped_field(k);
+    w.value(v);
   }
 }
 
-bool execute_request(AdmissionSession& session, const ParsedRequest& req,
-                     json::Value& response, bool fast_reads) {
+}  // namespace
+
+void append_response(std::string& out, int request_no, int line_no,
+                     const ParsedRequest& req, const std::string& trace_id,
+                     const Outcome& outcome, double latency_us) {
+  JsonWriter w(out);
+  w.open('{');
+  w.field("schema_version");
+  w.integer(2);
+  w.field("request");
+  w.integer(request_no);
+  w.field("line");
+  w.integer(line_no);
+  if (!req.op.empty()) {
+    w.field("op");
+    w.string(req.op);
+  }
+  if (req.has_tenant) {
+    w.field("tenant");
+    w.string(req.tenant);
+  }
+  w.field("trace_id");
+  w.string(trace_id);
+  std::visit([&w](const auto& body) { write_body(w, body); }, outcome);
+  w.field("latency_us");
+  w.number(latency_us);
+  w.close('}');
+}
+
+Outcome execute_request(AdmissionSession& session, const ParsedRequest& req,
+                        bool fast_reads) {
   if (req.op == "admit" || req.op == "what_if") {
     Job job = req.job;
     if (!req.saw_priority) assign_lowest_priorities(session.system(), job);
-    ReadDecision rd;
     if (req.op == "admit") {
-      rd = AdmissionSession::summarize(session.admit(std::move(job)));
-    } else if (fast_reads) {
-      rd = session.read_what_if(std::move(job));
-    } else {
-      rd = AdmissionSession::summarize(session.what_if(std::move(job)));
+      return AdmissionSession::summarize(session.admit(std::move(job)));
     }
-    read_decision_into(response, rd);
-    return rd.ok;
+    if (fast_reads) return session.read_what_if(std::move(job));
+    return AdmissionSession::summarize(session.what_if(std::move(job)));
   }
   if (req.op == "remove") {
     std::uint64_t job_id = req.remove_id;
     if (!req.remove_by_id) {
       const int k = session.system().job_index_by_name(req.remove_name);
       if (k < 0) {
-        set_error(response, "not_found",
-                  "no job named '" + req.remove_name + "'",
-                  /*retryable=*/false);
-        return false;
+        return ErrorReply{"not_found",
+                          "no job named '" + req.remove_name + "'",
+                          /*retryable=*/false};
       }
       job_id = session.system().job(k).id;
     }
-    const ReadDecision rd = AdmissionSession::summarize(session.remove(job_id));
-    read_decision_into(response, rd);
-    return rd.ok;
+    return AdmissionSession::summarize(session.remove(job_id));
   }
   if (req.op == "what_if_region") {
     // Read-class sensitivity sweep: probes run on clones of `session`, so
@@ -297,13 +447,10 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
     RegionAnalyzer region(session);
     const RegionResult r = region.run(req.region);
     if (!r.ok) {
-      set_error(response, classify_error(r.error), r.error,
-                /*retryable=*/false);
-      return false;
+      return ErrorReply{classify_error(r.error), r.error,
+                        /*retryable=*/false};
     }
-    response.set("ok", true);
-    response.set("region", region_result_value(r));
-    return true;
+    return RegionReply{region_result_value(r)};
   }
   if (req.op == "stats") {
     // Live introspection of the shared MetricsRegistry. The payload is
@@ -312,51 +459,41 @@ bool execute_request(AdmissionSession& session, const ParsedRequest& req,
     // for this deterministic error when no registry is attached.
     obs::MetricsRegistry* metrics = session.config().analysis.observer.metrics;
     if (metrics == nullptr) {
-      set_error(response, "unavailable",
-                "stats: no metrics registry attached (run serve with "
-                "--stats, --metrics-json or --metrics-prom)",
-                /*retryable=*/false);
-      return false;
+      return ErrorReply{"unavailable",
+                        "stats: no metrics registry attached (run serve with "
+                        "--stats, --metrics-json or --metrics-prom)",
+                        /*retryable=*/false};
     }
-    response.set("ok", true);
-    const json::Value payload = stats_payload(metrics->snapshot());
-    for (const auto& [key, value] : payload.as_object()) {
-      response.set(key, value);
-    }
-    return true;
+    return StatsReply{stats_payload(metrics->snapshot())};
   }
   // query: committed-system summary straight off the retained analysis.
   const AnalysisResult& r = session.last();
   if (!r.ok) {
-    set_error(response, "internal",
-              r.error.empty() ? "base analysis failed" : r.error,
-              /*retryable=*/false);
-    return false;
+    return ErrorReply{"internal",
+                      r.error.empty() ? "base analysis failed" : r.error,
+                      /*retryable=*/false};
   }
-  response.set("ok", true);
-  response.set("jobs", session.system().job_count());
-  response.set("schedulable", r.all_schedulable());
-  response.set("max_wcrt", time_value(r.max_wcrt()));
-  response.set("horizon", time_value(r.horizon));
-  return true;
+  return QuerySummary{session.system().job_count(), r.all_schedulable(),
+                      r.max_wcrt(), r.horizon};
 }
 
 Executed guarded_execute(AdmissionSession& session, const ParsedRequest& req,
-                         json::Value& response, bool fast_reads,
-                         obs::Tracer* tracer) {
+                         bool fast_reads, obs::Tracer* tracer) {
   Executed result;
   try {
     obs::Tracer::Span class_span = obs::Tracer::span_if(
         tracer, req.cls == RequestClass::kMutate ? "service.mutate"
                                                  : "service.read");
-    result.ok = execute_request(session, req, response, fast_reads);
+    result.outcome = execute_request(session, req, fast_reads);
   } catch (const std::exception& e) {
-    set_error(response, "internal", std::string("request failed: ") + e.what(),
-              /*retryable=*/false);
+    result.outcome = ErrorReply{
+        "internal", std::string("request failed: ") + e.what(),
+        /*retryable=*/false};
     result.failed = true;
   } catch (...) {
-    set_error(response, "internal", "request failed: unknown exception",
-              /*retryable=*/false);
+    result.outcome = ErrorReply{"internal",
+                                "request failed: unknown exception",
+                                /*retryable=*/false};
     result.failed = true;
   }
   return result;

@@ -1,24 +1,49 @@
-// Shared per-request steps for the JSONL service.
+// Shared per-request steps and the one response writer of the JSONL
+// service.
 //
 // Every request-stream driver -- the sequential reference runner
 // (request_runner.cpp), the batching RequestScheduler
 // (request_scheduler.cpp) and the sharded front end's untenanted bucket
 // (sharded_scheduler.cpp) -- goes through these helpers: skip blank and '#'
-// lines, parse, open the v2 envelope (propagating or minting the trace_id),
-// execute inside the one failure isolation, and serialize the decision. So
-// a given request produces byte-identical response objects (latency fields
-// aside) no matter which driver, and at any parallelism. That single
-// emission path is what the scheduler's differential test leans on.
+// lines, parse, stamp the trace_id (propagated or minted), execute inside
+// the one failure isolation, and render the response line. Execution
+// returns data (an Outcome), not a JSON tree; append_response writes the
+// line once, field by field, when the driver emits it. So a given request
+// produces byte-identical lines (latency_us aside) no matter which driver,
+// and at any parallelism.
+//
+// Field-order contract (docs/api.md). Every response line is
+//   schema_version, request, line, op (when the line had one), tenant (when
+//   routed by one), trace_id, then the body, then latency_us.
+// The bodies, each in its one order:
+//   - decision (admit, what_if, remove): ok, error (when the session
+//     refused), admitted, committed, incremental, job_id, dirty_subjobs,
+//     total_subjobs; when ok also schedulable, max_wcrt, horizon and, when
+//     available, explain {wcrt, deadline, dominant_hop, doublings,
+//     hops [{hop, processor, bound}]};
+//   - query: ok, jobs, schedulable, max_wcrt, horizon;
+//   - error: ok (false), error {code, message, retryable};
+//   - what_if_region: ok, region (region_result_value);
+//   - stats: ok, then the members of stats_payload.
+// Only the what_if_region and stats payloads are still json::Value trees;
+// they are appended inside the writer's envelope. Numbers go through
+// rta::append_double and strings through rta::append_json_escaped, the
+// bytes json::Value::dump writes, and an unbounded time is the string
+// "inf". tests/test_response_writer.cpp checks the writer against a
+// json::Value tree built field by field; the tests/golden/ streams pin the
+// bytes end to end.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <variant>
 
-#include "service/region.hpp"
 #include "io/json.hpp"
 #include "obs/trace.hpp"
 #include "service/admission_session.hpp"
+#include "service/region.hpp"
 
 namespace rta::service::detail {
 
@@ -40,9 +65,7 @@ struct ParsedRequest {
 
   /// Propagated trace context: a non-empty string "trace_id" field on the
   /// request, echoed verbatim into the response. Empty when absent (or the
-  /// line failed to parse); open_envelope then mints one deterministically
-  /// (obs/trace_context.hpp), so minted ids are byte-identical across the
-  /// drivers.
+  /// line failed to parse); response_trace_id then mints one.
   std::string trace_id;
 
   /// Optional routing annotation: a non-empty string "tenant" field on the
@@ -78,48 +101,80 @@ struct ParsedRequest {
 /// kImmediate with the exact error text the sequential runner emits.
 [[nodiscard]] ParsedRequest parse_request(const std::string& line);
 
-/// Stable machine-readable failure codes of the v2 envelope (docs/api.md):
-/// bad_request, not_found, conflict, invalid_argument, unavailable,
-/// overloaded, timeout, internal. Exactly overloaded and timeout are
-/// retryable.
-///
-/// Write `response`'s failure fields:
-///   "ok": false, "error": {"code", "message", "retryable"}
-void set_error(json::Value& response, const char* code,
-               const std::string& message, bool retryable);
+/// A query's committed-system summary.
+struct QuerySummary {
+  int jobs = 0;
+  bool schedulable = false;
+  Time max_wcrt = 0.0;
+  Time horizon = 0.0;
+};
 
-/// Open `response` with the v2 envelope fields every answer starts with, in
-/// their one order: schema_version, request, line, op (when the line had
-/// one), tenant (when routed by one), trace_id. The trace id is the
-/// request's own, or minted from `line_no` and the raw `line`. Returns the
-/// trace id.
-std::string open_envelope(json::Value& response, int request_no, int line_no,
-                          const ParsedRequest& req, const std::string& line);
+/// A failure body. Stable machine-readable codes of the v2 envelope
+/// (docs/api.md): bad_request, not_found, conflict, invalid_argument,
+/// unavailable, overloaded, timeout, internal. Exactly overloaded and
+/// timeout are retryable.
+struct ErrorReply {
+  const char* code = "internal";
+  std::string message;
+  bool retryable = false;
+};
 
-/// Serialize the aggregate decision fields into `response` -- the one field
-/// order every execution path shares.
-void read_decision_into(json::Value& response, const ReadDecision& rd);
+/// A what_if_region answer: rendered as "region": <payload>.
+struct RegionReply {
+  json::Value region;
+};
 
-/// Execute one executable (non-immediate) request against `session` and
-/// fill `response`'s decision fields. `fast_reads` routes what_if through
-/// AdmissionSession::read_what_if (aggregate-only fast path; same bytes).
-/// Returns the response's ok flag. May throw; drivers call it through
-/// guarded_execute.
-bool execute_request(AdmissionSession& session, const ParsedRequest& req,
-                     json::Value& response, bool fast_reads);
+/// A stats answer: its members are rendered after "ok".
+struct StatsReply {
+  json::Value payload;
+};
+
+/// What one request produced: the data its response body is rendered from.
+using Outcome =
+    std::variant<ReadDecision, QuerySummary, ErrorReply, RegionReply,
+                 StatsReply>;
+
+/// The response's ok flag.
+[[nodiscard]] bool outcome_ok(const Outcome& outcome);
+
+/// The trace id a response echoes: the request's own, or minted from
+/// `line_no` and the raw `line` (obs/trace_context.hpp), so minted ids are
+/// byte-identical across the drivers.
+[[nodiscard]] std::string response_trace_id(const ParsedRequest& req,
+                                            int line_no,
+                                            const std::string& line);
+
+/// `s` as a quoted JSON string literal (span args).
+[[nodiscard]] std::string json_quoted(std::string_view s);
+
+/// Append one response line (no newline) to `out`: the v2 envelope from
+/// `request_no`, `line_no`, `req`'s op and tenant and `trace_id`, then
+/// `outcome`'s body, then latency_us -- the field order in the header
+/// comment. The one emitter every driver shares.
+void append_response(std::string& out, int request_no, int line_no,
+                     const ParsedRequest& req, const std::string& trace_id,
+                     const Outcome& outcome, double latency_us);
+
+/// Execute one executable (non-immediate) request against `session`.
+/// `fast_reads` routes what_if through AdmissionSession::read_what_if
+/// (aggregate-only fast path; same bytes). May throw; drivers call it
+/// through guarded_execute.
+[[nodiscard]] Outcome execute_request(AdmissionSession& session,
+                                      const ParsedRequest& req,
+                                      bool fast_reads);
 
 struct Executed {
-  bool ok = false;      ///< the response's ok flag
+  Outcome outcome;
   bool failed = false;  ///< execution threw (answered "internal")
 };
 
 /// execute_request inside the failure isolation every driver shares: a
-/// throwing request answers "internal" ("request failed: ...") for its line
-/// and the stream continues. Opens the service.read / service.mutate span
-/// on `tracer` (may be null) around the execution.
-Executed guarded_execute(AdmissionSession& session, const ParsedRequest& req,
-                         json::Value& response, bool fast_reads,
-                         obs::Tracer* tracer);
+/// throwing request answers a whole "internal" error body ("request failed:
+/// ...") for its line and the stream continues. Opens the service.read /
+/// service.mutate span on `tracer` (may be null) around the execution.
+[[nodiscard]] Executed guarded_execute(AdmissionSession& session,
+                                       const ParsedRequest& req,
+                                       bool fast_reads, obs::Tracer* tracer);
 
 /// Wall-clock microseconds elapsed since `since` (the latency_us field).
 [[nodiscard]] double micros_since(std::chrono::steady_clock::time_point since);

@@ -4,8 +4,8 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
-#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/request_codec.hpp"
@@ -24,6 +24,7 @@ RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
   }
 
   std::string line;
+  std::string response;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
@@ -31,30 +32,33 @@ RunnerStats run_request_stream(AdmissionSession& session, std::istream& in,
 
     const auto start = std::chrono::steady_clock::now();
     const detail::ParsedRequest req = detail::parse_request(line);
-    json::Value response;
-    const std::string trace_id = detail::open_envelope(
-        response, stats.requests + 1, line_no, req, line);
+    const std::string trace_id = detail::response_trace_id(req, line_no, line);
+    detail::Outcome outcome;
     if (req.cls == detail::RequestClass::kImmediate) {
-      detail::set_error(response, "bad_request", req.error,
-                        /*retryable=*/false);
+      outcome = detail::ErrorReply{"bad_request", req.error,
+                                   /*retryable=*/false};
       ++stats.errors;
     } else {
       obs::Tracer::Span req_span = obs::Tracer::span_if(
           tracer, "service.request",
-          tracer != nullptr
-              ? "{\"trace_id\": " + json::Value(trace_id).dump() +
-                    ", \"op\": \"" + req.op + "\"}"
-              : std::string());
-      const detail::Executed done = detail::guarded_execute(
-          session, req, response, /*fast_reads=*/false, tracer);
+          tracer != nullptr ? "{\"trace_id\": " +
+                                  detail::json_quoted(trace_id) +
+                                  ", \"op\": \"" + req.op + "\"}"
+                            : std::string());
+      detail::Executed done = detail::guarded_execute(
+          session, req, /*fast_reads=*/false, tracer);
       if (done.failed) ++stats.failures;
-      if (!done.ok) ++stats.errors;
+      if (!detail::outcome_ok(done.outcome)) ++stats.errors;
+      outcome = std::move(done.outcome);
     }
     const double us = detail::micros_since(start);
     latency.observe(us);
-    response.set("latency_us", us);
 
-    out << response.dump() << "\n";
+    response.clear();
+    detail::append_response(response, stats.requests + 1, line_no, req,
+                            trace_id, outcome, us);
+    response += '\n';
+    out << response;
     ++stats.requests;
   }
   out.flush();

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "util/time.hpp"
 
@@ -17,7 +18,20 @@ using detail::micros_since;
 
 RequestScheduler::RequestScheduler(AdmissionSession& session,
                                    std::ostream& out, StreamOptions options)
-    : session_(session), out_(out), options_(options) {
+    : RequestScheduler(session, options) {
+  out_ = &out;
+}
+
+RequestScheduler::RequestScheduler(AdmissionSession& session,
+                                   std::deque<std::string>& ready,
+                                   StreamOptions options)
+    : RequestScheduler(session, options) {
+  ready_ = &ready;
+}
+
+RequestScheduler::RequestScheduler(AdmissionSession& session,
+                                   StreamOptions options)
+    : session_(session), options_(options) {
   tracer_ = session.config().analysis.observer.tracer;
   obs::MetricsRegistry* metrics = session.config().analysis.observer.metrics;
   if (metrics != nullptr) {
@@ -36,7 +50,10 @@ RequestScheduler::RequestScheduler(AdmissionSession& session,
 
 RequestScheduler::~RequestScheduler() = default;
 
-void RequestScheduler::complete_at_submit(Pending& p) {
+void RequestScheduler::complete_at_submit(Pending& p,
+                                          detail::ErrorReply error) {
+  p.outcome = std::move(error);
+  ++stats_.errors;
   p.latency_us = micros_since(p.arrival);
   pending_.push_back(std::move(p));
 }
@@ -48,9 +65,9 @@ RequestScheduler::Pending RequestScheduler::make_pending(
   p.arrival = std::chrono::steady_clock::now();
   p.raw = line;
   p.req = std::move(req);
-  ++submitted_;
-  p.trace_id =
-      detail::open_envelope(p.response, submitted_, line_no_, p.req, line);
+  p.request_no = ++submitted_;
+  p.line_no = line_no_;
+  p.trace_id = detail::response_trace_id(p.req, line_no_, line);
   return p;
 }
 
@@ -75,10 +92,7 @@ void RequestScheduler::submit_parsed(const std::string& line,
   if (p.req.cls == detail::RequestClass::kImmediate) {
     // Parse-time errors never touch a session: buffered in place so the
     // response order matches arrival order, outside the batch depth.
-    detail::set_error(p.response, "bad_request", p.req.error,
-                      /*retryable=*/false);
-    ++stats_.errors;
-    complete_at_submit(p);
+    complete_at_submit(p, {"bad_request", p.req.error, /*retryable=*/false});
     return;
   }
 
@@ -87,13 +101,10 @@ void RequestScheduler::submit_parsed(const std::string& line,
   if (inflight_ > 0 && p.req.cls != batch_class_) flush();
 
   if (options_.max_inflight > 0 && inflight_ >= options_.max_inflight) {
-    detail::set_error(p.response, "overloaded",
-                      "server busy: max_inflight exceeded",
-                      /*retryable=*/true);
-    ++stats_.errors;
     ++stats_.rejected;
     rejected_counter_.inc();
-    complete_at_submit(p);
+    complete_at_submit(p, {"overloaded", "server busy: max_inflight exceeded",
+                           /*retryable=*/true});
     return;
   }
 
@@ -113,7 +124,7 @@ obs::Tracer::Span RequestScheduler::request_span(const Pending& p) {
   std::snprintf(queue_args, sizeof(queue_args), ", \"queue_us\": %.3f}",
                 micros_since(p.arrival));
   return tracer_->span("service.request",
-                       "{\"trace_id\": " + json::Value(p.trace_id).dump() +
+                       "{\"trace_id\": " + detail::json_quoted(p.trace_id) +
                            ", \"op\": \"" + p.req.op + "\"" + queue_args);
 }
 
@@ -126,9 +137,9 @@ bool RequestScheduler::expire_if_stale(Pending& p) {
     return false;
   }
   obs::Tracer::Span req_span = request_span(p);
-  detail::set_error(p.response, "timeout",
-                    "request timed out before execution",
-                    /*retryable=*/true);
+  p.outcome = detail::ErrorReply{"timeout",
+                                 "request timed out before execution",
+                                 /*retryable=*/true};
   p.timed_out = true;
   p.latency_us = micros_since(p.arrival);
   req_span.annotate("{\"timeout\": true}");
@@ -137,9 +148,9 @@ bool RequestScheduler::expire_if_stale(Pending& p) {
 
 void RequestScheduler::execute_one(Pending& p) {
   obs::Tracer::Span req_span = request_span(p);
-  const detail::Executed done = detail::guarded_execute(
-      session_, p.req, p.response, /*fast_reads=*/true, tracer_);
-  p.ok = done.ok;
+  detail::Executed done =
+      detail::guarded_execute(session_, p.req, /*fast_reads=*/true, tracer_);
+  p.outcome = std::move(done.outcome);
   p.failed = done.failed;
   p.latency_us = micros_since(p.arrival);
 }
@@ -183,7 +194,7 @@ void RequestScheduler::execute_reads() {
   // instance expires on its own wall clock.
   std::vector<std::size_t> primaries;
   std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // dup, prim
-  if (options_.request_timeout_ms <= 0.0) {
+  if (options_.request_timeout_ms <= 0.0 && exec.size() >= 2) {
     std::unordered_map<std::string, std::size_t> first_instance;
     first_instance.reserve(exec.size());
     for (std::size_t idx : exec) {
@@ -201,23 +212,19 @@ void RequestScheduler::execute_reads() {
 
   for (const std::size_t idx : primaries) execute_one(pending_[idx]);
 
-  // Resolve duplicates from their primaries, re-opening the envelope in
-  // place for the duplicate's own request/line/trace_id. A simulated (auto)
-  // job id is the only decision field that differs between identical
-  // lines; explicit-id instances answer identically, patch and all.
+  // Resolve duplicates from their primaries: a duplicate copies the
+  // primary's outcome and keeps its own request/line/trace_id, which
+  // render from its own entry. A simulated (auto) job id is the only
+  // decision field that differs between identical lines; explicit-id
+  // instances answer identically.
   for (const auto& [dup, prim] : duplicates) {
     Pending& d = pending_[dup];
     const Pending& p = pending_[prim];
-    const auto request_no =
-        static_cast<int>(d.response.find("request")->as_number());
-    const auto input_line =
-        static_cast<int>(d.response.find("line")->as_number());
-    d.response = p.response;
-    detail::open_envelope(d.response, request_no, input_line, d.req, d.raw);
-    if (d.auto_id && d.response.find("job_id") != nullptr) {
-      d.response.set("job_id", static_cast<double>(d.req.job.id));
+    d.outcome = p.outcome;
+    if (auto* rd = std::get_if<ReadDecision>(&d.outcome);
+        rd != nullptr && d.auto_id) {
+      rd->job_id = d.req.job.id;
     }
-    d.ok = p.ok;
     d.failed = p.failed;
     d.latency_us = micros_since(d.arrival);
     ++stats_.coalesced;
@@ -225,8 +232,8 @@ void RequestScheduler::execute_reads() {
     obs::Tracer::instant_if(
         tracer_, "service.coalesced",
         tracer_ != nullptr
-            ? "{\"trace_id\": " + json::Value(d.trace_id).dump() +
-                  ", \"primary\": " + json::Value(p.trace_id).dump() + "}"
+            ? "{\"trace_id\": " + detail::json_quoted(d.trace_id) +
+                  ", \"primary\": " + detail::json_quoted(p.trace_id) + "}"
             : std::string());
   }
 
@@ -241,9 +248,14 @@ void RequestScheduler::flush() {
       execute_reads();
     }
   }
-  for (Pending& p : pending_) {
+  // One render buffer per flush, sized for a typical response line (a
+  // what_if with its explain is a few hundred bytes), so rendering does
+  // not reallocate as the line grows.
+  std::string line;
+  line.reserve(1024);
+  for (const Pending& p : pending_) {
     if (p.executable) {
-      if (!p.ok) ++stats_.errors;
+      if (!detail::outcome_ok(p.outcome)) ++stats_.errors;
       if (p.failed) {
         ++stats_.failures;
         failure_counter_.inc();
@@ -258,18 +270,29 @@ void RequestScheduler::flush() {
       per_class.observe(p.latency_us);
     }
     request_us_.observe(p.latency_us);
-    p.response.set("latency_us", p.latency_us);
-    out_ << p.response.dump() << "\n";
+    emit(p, line);
     ++stats_.requests;
   }
   pending_.clear();
   inflight_ = 0;
 }
 
+void RequestScheduler::emit(const Pending& p, std::string& line) {
+  line.clear();
+  detail::append_response(line, p.request_no, p.line_no, p.req, p.trace_id,
+                          p.outcome, p.latency_us);
+  if (ready_ != nullptr) {
+    ready_->push_back(line);  // an exact-size copy; `line` keeps its buffer
+    return;
+  }
+  line += '\n';
+  *out_ << line;
+}
+
 void RequestScheduler::finish() {
   if (finished_) return;
   flush();
-  out_.flush();
+  if (out_ != nullptr) out_->flush();
   finished_ = true;
 }
 

@@ -14,7 +14,7 @@
 //     for auto-assigned ids -- its own simulated job_id. Against one
 //     committed state identical reads are pure-function calls, so this is
 //     exact, not approximate. Coalescing reaches only within one batch,
-//     skips building the response, and covers every read (query,
+//     skips the duplicate's execution, and covers every read (query,
 //     what_if_region and general-path what_ifs too). A polling client
 //     re-probing a pending candidate in later batches is answered by the
 //     session's what-if memo instead (AdmissionSession::read_what_if),
@@ -56,6 +56,7 @@
 #pragma once
 
 #include <chrono>
+#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -77,6 +78,11 @@ class RequestScheduler {
   /// counters service.rejected / service.timeouts / service.failures /
   /// service.coalesced.
   RequestScheduler(AdmissionSession& session, std::ostream& out,
+                   StreamOptions options = {});
+  /// Same, but each finished response line (without its newline) is
+  /// appended to `ready` instead of written to a stream: the sharded front
+  /// end's per-tenant ready queue.
+  RequestScheduler(AdmissionSession& session, std::deque<std::string>& ready,
                    StreamOptions options = {});
   ~RequestScheduler();
 
@@ -108,30 +114,36 @@ class RequestScheduler {
  private:
   struct Pending {
     detail::ParsedRequest req;
-    json::Value response;
     std::string raw;       ///< the input line, the read-coalescing identity key
     std::string trace_id;  ///< propagated or minted at submit (deterministic)
+    int request_no = 0;    ///< envelope numbering, fixed at submit
+    int line_no = 0;
     std::chrono::steady_clock::time_point arrival;
-    bool executable = false;  ///< false: response completed at submit time
+    bool executable = false;  ///< false: outcome completed at submit time
     bool auto_id = false;     ///< job_id was simulated, not client-supplied
-    // Outcome of executing this entry.
-    bool ok = false;
+    // Outcome of this entry; rendered once, at flush.
+    detail::Outcome outcome;
     bool failed = false;
     bool timed_out = false;
     double latency_us = 0.0;
   };
 
+  /// The shared part of both constructors; the caller binds the sink.
+  RequestScheduler(AdmissionSession& session, StreamOptions options);
+
   void execute_mutations();
   void execute_reads();
   void execute_one(Pending& p);
-  void complete_at_submit(Pending& p);
+  void complete_at_submit(Pending& p, detail::ErrorReply error);
+  void emit(const Pending& p, std::string& line);
   [[nodiscard]] Pending make_pending(const std::string& line,
                                      detail::ParsedRequest req);
   [[nodiscard]] obs::Tracer::Span request_span(const Pending& p);
   bool expire_if_stale(Pending& p);
 
   AdmissionSession& session_;
-  std::ostream& out_;
+  std::ostream* out_ = nullptr;              ///< the line sink: a stream ...
+  std::deque<std::string>* ready_ = nullptr;  ///< ... or a ready queue
   StreamOptions options_;
 
   std::vector<Pending> pending_;  ///< current batch + interleaved immediates

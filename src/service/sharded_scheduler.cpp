@@ -53,7 +53,7 @@ ShardedScheduler::Tenant& ShardedScheduler::tenant(int idx) {
   if (slot == nullptr) {
     slot = std::make_unique<Tenant>();
     slot->scheduler = std::make_unique<RequestScheduler>(
-        registry_.session(idx), slot->buf, options_.stream);
+        registry_.session(idx), slot->ready, options_.stream);
     slot->shard = TenantRegistry::shard_of(registry_.name(idx),
                                            static_cast<int>(shards_.size()));
   }
@@ -66,24 +66,23 @@ void ShardedScheduler::route_untenanted(const std::string& line,
   // order as the per-tenant drivers, numbered within this bucket.
   const auto arrival = std::chrono::steady_clock::now();
   ++untenanted_no_;
-  json::Value response;
-  detail::open_envelope(response, untenanted_no_, untenanted_no_, req, line);
+  detail::ErrorReply error;
   if (req.cls == detail::RequestClass::kImmediate) {
-    detail::set_error(response, "bad_request", req.error,
-                      /*retryable=*/false);
+    error = {"bad_request", req.error, /*retryable=*/false};
   } else if (!req.has_tenant) {
-    detail::set_error(response, "bad_request",
-                      "multi-tenant stream requires a 'tenant' field",
-                      /*retryable=*/false);
+    error = {"bad_request", "multi-tenant stream requires a 'tenant' field",
+             /*retryable=*/false};
   } else {
-    detail::set_error(response, "not_found",
-                      "no tenant named '" + req.tenant + "'",
-                      /*retryable=*/false);
+    error = {"not_found", "no tenant named '" + req.tenant + "'",
+             /*retryable=*/false};
   }
-  response.set("latency_us", detail::micros_since(arrival));
+  std::string& line_out = untenanted_ready_.emplace_back();
+  detail::append_response(
+      line_out, untenanted_no_, untenanted_no_, req,
+      detail::response_trace_id(req, untenanted_no_, line), error,
+      detail::micros_since(arrival));
   ++unrouted_;
   order_.push_back(-1);
-  untenanted_ready_.push_back(response.dump());
 }
 
 void ShardedScheduler::submit_line(const std::string& line) {
@@ -145,9 +144,9 @@ void ShardedScheduler::pump() {
     for_each_index(pool_.get(), shards_.size(), run_shard);
   }
 
-  // Serial epilogue: count each drained tenant's sheds, move flushed
-  // responses into the per-tenant ready queues, reset the window
-  // accounting, and emit the completed prefix.
+  // Serial epilogue: count each drained tenant's sheds, reset the window
+  // accounting, and emit the completed prefix. The tenants' schedulers
+  // already appended their finished lines to the ready queues.
   for (Shard& sh : shards_) {
     int shed = 0;
     for (const int idx : sh.touched) {
@@ -155,15 +154,6 @@ void ShardedScheduler::pump() {
       const int rejected = tn.scheduler->stats().rejected;
       shed += rejected - tn.rejected;
       tn.rejected = rejected;
-      std::string produced = tn.buf.str();
-      tn.buf.str(std::string());
-      std::size_t begin = 0;
-      while (begin < produced.size()) {
-        const std::size_t nl = produced.find('\n', begin);
-        const std::size_t end = nl == std::string::npos ? produced.size() : nl;
-        tn.ready.push_back(produced.substr(begin, end - begin));
-        begin = end + 1;
-      }
       tn.touched = false;
     }
     if (!sh.queue.empty()) {

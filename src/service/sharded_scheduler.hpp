@@ -12,9 +12,12 @@
 // reach pump_lines (or at finish), a pump drains every shard concurrently
 // -- shard workers run disjoint tenant sets, so the fan-out is partitioned,
 // not locked -- feeding each line to its tenant's scheduler and flushing
-// the touched tenants. Responses land in per-tenant buffers and are then
-// interleaved back into GLOBAL ARRIVAL ORDER on the calling thread, so the
-// output stream is deterministic at every shard width.
+// the touched tenants. Each tenant's scheduler writes its finished response
+// lines straight into that tenant's ready queue (the one response writer of
+// request_codec.hpp; no stream or re-split in between), and the lines are
+// then interleaved back into GLOBAL ARRIVAL ORDER on the calling thread, so
+// the output stream is deterministic at every shard width. The untenanted
+// bucket renders its error lines with the same writer.
 //
 // Numbering contract: a response's "request"/"line" fields count within its
 // tenant's own stream, exactly as if that tenant's lines were served alone.
@@ -47,7 +50,6 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -112,9 +114,10 @@ class ShardedScheduler {
 
  private:
   struct Tenant {
-    std::ostringstream buf;  ///< the tenant scheduler's response sink
+    /// Flushed response lines awaiting emission; the tenant's scheduler
+    /// appends to it directly.
+    std::deque<std::string> ready;
     std::unique_ptr<RequestScheduler> scheduler;
-    std::deque<std::string> ready;  ///< flushed responses awaiting emission
     int shard = 0;
     int rejected = 0;      ///< scheduler's rejected count at the last pump
     bool touched = false;  ///< routed at least one line this window

@@ -119,7 +119,8 @@ POWER_OF_1000 = {"1000", "1000.0", "1e3", "1e6", "1e9", "1000000",
                  "1'000'000"}
 ARITH_OPS = {"+", "-", "*", "/", "<", ">", "<=", ">=", "==", "!="}
 
-# Directories whose .set("...") calls constitute the wire contract.
+# Directories whose .set("...") calls (json::Value payloads) and .field("...")
+# calls (the request codec's response writer) constitute the wire contract.
 SCHEMA_EMIT_PREFIXES = ("src/service/",)
 
 MUTATING_CALLS = {"push_back", "emplace_back", "pop_back", "clear", "erase",
@@ -584,14 +585,15 @@ class Analyzer:
     # --- schema ---------------------------------------------------------
 
     def _emitted_fields(self):
-        """{key: [(src, line), ...]} for every .set("key") in the service."""
+        """{key: [(src, line), ...]} for every .set("key") or .field("key")
+        in the service."""
         out = {}
         for src in self.files:
             if not src.rel.startswith(SCHEMA_EMIT_PREFIXES):
                 continue
             toks = src.tokens
             for i, tok in enumerate(toks):
-                if tok.kind != "id" or tok.value != "set":
+                if tok.kind != "id" or tok.value not in ("set", "field"):
                     continue
                 prv = toks[i - 1] if i > 0 else None
                 if prv is None or prv.value not in (".", "->"):
