@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "eval/experiment.hpp"  // AdmissionPoint
 #include "support/csv.hpp"
+#include "support/experiment.hpp"  // AdmissionPoint
 #include "support/stats.hpp"
 
 namespace rta::bench {

@@ -13,10 +13,10 @@
 #include <cstdio>
 
 #include "analysis/spp_exact.hpp"
-#include "envelope/envelope_analysis.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
 #include "support/csv.hpp"
+#include "support/envelope_analysis.hpp"
 #include "support/stats.hpp"
 #include "util/options.hpp"
 #include "workload/jobshop.hpp"

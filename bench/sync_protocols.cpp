@@ -15,11 +15,11 @@
 #include <cstdio>
 
 #include "analysis/holistic.hpp"
-#include "analysis/phase_mod.hpp"
 #include "analysis/spp_exact.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
 #include "support/csv.hpp"
+#include "support/phase_mod.hpp"
 #include "support/stats.hpp"
 #include "util/options.hpp"
 #include "workload/jobshop.hpp"

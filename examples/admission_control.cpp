@@ -11,8 +11,13 @@
 #include <cstdio>
 #include <vector>
 
-#include "rta/rta.hpp"
+#include "analysis/analyzer.hpp"
+#include "analysis/result.hpp"
+#include "curve/arrival.hpp"
+#include "model/priority.hpp"
+#include "model/system.hpp"
 #include "util/options.hpp"
+#include "util/rng.hpp"
 
 namespace {
 

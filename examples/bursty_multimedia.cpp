@@ -18,7 +18,12 @@
 #include <cmath>
 #include <cstdio>
 
-#include "rta/rta.hpp"
+#include "analysis/bounds.hpp"
+#include "analysis/result.hpp"
+#include "curve/arrival.hpp"
+#include "model/priority.hpp"
+#include "model/system.hpp"
+#include "sim/simulator.hpp"
 
 int main() {
   using namespace rta;

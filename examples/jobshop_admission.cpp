@@ -5,12 +5,19 @@
 // Flags: --stages N (default 4)  --procs N (default 2)  --jobs N (default 6)
 //        --util U (default 0.6)  --seed S (default 1)   --aperiodic
 //
+// Exit status: 1 when some method's bound is VIOLATED by the simulation.
+//
 // Build & run:  ./build/examples/jobshop_admission --util 0.8 --aperiodic
 #include <cmath>
 #include <cstdio>
 
-#include "rta/rta.hpp"
+#include "analysis/analyzer.hpp"
+#include "eval/validation.hpp"
+#include "model/priority.hpp"
+#include "model/system.hpp"
 #include "util/options.hpp"
+#include "util/rng.hpp"
+#include "workload/jobshop.hpp"
 
 int main(int argc, char** argv) {
   using namespace rta;
@@ -46,6 +53,7 @@ int main(int argc, char** argv) {
                                        Method::kSppApp, Method::kSpnpApp,
                                        Method::kFcfsApp};
 
+  bool all_hold = true;
   std::printf("\n%-10s %-9s %12s %12s %10s\n", "method", "admits?",
               "max wcrt", "sim worst", "bound ok?");
   for (Method method : methods) {
@@ -71,6 +79,7 @@ int main(int argc, char** argv) {
       max_bound = std::fmax(max_bound, jv.analyzed_bound);
       max_sim = std::fmax(max_sim, jv.simulated_worst);
     }
+    all_hold = all_hold && rep.bounds_hold();
     std::printf("%-10s %-9s %12.3f %12.3f %10s\n", method_name(method),
                 admits ? "yes" : "no", max_bound, max_sim,
                 rep.bounds_hold() ? "yes" : "VIOLATED");
@@ -78,5 +87,5 @@ int main(int argc, char** argv) {
 
   std::printf("\n(\"bound ok?\" checks that the analysis dominates the "
               "simulated worst case; SPP/Exact matches it exactly)\n");
-  return 0;
+  return all_hold ? 0 : 1;
 }

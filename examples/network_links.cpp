@@ -17,7 +17,12 @@
 // Build & run:  ./build/examples/network_links
 #include <cstdio>
 
-#include "rta/rta.hpp"
+#include "analysis/bounds.hpp"
+#include "analysis/result.hpp"
+#include "curve/arrival.hpp"
+#include "model/priority.hpp"
+#include "model/system.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 

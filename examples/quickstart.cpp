@@ -10,7 +10,11 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
-#include "rta/rta.hpp"
+#include "analysis/result.hpp"
+#include "analysis/spp_exact.hpp"
+#include "curve/arrival.hpp"
+#include "model/priority.hpp"
+#include "model/system.hpp"
 
 int main() {
   using namespace rta;

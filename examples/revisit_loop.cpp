@@ -9,10 +9,16 @@
 //   telemetry: independent traffic on both processors.
 //
 // Build & run:  ./build/examples/revisit_loop
-#include <cmath>
 #include <cstdio>
 
-#include "rta/rta.hpp"
+#include "analysis/bounds.hpp"
+#include "analysis/iterative.hpp"
+#include "analysis/order.hpp"
+#include "analysis/result.hpp"
+#include "curve/arrival.hpp"
+#include "eval/validation.hpp"
+#include "model/system.hpp"
+#include "sim/simulator.hpp"
 
 int main() {
   using namespace rta;
@@ -72,13 +78,7 @@ int main() {
                 result.jobs[k].schedulable ? "guaranteed" : "not proven");
   }
 
-  bool sound = true;
-  for (int k = 0; k < system.job_count(); ++k) {
-    if (std::isfinite(result.jobs[k].wcrt) &&
-        result.jobs[k].wcrt < sim.worst_response[k] - 1e-6) {
-      sound = false;
-    }
-  }
+  const bool sound = compare_with_simulation(system, result, sim).bounds_hold();
   std::printf("\nbounds dominate the simulation: %s\n", sound ? "yes" : "NO");
   return sound ? 0 : 1;
 }

@@ -3,9 +3,8 @@
 // Historically each analyzer (ExactSppAnalyzer, BoundsAnalyzer,
 // IterativeBoundsAnalyzer, HolisticAnalyzer) was constructed ad hoc at its
 // call site, and the paper-method dispatch (§5.1's table rows) lived in
-// the evaluation harness (now src/eval/experiment.hpp). rta::Analyzer owns
-// both dispatch axes and is the single public entry point for running an
-// analysis (rta/rta.hpp):
+// the evaluation harness. rta::Analyzer owns both dispatch axes and is the
+// single public entry point for running an analysis:
 //
 //   * EngineKind -- *which machinery* runs (exact trace analysis, acyclic
 //     wavefront bounds, the cyclic fixed point, or the holistic baseline),

@@ -3,19 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/result.hpp"
-#include "sim/simulator.hpp"
-
 namespace rta {
-
-double ValidationReport::max_slack() const {
-  double worst = -kTimeInfinity;
-  for (const JobValidation& j : jobs) {
-    if (std::isinf(j.analyzed_bound) || std::isinf(j.simulated_worst)) continue;
-    worst = std::max(worst, j.analyzed_bound - j.simulated_worst);
-  }
-  return worst;
-}
 
 double ValidationReport::min_slack() const {
   double best = kTimeInfinity;
@@ -27,20 +15,13 @@ double ValidationReport::min_slack() const {
   return best;
 }
 
-ValidationReport validate_method(Method method, const System& system,
-                                 const AnalysisConfig& config) {
+ValidationReport compare_with_simulation(const System& system,
+                                         const AnalysisResult& analysis,
+                                         const SimResult& sim) {
   ValidationReport report;
-  report.method = method;
-
-  const AnalysisResult analysis = analyze_with(method, system, config);
   report.analysis_ok = analysis.ok;
   report.error = analysis.error;
   if (!analysis.ok) return report;
-
-  const Time horizon = analysis.horizon > 0.0
-                           ? analysis.horizon
-                           : default_horizon(system, config);
-  const SimResult sim = simulate(system, horizon);
 
   report.jobs.reserve(system.job_count());
   for (int k = 0; k < system.job_count(); ++k) {
@@ -51,6 +32,20 @@ ValidationReport validate_method(Method method, const System& system,
     jv.analyzed_bound = analysis.jobs[k].wcrt;
     report.jobs.push_back(std::move(jv));
   }
+  return report;
+}
+
+ValidationReport validate_method(Method method, const System& system,
+                                 const AnalysisConfig& config) {
+  const AnalysisResult analysis = analyze_with(method, system, config);
+  SimResult sim;
+  if (analysis.ok) {
+    sim = simulate(system, analysis.horizon > 0.0
+                               ? analysis.horizon
+                               : default_horizon(system, config));
+  }
+  ValidationReport report = compare_with_simulation(system, analysis, sim);
+  report.method = method;
   return report;
 }
 

@@ -2,8 +2,9 @@
 //
 // Runs the discrete-event simulator and the applicable analyzers on the same
 // system, and reports, per job, the observed worst response next to each
-// method's bound. Used by tests (the bounds must dominate the observation;
-// the exact SPP analysis must match it) and by bench/sim_vs_analysis.
+// method's bound. compare_with_simulation is the one bound-vs-simulation
+// rule: `rta_cli validate`, validate_method and the tests all reach their
+// verdict through its report's bounds_hold().
 #pragma once
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/result.hpp"
 #include "model/system.hpp"
+#include "sim/simulator.hpp"
 
 namespace rta {
 
@@ -28,16 +30,22 @@ struct ValidationReport {
   std::string error;
   std::vector<JobValidation> jobs;
 
-  /// Largest (bound - observed); negative means the bound was violated.
-  [[nodiscard]] double max_slack() const;
   /// Smallest (bound - observed); negative means the bound was violated.
+  /// An infinite bound is skipped; an infinite observation under a finite
+  /// bound makes it -infinity.
   [[nodiscard]] double min_slack() const;
   [[nodiscard]] bool bounds_hold() const { return min_slack() >= -1e-6; }
 };
 
-/// Validate one method on one system (schedulers must match the method).
-/// The simulation horizon is taken from the analysis result (so both see the
-/// same instances).
+/// Compare an analysis and a simulation of `system` that were already run,
+/// job by job. A failed analysis gives a report with its error and no jobs.
+/// `method` is left at its default for the caller to set.
+[[nodiscard]] ValidationReport compare_with_simulation(
+    const System& system, const AnalysisResult& analysis, const SimResult& sim);
+
+/// Validate one method on one system (schedulers must match the method):
+/// analyze, simulate over the analysis horizon (so both see the same
+/// instances), compare_with_simulation.
 [[nodiscard]] ValidationReport validate_method(Method method,
                                                const System& system,
                                                const AnalysisConfig& config);

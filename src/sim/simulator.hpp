@@ -73,7 +73,8 @@ struct SimResult {
 [[nodiscard]] SimResult simulate(const System& system, Time horizon);
 
 /// Release offsets per job and hop relative to each instance's first-hop
-/// release; hop 0 offsets must be 0. Produced by PhaseModAnalyzer.
+/// release; hop 0 offsets must be 0. A Phase Modification analysis derives
+/// them from its per-hop response bounds.
 struct PhaseSchedule {
   std::vector<std::vector<Time>> offsets;
 };

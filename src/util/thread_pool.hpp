@@ -1,7 +1,8 @@
-// Fixed-size worker pool for embarrassingly-parallel work: Monte-Carlo
-// evaluation (eval/experiment.cpp), the parallel analysis engines
-// (analysis/bounds.cpp, analysis/iterative.cpp), region probe columns
-// (service/region.cpp) and tenant shards (service/sharded_scheduler.cpp).
+// Fixed-size worker pool for embarrassingly-parallel work: the parallel
+// analysis engines (analysis/bounds.cpp, analysis/iterative.cpp), region
+// probe columns (service/region.cpp), tenant shards
+// (service/sharded_scheduler.cpp) and the test-only Monte-Carlo trials
+// (tests/support/experiment.cpp).
 // parallel_for_index is its one entry point; resolve_workers is the one rule
 // that turns a requested width into a worker count, and a pool of width w
 // runs loop bodies on at most w threads at once: its w - 1 helper threads

@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "analysis/spp_exact.hpp"
-#include "envelope/envelope_analysis.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
+#include "support/envelope_analysis.hpp"
 #include "workload/jobshop.hpp"
 
 namespace rta {
@@ -219,7 +219,7 @@ TEST(EnvelopeAnalysis, DominatesTraceAnalysisOnRandomShops) {
 
 // Trace-independence: the envelope bound must also cover a DIFFERENT trace
 // conforming to the same envelope (here: a worst-case synchronous phasing
-// vs a staggered one).
+// vs a staggered one; then a two-stage line under jitter and bursts).
 TEST(EnvelopeAnalysis, CoversAllConformingTraces) {
   const Time window = 60.0;
   auto build = [&](Time offset_b) {
@@ -250,6 +250,49 @@ TEST(EnvelopeAnalysis, CoversAllConformingTraces) {
     for (int k = 0; k < 2; ++k) {
       EXPECT_GE(bound.jobs[k].wcrt, sim.worst_response[k] - 1e-6)
           << "offset " << offset << " job " << k;
+    }
+  }
+
+  // A packet line (classify on P0, forward on P1) certified once against
+  // jittered-periodic and leaky-bucket contracts, then run under its
+  // nominal traces, a jittered voice stream and all video bursts at t = 0.
+  const Time span = 150.0;
+  System line(2, SchedulerKind::kSpp);
+  auto add = [&line](const char* name, Time deadline, Time exec0, Time exec1,
+                     ArrivalSequence arrivals) {
+    Job j;
+    j.name = name;
+    j.deadline = deadline;
+    j.chain = {{0, exec0, 0}, {1, exec1, 0}};
+    j.arrivals = std::move(arrivals);
+    line.add_job(std::move(j));
+  };
+  add("voice", 6.0, 0.5, 0.8, ArrivalSequence::periodic(4.0, span));
+  add("video", 18.0, 1.0, 1.5,
+      ArrivalSequence::burst_then_periodic(3, 0.5, 6.0, span));
+  add("logs", 40.0, 0.8, 0.4, ArrivalSequence::periodic(10.0, span));
+  assign_proportional_deadline_monotonic(line);
+  const std::vector<ArrivalEnvelope> contract = {
+      ArrivalEnvelope::periodic(4.0, span, /*jitter=*/1.0),
+      ArrivalEnvelope::leaky_bucket(/*burst=*/3.0, /*rate=*/1.0 / 6.0, span),
+      ArrivalEnvelope::periodic(10.0, span, /*jitter=*/5.0)};
+  const EnvelopeResult cert = EnvelopeAnalyzer().analyze(line, contract);
+  ASSERT_TRUE(cert.ok) << cert.error;
+  ASSERT_TRUE(cert.all_schedulable());
+
+  std::vector<System> traces(3, line);
+  Rng rng(7);
+  traces[1].job(0).arrivals =
+      ArrivalSequence::jittered_periodic(4.0, 1.0, span, rng);
+  traces[2].job(1).arrivals =
+      ArrivalSequence::burst_then_periodic(3, 0.0001, 6.0, span);
+  for (std::size_t v = 0; v < traces.size(); ++v) {
+    const SimResult sim = simulate(traces[v], span + 60.0);
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_TRUE(contract[k].admits(traces[v].job(k).arrivals))
+          << "trace " << v << " job " << k;
+      EXPECT_GE(cert.jobs[k].wcrt, sim.worst_response[k] - 1e-6)
+          << "trace " << v << " job " << k;
     }
   }
 }

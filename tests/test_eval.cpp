@@ -3,11 +3,13 @@
 // reports, and the CSV writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
-#include "eval/experiment.hpp"
 #include "eval/validation.hpp"
+#include "model/priority.hpp"
 #include "support/csv.hpp"
+#include "support/experiment.hpp"
 
 namespace rta {
 namespace {
@@ -112,20 +114,68 @@ TEST(Validation, ReportSlackAndBoundsHold) {
   rep.jobs.push_back({"A", 5.0, 2.0, 3.0});
   rep.jobs.push_back({"B", 5.0, 1.0, 4.0});
   EXPECT_DOUBLE_EQ(rep.min_slack(), 1.0);
-  EXPECT_DOUBLE_EQ(rep.max_slack(), 3.0);
   EXPECT_TRUE(rep.bounds_hold());
   rep.jobs.push_back({"C", 5.0, 4.0, 3.5});
   EXPECT_FALSE(rep.bounds_hold());
+
+  // Bound 0 against an observed 1e-6 is a slack of exactly -1e-6, which
+  // holds; one ulp more observed makes it the next double below, which fails.
+  ValidationReport edge;
+  edge.jobs.push_back({"A", 5.0, 1e-6, 0.0});
+  ASSERT_EQ(edge.min_slack(), -1e-6);
+  EXPECT_TRUE(edge.bounds_hold());
+  edge.jobs[0].simulated_worst = std::nextafter(1e-6, 1.0);
+  ASSERT_EQ(edge.min_slack(), std::nextafter(-1e-6, -1.0));
+  EXPECT_FALSE(edge.bounds_hold());
 }
 
 TEST(Validation, InfiniteBoundNeverViolates) {
   ValidationReport rep;
   rep.jobs.push_back({"A", 5.0, 2.0, kTimeInfinity});
   EXPECT_TRUE(rep.bounds_hold());
+  // Skipped, not counted: the finite job alone sets the slack.
+  rep.jobs.push_back({"B", 5.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(rep.min_slack(), 1.0);
   // But an unfinished simulation with a finite bound does violate.
   ValidationReport bad;
   bad.jobs.push_back({"A", 5.0, kTimeInfinity, 3.0});
   EXPECT_FALSE(bad.bounds_hold());
+}
+
+TEST(Validation, ValidateMethodIsAnalyzeSimulateCompare) {
+  JobShopConfig shop;
+  shop.stages = 3;
+  shop.jobs = 5;
+  shop.pattern = ArrivalPattern::kAperiodic;
+  shop.scheduler = SchedulerKind::kSpnp;
+  shop.min_rate = 0.2;
+  Rng rng(11);
+  System sys = generate_jobshop(shop, rng);
+  assign_proportional_deadline_monotonic(sys);
+
+  const AnalysisResult analysis = analyze_with(Method::kSpnpApp, sys, {});
+  ASSERT_TRUE(analysis.ok) << analysis.error;
+  ASSERT_GT(analysis.horizon, 0.0);
+  const ValidationReport parts = compare_with_simulation(
+      sys, analysis, simulate(sys, analysis.horizon));
+  const ValidationReport whole = validate_method(Method::kSpnpApp, sys, {});
+  EXPECT_EQ(whole.method, Method::kSpnpApp);
+  ASSERT_EQ(whole.jobs.size(), 5u);
+  ASSERT_EQ(parts.jobs.size(), 5u);
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(whole.jobs[k].job_name, parts.jobs[k].job_name);
+    EXPECT_EQ(whole.jobs[k].analyzed_bound, parts.jobs[k].analyzed_bound);
+    EXPECT_EQ(whole.jobs[k].simulated_worst, parts.jobs[k].simulated_worst);
+  }
+  EXPECT_TRUE(whole.bounds_hold());
+
+  // A failed analysis carries its error and no jobs.
+  AnalysisResult failed;
+  failed.error = "not applicable";
+  const ValidationReport none = compare_with_simulation(sys, failed, {});
+  EXPECT_FALSE(none.analysis_ok);
+  EXPECT_EQ(none.error, "not applicable");
+  EXPECT_TRUE(none.jobs.empty());
 }
 
 TEST(Csv, QuotingAndLayout) {

@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "analysis/holistic.hpp"
-#include "analysis/phase_mod.hpp"
 #include "model/priority.hpp"
 #include "sim/simulator.hpp"
+#include "support/phase_mod.hpp"
 #include "support/sim_invariants.hpp"
 #include "workload/jobshop.hpp"
 

@@ -10,8 +10,8 @@ aware, stdlib only, no libclang, runs anywhere ctest runs.
 Passes and rules (see docs/static-analysis.md for the catalog):
   layering     layer-upward    an #include from a lower layer to a higher one
                                (the DAG is util -> {model, curve} ->
-                               {envelope, analysis, sim, workload, io, obs} ->
-                               service -> rta/eval; within-layer includes are
+                               {analysis, sim, workload, io, obs} ->
+                               service -> eval; within-layer includes are
                                fine)
                include-cycle   any cycle in the file-level include graph
   lock-order   lock-order-cycle  a cycle in the global mutex acquisition-order
@@ -92,14 +92,12 @@ LAYER_RANK = {
     "util": 0,
     "model": 1,
     "curve": 1,
-    "envelope": 2,
     "analysis": 2,
     "sim": 2,
     "workload": 2,
     "io": 2,
     "obs": 2,
     "service": 3,
-    "rta": 4,
     "eval": 4,
 }
 
@@ -256,8 +254,8 @@ class Analyzer:
                         src, line, "layer-upward",
                         f"'{src.rel}' (layer {own_layer}) includes "
                         f"'{inc}' (layer {inc_layer}): the layer DAG is "
-                        "util -> {model, curve} -> {envelope, analysis, sim, "
-                        "workload, io, obs} -> service -> rta/eval; invert "
+                        "util -> {model, curve} -> {analysis, sim, workload, "
+                        "io, obs} -> service -> eval; invert "
                         "the dependency or move the file",
                     )
             graph[src.rel] = edges

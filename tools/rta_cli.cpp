@@ -36,18 +36,27 @@
 #include <string>
 #include <vector>
 
-#include "service/region.hpp"
+#include "analysis/analyzer.hpp"
+#include "eval/validation.hpp"
 #include "io/curve_csv.hpp"
-#include "io/trace_csv.hpp"
+#include "io/system_json.hpp"
 #include "io/system_text.hpp"
+#include "io/trace_csv.hpp"
+#include "model/priority.hpp"
+#include "model/system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rta/rta.hpp"
+#include "service/admission_session.hpp"
 #include "service/metrics_export.hpp"
+#include "service/region.hpp"
+#include "service/request_runner.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "service/tenant_registry.hpp"
+#include "sim/simulator.hpp"
 #include "util/number_format.hpp"
 #include "util/options.hpp"
+#include "util/rng.hpp"
+#include "workload/jobshop.hpp"
 
 namespace {
 
@@ -590,16 +599,16 @@ int cmd_validate(const Options& opts, System system) {
     s = simulate(system, horizon);
   }
   const Clock::time_point t2 = Clock::now();
+  const ValidationReport report = compare_with_simulation(system, r, s);
   std::printf("method: %s\n", used.c_str());
   std::printf("%-16s %12s %12s %10s\n", "job", "bound", "simulated",
               "slack");
-  bool sound = true;
-  for (int k = 0; k < system.job_count(); ++k) {
-    const double slack = r.jobs[k].wcrt - s.worst_response[k];
-    if (std::isfinite(r.jobs[k].wcrt) && slack < -1e-6) sound = false;
-    std::printf("%-16s %12.4f %12.4f %10.4f\n", system.job(k).name.c_str(),
-                r.jobs[k].wcrt, s.worst_response[k], slack);
+  for (const JobValidation& jv : report.jobs) {
+    std::printf("%-16s %12.4f %12.4f %10.4f\n", jv.job_name.c_str(),
+                jv.analyzed_bound, jv.simulated_worst,
+                jv.analyzed_bound - jv.simulated_worst);
   }
+  const bool sound = report.bounds_hold();
   std::printf("bounds dominate simulation: %s\n", sound ? "yes" : "NO");
   const std::chrono::duration<double, std::milli> analysis_ms = t1 - t0;
   const std::chrono::duration<double, std::milli> sim_ms = t2 - t1;
